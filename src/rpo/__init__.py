@@ -13,7 +13,6 @@ from .projections import (
     project,
 )
 from .scoring import RpoStats, depth, fit_rpo, score, score_batch
-from .stats import mad, median
 from .training import (
     DeepRpoModel,
     SadConfig,
@@ -49,8 +48,6 @@ __all__ = [
     "fit_rpo",
     "score",
     "score_batch",
-    "mad",
-    "median",
     "DeepRpoModel",
     "SadConfig",
     "SvddModel",

@@ -2,23 +2,21 @@
 
 Unknown keys are rejected with their section-qualified name, and every
 referenced path is checked before any work starts so a bad config never
-leaves partial outputs behind. Paper-protocol defaults (1000 projections in
-input space / 500 in a low-dimensional latent space, 10% validation split,
-weight decay 1e-6) are baked into the spec defaults and only need keys when
-overridden.
+leaves partial outputs behind. Each key sets one dataclass field, whose
+annotation gives the key's type and whose default applies when the key is
+absent, so the paper-protocol defaults live in ``ExperimentSpec`` alone.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .data import AffineSpec
-from .errors import ConfigError
-from .evaluation import METHODS, SWEEP_AXES, ExperimentSpec, validate_spec
-from .projections import DropoutSpec
+from .errors import ConfigError, DataError
+from .evaluation import METHODS, SWEEP_AXES, SYNTHETIC, ExperimentSpec, validate_spec
 
 
 @dataclass
@@ -62,43 +60,48 @@ def _as_int(value, where: str) -> int:
         raise ConfigError(f"{where} must be an integer, got {value!r}") from None
 
 
-def _parse_dropout(raw, where: str) -> DropoutSpec | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    raw = dict(raw)
-    spec = DropoutSpec(
-        components_rate=_as_float(raw.pop("components_rate", 0.0), f"{where}.components_rate"),
-        projections_rate=_as_float(raw.pop("projections_rate", 0.0), f"{where}.projections_rate"),
-        seed=_as_int(raw.pop("seed", 0), f"{where}.seed"),
-    )
-    _reject_unknown(raw, where)
-    if spec.components_rate == 0.0 and spec.projections_rate == 0.0:
-        return None
-    return spec
+def _coerce(value, hint, where: str):
+    """Convert a YAML value to ``hint``, the annotated type of the field it sets."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    if hint is int:
+        return _as_int(value, where)
+    if hint is float:
+        return _as_float(value, where)
+    if hint is tuple:
+        return tuple(_as_int(v, where) for v in value)
+    if hint is list:
+        return list(value or ())
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a mapping")
+        value = dict(value)
+        spec = hint(**_take(hint, value, where, [f.name for f in fields(hint)]))
+        _reject_unknown(value, where)
+        return spec
+    return str(value)
 
 
-def _parse_affine(raw, where: str) -> AffineSpec | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    raw = dict(raw)
-    spec = AffineSpec(
-        mode=str(raw.pop("mode", "constant")),
-        alpha=_as_float(raw.pop("alpha", 1.0), f"{where}.alpha"),
-        low=_as_float(raw.pop("low", 0.9), f"{where}.low"),
-        high=_as_float(raw.pop("high", 1.1), f"{where}.high"),
-        seed=_as_int(raw.pop("seed", 0), f"{where}.seed"),
-    )
-    _reject_unknown(raw, where)
-    return spec
+def _take(cls, section: dict, where: str, keys) -> dict:
+    """Pop the ``keys`` present in ``section`` as keyword arguments for ``cls``.
+
+    ``keys`` lists field names, or maps each YAML key to a field name.
+    Absent keys are left out, so ``cls`` supplies their defaults.
+    """
+    keys = keys if isinstance(keys, dict) else {k: k for k in keys}
+    hints = typing.get_type_hints(cls)
+    prefix = f"{where}." if where else ""
+    return {
+        name: _coerce(section.pop(key), hints[name], prefix + key)
+        for key, name in keys.items()
+        if key in section
+    }
 
 
 def _parse_seeds(raw) -> tuple:
-    if raw is None:
-        return tuple(range(5))
     if isinstance(raw, int):
         if raw < 1:
             raise ConfigError(f"seeds count must be >= 1, got {raw}")
@@ -106,6 +109,25 @@ def _parse_seeds(raw) -> tuple:
     if isinstance(raw, (list, tuple)):
         return tuple(_as_int(s, "seeds") for s in raw)
     raise ConfigError(f"seeds must be an int or a list, got {raw!r}")
+
+
+# The ExperimentSpec fields each YAML section sets.
+SPEC_SECTIONS = {
+    "dataset": ("source", "label_column", "normal_class_ids", "k_modes", "dim",
+                "n_per_mode", "anomaly_n"),
+    "model": ("n_projections", "rp_dim", "latent_dim", "hidden_dims", "dropout"),
+    "training": ("epochs", "batch_size", "learning_rate", "weight_decay", "stats_mode",
+                 "eps_floor"),
+    "protocol": ("val_fraction", "test_fraction", "contamination", "sad_ratio",
+                 "sad_classes", "affine"),
+}
+# The RunConfig fields the top level and the output and sweep sections set.
+RUN_SECTIONS = {
+    "": {"workers": "workers"},
+    "output": {"results": "results_path", "aggregate": "aggregate_path",
+               "checkpoint_dir": "checkpoint_dir", "history_dir": "history_dir"},
+    "sweep": {"axis": "sweep_axis", "values": "sweep_values"},
+}
 
 
 def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
@@ -117,7 +139,7 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
     methods = raw.pop("methods", None)
     single = raw.pop("method", None)
     if methods is None:
-        methods = [single or "deep-rpo-mean"]
+        methods = [single or ExperimentSpec.method]  # class attribute = field default
     elif single is not None:
         raise ConfigError("give either 'method' or 'methods', not both")
     methods = [str(m) for m in methods]
@@ -125,103 +147,43 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
 
-    seeds = _parse_seeds(raw.pop("seeds", None))
-    workers = _as_int(raw.pop("workers", 1), "workers")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    spec_kwargs = {"method": methods[0]}
+    seeds = raw.pop("seeds", None)
+    if seeds is not None:
+        spec_kwargs["seeds"] = _parse_seeds(seeds)
+    run_kwargs = _take(RunConfig, raw, "", RUN_SECTIONS[""])
+    if run_kwargs.get("workers", 1) < 1:
+        raise ConfigError(f"workers must be >= 1, got {run_kwargs['workers']}")
 
-    ds = _section(raw, "dataset")
-    source = str(ds.pop("source", "synthetic"))
-    if source != "synthetic" and not os.path.isabs(source):
-        source = os.path.normpath(os.path.join(config_dir, source))
-    dataset_kwargs = dict(
-        source=source,
-        label_column=str(ds.pop("label_column", "class")),
-        normal_class_ids=tuple(
-            _as_int(c, "dataset.normal_class_ids") for c in ds.pop("normal_class_ids", (0,))
-        ),
-        k_modes=_as_int(ds.pop("k_modes", 2 if source == "synthetic" else 0), "dataset.k_modes"),
-        dim=_as_int(ds.pop("dim", 16), "dataset.dim"),
-        n_per_mode=_as_int(ds.pop("n_per_mode", 500), "dataset.n_per_mode"),
-        anomaly_n=_as_int(ds.pop("anomaly_n", 300), "dataset.anomaly_n"),
-    )
-    _reject_unknown(ds, "dataset")
+    for name, keys in SPEC_SECTIONS.items():
+        section = _section(raw, name)
+        spec_kwargs.update(_take(ExperimentSpec, section, name, keys))
+        _reject_unknown(section, name)
+    source = spec_kwargs.get("source", SYNTHETIC)
+    if source != SYNTHETIC:
+        if not os.path.isabs(source):
+            spec_kwargs["source"] = os.path.normpath(os.path.join(config_dir, source))
+        spec_kwargs.setdefault("k_modes", 0)  # CSV sources: every normal class
+    dropout = spec_kwargs.get("dropout")
+    if dropout is not None and dropout.components_rate == dropout.projections_rate == 0.0:
+        spec_kwargs["dropout"] = None
 
-    model = _section(raw, "model")
-    n_projections = model.pop("n_projections", None)
-    if n_projections is not None:
-        n_projections = _as_int(n_projections, "model.n_projections")
-    model_kwargs = dict(
-        n_projections=n_projections,
-        rp_dim=_as_int(model.pop("rp_dim", 1), "model.rp_dim"),
-        latent_dim=_as_int(model.pop("latent_dim", 8), "model.latent_dim"),
-        hidden_dims=tuple(_as_int(h, "model.hidden_dims") for h in model.pop("hidden_dims", (32, 16))),
-        dropout=_parse_dropout(model.pop("dropout", None), "model.dropout"),
-    )
-    _reject_unknown(model, "model")
-
-    training = _section(raw, "training")
-    training_kwargs = dict(
-        epochs=_as_int(training.pop("epochs", 50), "training.epochs"),
-        batch_size=_as_int(training.pop("batch_size", 128), "training.batch_size"),
-        learning_rate=_as_float(training.pop("learning_rate", 1e-4), "training.learning_rate"),
-        weight_decay=_as_float(training.pop("weight_decay", 1e-6), "training.weight_decay"),
-        stats_mode=str(training.pop("stats_mode", "batch")),
-        eps_floor=_as_float(training.pop("eps_floor", 1e-6), "training.eps_floor"),
-    )
-    _reject_unknown(training, "training")
-
-    protocol = _section(raw, "protocol")
-    protocol_kwargs = dict(
-        val_fraction=_as_float(protocol.pop("val_fraction", 0.1), "protocol.val_fraction"),
-        test_fraction=_as_float(protocol.pop("test_fraction", 0.25), "protocol.test_fraction"),
-        contamination=_as_float(protocol.pop("contamination", 0.0), "protocol.contamination"),
-        sad_ratio=_as_float(protocol.pop("sad_ratio", 0.0), "protocol.sad_ratio"),
-        sad_classes=_as_int(protocol.pop("sad_classes", 2), "protocol.sad_classes"),
-        affine=_parse_affine(protocol.pop("affine", None), "protocol.affine"),
-    )
-    _reject_unknown(protocol, "protocol")
-
-    output = _section(raw, "output")
-    results_path = str(output.pop("results", "out/results.csv"))
-    aggregate_path = str(output.pop("aggregate", "out/aggregate.csv"))
-    checkpoint_dir = output.pop("checkpoint_dir", None)
-    history_dir = output.pop("history_dir", None)
-    _reject_unknown(output, "output")
-
-    sweep_cfg = _section(raw, "sweep")
-    sweep_axis = sweep_cfg.pop("axis", None)
-    sweep_values = sweep_cfg.pop("values", [])
-    _reject_unknown(sweep_cfg, "sweep")
+    for name in ("output", "sweep"):
+        section = _section(raw, name)
+        run_kwargs.update(_take(RunConfig, section, name, RUN_SECTIONS[name]))
+        _reject_unknown(section, name)
+    sweep_axis = run_kwargs.get("sweep_axis")
     if sweep_axis is not None and sweep_axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
-    if sweep_axis is not None and not sweep_values:
+    if sweep_axis is not None and not run_kwargs.get("sweep_values"):
         raise ConfigError("sweep.values must be a nonempty list")
 
     _reject_unknown(raw, "")
 
-    base_spec = ExperimentSpec(
-        method=methods[0],
-        seeds=seeds,
-        **dataset_kwargs,
-        **model_kwargs,
-        **training_kwargs,
-        **protocol_kwargs,
-    )
+    base_spec = ExperimentSpec(**spec_kwargs)
     for m in methods:
         validate_spec(replace(base_spec, method=m))
-
-    return RunConfig(
-        methods=methods,
-        base_spec=base_spec,
-        results_path=results_path,
-        aggregate_path=aggregate_path,
-        checkpoint_dir=str(checkpoint_dir) if checkpoint_dir is not None else None,
-        history_dir=str(history_dir) if history_dir is not None else None,
-        workers=workers,
-        sweep_axis=str(sweep_axis) if sweep_axis is not None else None,
-        sweep_values=list(sweep_values),
-    )
+    return RunConfig(methods=methods, base_spec=base_spec, **run_kwargs)
 
 
 def load_config(path) -> RunConfig:
@@ -234,8 +196,6 @@ def load_config(path) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     cfg = parse_config(raw or {}, config_dir=os.path.dirname(os.path.abspath(path)))
-    if cfg.base_spec.source != "synthetic" and not os.path.exists(cfg.base_spec.source):
-        from .errors import DataError
-
+    if cfg.base_spec.source != SYNTHETIC and not os.path.exists(cfg.base_spec.source):
         raise DataError(f"dataset file not found: {cfg.base_spec.source}")
     return cfg

@@ -318,10 +318,6 @@ def standardize(data: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
     return replace(data, X=(data.X - mean) / std), mean, std
 
 
-def apply_standardization(data: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    return replace(data, X=(data.X - mean) / std)
-
-
 def _injection_count(ratio: float, n_train: int) -> int:
     # x rows added to an n-row train split make up ratio of it: x = ratio*n/(1-ratio)
     return int(round(ratio * n_train / (1.0 - ratio)))

@@ -7,10 +7,10 @@ structural conditions that keep a one-class objective from collapsing the
 latent representation onto a single point, so they are enforced here
 rather than left to configuration.
 
-Everything is numpy float64 on purpose: forward passes are deterministic,
-gradients are exact reverse-mode (validated against finite differences in
-the test suite), and checkpoints round-trip bit-exactly, which the
-benchmark determinism guarantee relies on.
+Everything is numpy float64 on purpose: forward passes are deterministic
+and gradients are exact reverse-mode (validated against finite differences
+in the test suite), which the benchmark determinism guarantee relies on.
+Weights are persisted only as part of a scoring checkpoint (``model_io``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CHECKPOINT_VERSION = 1
 DEFAULT_SLOPE = 0.1
 
 
@@ -167,26 +166,3 @@ def adam_step(enc: Encoder, grads: list[np.ndarray], opt: AdamState) -> None:
         W -= opt.learning_rate * (
             m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * W
         )
-
-
-def save_encoder(enc: Encoder, path) -> None:
-    """Versioned checkpoint; weight payloads round-trip bit-exactly."""
-    arrays = {f"W{l}": W for l, W in enumerate(enc.weights)}
-    np.savez(
-        path,
-        version=np.int64(CHECKPOINT_VERSION),
-        layer_dims=np.asarray(enc.layer_dims, dtype=np.int64),
-        slope=np.float64(enc.slope),
-        **arrays,
-    )
-
-
-def load_encoder(path) -> Encoder:
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported encoder checkpoint version {version}")
-        layer_dims = data["layer_dims"].tolist()
-        slope = float(data["slope"])
-        weights = [data[f"W{l}"] for l in range(len(layer_dims) - 1)]
-    return Encoder(weights, slope=slope)

@@ -15,31 +15,26 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import data as datamod
 from .data import AffineSpec, Dataset
 from .encoder import init_encoder
-from .errors import ConfigError, DataError, RpoError
+from .errors import ConfigError, DataError, NumericError, RpoError
 from .metrics import mean_std, roc_auc
+from .model_io import ScoringModel, save_model_checkpoint
 from .projections import DropoutSpec, apply_dropout, generate_projections
-from .scoring import fit_rpo, score_batch
+from .scoring import DEFAULT_EPS_FLOOR, fit_rpo, method_estimator
 from .seeding import sub_rng, sub_seed
-from .training import (
-    DeepRpoModel,
-    EpochRecord,
-    SvddModel,
-    fit_eval_stats,
-    init_center,
-    latent_scores,
-    train,
-)
+from .training import DeepRpoModel, EpochRecord, SvddModel, fit_eval_stats, init_center, train
 
 METHODS = ("rpo-max", "rpo-mean", "deep-svdd", "deep-rpo-max", "deep-rpo-mean")
 SWEEP_AXES = ("n_projections", "rp_dim", "dropout", "alpha", "sad_ratio")
+SYNTHETIC = "synthetic"
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,7 @@ class ExperimentSpec:
     """Declarative description of one benchmark run."""
 
     method: str = "deep-rpo-mean"
-    source: str = "synthetic"  # "synthetic" or a dataset CSV path
+    source: str = SYNTHETIC  # SYNTHETIC or a dataset CSV path
     label_column: str = "class"
     normal_class_ids: tuple = (0,)
     k_modes: int = 2  # synthetic: blob count; CSV: classes picked per seed (0 = all normals)
@@ -70,16 +65,12 @@ class ExperimentSpec:
     sad_classes: int = 2
     affine: AffineSpec | None = None
     stats_mode: str = "batch"
-    eps_floor: float = 1e-6
+    eps_floor: float = DEFAULT_EPS_FLOOR
     seeds: tuple = (0, 1, 2, 3, 4)
 
     @property
     def is_deep(self) -> bool:
         return self.method.startswith("deep")
-
-    @property
-    def estimator(self) -> str:
-        return "max" if self.method.endswith("max") else "mean"
 
     @property
     def resolved_projections(self) -> int:
@@ -114,7 +105,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("sad_ratio requires a deep-rpo method")
     if spec.is_deep and spec.epochs < 1:
         raise ConfigError("deep methods need epochs >= 1")
-    if spec.source == "synthetic" and spec.k_modes < 1:
+    if spec.source == SYNTHETIC and spec.k_modes < 1:
         raise ConfigError("synthetic source needs k_modes >= 1")
     if spec.rp_dim < 1:
         raise ConfigError(f"rp_dim must be >= 1, got {spec.rp_dim}")
@@ -131,7 +122,7 @@ def _load_source(path: str, label_column: str, normal_class_ids: tuple) -> Datas
 
 
 def _assemble_dataset(spec: ExperimentSpec, seed: int) -> tuple[Dataset, tuple]:
-    if spec.source == "synthetic":
+    if spec.source == SYNTHETIC:
         raw = datamod.generate_multimodal(
             spec.k_modes,
             spec.dim,
@@ -195,20 +186,10 @@ def run_single_seed(spec: ExperimentSpec, seed: int, checkpoint_dir=None) -> See
     val_mask, test_mask = ds.mask(datamod.VAL), ds.mask(datamod.TEST)
 
     history: list[EpochRecord] = []
-    model = None
-    U = None
+    best_epoch = -1
     if not spec.is_deep:
         U = _build_projections(spec, ds.dim, seed)
-        stats = fit_rpo(X_train, U, eps_floor=spec.eps_floor)
-        val_auc = roc_auc(
-            score_batch(ds.X[val_mask], U, stats, spec.estimator), ds.label[val_mask]
-        )
-        test_auc = roc_auc(
-            score_batch(eval_ds.X[test_mask], U, stats, spec.estimator),
-            eval_ds.label[test_mask],
-        )
-        best_epoch = -1
-        eval_stats = stats
+        head = dict(projections=U, stats=fit_rpo(X_train, U, eps_floor=spec.eps_floor))
     else:
         enc = init_encoder(
             [ds.dim, *spec.hidden_dims, spec.latent_dim], sub_rng(seed, "weights")
@@ -216,11 +197,10 @@ def run_single_seed(spec: ExperimentSpec, seed: int, checkpoint_dir=None) -> See
         if spec.method == "deep-svdd":
             model = SvddModel(enc, init_center(enc, X_train), lam=spec.weight_decay)
         else:
-            U = _build_projections(spec, spec.latent_dim, seed)
             model = DeepRpoModel(
                 enc,
-                U,
-                estimator=spec.estimator,
+                _build_projections(spec, spec.latent_dim, seed),
+                estimator=method_estimator(spec.method),
                 lam=spec.weight_decay,
                 stats_mode=spec.stats_mode,
                 eps_floor=spec.eps_floor,
@@ -233,28 +213,21 @@ def run_single_seed(spec: ExperimentSpec, seed: int, checkpoint_dir=None) -> See
             seed=sub_seed(seed, "train"),
             learning_rate=spec.learning_rate,
         )
-        history = result.history
-        best_epoch = result.best_epoch
-        val_auc = result.best_val_auc
-        eval_stats = None
-        if isinstance(model, DeepRpoModel):
-            eval_stats = fit_eval_stats(model, X_train)
-        test_scores = latent_scores(model, eval_ds.X[test_mask], eval_stats)
-        test_auc = roc_auc(test_scores, eval_ds.label[test_mask])
+        history, best_epoch, val_auc = result.history, result.best_epoch, result.best_val_auc
+        if isinstance(model, SvddModel):
+            head = dict(encoder=model.encoder, center=model.center)
+        else:
+            stats = fit_eval_stats(model, X_train)
+            head = dict(encoder=model.encoder, projections=model.projections, stats=stats)
 
+    scorer = ScoringModel(spec.method, scaler_mean, scaler_std, **head)
+    if not spec.is_deep:
+        val_auc = roc_auc(scorer.score_standardized(ds.X[val_mask]), ds.label[val_mask])
+    test_auc = roc_auc(
+        scorer.score_standardized(eval_ds.X[test_mask]), eval_ds.label[test_mask]
+    )
     if checkpoint_dir is not None:
-        from .model_io import save_model_checkpoint
-
-        save_model_checkpoint(
-            f"{checkpoint_dir}/{spec.method}_seed{seed}.npz",
-            method=spec.method,
-            scaler_mean=scaler_mean,
-            scaler_std=scaler_std,
-            encoder=model.encoder if spec.is_deep else None,
-            center=model.center if spec.method == "deep-svdd" else None,
-            projections=U,
-            stats=eval_stats if spec.method != "deep-svdd" else None,
-        )
+        save_model_checkpoint(f"{checkpoint_dir}/{spec.method}_seed{seed}.npz", scorer)
 
     return SeedResult(
         seed=seed,
@@ -265,11 +238,6 @@ def run_single_seed(spec: ExperimentSpec, seed: int, checkpoint_dir=None) -> See
         wall_time=time.perf_counter() - started,
         history=history,
     )
-
-
-def _seed_worker(args) -> SeedResult:
-    spec, seed, checkpoint_dir = args
-    return run_single_seed(spec, seed, checkpoint_dir)
 
 
 def run_experiment(
@@ -283,25 +251,20 @@ def run_experiment(
     A failing seed aborts the whole run with the seed id attached.
     """
     validate_spec(spec)
-    jobs = [(spec, seed, checkpoint_dir) for seed in spec.seeds]
     results: list[SeedResult] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {seed: pool.submit(_seed_worker, job) for job, seed in zip(jobs, spec.seeds)}
-            for seed in spec.seeds:
-                try:
-                    res = futures[seed].result()
-                except Exception as exc:
-                    raise _seed_failure(seed, exc) from exc
-                results.append(res)
-                if progress:
-                    progress(res)
-    else:
-        for job in jobs:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            runs = [partial(run_single_seed, spec, seed, checkpoint_dir) for seed in spec.seeds]
+        else:
+            runs = [
+                pool.submit(run_single_seed, spec, seed, checkpoint_dir).result
+                for seed in spec.seeds
+            ]
+        for seed, run in zip(spec.seeds, runs):
             try:
-                res = run_single_seed(*job)
+                res = run()
             except Exception as exc:
-                raise _seed_failure(job[1], exc) from exc
+                raise _seed_failure(seed, exc) from exc
             results.append(res)
             if progress:
                 progress(res)
@@ -309,11 +272,14 @@ def run_experiment(
 
 
 def _seed_failure(seed: int, exc: Exception) -> RpoError:
-    # keep the error category so the CLI maps it to the right exit code
-    if isinstance(exc, (ConfigError, DataError)) or isinstance(exc, ValueError):
-        cls = type(exc) if isinstance(exc, RpoError) else DataError
+    # keep the error category so the CLI maps it to the right exit code;
+    # LinAlgError is a ValueError, so numeric failures are matched first
+    if isinstance(exc, (NumericError, FloatingPointError, np.linalg.LinAlgError)):
+        cls = NumericError
     elif isinstance(exc, RpoError):
         cls = type(exc)
+    elif isinstance(exc, ValueError):
+        cls = DataError
     else:
         cls = RpoError
     return cls(f"seed {seed}: {exc}")
@@ -336,15 +302,17 @@ class SweepRow:
     results: list[SeedResult] = field(default_factory=list)
 
 
+def _as_dropout(value) -> DropoutSpec:
+    return value if isinstance(value, DropoutSpec) else DropoutSpec(**dict(value))
+
+
 def _spec_for_axis_value(base: ExperimentSpec, axis: str, value) -> ExperimentSpec:
     if axis == "n_projections":
         return replace(base, n_projections=int(value))
     if axis == "rp_dim":
         return replace(base, rp_dim=int(value))
     if axis == "dropout":
-        if isinstance(value, DropoutSpec):
-            return replace(base, dropout=value)
-        return replace(base, dropout=DropoutSpec(**dict(value)))
+        return replace(base, dropout=_as_dropout(value))
     if axis == "alpha":
         return replace(base, affine=AffineSpec(mode="constant", alpha=float(value)))
     if axis == "sad_ratio":
@@ -354,10 +322,7 @@ def _spec_for_axis_value(base: ExperimentSpec, axis: str, value) -> ExperimentSp
 
 def _axis_value_str(axis: str, value) -> str:
     if axis == "dropout":
-        if isinstance(value, DropoutSpec):
-            spec = value
-        else:
-            spec = DropoutSpec(**dict(value))
+        spec = _as_dropout(value)
         return f"C={spec.components_rate};P={spec.projections_rate}"
     return str(value)
 

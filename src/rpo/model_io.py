@@ -1,68 +1,43 @@
-"""Scoring-model checkpoints: everything needed to score new rows offline.
+"""The scorer of a trained method and its checkpoint, the one persisted format.
 
-A checkpoint bundles the standardizer fitted on the train split, the frozen
-projection set and its fitted statistics (projection methods), the encoder
-weights (deep methods), and the hypersphere center (deep-svdd). Arrays are
-stored raw, so save/load round-trips bit-exactly.
+A :class:`ScoringModel` is everything needed to score new rows: the
+standardizer fitted on the train split, the encoder weights (deep methods),
+and the score head, which is either the hypersphere center (deep-svdd) or
+the frozen projection set with its fitted statistics (projection methods).
+A checkpoint is one ``.npz`` archive of those arrays plus a format version
+and the method name. Arrays are stored raw, so save/load round-trips
+bit-exactly.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .encoder import CHECKPOINT_VERSION, Encoder
+from .encoder import Encoder
 from .errors import DataError
-from .projections import ProjectionSet, project
-from .scoring import RpoStats, projected_distances, reduce_distances
+from .projections import ProjectionSet
+from .scoring import RpoStats, center_distances, method_estimator, score_batch
+
+CHECKPOINT_VERSION = 1
 
 
-def save_model_checkpoint(
-    path,
-    method: str,
-    scaler_mean: np.ndarray,
-    scaler_std: np.ndarray,
-    encoder: Encoder | None = None,
-    center: np.ndarray | None = None,
-    projections: ProjectionSet | None = None,
-    stats: RpoStats | None = None,
-) -> None:
-    payload: dict[str, np.ndarray] = {
-        "version": np.int64(CHECKPOINT_VERSION),
-        "method": np.str_(method),
-        "scaler_mean": scaler_mean,
-        "scaler_std": scaler_std,
-    }
-    if encoder is not None:
-        payload["layer_dims"] = np.asarray(encoder.layer_dims, dtype=np.int64)
-        payload["slope"] = np.float64(encoder.slope)
-        for l, W in enumerate(encoder.weights):
-            payload[f"W{l}"] = W
-    if center is not None:
-        payload["center"] = center
-    if projections is not None:
-        payload["proj_entries"] = projections.entries
-        payload["proj_seed"] = np.int64(projections.seed)
-    if stats is not None:
-        payload["stats_med"] = stats.med
-        payload["eps_floor"] = np.float64(stats.eps_floor)
-        if stats.mad is not None:
-            payload["stats_mad"] = stats.mad
-        else:
-            payload["stats_inv_cov"] = stats.inv_cov
-    np.savez(path, **payload)
-
-
+@dataclass(frozen=True, eq=False)
 class ScoringModel:
-    """Loaded checkpoint, ready to score raw feature rows."""
+    """Standardizer -> optional encoder -> score head.
 
-    def __init__(self, method, scaler_mean, scaler_std, encoder, center, projections, stats):
-        self.method = method
-        self.scaler_mean = scaler_mean
-        self.scaler_std = scaler_std
-        self.encoder = encoder
-        self.center = center
-        self.projections = projections
-        self.stats = stats
+    The head is ``center`` when it is set, otherwise ``projections`` with
+    ``stats`` reduced by the method's estimator.
+    """
+
+    method: str
+    scaler_mean: np.ndarray
+    scaler_std: np.ndarray
+    encoder: Encoder | None = None
+    center: np.ndarray | None = None
+    projections: ProjectionSet | None = None
+    stats: RpoStats | None = None
 
     @property
     def input_dim(self) -> int:
@@ -70,7 +45,15 @@ class ScoringModel:
 
     @property
     def estimator(self) -> str:
-        return "max" if self.method.endswith("max") else "mean"
+        return method_estimator(self.method)
+
+    def score_standardized(self, Z: np.ndarray) -> np.ndarray:
+        """Outlyingness per row already standardized with this model's scaler."""
+        if self.encoder is not None:
+            Z, _ = self.encoder.forward(Z)
+        if self.center is not None:
+            return center_distances(Z, self.center)
+        return score_batch(Z, self.projections, self.stats, self.estimator)
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         """Outlyingness per raw input row (standardization applied here)."""
@@ -82,44 +65,74 @@ class ScoringModel:
             )
         if X.shape[0] == 0:
             return np.zeros(0)
-        Z = (X - self.scaler_mean) / self.scaler_std
-        if self.encoder is not None:
-            Z, _ = self.encoder.forward(Z)
-        if self.method == "deep-svdd":
-            return np.sum((Z - self.center) ** 2, axis=1)
-        D = projected_distances(project(Z, self.projections), self.stats)
-        return reduce_distances(D, self.estimator)
+        return self.score_standardized((X - self.scaler_mean) / self.scaler_std)
+
+
+def save_model_checkpoint(path, model: ScoringModel) -> None:
+    payload: dict[str, np.ndarray] = {
+        "version": np.int64(CHECKPOINT_VERSION),
+        "method": np.str_(model.method),
+        "scaler_mean": model.scaler_mean,
+        "scaler_std": model.scaler_std,
+    }
+    if model.encoder is not None:
+        payload["layer_dims"] = np.asarray(model.encoder.layer_dims, dtype=np.int64)
+        payload["slope"] = np.float64(model.encoder.slope)
+        for l, W in enumerate(model.encoder.weights):
+            payload[f"W{l}"] = W
+    if model.center is not None:
+        payload["center"] = model.center
+    if model.projections is not None:
+        payload["proj_entries"] = model.projections.entries
+        payload["proj_seed"] = np.int64(model.projections.seed)
+    if model.stats is not None:
+        payload["stats_med"] = model.stats.med
+        payload["eps_floor"] = np.float64(model.stats.eps_floor)
+        if model.stats.mad is not None:
+            payload["stats_mad"] = model.stats.mad
+        else:
+            payload["stats_inv_cov"] = model.stats.inv_cov
+    np.savez(path, **payload)
 
 
 def load_model_checkpoint(path) -> ScoringModel:
     try:
         archive = np.load(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not an npy/npz file
         raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
     with archive as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
-        method = str(data["method"])
-        scaler_mean = data["scaler_mean"]
-        scaler_std = data["scaler_std"]
-        encoder = None
-        if "layer_dims" in data:
-            dims = data["layer_dims"].tolist()
-            weights = [data[f"W{l}"] for l in range(len(dims) - 1)]
-            encoder = Encoder(weights, slope=float(data["slope"]))
-        center = data["center"] if "center" in data else None
-        projections = None
-        if "proj_entries" in data:
-            projections = ProjectionSet(
-                entries=data["proj_entries"], seed=int(data["proj_seed"])
-            )
-        stats = None
-        if "stats_med" in data:
-            stats = RpoStats(
-                med=data["stats_med"],
-                mad=data["stats_mad"] if "stats_mad" in data else None,
-                inv_cov=data["stats_inv_cov"] if "stats_inv_cov" in data else None,
-                eps_floor=float(data["eps_floor"]),
-            )
-    return ScoringModel(method, scaler_mean, scaler_std, encoder, center, projections, stats)
+        try:
+            return _unpack(data)
+        except KeyError as exc:  # a member the format requires is missing
+            raise DataError(f"checkpoint {path} lacks {exc}") from exc
+
+
+def _unpack(data) -> ScoringModel:
+    version = int(data["version"])
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint version {version}")
+    encoder = None
+    if "layer_dims" in data:
+        dims = data["layer_dims"].tolist()
+        weights = [data[f"W{l}"] for l in range(len(dims) - 1)]
+        encoder = Encoder(weights, slope=float(data["slope"]))
+    projections = None
+    if "proj_entries" in data:
+        projections = ProjectionSet(entries=data["proj_entries"], seed=int(data["proj_seed"]))
+    stats = None
+    if "stats_med" in data:
+        stats = RpoStats(
+            med=data["stats_med"],
+            mad=data["stats_mad"] if "stats_mad" in data else None,
+            inv_cov=data["stats_inv_cov"] if "stats_inv_cov" in data else None,
+            eps_floor=float(data["eps_floor"]),
+        )
+    return ScoringModel(
+        method=str(data["method"]),
+        scaler_mean=data["scaler_mean"],
+        scaler_std=data["scaler_std"],
+        encoder=encoder,
+        center=data["center"] if "center" in data else None,
+        projections=projections,
+        stats=stats,
+    )

@@ -1,4 +1,4 @@
-"""Random projection sets: generation, application, dropout, serialization.
+"""Random projection sets: generation, application, dropout.
 
 A projection set holds ``p`` maps from the ``d``-dimensional input (or
 latent) space to an ``m``-dimensional output. Entries are drawn i.i.d.
@@ -11,6 +11,7 @@ p-channel; components dropout zeroes the same input dimensions in every
 retained map (one selection along the d-channel), after which vectors are
 re-normalized when ``m = 1``. Both use floor counts, so tiny rate*count is
 a no-op. A dropout mask is drawn once and stays fixed for the whole run.
+A set is persisted only as part of a scoring checkpoint (``model_io``).
 """
 
 from __future__ import annotations
@@ -139,32 +140,3 @@ def apply_dropout(U: ProjectionSet, spec: DropoutSpec) -> ProjectionSet:
             entries = _normalize_columns(entries)
 
     return ProjectionSet(entries=entries, seed=U.seed)
-
-
-def save_projections(U: ProjectionSet, path) -> None:
-    """CSV dump: one ``d,m,p,seed`` header line, then p rows of d*m entries.
-
-    Each row is one projection map flattened in row-major (d, m) order,
-    printed with full round-trip precision.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{U.d},{U.m},{U.p},{U.seed}\n")
-        flat = U.entries.reshape(U.p, U.d * U.m)
-        for row in flat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_projections(path) -> ProjectionSet:
-    """Inverse of :func:`save_projections`; round-trips bit-exactly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 4:
-            raise DataError(f"bad projection file header in {path}")
-        d, m, p, seed = (int(v) for v in header)
-        rows = [
-            [float(tok) for tok in line.split(",")] for line in fh if line.strip()
-        ]
-    if len(rows) != p:
-        raise DataError(f"expected {p} projection rows in {path}, found {len(rows)}")
-    entries = np.asarray(rows, dtype=np.float64).reshape(p, d, m)
-    return ProjectionSet(entries=entries, seed=seed)

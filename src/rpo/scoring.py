@@ -14,6 +14,12 @@ estimator reduces across projections with either ``max`` (worst-case
 outlyingness) or ``mean``. Scores map to a center-outward depth in (0, 1]
 via ``1 / (1 + score)``.
 
+This module holds every score head: the projection outlyingness above
+(``score_batch``) and the deep-svdd squared distance to a latent center
+(``center_distances``). Validation, test scoring and saved checkpoints all
+score through them; the training loss reuses their parts, because its
+gradient needs the projected coordinates.
+
 Note the two spread measures are intentionally distinct: for m = 1 the
 Mahalanobis form would divide by a standard deviation, not a MAD, so no
 equivalence between the paths is claimed anywhere.
@@ -39,6 +45,11 @@ def validate_estimator(kind: str) -> str:
     if kind not in ("max", "mean"):
         raise ValueError(f"estimator must be 'max' or 'mean', got {kind!r}")
     return kind
+
+
+def method_estimator(method: str) -> Estimator:
+    """The estimator a method name selects: ``*-max`` methods reduce with max."""
+    return "max" if method.endswith("max") else "mean"
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +152,12 @@ def score_batch(
     X: np.ndarray, U: ProjectionSet, stats: RpoStats, est: Estimator
 ) -> np.ndarray:
     """Outlyingness of each row of ``X``; nonnegative, one score per row."""
-    D = projected_distances(project(X, U), stats)
-    return reduce_distances(D, est)
+    return reduce_distances(projected_distances(project(X, U), stats), est)
+
+
+def center_distances(Z: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of each latent row to the hypersphere center."""
+    return np.sum((Z - center) ** 2, axis=1)
 
 
 def score(x: np.ndarray, U: ProjectionSet, stats: RpoStats, est: Estimator) -> float:

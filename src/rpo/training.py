@@ -39,9 +39,11 @@ from .scoring import (
     DEFAULT_EPS_FLOOR,
     DEFAULT_RIDGE,
     RpoStats,
+    center_distances,
     fit_rpo_projected,
     projected_distances,
     reduce_distances,
+    score_batch,
     validate_estimator,
 )
 from .seeding import sub_rng
@@ -129,23 +131,15 @@ def svdd_loss(model: SvddModel, batch: np.ndarray) -> tuple[float, list[np.ndarr
         raise ValueError("empty batch")
     n = batch.shape[0]
     Z, cache = model.encoder.forward(batch)
-    residual = Z - model.center
-    loss = float(np.mean(np.sum(residual**2, axis=1))) + _regularizer(
+    loss = float(np.mean(center_distances(Z, model.center))) + _regularizer(
         model.encoder, model.lam
     )
-    grads = model.encoder.backward(cache, (2.0 / n) * residual)
+    grads = model.encoder.backward(cache, (2.0 / n) * (Z - model.center))
     for g, W in zip(grads, model.encoder.weights):
         g += model.lam * W
     if not np.isfinite(loss):
         raise NumericError("non-finite hypersphere loss")
     return loss, grads
-
-
-def batch_stats(model: DeepRpoModel, batch: np.ndarray) -> RpoStats:
-    """Robust stats of the batch's projected latents (the stop-gradient values)."""
-    Z, _ = model.encoder.forward(np.asarray(batch, dtype=np.float64))
-    T = project(Z, model.projections)
-    return fit_rpo_projected(T, eps_floor=model.eps_floor, ridge=model.ridge)
 
 
 def deep_rpo_loss(
@@ -249,11 +243,10 @@ def latent_scores(model: SvddModel | DeepRpoModel, X: np.ndarray,
     """
     Z, _ = model.encoder.forward(np.asarray(X, dtype=np.float64))
     if isinstance(model, SvddModel):
-        return np.sum((Z - model.center) ** 2, axis=1)
+        return center_distances(Z, model.center)
     if train_stats is None:
         raise ValueError("projection model scoring needs stats fitted on train latents")
-    T = project(Z, model.projections)
-    return reduce_distances(projected_distances(T, train_stats), model.estimator)
+    return score_batch(Z, model.projections, train_stats, model.estimator)
 
 
 def fit_eval_stats(model: DeepRpoModel, X_train: np.ndarray) -> RpoStats:

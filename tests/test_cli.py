@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import yaml
 
+from rpo import evaluation
 from rpo.cli import main
 from rpo.config import load_config, parse_config
-from rpo.errors import ConfigError
+from rpo.errors import ConfigError, NumericError
 
 
 def run_cli(*argv):
@@ -178,6 +179,26 @@ class TestBench:
         cfg_path = tmp_path / "c.yaml"
         write_config(cfg_path, training={"epochs": 2, "bogus_key": 1})
         assert run_cli("bench", "-c", str(cfg_path)) == 1
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (ConfigError("bad spec"), 1),
+            (ValueError("bad rows"), 2),
+            (NumericError("singular"), 3),
+            (np.linalg.LinAlgError("singular"), 3),
+            (FloatingPointError("overflow"), 3),
+        ],
+    )
+    def test_failure_inside_seed_exit_code(self, tmp_path, monkeypatch, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(evaluation, "fit_rpo", fail)
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, seeds=[0])
+        assert run_cli("bench", "-c", str(cfg_path)) == code
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_history_emission(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"

@@ -7,9 +7,9 @@ from rpo.encoder import (
     adam_step,
     init_adam,
     init_encoder,
-    load_encoder,
-    save_encoder,
 )
+from rpo.errors import DataError
+from rpo.model_io import ScoringModel, load_model_checkpoint, save_model_checkpoint
 
 
 def naive_forward(weights, slope, X):
@@ -178,17 +178,25 @@ class TestAdam:
 
 
 class TestCheckpoint:
+    """Encoder weights persist only inside a scoring checkpoint."""
+
     def test_round_trip_bit_exact(self, tmp_path):
         enc = init_encoder([5, 4, 3], np.random.default_rng(7), slope=0.2)
         path = tmp_path / "enc.npz"
-        save_encoder(enc, path)
-        loaded = load_encoder(path)
+        save_model_checkpoint(
+            path, ScoringModel("deep-svdd", np.zeros(5), np.ones(5), encoder=enc, center=np.ones(3))
+        )
+        loaded = load_model_checkpoint(path).encoder
         assert loaded.layer_dims == enc.layer_dims
         assert loaded.slope == enc.slope
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, enc.weights))
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
-        np.savez(path, version=np.int64(999), layer_dims=np.array([2, 2]), slope=0.1, W0=np.eye(2))
-        with pytest.raises(ValueError, match="version"):
-            load_encoder(path)
+        np.savez(
+            path, version=np.int64(999), method=np.str_("deep-svdd"), scaler_mean=np.zeros(2),
+            scaler_std=np.ones(2), layer_dims=np.array([2, 2]), slope=0.1, W0=np.eye(2),
+            center=np.zeros(2),
+        )
+        with pytest.raises(DataError, match="version"):
+            load_model_checkpoint(path)

@@ -9,10 +9,10 @@ from rpo.projections import (
     ProjectionSet,
     apply_dropout,
     generate_projections,
-    load_projections,
     project,
-    save_projections,
 )
+from rpo.model_io import ScoringModel, load_model_checkpoint, save_model_checkpoint
+from rpo.scoring import fit_rpo
 
 
 def naive_project(X, U):
@@ -166,18 +166,35 @@ class TestDropout:
 
 
 class TestSerialization:
+    """Projection sets and their statistics persist only inside a scoring checkpoint."""
+
     def test_round_trip_bit_exact(self, tmp_path):
+        X = np.random.default_rng(4).normal(size=(25, 6))
         for m in (1, 3):
             U = generate_projections(d=6, m=m, p=7, seed=13)
-            path = tmp_path / f"proj_m{m}.csv"
-            save_projections(U, path)
-            loaded = load_projections(path)
-            assert loaded.seed == U.seed
-            assert loaded.entries.shape == U.entries.shape
-            assert np.array_equal(loaded.entries, U.entries)
+            stats = fit_rpo(X, U)
+            path = tmp_path / f"proj_m{m}.npz"
+            save_model_checkpoint(
+                path, ScoringModel("rpo-mean", np.zeros(6), np.ones(6), projections=U, stats=stats)
+            )
+            loaded = load_model_checkpoint(path)
+            assert loaded.projections.seed == U.seed
+            assert loaded.projections.entries.shape == U.entries.shape
+            assert np.array_equal(loaded.projections.entries, U.entries)
+            assert np.array_equal(loaded.stats.med, stats.med)
+            if m == 1:
+                assert np.array_equal(loaded.stats.mad, stats.mad)
+                assert loaded.stats.inv_cov is None
+            else:
+                assert np.array_equal(loaded.stats.inv_cov, stats.inv_cov)
+                assert loaded.stats.mad is None
 
     def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,2\n0.5\n")
-        with pytest.raises(DataError):
-            load_projections(path)
+        # neither a text file nor an archive without the checkpoint members loads
+        text = tmp_path / "bad.csv"
+        text.write_text("1,2\n0.5\n")
+        partial = tmp_path / "partial.npz"
+        np.savez(partial, proj_entries=np.ones((1, 1, 1)))
+        for path in (text, partial):
+            with pytest.raises(DataError):
+                load_model_checkpoint(path)

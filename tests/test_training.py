@@ -3,12 +3,12 @@ import pytest
 
 from rpo.data import generate_multimodal, split, standardize
 from rpo.encoder import Encoder, init_encoder
-from rpo.projections import ProjectionSet, generate_projections
+from rpo.projections import ProjectionSet, generate_projections, project
+from rpo.scoring import fit_rpo_projected, projected_distances, reduce_distances
 from rpo.training import (
     DeepRpoModel,
     SadConfig,
     SvddModel,
-    batch_stats,
     deep_rpo_loss,
     fit_eval_stats,
     init_center,
@@ -112,12 +112,8 @@ def _fd_safe_instance(seed, estimator, m=1, sad_flags=None, lam=0.0, min_margin=
         U = generate_projections(d=3, m=m, p=3, seed=int(rng.integers(1 << 30)))
         model = DeepRpoModel(enc, U, estimator=estimator, lam=lam)
         batch = rng.normal(size=(6, 3))
-        stats = batch_stats(model, batch)
-        Z, _ = enc.forward(batch)
-        from rpo.projections import project
-        from rpo.scoring import projected_distances, reduce_distances
-
-        T = project(Z, U)
+        T = project(enc.forward(batch)[0], U)
+        stats = fit_rpo_projected(T)
         D = projected_distances(T, stats)
         if m == 1 and np.min(np.abs(T[:, :, 0] - stats.med)) < min_margin:
             continue
@@ -153,7 +149,7 @@ class TestDeepRpoLoss:
         U = ProjectionSet(entries=np.array([[[1.0]]]), seed=0)
         model = DeepRpoModel(enc, U, estimator=estimator, lam=0.0)
         batch = np.array([[-1.0], [0.0], [1.0], [5.0]])
-        stats = batch_stats(model, batch)
+        stats = fit_rpo_projected(project(enc.forward(batch)[0], U))
         assert stats.med[0] == 0.5
         assert stats.mad[0] == 1.0
         loss, _ = deep_rpo_loss(model, batch)
@@ -188,10 +184,7 @@ class TestDeepRpoLoss:
         U = generate_projections(d=2, m=1, p=4, seed=4)
         model = DeepRpoModel(enc, U, estimator="mean", lam=0.0)
         batch = rng.normal(size=(6, 3))
-        stats = batch_stats(model, batch)
-
-        from rpo.projections import project
-        from rpo.scoring import projected_distances, reduce_distances
+        stats = fit_rpo_projected(project(enc.forward(batch)[0], U))
 
         Z, _ = enc.forward(batch)
         scores = reduce_distances(projected_distances(project(Z, U), stats), "mean")
