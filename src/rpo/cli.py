@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as datamod
 from .config import load_config
-from .errors import ConfigError, DataError, NumericError, RpoError
+from .errors import EXIT_USAGE, HANDLED, ConfigError, DataError, classify
 from .evaluation import run_experiment, sweep
 from .model_io import load_model_checkpoint
 from .reporting import (
@@ -34,9 +34,6 @@ from .scoring import depth
 logger = logging.getLogger("rpo")
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
 
 
 def _ensure_parent(path: str) -> None:
@@ -222,15 +219,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except HANDLED as exc:
         logger.error("%s", exc)
-        return EXIT_USAGE
-    except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        logger.error("%s", exc)
-        return EXIT_NUMERIC
-    except (DataError, RpoError, OSError, ValueError) as exc:
-        logger.error("%s", exc)
-        return EXIT_DATA
+        return classify(exc)[1]
 
 
 if __name__ == "__main__":

@@ -60,6 +60,12 @@ def _as_int(value, where: str) -> int:
         raise ConfigError(f"{where} must be an integer, got {value!r}") from None
 
 
+def _as_list(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return list(value)
+
+
 def _coerce(value, hint, where: str):
     """Convert a YAML value to ``hint``, the annotated type of the field it sets."""
     args = typing.get_args(hint)
@@ -72,14 +78,17 @@ def _coerce(value, hint, where: str):
     if hint is float:
         return _as_float(value, where)
     if hint is tuple:
-        return tuple(_as_int(v, where) for v in value)
+        return tuple(_as_int(v, where) for v in _as_list(value, where))
     if hint is list:
-        return list(value or ())
+        return [] if value is None else _as_list(value, where)
     if is_dataclass(hint):
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be a mapping")
         value = dict(value)
-        spec = hint(**_take(hint, value, where, [f.name for f in fields(hint)]))
+        try:
+            spec = hint(**_take(hint, value, where, [f.name for f in fields(hint)]))
+        except ValueError as exc:  # the dataclass's own range checks
+            raise ConfigError(f"{where}: {exc}") from None
         _reject_unknown(value, where)
         return spec
     return str(value)
@@ -142,7 +151,9 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
         methods = [single or ExperimentSpec.method]  # class attribute = field default
     elif single is not None:
         raise ConfigError("give either 'method' or 'methods', not both")
-    methods = [str(m) for m in methods]
+    methods = [str(m) for m in _as_list(methods, "methods")]
+    if not methods:
+        raise ConfigError("methods must be a nonempty list")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")

@@ -24,7 +24,7 @@ import numpy as np
 from . import data as datamod
 from .data import AffineSpec, Dataset
 from .encoder import init_encoder
-from .errors import ConfigError, DataError, NumericError, RpoError
+from .errors import ConfigError, DataError, RpoError, classify
 from .metrics import mean_std, roc_auc
 from .model_io import ScoringModel, save_model_checkpoint
 from .projections import DropoutSpec, apply_dropout, generate_projections
@@ -101,12 +101,18 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"unknown method {spec.method!r}; expected one of {METHODS}")
     if not spec.seeds:
         raise ConfigError("seed list must be nonempty")
+    if not spec.normal_class_ids:
+        raise ConfigError("normal_class_ids must be nonempty")
     if spec.sad_ratio > 0.0 and not spec.method.startswith("deep-rpo"):
         raise ConfigError("sad_ratio requires a deep-rpo method")
     if spec.is_deep and spec.epochs < 1:
         raise ConfigError("deep methods need epochs >= 1")
     if spec.source == SYNTHETIC and spec.k_modes < 1:
         raise ConfigError("synthetic source needs k_modes >= 1")
+    if not 0.0 < spec.val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must lie in (0, 1), got {spec.val_fraction}")
+    if not 0.0 <= spec.test_fraction < 1.0:
+        raise ConfigError(f"test_fraction must lie in [0, 1), got {spec.test_fraction}")
     if spec.rp_dim < 1:
         raise ConfigError(f"rp_dim must be >= 1, got {spec.rp_dim}")
     proj_space = spec.latent_dim if spec.is_deep else spec.dim
@@ -272,17 +278,8 @@ def run_experiment(
 
 
 def _seed_failure(seed: int, exc: Exception) -> RpoError:
-    # keep the error category so the CLI maps it to the right exit code;
-    # LinAlgError is a ValueError, so numeric failures are matched first
-    if isinstance(exc, (NumericError, FloatingPointError, np.linalg.LinAlgError)):
-        cls = NumericError
-    elif isinstance(exc, RpoError):
-        cls = type(exc)
-    elif isinstance(exc, ValueError):
-        cls = DataError
-    else:
-        cls = RpoError
-    return cls(f"seed {seed}: {exc}")
+    # keep the error category so the CLI maps it to the right exit code
+    return classify(exc)[0](f"seed {seed}: {exc}")
 
 
 def aggregate(results: list[SeedResult]) -> tuple[float, float]:

@@ -5,7 +5,10 @@ MAD of each projection's coordinates; the MAD is clamped from below by
 ``eps_floor`` so degenerate projections cannot divide by ~0. For
 multidimensional projections, store the componentwise median and the
 inverse of the ridge-regularized sample covariance of the projected
-training points.
+training points. Deep RPO refits these every batch, so the medians come
+from one in-place sort of a C-ordered (projections, rows) buffer, which the
+MAD then reuses for the absolute deviations and a second sort; the results
+equal ``np.median`` bit for bit.
 
 Score stage: a query's per-projection normalized distance is
 ``|u^T x - med| / mad`` in the 1-D case and the robust Mahalanobis
@@ -105,13 +108,17 @@ def fit_rpo_projected(
     if n == 0:
         raise ValueError("empty training set")
     if m == 1:
-        coords = T[:, :, 0]  # (n, p)
-        med = np.median(coords, axis=0)
-        mad = np.median(np.abs(coords - med), axis=0)
-        mad = np.maximum(mad, eps_floor)
+        # a C-ordered (p, n) copy: every sort runs along contiguous rows, and
+        # sorting it in place never writes to T
+        buf = np.array(T[:, :, 0].T, order="C")
+        med = _sort_rows_median(buf)
+        # the MAD is order-free, so it reuses the sorted buffer in place
+        np.subtract(buf, med[:, np.newaxis], out=buf)
+        np.abs(buf, out=buf)
+        mad = np.maximum(_sort_rows_median(buf), eps_floor)
         return RpoStats(med=med, mad=mad, inv_cov=None, eps_floor=eps_floor)
 
-    med = np.median(T, axis=0)  # (p, m)
+    med = _sort_rows_median(np.array(T.reshape(n, p * m).T, order="C")).reshape(p, m)
     centered = T - np.mean(T, axis=0)
     denom = max(n - 1, 1)
     cov = np.einsum("npi,npj->pij", centered, centered) / denom
@@ -124,6 +131,22 @@ def fit_rpo_projected(
         raise NumericError("projected covariance inverse is not finite")
     inv_cov = 0.5 * (inv_cov + np.transpose(inv_cov, (0, 2, 1)))
     return RpoStats(med=med, mad=None, inv_cov=inv_cov, eps_floor=eps_floor)
+
+
+def _sort_rows_median(buf: np.ndarray) -> np.ndarray:
+    """Median of each row of ``buf``, shape (rows, n); sorts ``buf`` in place.
+
+    Equals ``np.median(buf, axis=1)`` bit for bit: the ``np.mean`` of the
+    middle one or two order statistics (``np.mean`` even for one, because it
+    turns -0.0 into +0.0 as ``np.median`` does), and a row holding a NaN,
+    which sorts last, takes that NaN as its median.
+    """
+    buf.sort(axis=1)
+    n = buf.shape[1]
+    med = np.mean(buf[:, (n - 1) // 2 : n // 2 + 1], axis=1)
+    last = buf[:, -1]
+    np.copyto(med, last, where=np.isnan(last))
+    return med
 
 
 def projected_distances(T: np.ndarray, stats: RpoStats) -> np.ndarray:

@@ -181,6 +181,27 @@ class TestBench:
         assert run_cli("bench", "-c", str(cfg_path)) == 1
 
     @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"protocol": {"affine": {"mode": "random-diagonal"}}}, "protocol.affine"),
+            ({"model": {"dropout": {"components_rate": 1.5}}}, "model.dropout"),
+            ({"protocol": {"val_fraction": 1.5}}, "val_fraction"),
+            ({"protocol": {"test_fraction": 1.0}}, "test_fraction"),
+            ({"model": {"hidden_dims": 8}}, "model.hidden_dims"),
+            ({"dataset": {"normal_class_ids": 1}}, "dataset.normal_class_ids"),
+            ({"dataset": {"normal_class_ids": []}}, "normal_class_ids"),
+            ({"method": None, "methods": []}, "methods"),
+            ({"method": None, "methods": "rpo-max"}, "methods"),
+        ],
+    )
+    def test_bad_config_value_exits_1_naming_the_key(self, tmp_path, caplog, overrides, named):
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, **overrides)
+        assert run_cli("bench", "-c", str(cfg_path)) == 1
+        assert any(named in r.message for r in caplog.records if r.levelname == "ERROR")
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
         "exc, code",
         [
             (ConfigError("bad spec"), 1),

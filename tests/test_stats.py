@@ -1,15 +1,18 @@
-"""The per-projection median and MAD that ``fit_rpo_projected`` computes for m = 1.
+"""The per-projection median and MAD that ``fit_rpo_projected`` computes.
 
 These two raw statistics (no Gaussian consistency factor; even-length
 medians average the two central order statistics) normalize every
 projected distance, so they are checked against a full-sort oracle. The
-stored MAD is floored at ``eps_floor``.
+stored MAD is floored at ``eps_floor``. ``fit_rpo_projected`` reads them
+from one sorted buffer, so ``TestBitExact`` also holds them to
+``np.median`` byte for byte on many columns at once.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rpo.data import Dataset
 from rpo.projections import ProjectionSet
@@ -138,3 +141,65 @@ class TestMad:
         med = median(v)
         at_median = sum(1 for x in v if float(x) == med)
         assert (mad(v) == DEFAULT_EPS_FLOOR) == (2 * at_median > len(v))
+
+
+# ties, signed zeros and arbitrary values, so sorted runs hold equal keys
+values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), finite_floats)
+
+
+@st.composite
+def projected(draw, m=1, elements=values):
+    """Projected coordinates (n, p, m), some with a constant column or in F order."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    p = draw(st.integers(min_value=1, max_value=5))
+    T = draw(arrays(np.float64, (n, p, m), elements=elements))
+    if draw(st.booleans()):
+        T[:, draw(st.integers(min_value=0, max_value=p - 1)), :] = draw(elements)
+    if draw(st.booleans()):
+        T = np.asfortranarray(T)  # strided columns, as an einsum may return them
+    return T
+
+
+def np_median_and_mad(T):
+    """The ``np.median`` oracle for the m = 1 statistics, MAD floored."""
+    coords = T[:, :, 0]
+    med = np.median(coords, axis=0)
+    return med, np.maximum(np.median(np.abs(coords - med), axis=0), DEFAULT_EPS_FLOOR)
+
+
+class TestBitExact:
+    @pytest.mark.parametrize("n", [2, 3, 4, 127, 128])
+    def test_many_columns_at_fixed_n(self, n):
+        T = np.random.default_rng(n).normal(size=(n, 7, 1))
+        stats = fit_rpo_projected(T)
+        med, mad = np_median_and_mad(T)
+        assert stats.med.tobytes() == med.tobytes()
+        assert stats.mad.tobytes() == mad.tobytes()
+
+    @given(projected())
+    def test_m1_median_and_mad_equal_np_median(self, T):
+        before = T.copy()
+        stats = fit_rpo_projected(T)
+        med, mad = np_median_and_mad(T)
+        assert stats.med.tobytes() == med.tobytes()
+        assert stats.mad.tobytes() == mad.tobytes()
+        assert T.tobytes() == before.tobytes()  # the sort runs on a copy
+
+    @given(projected(m=3, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+        st.floats(min_value=-1e3, max_value=1e3),
+    )))
+    def test_m3_median_equals_np_median(self, T):
+        # bounded values keep the ridge visible, so the covariance inverts
+        assert fit_rpo_projected(T).med.tobytes() == np.median(T, axis=0).tobytes()
+
+    @given(projected(), st.data())
+    def test_nan_column_gives_nan_median_and_mad(self, T, data):
+        n, p, _ = T.shape
+        j = data.draw(st.integers(min_value=0, max_value=p - 1))
+        T[data.draw(st.integers(min_value=0, max_value=n - 1)), j, 0] = np.nan
+        stats = fit_rpo_projected(T)
+        med, mad = np_median_and_mad(T)
+        assert np.isnan(stats.med[j]) and np.isnan(stats.mad[j])
+        assert stats.med.tobytes() == med.tobytes()
+        assert stats.mad.tobytes() == mad.tobytes()
