@@ -137,19 +137,24 @@ def cmd_score(args) -> int:
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{args.input}:{line_no}: expected {len(header)} values, got {len(row)}"
+                    )
+                if drop is not None:
+                    del row[drop]
                 try:
-                    values = [float(v) for i, v in enumerate(row) if i != drop]
+                    rows.append(list(map(float, row)))
                 except ValueError as exc:
                     raise DataError(f"{args.input}:{line_no}: {exc}") from exc
-                rows.append(values)
     X = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, model.input_dim))
     scores = model.score_rows(X)
+    depths = depth(scores)
     _ensure_parent(args.output)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["score", "depth"])
-        for s in scores:
-            writer.writerow([repr(float(s)), repr(float(depth(s)))])
+        # what csv.writer would write: a float's repr holds no comma, quote or newline
+        fh.write("score,depth\n")
+        fh.write("".join(f"{s!r},{d!r}\n" for s, d in zip(scores.tolist(), depths.tolist())))
     logger.info("scored %d rows -> %s", len(scores), args.output)
     return EXIT_OK
 

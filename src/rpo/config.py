@@ -16,7 +16,14 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import yaml
 
 from .errors import ConfigError, DataError
-from .evaluation import METHODS, SWEEP_AXES, SYNTHETIC, ExperimentSpec, validate_spec
+from .evaluation import (
+    METHODS,
+    SWEEP_AXES,
+    SYNTHETIC,
+    ExperimentSpec,
+    spec_for_axis_value,
+    validate_spec,
+)
 
 
 @dataclass
@@ -194,6 +201,9 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
     base_spec = ExperimentSpec(**spec_kwargs)
     for m in methods:
         validate_spec(replace(base_spec, method=m))
+    if sweep_axis is not None:  # a sweep runs methods[0], the method of base_spec
+        for value in run_kwargs["sweep_values"]:
+            validate_spec(spec_for_axis_value(base_spec, sweep_axis, value))
     return RunConfig(methods=methods, base_spec=base_spec, **run_kwargs)
 
 

@@ -30,7 +30,15 @@ from .model_io import ScoringModel, save_model_checkpoint
 from .projections import DropoutSpec, apply_dropout, generate_projections
 from .scoring import DEFAULT_EPS_FLOOR, fit_rpo, method_estimator
 from .seeding import sub_rng, sub_seed
-from .training import DeepRpoModel, EpochRecord, SvddModel, fit_eval_stats, init_center, train
+from .training import (
+    STATS_MODES,
+    DeepRpoModel,
+    EpochRecord,
+    SvddModel,
+    fit_eval_stats,
+    init_center,
+    train,
+)
 
 METHODS = ("rpo-max", "rpo-mean", "deep-svdd", "deep-rpo-max", "deep-rpo-mean")
 SWEEP_AXES = ("n_projections", "rp_dim", "dropout", "alpha", "sad_ratio")
@@ -115,6 +123,22 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"test_fraction must lie in [0, 1), got {spec.test_fraction}")
     if spec.rp_dim < 1:
         raise ConfigError(f"rp_dim must be >= 1, got {spec.rp_dim}")
+    if spec.n_projections is not None and spec.n_projections < 1:
+        raise ConfigError(f"model.n_projections must be >= 1, got {spec.n_projections}")
+    if spec.batch_size < 2:
+        raise ConfigError(f"training.batch_size must be >= 2, got {spec.batch_size}")
+    if not 0.0 <= spec.contamination < 0.5:
+        raise ConfigError(
+            f"protocol.contamination must lie in [0, 0.5), got {spec.contamination}"
+        )
+    if spec.dim < 1:
+        raise ConfigError(f"dataset.dim must be >= 1, got {spec.dim}")
+    if not spec.eps_floor > 0.0:
+        raise ConfigError(f"training.eps_floor must be > 0, got {spec.eps_floor}")
+    if spec.stats_mode not in STATS_MODES:
+        raise ConfigError(
+            f"training.stats_mode must be one of {STATS_MODES}, got {spec.stats_mode!r}"
+        )
     proj_space = spec.latent_dim if spec.is_deep else spec.dim
     if spec.method != "deep-svdd" and spec.rp_dim > proj_space:
         raise ConfigError(
@@ -303,17 +327,21 @@ def _as_dropout(value) -> DropoutSpec:
     return value if isinstance(value, DropoutSpec) else DropoutSpec(**dict(value))
 
 
-def _spec_for_axis_value(base: ExperimentSpec, axis: str, value) -> ExperimentSpec:
-    if axis == "n_projections":
-        return replace(base, n_projections=int(value))
-    if axis == "rp_dim":
-        return replace(base, rp_dim=int(value))
-    if axis == "dropout":
-        return replace(base, dropout=_as_dropout(value))
-    if axis == "alpha":
-        return replace(base, affine=AffineSpec(mode="constant", alpha=float(value)))
-    if axis == "sad_ratio":
-        return replace(base, sad_ratio=float(value))
+def spec_for_axis_value(base: ExperimentSpec, axis: str, value) -> ExperimentSpec:
+    """``base`` with one sweep value applied; a value that does not convert is a ConfigError."""
+    try:
+        if axis == "n_projections":
+            return replace(base, n_projections=int(value))
+        if axis == "rp_dim":
+            return replace(base, rp_dim=int(value))
+        if axis == "dropout":
+            return replace(base, dropout=_as_dropout(value))
+        if axis == "alpha":
+            return replace(base, affine=AffineSpec(mode="constant", alpha=float(value)))
+        if axis == "sad_ratio":
+            return replace(base, sad_ratio=float(value))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep.values: bad {axis} value {value!r}: {exc}") from None
     raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
@@ -349,7 +377,7 @@ def sweep(
 
     per_value: list[tuple[str, list[SeedResult]]] = []
     for value in values:
-        spec = _spec_for_axis_value(base, axis, value)
+        spec = spec_for_axis_value(base, axis, value)
         validate_spec(spec)
         per_value.append(
             (_axis_value_str(axis, value), run_experiment(spec, workers=workers, progress=progress))
@@ -362,7 +390,7 @@ def sweep(
                 baseline = results
                 break
         if baseline is None:
-            baseline_spec = _spec_for_axis_value(base, axis, 1.0)
+            baseline_spec = spec_for_axis_value(base, axis, 1.0)
             baseline = run_experiment(baseline_spec, workers=workers, progress=progress)
 
     rows = []

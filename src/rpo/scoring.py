@@ -15,7 +15,13 @@ Score stage: a query's per-projection normalized distance is
 distance ``sqrt((u^T x - med)^T C^-1 (u^T x - med))`` otherwise. The
 estimator reduces across projections with either ``max`` (worst-case
 outlyingness) or ``mean``. Scores map to a center-outward depth in (0, 1]
-via ``1 / (1 + score)``.
+via ``1 / (1 + score)``. ``projected_distances`` takes an ``out=`` array:
+for m = 1 it subtracts, takes ``abs`` and divides in that one array, so
+``score_batch``, which owns the projection it just computed and reads it
+only once, passes the projection itself: scoring n rows then holds one
+(n, p) float64 array, not the projection plus three temporaries. The
+training loss reads its projection again for the gradient, so it passes
+no ``out``.
 
 This module holds every score head: the projection outlyingness above
 (``score_batch``) and the deep-svdd squared distance to a latent center
@@ -149,21 +155,30 @@ def _sort_rows_median(buf: np.ndarray) -> np.ndarray:
     return med
 
 
-def projected_distances(T: np.ndarray, stats: RpoStats) -> np.ndarray:
-    """Per-projection normalized distances, shape (n, p), from projected coords."""
+def projected_distances(
+    T: np.ndarray, stats: RpoStats, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-projection normalized distances, shape (n, p), from projected coords.
+
+    With ``out`` (float64, shape (n, p)) the distances are written into it
+    and it is returned; it may be ``T[:, :, 0]`` of an m = 1 ``T`` the caller
+    no longer needs. Without ``out``, ``T`` is never written.
+    """
     if T.shape[1] != stats.p:
         raise ValueError(f"stats fitted for p={stats.p}, got p={T.shape[1]}")
     if stats.mad is not None:
         if T.shape[2] != 1:
             raise ValueError("1-D stats applied to multidimensional projections")
-        return np.abs(T[:, :, 0] - stats.med) / stats.mad
+        D = np.subtract(T[:, :, 0], stats.med, out=out)
+        np.abs(D, out=D)
+        return np.divide(D, stats.mad, out=D)
     if T.shape[2] != stats.med.shape[1]:
         raise ValueError(
             f"stats fitted for m={stats.med.shape[1]}, got m={T.shape[2]}"
         )
     R = T - stats.med[np.newaxis]  # (n, p, m)
     quad = np.einsum("npi,pij,npj->np", R, stats.inv_cov, R)
-    return np.sqrt(np.maximum(quad, 0.0))
+    return np.sqrt(np.maximum(quad, 0.0), out=out)
 
 
 def reduce_distances(D: np.ndarray, est: Estimator) -> np.ndarray:
@@ -175,7 +190,11 @@ def score_batch(
     X: np.ndarray, U: ProjectionSet, stats: RpoStats, est: Estimator
 ) -> np.ndarray:
     """Outlyingness of each row of ``X``; nonnegative, one score per row."""
-    return reduce_distances(projected_distances(project(X, U), stats), est)
+    T = project(X, U)
+    # T is a fresh array no caller sees, so for m = 1 the distances may
+    # overwrite it: the only (n, p) array then is the projection itself
+    out = T[:, :, 0] if U.m == 1 else None
+    return reduce_distances(projected_distances(T, stats, out=out), est)
 
 
 def center_distances(Z: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -48,6 +48,8 @@ from .scoring import (
 )
 from .seeding import sub_rng
 
+STATS_MODES = ("batch", "full-set")
+
 
 @dataclass
 class SvddModel:
@@ -77,14 +79,14 @@ class DeepRpoModel:
     projections: ProjectionSet
     estimator: str = "mean"
     lam: float = 1e-6
-    stats_mode: str = "batch"  # or "full-set"
+    stats_mode: str = "batch"  # one of STATS_MODES
     eps_floor: float = DEFAULT_EPS_FLOOR
     ridge: float = DEFAULT_RIDGE
 
     def __post_init__(self):
         validate_estimator(self.estimator)
-        if self.stats_mode not in ("batch", "full-set"):
-            raise ValueError(f"stats_mode must be 'batch' or 'full-set', got {self.stats_mode!r}")
+        if self.stats_mode not in STATS_MODES:
+            raise ValueError(f"stats_mode must be one of {STATS_MODES}, got {self.stats_mode!r}")
         if self.projections.d != self.encoder.latent_dim:
             raise ValueError(
                 f"projections expect d={self.projections.d} but encoder latent dim "

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 import yaml
@@ -6,6 +9,8 @@ from rpo import evaluation
 from rpo.cli import main
 from rpo.config import load_config, parse_config
 from rpo.errors import ConfigError, NumericError
+from rpo.model_io import load_model_checkpoint
+from rpo.scoring import depth
 
 
 def run_cli(*argv):
@@ -192,6 +197,12 @@ class TestBench:
             ({"dataset": {"normal_class_ids": []}}, "normal_class_ids"),
             ({"method": None, "methods": []}, "methods"),
             ({"method": None, "methods": "rpo-max"}, "methods"),
+            ({"training": {"batch_size": 0}}, "training.batch_size"),
+            ({"model": {"n_projections": 0}}, "model.n_projections"),
+            ({"protocol": {"contamination": 1.5}}, "protocol.contamination"),
+            ({"dataset": {"dim": 0}}, "dataset.dim"),
+            ({"training": {"eps_floor": 0}}, "training.eps_floor"),
+            ({"training": {"stats_mode": "full"}}, "training.stats_mode"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, tmp_path, caplog, overrides, named):
@@ -254,6 +265,23 @@ class TestSweepCommand:
         write_config(cfg_path)
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"axis": "dropout", "values": [{"components_rate": 0.1}, {"components_rate": 1.5}]},
+            {"axis": "n_projections", "values": [20, "abc"]},
+        ],
+    )
+    def test_bad_sweep_value_exits_1_before_any_seed(self, tmp_path, monkeypatch, caplog, sweep):
+        ran = []
+        monkeypatch.setattr(evaluation, "run_experiment", lambda *a, **k: ran.append(a))
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, sweep=sweep)
+        assert run_cli("sweep", "-c", str(cfg_path)) == 1
+        assert ran == []
+        assert any("sweep.values" in r.message for r in caplog.records if r.levelname == "ERROR")
+        assert not (tmp_path / "out" / "aggregate.csv").exists()
+
 
 class TestScore:
     def _bench_with_checkpoints(self, tmp_path, method="rpo-max"):
@@ -309,6 +337,55 @@ class TestScore:
                        "--output", str(out_csv))
         assert code == 2
         assert any("expected 6" in r.message for r in caplog.records)
+
+    @staticmethod
+    def _rows_with_class_column(tmp_path, n=40):
+        """Six features with a ``class`` column in the middle and blank lines."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(scale=2.0, size=(n, 6))
+        lines = ["f0,f1,f2,class,f3,f4,f5"]
+        for i, row in enumerate(X):
+            values = [repr(float(v)) for v in row]
+            lines.append(",".join(values[:3] + [str(i % 3)] + values[3:]))
+            if i % 7 == 0:
+                lines.append("")
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path, X
+
+    @pytest.mark.parametrize("method", ["rpo-max", "deep-rpo-mean"])
+    def test_output_bytes_match_csv_writer_oracle(self, tmp_path, method):
+        ckpt = self._bench_with_checkpoints(tmp_path, method)
+        input_csv, X = self._rows_with_class_column(tmp_path)
+        out_csv = tmp_path / "scores.csv"
+        assert run_cli("score", "--checkpoint", str(ckpt), "--input", str(input_csv),
+                       "--output", str(out_csv)) == 0
+        oracle = io.StringIO()
+        writer = csv.writer(oracle, lineterminator="\n")
+        writer.writerow(["score", "depth"])
+        for s in load_model_checkpoint(ckpt).score_rows(X):
+            writer.writerow([repr(float(s)), repr(float(depth(s)))])
+        assert out_csv.read_bytes() == oracle.getvalue().encode()
+
+    @pytest.mark.parametrize(
+        "bad_line, problem",
+        [("1.0,2.0,3.0", "expected 7 values, got 3"),
+         ("1,2,3,0,4,5,6,7", "expected 7 values, got 8"),
+         ("1,2,3,0,4,x5,6", "x5")],
+    )
+    def test_bad_row_exits_2_naming_the_line(self, tmp_path, caplog, bad_line, problem):
+        ckpt = self._bench_with_checkpoints(tmp_path)
+        input_csv, _ = self._rows_with_class_column(tmp_path, n=5)
+        lines = input_csv.read_text().splitlines()
+        lines.insert(4, bad_line)
+        input_csv.write_text("\n".join(lines) + "\n")
+        out_csv = tmp_path / "scores.csv"
+        code = run_cli("score", "--checkpoint", str(ckpt), "--input", str(input_csv),
+                       "--output", str(out_csv))
+        assert code == 2
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(f"{input_csv}:5: " in e and problem in e for e in errors)
+        assert not out_csv.exists()
 
 
 class TestReport:

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpo.projections import ProjectionSet, generate_projections
-from rpo.scoring import RpoStats, depth, fit_rpo, score, score_batch
+from rpo.projections import ProjectionSet, generate_projections, project
+from rpo.scoring import (
+    RpoStats,
+    depth,
+    fit_rpo,
+    projected_distances,
+    reduce_distances,
+    score,
+    score_batch,
+)
 
 
 def naive_score(x, U, X_train, est, eps_floor=1e-6, ridge=1e-6):
@@ -116,6 +124,43 @@ class TestScore:
             assert score(x, U, stats, est) == pytest.approx(
                 naive_score(x, U, X_train, est), abs=1e-10
             )
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("est", ["max", "mean"])
+    def test_batch_bit_equal_to_unfused_pipeline(self, m, est):
+        # score_batch computes the distances inside its own projection; the
+        # scores must not move by a single bit
+        rng = np.random.default_rng(7 + m)
+        U = generate_projections(d=6, m=m, p=40, seed=3)
+        stats = fit_rpo(rng.normal(size=(60, 6)), U)
+        X = rng.normal(scale=3.0, size=(257, 6))
+        expected = reduce_distances(projected_distances(project(X, U), stats), est)
+        assert score_batch(X, U, stats, est).tobytes() == expected.tobytes()
+        if m == 1:
+            T = project(X, U)
+            plain = reduce_distances(np.abs(T[:, :, 0] - stats.med) / stats.mad, est)
+            assert score_batch(X, U, stats, est).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_distances_leave_projection_unmodified_without_out(self, m):
+        rng = np.random.default_rng(11)
+        U = generate_projections(d=6, m=m, p=40, seed=5)
+        stats = fit_rpo(rng.normal(size=(60, 6)), U)
+        T = project(rng.normal(size=(33, 6)), U)
+        before = T.copy()
+        projected_distances(T, stats)
+        assert T.tobytes() == before.tobytes()
+
+    def test_distances_written_into_out(self):
+        rng = np.random.default_rng(13)
+        U = generate_projections(d=6, m=1, p=40, seed=5)
+        stats = fit_rpo(rng.normal(size=(60, 6)), U)
+        T = project(rng.normal(size=(33, 6)), U)
+        expected = projected_distances(T, stats)
+        out = T[:, :, 0]
+        D = projected_distances(T, stats, out=out)
+        assert D is out
+        assert D.tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self):
         U = generate_projections(d=4, m=1, p=3, seed=0)
