@@ -139,11 +139,14 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(
             f"training.stats_mode must be one of {STATS_MODES}, got {spec.stats_mode!r}"
         )
-    proj_space = spec.latent_dim if spec.is_deep else spec.dim
-    if spec.method != "deep-svdd" and spec.rp_dim > proj_space:
-        raise ConfigError(
-            f"rp_dim {spec.rp_dim} exceeds projection space dim {proj_space}"
+    # a CSV source's width is known only once it is loaded, so
+    # run_single_seed checks shallow methods on a CSV against it
+    if spec.method != "deep-svdd" and (spec.is_deep or spec.source == SYNTHETIC):
+        key, bound = (
+            ("model.latent_dim", spec.latent_dim) if spec.is_deep else ("dataset.dim", spec.dim)
         )
+        if spec.rp_dim > bound:
+            raise ConfigError(f"model.rp_dim {spec.rp_dim} exceeds {key} {bound}")
 
 
 @lru_cache(maxsize=4)
@@ -218,6 +221,10 @@ def run_single_seed(spec: ExperimentSpec, seed: int, checkpoint_dir=None) -> See
     history: list[EpochRecord] = []
     best_epoch = -1
     if not spec.is_deep:
+        if spec.rp_dim > ds.dim:
+            raise ConfigError(
+                f"model.rp_dim {spec.rp_dim} exceeds the {ds.dim} features of {spec.source}"
+            )
         U = _build_projections(spec, ds.dim, seed)
         head = dict(projections=U, stats=fit_rpo(X_train, U, eps_floor=spec.eps_floor))
     else:

@@ -12,6 +12,14 @@ retained map (one selection along the d-channel), after which vectors are
 re-normalized when ``m = 1``. Both use floor counts, so tiny rate*count is
 a no-op. A dropout mask is drawn once and stays fixed for the whole run.
 A set is persisted only as part of a scoring checkpoint (``model_io``).
+
+``project`` is one matmul for m = 1. For m > 1 it hands einsum a (d, p, m)
+copy of the maps and takes ``einsum("nd,dpm->npm")``: the sum over d then
+runs in einsum's outer loop, and its inner loop runs over the contiguous
+(p, m) block. Each coordinate still adds its d products one at a time, in
+order of d, exactly as ``einsum("nd,pdm->npm")`` on the (p, d, m) entries
+does in its strided inner loop, so the two agree bit for bit (the tests
+keep the latter as their oracle); the copy is small (p * d * m values).
 """
 
 from __future__ import annotations
@@ -109,7 +117,8 @@ def project(X: np.ndarray, U: ProjectionSet) -> np.ndarray:
         raise ValueError(f"X has {X.shape[1]} columns but projections expect d={U.d}")
     if U.m == 1:
         return (X @ U.entries[:, :, 0].T)[:, :, np.newaxis]
-    return np.einsum("nd,pdm->npm", X, U.entries)
+    # the sum over d in einsum's outer loop (see the module docstring)
+    return np.einsum("nd,dpm->npm", X, U.entries.transpose(1, 0, 2).copy())
 
 
 def apply_dropout(U: ProjectionSet, spec: DropoutSpec) -> ProjectionSet:

@@ -23,6 +23,22 @@ only once, passes the projection itself: scoring n rows then holds one
 training loss reads its projection again for the gradient, so it passes
 no ``out``.
 
+The m > 1 kernels fix the order of every sum in their own code, so the
+result does not depend on the memory layout of ``T``, and it equals the
+plain einsum forms ``"npi,npj->pij"`` (covariance) and
+``"npi,pij,npj->np"`` (quadratic form) on a C-ordered ``T`` bit for bit;
+the tests keep those as oracles. The plain forms reduce in a strided inner
+loop, which is slow. The covariance centres one C-ordered (n, m, p) copy
+of ``T`` in place and takes ``einsum("nip,njp->pij")``: rows are the
+copy's outermost axis, so einsum adds them in its outer loop, in row
+order, even when p = 1 drops the projection axis (with rows in the middle,
+as in an (m, n, p) copy, einsum would then sum them in a SIMD inner loop,
+in another order). The quadratic form copies the residuals once to
+(m, n, p), so each R[i] is a contiguous (n, p) plane, and adds
+``(R[i] * C[i, j]) * R[j]`` (``C`` the (m, m, p) inverse covariances)
+i-major, j-minor, into one (n, p) sum: the plain form's products in its
+order. Neither writes ``T`` or holds more than one (n, p, m) copy of it.
+
 This module holds every score head: the projection outlyingness above
 (``score_batch``) and the deep-svdd squared distance to a latent center
 (``center_distances``). Validation, test scoring and saved checkpoints all
@@ -125,9 +141,11 @@ def fit_rpo_projected(
         return RpoStats(med=med, mad=mad, inv_cov=None, eps_floor=eps_floor)
 
     med = _sort_rows_median(np.array(T.reshape(n, p * m).T, order="C")).reshape(p, m)
-    centered = T - np.mean(T, axis=0)
+    # rows outermost, whatever p is (see the module docstring)
+    ct = np.array(T.transpose(0, 2, 1), order="C")
+    ct -= np.mean(ct, axis=0)
     denom = max(n - 1, 1)
-    cov = np.einsum("npi,npj->pij", centered, centered) / denom
+    cov = np.einsum("nip,njp->pij", ct, ct) / denom
     cov = cov + ridge * np.eye(m)
     try:
         inv_cov = np.linalg.inv(cov)
@@ -176,9 +194,19 @@ def projected_distances(
         raise ValueError(
             f"stats fitted for m={stats.med.shape[1]}, got m={T.shape[2]}"
         )
-    R = T - stats.med[np.newaxis]  # (n, p, m)
-    quad = np.einsum("npi,pij,npj->np", R, stats.inv_cov, R)
-    return np.sqrt(np.maximum(quad, 0.0), out=out)
+    # sum R[i] * C[i, j] * R[j], i-major, j-minor (see the module docstring)
+    R = np.array(T.transpose(2, 0, 1), order="C")
+    R -= stats.med.T[:, np.newaxis, :]
+    C = np.ascontiguousarray(stats.inv_cov.transpose(1, 2, 0))  # (m, m, p)
+    quad = np.zeros(T.shape[:2])
+    term = np.empty_like(quad)
+    for i in range(R.shape[0]):
+        for j in range(R.shape[0]):
+            np.multiply(R[i], C[i, j], out=term)
+            term *= R[j]
+            quad += term
+    np.maximum(quad, 0.0, out=quad)
+    return np.sqrt(quad, out=quad if out is None else out)
 
 
 def reduce_distances(D: np.ndarray, est: Estimator) -> np.ndarray:

@@ -232,6 +232,29 @@ class TestBench:
         assert run_cli("bench", "-c", str(cfg_path)) == code
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize("rp_dim, code", [(20, 0), (40, 1)])
+    def test_rp_dim_checked_against_csv_width(self, tmp_path, caplog, rp_dim, code):
+        # dataset.dim (6 here) sizes synthetic data only; a CSV's own width
+        # (36 features) bounds a shallow method's rp_dim
+        rng = np.random.default_rng(0)
+        cls = np.repeat([0, 1], [120, 60])
+        X = rng.normal(size=(cls.size, 36)) + 3.0 * cls[:, np.newaxis]
+        csv_path = tmp_path / "wide.csv"
+        rows = [",".join([*map(repr, map(float, x)), str(c)]) for x, c in zip(X, cls)]
+        csv_path.write_text("\n".join([",".join([f"f{i}" for i in range(36)] + ["class"]), *rows]))
+        cfg_path = tmp_path / "c.yaml"
+        write_config(
+            cfg_path,
+            seeds=[0],
+            dataset={"source": str(csv_path), "k_modes": 0},
+            model={"n_projections": 10, "rp_dim": rp_dim},
+        )
+        assert run_cli("bench", "-c", str(cfg_path)) == code
+        assert (tmp_path / "out" / "results.csv").exists() == (code == 0)
+        if code:
+            errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+            assert any("model.rp_dim 40" in e and "36 features" in e for e in errors)
+
     def test_history_emission(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
         write_config(
