@@ -12,10 +12,9 @@ from .projections import (
     generate_projections,
     project,
 )
-from .scoring import RpoStats, depth, fit_rpo, score, score_batch
+from .scoring import RpoStats, depth, fit_rpo, score_batch
 from .training import (
     DeepRpoModel,
-    SadConfig,
     SvddModel,
     deep_rpo_loss,
     init_center,
@@ -46,10 +45,8 @@ __all__ = [
     "RpoStats",
     "depth",
     "fit_rpo",
-    "score",
     "score_batch",
     "DeepRpoModel",
-    "SadConfig",
     "SvddModel",
     "deep_rpo_loss",
     "init_center",

@@ -131,7 +131,7 @@ def cmd_score(args) -> int:
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        rows = []
+        rows, line_nos = [], []
         if header is not None:
             drop = header.index("class") if "class" in header else None
             for line_no, row in enumerate(reader, start=2):
@@ -147,7 +147,12 @@ def cmd_score(args) -> int:
                     rows.append(list(map(float, row)))
                 except ValueError as exc:
                     raise DataError(f"{args.input}:{line_no}: {exc}") from exc
+                line_nos.append(line_no)
     X = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, model.input_dim))
+    # float() accepts "nan" and "inf", which would score as nan
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{args.input}:{line_nos[int(np.argmin(finite))]}: non-finite value")
     scores = model.score_rows(X)
     depths = depth(scores)
     _ensure_parent(args.output)

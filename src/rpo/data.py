@@ -41,7 +41,6 @@ class Dataset:
     label: np.ndarray  # (n,) int8, NORMAL or ANOMALY
     split: np.ndarray  # (n,) str, TRAIN / VAL / TEST
     sad_flag: np.ndarray  # (n,) bool
-    provenance: str = ""
 
     def __post_init__(self):
         n = self.X.shape[0]
@@ -102,14 +101,13 @@ class AffineSpec:
             raise ValueError(f"affine range [{self.low}, {self.high}] is empty")
 
 
-def _dataset(X, class_id, label, split, sad_flag, provenance) -> Dataset:
+def _dataset(X, class_id, label, split, sad_flag) -> Dataset:
     return Dataset(
         X=np.ascontiguousarray(X, dtype=np.float64),
         class_id=np.ascontiguousarray(class_id, dtype=np.int64),
         label=np.ascontiguousarray(label, dtype=np.int8),
         split=np.asarray(split, dtype="U5"),
         sad_flag=np.ascontiguousarray(sad_flag, dtype=bool),
-        provenance=provenance,
     )
 
 
@@ -186,10 +184,7 @@ def generate_multimodal(
     class_id = np.concatenate(class_parts)
     label = np.where(class_id < k_modes, NORMAL, ANOMALY)
     split = np.concatenate(split_parts)
-    return _dataset(
-        X, class_id, label, split, np.zeros(len(X), dtype=bool),
-        provenance=f"synthetic(k={k_modes},d={d},seed={seed})",
-    )
+    return _dataset(X, class_id, label, split, np.zeros(len(X), dtype=bool))
 
 
 def load_csv(path, label_column: str = "class", normal_class_ids=(0,)) -> Dataset:
@@ -222,7 +217,7 @@ def load_csv(path, label_column: str = "class", normal_class_ids=(0,)) -> Datase
             try:
                 rows.append([float(row[i]) for i in feature_idx])
                 classes.append(int(float(row[label_idx])))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: int(inf)
                 raise DataError(f"{path}:{line_no}: {exc}") from exc
     if not rows:
         raise DataError(f"no data rows in {path}")
@@ -236,10 +231,7 @@ def load_csv(path, label_column: str = "class", normal_class_ids=(0,)) -> Datase
         raise DataError(f"non-finite feature values in {path}")
     label = np.where(np.isin(class_id, sorted(normal_ids)), NORMAL, ANOMALY)
     split = np.where(label == NORMAL, TRAIN, TEST).astype("U5")
-    return _dataset(
-        X, class_id, label, split, np.zeros(len(X), dtype=bool),
-        provenance=str(path),
-    )
+    return _dataset(X, class_id, label, split, np.zeros(len(X), dtype=bool))
 
 
 def relabel_by_normal_classes(data: Dataset, picked_class_ids) -> Dataset:
@@ -415,23 +407,3 @@ def save_manifest(data: Dataset, path) -> None:
         for i in range(data.n):
             writer.writerow([i, data.split[i], int(data.sad_flag[i])])
 
-
-def apply_manifest(data: Dataset, path) -> Dataset:
-    """Restore split tags and SAD flags written by :func:`save_manifest`."""
-    split_arr = data.split.copy()
-    sad = data.sad_flag.copy()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["row_index", "split", "sad_flag"]:
-            raise DataError(f"bad manifest header in {path}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                idx = int(row[0])
-                split_arr[idx] = row[1]
-                sad[idx] = bool(int(row[2]))
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
-    return replace(data, split=split_arr, sad_flag=sad)

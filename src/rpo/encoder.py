@@ -63,13 +63,6 @@ class Encoder:
     def latent_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    @property
-    def n_params(self) -> int:
-        return sum(W.size for W in self.weights)
-
-    def copy(self) -> "Encoder":
-        return Encoder([W.copy() for W in self.weights], slope=self.slope)
-
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         """Encode rows of ``X``; returns latents and the backward cache."""
         X = np.asarray(X, dtype=np.float64)
@@ -125,32 +118,33 @@ def init_encoder(layer_dims: list[int], seed_rng: np.random.Generator,
     return Encoder(weights, slope=slope)
 
 
+# Adam's moment decay rates and denominator guard. No weight decay is applied
+# here: the training losses put the penalty ``lam * W`` in the gradient.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adaptive-moment optimizer state with decoupled weight decay."""
+    """Adaptive-moment optimizer state: first and second moments per layer."""
 
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     step: int = 0
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-6
 
 
-def init_adam(enc: Encoder, learning_rate: float = 1e-4,
-              weight_decay: float = 1e-6) -> AdamState:
+def init_adam(enc: Encoder, learning_rate: float = 1e-4) -> AdamState:
     return AdamState(
         m=[np.zeros_like(W) for W in enc.weights],
         v=[np.zeros_like(W) for W in enc.weights],
         learning_rate=learning_rate,
-        weight_decay=weight_decay,
     )
 
 
 def adam_step(enc: Encoder, grads: list[np.ndarray], opt: AdamState) -> None:
-    """One in-place update: Adam moments plus decoupled decay ``lr * wd * W``."""
+    """One in-place Adam update of every weight matrix."""
     if len(grads) != len(enc.weights):
         raise ValueError("gradient list does not match encoder layers")
     for g, W in zip(grads, enc.weights):
@@ -159,10 +153,8 @@ def adam_step(enc: Encoder, grads: list[np.ndarray], opt: AdamState) -> None:
     opt.step += 1
     t = opt.step
     for l, (W, g) in enumerate(zip(enc.weights, grads)):
-        opt.m[l] = opt.beta1 * opt.m[l] + (1.0 - opt.beta1) * g
-        opt.v[l] = opt.beta2 * opt.v[l] + (1.0 - opt.beta2) * g * g
-        m_hat = opt.m[l] / (1.0 - opt.beta1**t)
-        v_hat = opt.v[l] / (1.0 - opt.beta2**t)
-        W -= opt.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * W
-        )
+        opt.m[l] = ADAM_BETA1 * opt.m[l] + (1.0 - ADAM_BETA1) * g
+        opt.v[l] = ADAM_BETA2 * opt.v[l] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = opt.m[l] / (1.0 - ADAM_BETA1**t)
+        v_hat = opt.v[l] / (1.0 - ADAM_BETA2**t)
+        W -= opt.learning_rate * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))

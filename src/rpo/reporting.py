@@ -98,11 +98,19 @@ def render_report(results_path) -> str:
         header = next(reader, None)
         if header != RESULTS_HEADER:
             raise DataError(f"unexpected results header in {results_path}")
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            method, dataset, k_modes = row[0], row[1], row[2]
-            by_method[(method, dataset, k_modes)].append(float(row[6]))
+            if len(row) != len(RESULTS_HEADER):
+                raise DataError(
+                    f"{results_path}:{line_no}: expected {len(RESULTS_HEADER)} values, "
+                    f"got {len(row)}"
+                )
+            try:
+                test_auc = float(row[6])
+            except ValueError as exc:
+                raise DataError(f"{results_path}:{line_no}: {exc}") from exc
+            by_method[(row[0], row[1], row[2])].append(test_auc)
     if not by_method:
         raise DataError(f"no result rows in {results_path}")
     lines = [f"{'method':<16} {'dataset':<24} {'modes':>5} {'seeds':>5} {'test AUC':>16}"]

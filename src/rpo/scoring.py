@@ -63,7 +63,7 @@ from .projections import ProjectionSet, project
 Estimator = Literal["max", "mean"]
 
 DEFAULT_EPS_FLOOR = 1e-6
-DEFAULT_RIDGE = 1e-6
+RIDGE = 1e-6  # added to each m > 1 projected covariance before inverting
 
 
 def validate_estimator(kind: str) -> str:
@@ -103,10 +103,7 @@ class RpoStats:
 
 
 def fit_rpo(
-    X_train: np.ndarray,
-    U: ProjectionSet,
-    eps_floor: float = DEFAULT_EPS_FLOOR,
-    ridge: float = DEFAULT_RIDGE,
+    X_train: np.ndarray, U: ProjectionSet, eps_floor: float = DEFAULT_EPS_FLOOR
 ) -> RpoStats:
     """Fit per-projection robust statistics on the training set.
 
@@ -117,14 +114,10 @@ def fit_rpo(
     if X_train.ndim != 2 or X_train.shape[0] == 0:
         raise ValueError("empty training set")
     T = project(X_train, U)  # (n, p, m)
-    return fit_rpo_projected(T, eps_floor=eps_floor, ridge=ridge)
+    return fit_rpo_projected(T, eps_floor=eps_floor)
 
 
-def fit_rpo_projected(
-    T: np.ndarray,
-    eps_floor: float = DEFAULT_EPS_FLOOR,
-    ridge: float = DEFAULT_RIDGE,
-) -> RpoStats:
+def fit_rpo_projected(T: np.ndarray, eps_floor: float = DEFAULT_EPS_FLOOR) -> RpoStats:
     """Fit statistics from already-projected coordinates of shape (n, p, m)."""
     n, p, m = T.shape
     if n == 0:
@@ -146,7 +139,7 @@ def fit_rpo_projected(
     ct -= np.mean(ct, axis=0)
     denom = max(n - 1, 1)
     cov = np.einsum("nip,njp->pij", ct, ct) / denom
-    cov = cov + ridge * np.eye(m)
+    cov = cov + RIDGE * np.eye(m)
     try:
         inv_cov = np.linalg.inv(cov)
     except np.linalg.LinAlgError as exc:
@@ -228,14 +221,6 @@ def score_batch(
 def center_distances(Z: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance of each latent row to the hypersphere center."""
     return np.sum((Z - center) ** 2, axis=1)
-
-
-def score(x: np.ndarray, U: ProjectionSet, stats: RpoStats, est: Estimator) -> float:
-    """Outlyingness of a single d-vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a d-vector, got shape {x.shape}")
-    return float(score_batch(x[np.newaxis, :], U, stats, est)[0])
 
 
 def depth(outlyingness):

@@ -16,8 +16,8 @@ The finite-difference checks in the test suite freeze them the same way.
 
 Both loss functions return the full objective value, regularizer included,
 and the gradient of that full objective (data term plus ``lam * W``). The
-training loop therefore runs the optimizer with its own decay disabled, so
-the penalty is applied exactly once.
+optimizer has no decay term of its own, so the penalty is applied exactly
+once.
 
 Semi-supervision: a train row flagged as a labeled anomaly contributes the
 inverse of its normalized distance, pushing it away from the normality
@@ -26,7 +26,7 @@ location estimators while normal rows are pulled in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .metrics import roc_auc
 from .projections import ProjectionSet, project
 from .scoring import (
     DEFAULT_EPS_FLOOR,
-    DEFAULT_RIDGE,
     RpoStats,
     center_distances,
     fit_rpo_projected,
@@ -81,7 +80,6 @@ class DeepRpoModel:
     lam: float = 1e-6
     stats_mode: str = "batch"  # one of STATS_MODES
     eps_floor: float = DEFAULT_EPS_FLOOR
-    ridge: float = DEFAULT_RIDGE
 
     def __post_init__(self):
         validate_estimator(self.estimator)
@@ -92,21 +90,6 @@ class DeepRpoModel:
                 f"projections expect d={self.projections.d} but encoder latent dim "
                 f"is {self.encoder.latent_dim}"
             )
-
-
-@dataclass
-class SadConfig:
-    """Per-sample labeled-anomaly flags for semi-supervised training."""
-
-    enabled: bool = False
-    labeled_anomaly_flags: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=bool)
-    )
-
-    def __post_init__(self):
-        self.labeled_anomaly_flags = np.asarray(self.labeled_anomaly_flags, dtype=bool)
-        if not self.enabled and np.any(self.labeled_anomaly_flags):
-            raise ValueError("flags set while SAD is disabled")
 
 
 def init_center(enc: Encoder, X_train: np.ndarray) -> np.ndarray:
@@ -147,11 +130,12 @@ def svdd_loss(model: SvddModel, batch: np.ndarray) -> tuple[float, list[np.ndarr
 def deep_rpo_loss(
     model: DeepRpoModel,
     batch: np.ndarray,
-    sad: SadConfig | None = None,
+    sad_flags: np.ndarray | None = None,
     stats: RpoStats | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Projection-outlyingness training objective and its weight gradient.
 
+    ``sad_flags`` (bool, one per batch row) marks the labeled anomalies.
     With ``stats=None`` and batch mode, location/spread are computed from
     the batch itself; in full-set mode the caller must supply ``stats``
     (recomputed once per epoch over all training latents). Either way the
@@ -168,17 +152,15 @@ def deep_rpo_loss(
             raise ValueError("insufficient batch for robust stats")
 
     flags = None
-    if sad is not None and sad.enabled:
-        if sad.labeled_anomaly_flags.shape != (n,):
-            raise ValueError(
-                f"SAD flags shape {sad.labeled_anomaly_flags.shape} does not match batch size {n}"
-            )
-        flags = sad.labeled_anomaly_flags
+    if sad_flags is not None:
+        flags = np.asarray(sad_flags, dtype=bool)
+        if flags.shape != (n,):
+            raise ValueError(f"SAD flags shape {flags.shape} does not match batch size {n}")
 
     Z, cache = model.encoder.forward(batch)
     T = project(Z, model.projections)  # (n, p, m)
     if stats is None:
-        stats = fit_rpo_projected(T, eps_floor=model.eps_floor, ridge=model.ridge)
+        stats = fit_rpo_projected(T, eps_floor=model.eps_floor)
 
     D = projected_distances(T, stats)  # (n, p)
     scores = reduce_distances(D, model.estimator)
@@ -230,7 +212,6 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
-    model: SvddModel | DeepRpoModel
     history: list[EpochRecord]
     best_epoch: int
     best_val_auc: float
@@ -255,7 +236,7 @@ def fit_eval_stats(model: DeepRpoModel, X_train: np.ndarray) -> RpoStats:
     """Refit location/spread on the full training set's latents for scoring."""
     Z, _ = model.encoder.forward(np.asarray(X_train, dtype=np.float64))
     T = project(Z, model.projections)
-    return fit_rpo_projected(T, eps_floor=model.eps_floor, ridge=model.ridge)
+    return fit_rpo_projected(T, eps_floor=model.eps_floor)
 
 
 def _validation_auc(model, X_train, X_val, y_val) -> float:
@@ -278,7 +259,7 @@ def train(
 
     Validation AUC is recorded each epoch (projection models rescore with
     statistics refit on the full training set) and the weights from the
-    best epoch are restored into the returned model. The fixed center and
+    best epoch are restored into ``model.encoder``. The fixed center and
     the frozen projections are never touched.
     """
     if epochs < 0:
@@ -298,7 +279,7 @@ def train(
     if not (np.any(y_val == NORMAL) and np.any(y_val == ANOMALY)):
         raise ValueError("validation AUC undefined")
 
-    opt = init_adam(model.encoder, learning_rate=learning_rate, weight_decay=0.0)
+    opt = init_adam(model.encoder, learning_rate=learning_rate)
     rng = sub_rng(seed, "shuffle")
     history: list[EpochRecord] = []
     best_epoch = -1
@@ -321,10 +302,8 @@ def train(
             if isinstance(model, SvddModel):
                 loss, grads = svdd_loss(model, batch)
             else:
-                sad = None
-                if sad_enabled:
-                    sad = SadConfig(enabled=True, labeled_anomaly_flags=sad_flags[idx])
-                loss, grads = deep_rpo_loss(model, batch, sad=sad, stats=epoch_stats)
+                flags = sad_flags[idx] if sad_enabled else None
+                loss, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=epoch_stats)
             adam_step(model.encoder, grads, opt)
             total_loss += loss * idx.size
             total_rows += idx.size
@@ -340,7 +319,6 @@ def train(
     if not history:
         best_val_auc = float("nan")
     return TrainResult(
-        model=model,
         history=history,
         best_epoch=best_epoch,
         best_val_auc=float(best_val_auc),

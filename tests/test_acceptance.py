@@ -17,8 +17,8 @@ from rpo.encoder import init_encoder
 from rpo.evaluation import ExperimentSpec, aggregate, run_experiment, sweep
 from rpo.metrics import roc_auc
 from rpo.projections import generate_projections
-from rpo.scoring import depth, fit_rpo, score, score_batch
-from rpo.training import SadConfig, SvddModel, deep_rpo_loss, svdd_loss
+from rpo.scoring import depth, fit_rpo, score_batch
+from rpo.training import SvddModel, deep_rpo_loss, svdd_loss
 
 from test_encoder import fd_gradients, relative_error
 from test_evaluation import pairwise_auc
@@ -49,7 +49,7 @@ def test_criterion_1_shallow_scorer_oracle_equivalence():
         for est in ("max", "mean"):
             for _ in range(2):
                 x = rng.normal(size=d)
-                got = score(x, U, stats, est)
+                got = float(score_batch(x[np.newaxis], U, stats, est)[0])
                 want = naive_score(x, U, X_train, est)
                 worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - started
@@ -87,11 +87,10 @@ def test_criterion_2_gradient_correctness():
         flags = np.zeros(6, dtype=bool)
         flags[seed % 6] = True
         model, batch, stats = _fd_safe_instance(seed=seed, estimator="mean", sad_flags=flags)
-        sad = SadConfig(True, flags)
-        _, analytic = deep_rpo_loss(model, batch, sad=sad)
+        _, analytic = deep_rpo_loss(model, batch, sad_flags=flags)
         numeric = fd_gradients(
             model.encoder,
-            lambda: deep_rpo_loss(model, batch, sad=sad, stats=stats)[0],
+            lambda: deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)[0],
             step=1e-6,
         )
         worst = max(worst, relative_error(analytic, numeric))

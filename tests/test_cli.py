@@ -100,7 +100,8 @@ class TestGenData:
         )
         assert code == 0
         assert (out / "data.csv").exists() and (out / "manifest.csv").exists()
-        from rpo.data import apply_manifest, load_csv
+        from rpo.data import load_csv
+        from test_data import apply_manifest
 
         loaded = apply_manifest(
             load_csv(out / "data.csv", normal_class_ids=(0, 1, 2)), out / "manifest.csv"
@@ -394,7 +395,10 @@ class TestScore:
         "bad_line, problem",
         [("1.0,2.0,3.0", "expected 7 values, got 3"),
          ("1,2,3,0,4,5,6,7", "expected 7 values, got 8"),
-         ("1,2,3,0,4,x5,6", "x5")],
+         ("1,2,3,0,4,x5,6", "x5"),
+         ("1,2,3,0,4,nan,6", "non-finite value"),
+         ("1,2,3,0,4,5,inf", "non-finite value"),
+         ("-Infinity,2,3,0,4,5,6", "non-finite value")],
     )
     def test_bad_row_exits_2_naming_the_line(self, tmp_path, caplog, bad_line, problem):
         ckpt = self._bench_with_checkpoints(tmp_path)
@@ -423,3 +427,16 @@ class TestReport:
 
     def test_report_missing_file(self):
         assert run_cli("report", "--results", "nope.csv") == 2
+
+    @pytest.mark.parametrize(
+        "bad_row, problem",
+        [("rpo-max,synthetic,2,1,-1,0.9", "expected 7 values, got 6"),
+         ("rpo-max,synthetic,2,1,-1,0.9,high", "high")],
+    )
+    def test_bad_row_exits_2_naming_the_line(self, tmp_path, caplog, bad_row, problem):
+        path = tmp_path / "results.csv"
+        header = "method,dataset,k_modes,seed,best_epoch,val_auc,test_auc"
+        path.write_text(f"{header}\nrpo-max,synthetic,2,0,-1,0.9,0.8\n\n{bad_row}\n")
+        assert run_cli("report", "--results", str(path)) == 2
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(f"{path}:4: " in e and problem in e for e in errors)

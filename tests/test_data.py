@@ -1,3 +1,6 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from rpo.data import (
     VAL,
     AffineSpec,
     affine_transform,
-    apply_manifest,
     contaminate,
     generate_multimodal,
     inject_sad_labels,
@@ -21,6 +23,18 @@ from rpo.data import (
     standardize,
 )
 from rpo.errors import DataError
+
+
+def apply_manifest(data, path):
+    """Restore the split tags and SAD flags that ``save_manifest`` wrote."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    assert header == ["row_index", "split", "sad_flag"]
+    idx = [int(row[0]) for row in rows]
+    split_tags, sad = data.split.copy(), data.sad_flag.copy()
+    split_tags[idx] = [row[1] for row in rows]
+    sad[idx] = [bool(int(row[2])) for row in rows]
+    return replace(data, split=split_tags, sad_flag=sad)
 
 
 class TestGenerate:
@@ -271,6 +285,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,class\n1.0,2.0,0\n1.0,oops,0\n")
         with pytest.raises(DataError, match="bad.csv:3"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_class_reports_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,class\n1.0,2.0,0\n1.0,2.0,{value}\n")
+        with pytest.raises(DataError, match="bad.csv:3: "):
             load_csv(path)
 
     def test_missing_normal_class(self, tmp_path):

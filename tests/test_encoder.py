@@ -48,6 +48,22 @@ def fd_gradients(enc, loss_fn, step=1e-6):
     return grads
 
 
+def oracle_adam_step(weights, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                     weight_decay=0.0):
+    """The earlier update, verbatim, with its decoupled decay term.
+
+    ``state`` holds the moment lists ``m``, ``v`` and the step count ``t``.
+    """
+    state["t"] += 1
+    t = state["t"]
+    for l, (W, g) in enumerate(zip(weights, grads)):
+        state["m"][l] = beta1 * state["m"][l] + (1.0 - beta1) * g
+        state["v"][l] = beta2 * state["v"][l] + (1.0 - beta2) * g * g
+        m_hat = state["m"][l] / (1.0 - beta1**t)
+        v_hat = state["v"][l] / (1.0 - beta2**t)
+        W -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * W)
+
+
 def relative_error(analytic, numeric):
     a = np.concatenate([g.ravel() for g in analytic])
     b = np.concatenate([g.ravel() for g in numeric])
@@ -89,7 +105,8 @@ class TestForward:
 
     def test_param_count_no_bias(self):
         enc = init_encoder([36, 32, 16, 8], np.random.default_rng(0))
-        assert enc.n_params == 36 * 32 + 32 * 16 + 16 * 8
+        assert [W.shape for W in enc.weights] == [(36, 32), (32, 16), (16, 8)]
+        assert sum(W.size for W in enc.weights) == 36 * 32 + 32 * 16 + 16 * 8
 
 
 class TestBackward:
@@ -139,25 +156,44 @@ class TestAdam:
     def test_zero_grads_no_decay_keeps_weights(self):
         enc = init_encoder([3, 2], np.random.default_rng(3))
         before = [W.copy() for W in enc.weights]
-        opt = init_adam(enc, weight_decay=0.0)
+        opt = init_adam(enc)
         adam_step(enc, [np.zeros_like(W) for W in enc.weights], opt)
         assert all(np.array_equal(a, b) for a, b in zip(before, enc.weights))
 
-    def test_pure_decay_shrinks_norms(self):
-        enc = init_encoder([3, 2], np.random.default_rng(4))
-        before = [np.linalg.norm(W) for W in enc.weights]
-        opt = init_adam(enc, learning_rate=1e-2, weight_decay=0.1)
-        for _ in range(3):
-            adam_step(enc, [np.zeros_like(W) for W in enc.weights], opt)
-        after = [np.linalg.norm(W) for W in enc.weights]
-        assert all(b > a for b, a in zip(before, after))
+    @pytest.mark.parametrize("grads", ["random", "zero", "mixed"])
+    def test_bit_equal_to_oracle(self, grads):
+        # the update without a decay term equals the earlier one with
+        # weight_decay=0.0 bit for bit, also on weights that hold +-0.0
+        rng = np.random.default_rng(8)
+        enc = init_encoder([5, 4, 3], rng)
+        enc.weights[0][0, :] = 0.0
+        enc.weights[0][1, :] = -0.0
+        enc.weights[1][:2, :2] = [[0.0, -0.0], [-0.0, 0.0]]
+        weights = [W.copy() for W in enc.weights]
+        opt = init_adam(enc, learning_rate=1e-2)
+        state = {"m": [np.zeros_like(W) for W in weights],
+                 "v": [np.zeros_like(W) for W in weights], "t": 0}
+        for step in range(6):
+            if grads == "zero" or (grads == "mixed" and step % 2):
+                g = [np.zeros_like(W) for W in weights]
+            else:
+                g = [rng.normal(size=W.shape) for W in weights]
+            if grads == "mixed":
+                g[0][0, 0] = -0.0
+            adam_step(enc, g, opt)
+            oracle_adam_step(weights, g, state, lr=1e-2)
+            for W, expected in zip(enc.weights, weights):
+                assert W.tobytes() == expected.tobytes()
+            assert opt.step == state["t"]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(opt.m, state["m"]))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(opt.v, state["v"]))
 
     def test_descends_convex_quadratic(self):
         rng = np.random.default_rng(5)
         enc = Encoder([rng.normal(size=(3, 2))])
         X = rng.normal(size=(20, 3))
         Y = rng.normal(size=(20, 2))
-        opt = init_adam(enc, learning_rate=1e-2, weight_decay=0.0)
+        opt = init_adam(enc, learning_rate=1e-2)
 
         def loss():
             Z, _ = enc.forward(X)

@@ -27,7 +27,7 @@ from rpo.evaluation import ExperimentSpec, run_single_seed
 from rpo.projections import generate_projections, project
 from rpo.scoring import (
     DEFAULT_EPS_FLOOR,
-    DEFAULT_RIDGE,
+    RIDGE,
     RpoStats,
     fit_rpo_projected,
     projected_distances,
@@ -40,7 +40,7 @@ def oracle_project(X, U):
     return np.einsum("nd,pdm->npm", np.asarray(X, dtype=np.float64), U.entries)
 
 
-def oracle_fit(T, eps_floor=DEFAULT_EPS_FLOOR, ridge=DEFAULT_RIDGE):
+def oracle_fit(T, eps_floor=DEFAULT_EPS_FLOOR, ridge=RIDGE):
     n, p, m = T.shape
     med = np.median(T, axis=0)
     centered = T - np.mean(T, axis=0)

@@ -12,7 +12,6 @@ from rpo.scoring import (
     fit_rpo,
     projected_distances,
     reduce_distances,
-    score,
     score_batch,
 )
 
@@ -100,17 +99,17 @@ class TestScore:
         # a point projecting exactly onto every median does not exist in
         # general; build stats by hand instead
         stats = RpoStats(med=np.zeros(6), mad=np.ones(6), inv_cov=None, eps_floor=1e-6)
-        assert score(np.zeros(4), U, stats, "max") == 0.0
-        assert score(np.zeros(4), U, stats, "mean") == 0.0
+        assert score_batch(np.zeros((1, 4)), U, stats, "max")[0] == 0.0
+        assert score_batch(np.zeros((1, 4)), U, stats, "mean")[0] == 0.0
 
     def test_two_projection_arithmetic(self):
         # normalized distances {2, 4} -> max 4, mean 3
         entries = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
         U = ProjectionSet(entries=entries, seed=0)
         stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_cov=None, eps_floor=1e-6)
-        x = np.array([2.0, 4.0])
-        assert score(x, U, stats, "max") == 4.0
-        assert score(x, U, stats, "mean") == 3.0
+        x = np.array([[2.0, 4.0]])
+        assert score_batch(x, U, stats, "max")[0] == 4.0
+        assert score_batch(x, U, stats, "mean")[0] == 3.0
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("est", ["max", "mean"])
@@ -119,11 +118,9 @@ class TestScore:
         U = generate_projections(d=6, m=m, p=50, seed=17)
         X_train = rng.normal(size=(40, 6))
         stats = fit_rpo(X_train, U)
-        for _ in range(5):
-            x = rng.normal(size=6)
-            assert score(x, U, stats, est) == pytest.approx(
-                naive_score(x, U, X_train, est), abs=1e-10
-            )
+        queries = rng.normal(size=(5, 6))
+        for x, got in zip(queries, score_batch(queries, U, stats, est)):
+            assert got == pytest.approx(naive_score(x, U, X_train, est), abs=1e-10)
 
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("est", ["max", "mean"])
@@ -166,13 +163,13 @@ class TestScore:
         U = generate_projections(d=4, m=1, p=3, seed=0)
         stats = RpoStats(med=np.zeros(3), mad=np.ones(3), inv_cov=None, eps_floor=1e-6)
         with pytest.raises(ValueError):
-            score(np.zeros(5), U, stats, "max")
+            score_batch(np.zeros((1, 5)), U, stats, "max")
 
     def test_projection_count_mismatch(self):
         U = generate_projections(d=4, m=1, p=3, seed=0)
         stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_cov=None, eps_floor=1e-6)
         with pytest.raises(ValueError):
-            score(np.zeros(4), U, stats, "max")
+            score_batch(np.zeros((1, 4)), U, stats, "max")
 
 
 class TestInvariances:
@@ -210,11 +207,11 @@ class TestInvariances:
     def test_monotone_in_nested_projections(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(25, 4))
-        q = rng.normal(size=4)
+        q = rng.normal(size=(1, 4))
         scores = []
         for p in (5, 10, 20, 40):
             U = generate_projections(d=4, m=1, p=p, seed=99)
-            scores.append(score(q, U, fit_rpo(X, U), "max"))
+            scores.append(score_batch(q, U, fit_rpo(X, U), "max")[0])
         assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
 
     def test_projection_permutation_invariance(self):

@@ -7,7 +7,6 @@ from rpo.projections import ProjectionSet, generate_projections, project
 from rpo.scoring import fit_rpo_projected, projected_distances, reduce_distances
 from rpo.training import (
     DeepRpoModel,
-    SadConfig,
     SvddModel,
     deep_rpo_loss,
     fit_eval_stats,
@@ -191,7 +190,7 @@ class TestDeepRpoLoss:
         base, _ = deep_rpo_loss(model, batch)
         flags = np.zeros(6, dtype=bool)
         flags[2] = True
-        flagged, _ = deep_rpo_loss(model, batch, sad=SadConfig(True, flags))
+        flagged, _ = deep_rpo_loss(model, batch, sad_flags=flags)
         s = scores[2]
         expected_delta = (1.0 / max(s, model.eps_floor) - s) / 6.0
         assert flagged - base == pytest.approx(expected_delta, rel=1e-10)
@@ -210,22 +209,23 @@ class TestDeepRpoLoss:
         )
         assert relative_error(analytic, numeric) < 1e-4
 
+    def test_sad_flags_shape_checked(self):
+        enc = Encoder([np.eye(2)])
+        model = DeepRpoModel(enc, generate_projections(d=2, m=1, p=3, seed=5))
+        with pytest.raises(ValueError, match="SAD flags shape"):
+            deep_rpo_loss(model, np.ones((4, 2)), sad_flags=np.zeros(3, dtype=bool))
+
     def test_gradient_with_sad_matches_finite_differences(self):
         flags = np.zeros(6, dtype=bool)
         flags[1] = flags[4] = True
         model, batch, stats = _fd_safe_instance(seed=88, estimator="mean", sad_flags=flags)
-        sad = SadConfig(True, flags)
-        _, analytic = deep_rpo_loss(model, batch, sad=sad)
+        _, analytic = deep_rpo_loss(model, batch, sad_flags=flags)
         numeric = fd_gradients(
             model.encoder,
-            lambda: deep_rpo_loss(model, batch, sad=sad, stats=stats)[0],
+            lambda: deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)[0],
             step=1e-6,
         )
         assert relative_error(analytic, numeric) < 1e-4
-
-    def test_sad_disabled_with_flags_rejected(self):
-        with pytest.raises(ValueError):
-            SadConfig(False, np.array([True, False]))
 
 
 class TestTrain:
