@@ -8,17 +8,14 @@ data products go to files (report prints its table to stdout). Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import data as datamod
 from .config import load_config
-from .errors import EXIT_USAGE, HANDLED, ConfigError, DataError, classify
+from .errors import EXIT_USAGE, HANDLED, ConfigError, classify
 from .evaluation import run_experiment, sweep
 from .model_io import load_model_checkpoint
 from .reporting import (
@@ -124,35 +121,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
-    try:
-        fh = open(args.input, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open input {args.input}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows, line_nos = [], []
-        if header is not None:
-            drop = header.index("class") if "class" in header else None
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{args.input}:{line_no}: expected {len(header)} values, got {len(row)}"
-                    )
-                if drop is not None:
-                    del row[drop]
-                try:
-                    rows.append(list(map(float, row)))
-                except ValueError as exc:
-                    raise DataError(f"{args.input}:{line_no}: {exc}") from exc
-                line_nos.append(line_no)
-    X = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, model.input_dim))
-    # float() accepts "nan" and "inf", which would score as nan
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{args.input}:{line_nos[int(np.argmin(finite))]}: non-finite value")
+    X, _, _ = datamod.read_features(args.input, "class")
     scores = model.score_rows(X)
     depths = depth(scores)
     _ensure_parent(args.output)

@@ -187,6 +187,57 @@ def generate_multimodal(
     return _dataset(X, class_id, label, split, np.zeros(len(X), dtype=bool))
 
 
+def csv_rows(path):
+    """The header, then ``(line_no, fields)`` of each non-blank row.
+
+    Every CSV the CLI reads comes through here: UTF-8, blank lines skipped,
+    and a row whose width differs from the header's fails naming its line.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise DataError(f"{path}:1: no header line")
+        yield header
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{line_no}: expected {len(header)} values, got {len(row)}")
+            yield line_no, row
+
+
+def read_features(path, label_column: str):
+    """Feature matrix, ``label_column`` field per row (None if absent), line numbers.
+
+    Every column except ``label_column`` must hold a finite number; the
+    first value that does not names its line.
+    """
+    rows = csv_rows(path)
+    header = next(rows)
+    drop = header.index(label_column) if label_column in header else None
+    features, labels, line_nos = [], [], []
+    for line_no, row in rows:
+        if drop is not None:
+            labels.append(row.pop(drop))
+        try:
+            features.append(list(map(float, row)))
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
+        line_nos.append(line_no)
+    width = len(header) - (drop is not None)
+    X = np.asarray(features, dtype=np.float64).reshape(len(features), width)
+    # float() accepts "nan" and "inf"
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{line_nos[int(np.argmin(finite))]}: non-finite value")
+    return X, (labels if drop is not None else None), line_nos
+
+
 def load_csv(path, label_column: str = "class", normal_class_ids=(0,)) -> Dataset:
     """Read a feature CSV with an integer class column; features stay raw.
 
@@ -195,40 +246,24 @@ def load_csv(path, label_column: str = "class", normal_class_ids=(0,)) -> Datase
     Standardize after splitting, not here.
     """
     normal_ids = set(int(c) for c in normal_class_ids)
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open dataset {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"empty dataset file {path}")
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} missing from {path}")
-        label_idx = header.index(label_column)
-        feature_idx = [i for i in range(len(header)) if i != label_idx]
-        rows, classes = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(row[i]) for i in feature_idx])
-                classes.append(int(float(row[label_idx])))
-            except (ValueError, OverflowError) as exc:  # OverflowError: int(inf)
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
-    if not rows:
+    X, labels, line_nos = read_features(path, label_column)
+    if labels is None:
+        raise DataError(f"label column {label_column!r} missing from {path}")
+    if not line_nos:
         raise DataError(f"no data rows in {path}")
+    classes = []
+    for value, line_no in zip(labels, line_nos):
+        try:
+            cid = float(value)
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
+        if not cid.is_integer():
+            raise DataError(f"{path}:{line_no}: class {value!r} is not an integer")
+        classes.append(int(cid))
     class_id = np.asarray(classes, dtype=np.int64)
-    present = set(int(c) for c in np.unique(class_id))
-    missing = normal_ids - present
+    missing = normal_ids - set(classes)
     if missing:
         raise DataError(f"unknown class id(s) {sorted(missing)} not present in {path}")
-    X = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise DataError(f"non-finite feature values in {path}")
     label = np.where(np.isin(class_id, sorted(normal_ids)), NORMAL, ANOMALY)
     split = np.where(label == NORMAL, TRAIN, TEST).astype("U5")
     return _dataset(X, class_id, label, split, np.zeros(len(X), dtype=bool))
@@ -390,20 +425,27 @@ def affine_transform(data: Dataset, spec: AffineSpec) -> Dataset:
     return replace(data, X=X)
 
 
-def save_csv(data: Dataset, path) -> None:
-    """Feature columns f0..f{d-1} then the integer ``class`` column."""
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: a float as its repr, ``None`` as an empty field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(data.dim)] + ["class"])
-        for row, cid in zip(data.X, data.class_id):
-            writer.writerow([repr(float(v)) for v in row] + [int(cid)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_csv(data: Dataset, path) -> None:
+    """Feature columns f0..f{d-1} then the integer ``class`` column."""
+    write_csv(
+        path,
+        [f"f{i}" for i in range(data.dim)] + ["class"],
+        (row.tolist() + [cid] for row, cid in zip(data.X, data.class_id.tolist())),
+    )
 
 
 def save_manifest(data: Dataset, path) -> None:
     """Split manifest: row_index, split, sad_flag."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_index", "split", "sad_flag"])
-        for i in range(data.n):
-            writer.writerow([i, data.split[i], int(data.sad_flag[i])])
-
+    write_csv(
+        path,
+        ["row_index", "split", "sad_flag"],
+        zip(range(data.n), data.split.tolist(), data.sad_flag.astype(np.int64).tolist()),
+    )

@@ -320,14 +320,12 @@ def aggregate(results: list[SeedResult]) -> tuple[float, float]:
 
 @dataclass
 class SweepRow:
-    axis: str
     value: str
     mean_auc: float
     std_auc: float
     n_seeds: int
     gap_mean: float | None = None  # alpha axis: paired mean AUC gap vs alpha=1.0
     gap_std: float | None = None
-    results: list[SeedResult] = field(default_factory=list)
 
 
 def _as_dropout(value) -> DropoutSpec:
@@ -409,14 +407,12 @@ def sweep(
             gap_mean, gap_std = mean_std(gaps)
         rows.append(
             SweepRow(
-                axis=axis,
                 value=vstr,
                 mean_auc=mean,
                 std_auc=std,
                 n_seeds=len(results),
                 gap_mean=gap_mean,
                 gap_std=gap_std,
-                results=results,
             )
         )
     return rows

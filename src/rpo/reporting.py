@@ -7,9 +7,10 @@ is where AUCs become percentages truncated (not rounded) to two decimals.
 
 from __future__ import annotations
 
-import csv
+import math
 from collections import defaultdict
 
+from .data import csv_rows, write_csv
 from .errors import DataError
 from .evaluation import ExperimentSpec, SeedResult, SweepRow, aggregate
 from .metrics import mean_std, truncate
@@ -18,47 +19,20 @@ RESULTS_HEADER = ["method", "dataset", "k_modes", "seed", "best_epoch", "val_auc
 AGGREGATE_HEADER = ["method", "axis_value", "mean_auc", "std_auc", "n_seeds", "gap_mean", "gap_std"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_results_csv(path, entries: list[tuple[ExperimentSpec, list[SeedResult]]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for spec, results in entries:
-            for r in results:
-                writer.writerow(
-                    [
-                        spec.method,
-                        spec.source,
-                        spec.k_modes,
-                        r.seed,
-                        r.best_epoch,
-                        _fmt(r.val_auc),
-                        _fmt(r.test_auc),
-                    ]
-                )
+    write_csv(
+        path,
+        RESULTS_HEADER,
+        (
+            [spec.method, spec.source, spec.k_modes, r.seed, r.best_epoch, r.val_auc, r.test_auc]
+            for spec, results in entries
+            for r in results
+        ),
+    )
 
 
 def write_aggregate_csv(path, rows: list[tuple[str, str, float, float, int, float | None, float | None]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_HEADER)
-        for method, axis_value, mean, std, n, gap_mean, gap_std in rows:
-            writer.writerow(
-                [
-                    method,
-                    axis_value,
-                    _fmt(mean),
-                    _fmt(std),
-                    n,
-                    "" if gap_mean is None else _fmt(gap_mean),
-                    "" if gap_std is None else _fmt(gap_std),
-                ]
-            )
+    write_csv(path, AGGREGATE_HEADER, rows)
 
 
 def aggregate_rows_for_methods(
@@ -79,38 +53,27 @@ def aggregate_rows_for_sweep(method: str, sweep_rows: list[SweepRow]) -> list[tu
 
 
 def write_history_csv(path, history) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_auc"])
-        for record in history:
-            writer.writerow([record.epoch, _fmt(record.train_loss), _fmt(record.val_auc)])
+    write_csv(
+        path,
+        ["epoch", "train_loss", "val_auc"],
+        ((r.epoch, r.train_loss, r.val_auc) for r in history),
+    )
 
 
 def render_report(results_path) -> str:
     """Aggregate a results CSV into the truncated-percentage table."""
     by_method: dict[tuple[str, str, str], list[float]] = defaultdict(list)
-    try:
-        fh = open(results_path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read results {results_path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULTS_HEADER:
-            raise DataError(f"unexpected results header in {results_path}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(RESULTS_HEADER):
-                raise DataError(
-                    f"{results_path}:{line_no}: expected {len(RESULTS_HEADER)} values, "
-                    f"got {len(row)}"
-                )
-            try:
-                test_auc = float(row[6])
-            except ValueError as exc:
-                raise DataError(f"{results_path}:{line_no}: {exc}") from exc
-            by_method[(row[0], row[1], row[2])].append(test_auc)
+    rows = csv_rows(results_path)
+    if next(rows) != RESULTS_HEADER:
+        raise DataError(f"unexpected results header in {results_path}")
+    for line_no, row in rows:
+        try:
+            test_auc = float(row[6])
+        except ValueError as exc:
+            raise DataError(f"{results_path}:{line_no}: {exc}") from exc
+        if not math.isfinite(test_auc):
+            raise DataError(f"{results_path}:{line_no}: non-finite value")
+        by_method[(row[0], row[1], row[2])].append(test_auc)
     if not by_method:
         raise DataError(f"no result rows in {results_path}")
     lines = [f"{'method':<16} {'dataset':<24} {'modes':>5} {'seeds':>5} {'test AUC':>16}"]

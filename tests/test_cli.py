@@ -8,7 +8,8 @@ import yaml
 from rpo import evaluation
 from rpo.cli import main
 from rpo.config import load_config, parse_config
-from rpo.errors import ConfigError, NumericError
+from rpo.data import load_csv
+from rpo.errors import ConfigError, DataError, NumericError
 from rpo.model_io import load_model_checkpoint
 from rpo.scoring import depth
 
@@ -77,8 +78,6 @@ class TestConfig:
     def test_missing_dataset_file(self, tmp_path):
         path = tmp_path / "c.yaml"
         write_config(path, dataset={"source": "nowhere.csv", "k_modes": 0})
-        from rpo.errors import DataError
-
         with pytest.raises(DataError, match="not found"):
             load_config(path)
 
@@ -100,7 +99,6 @@ class TestGenData:
         )
         assert code == 0
         assert (out / "data.csv").exists() and (out / "manifest.csv").exists()
-        from rpo.data import load_csv
         from test_data import apply_manifest
 
         loaded = apply_manifest(
@@ -431,7 +429,9 @@ class TestReport:
     @pytest.mark.parametrize(
         "bad_row, problem",
         [("rpo-max,synthetic,2,1,-1,0.9", "expected 7 values, got 6"),
-         ("rpo-max,synthetic,2,1,-1,0.9,high", "high")],
+         ("rpo-max,synthetic,2,1,-1,0.9,high", "high"),
+         ("rpo-max,synthetic,2,1,-1,0.9,nan", "non-finite value"),
+         ("rpo-max,synthetic,2,1,-1,0.9,inf", "non-finite value")],
     )
     def test_bad_row_exits_2_naming_the_line(self, tmp_path, caplog, bad_row, problem):
         path = tmp_path / "results.csv"
@@ -440,3 +440,92 @@ class TestReport:
         assert run_cli("report", "--results", str(path)) == 2
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any(f"{path}:4: " in e and problem in e for e in errors)
+
+
+    def test_bench_results_round_trip_through_report_when_source_holds_a_comma(self, tmp_path, capsys):
+        data_dir = tmp_path / "data,v1"
+        assert run_cli("gen-data", "--modes", "2", "--dim", "4", "--n-per-mode", "60",
+                       "--anomalies", "40", "--out-dir", str(data_dir)) == 0
+        source = str(data_dir / "data.csv")
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, seeds=[0], dataset={"source": source, "k_modes": 0},
+                     model={"n_projections": 10})
+        assert run_cli("bench", "-c", str(cfg_path)) == 0
+        results = tmp_path / "out" / "results.csv"
+        with open(results, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[1] for row in rows[1:]] == [source]
+        assert f'"{source}"' in results.read_text()
+        capsys.readouterr()
+        assert run_cli("report", "--results", str(results)) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert len(table) == 2 and table[1].startswith(f"{'rpo-max':<16} {source} ")
+
+
+# One table of malformed input, run through every CSV reader of the CLI: the
+# bad row sits on line 4, after a good row and a blank line.
+MALFORMED = {
+    "short row": (lambda good: good[:-1], "expected {n} values, got {m}"),
+    "long row": (lambda good: good + ["1"], "expected {n} values, got {m}"),
+    "non-number": (lambda good: good[:-1] + ["x5"], "x5"),
+    "nan": (lambda good: good[:-1] + ["nan"], "non-finite value"),
+    "inf": (lambda good: good[:-1] + ["inf"], "non-finite value"),
+    "no header": (None, "no header line"),
+}
+
+# each reader's header and one good row; the last column is one the reader parses
+READER_ROWS = {
+    "load_csv": (["f0", "class", "f1"], ["1.0", "0", "2.0"]),
+    "score": (["f0", "f1", "f2", "class", "f3", "f4", "f5"], ["1", "2", "3", "0", "4", "5", "6"]),
+    "report": (
+        ["method", "dataset", "k_modes", "seed", "best_epoch", "val_auc", "test_auc"],
+        ["rpo-max", "synthetic", "2", "0", "-1", "0.9", "0.8"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def rpo_max_checkpoint(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("ckpt")
+    cfg_path = tmp_path / "c.yaml"
+    write_config(cfg_path, seeds=[0], output={
+        "results": str(tmp_path / "out" / "results.csv"),
+        "aggregate": str(tmp_path / "out" / "aggregate.csv"),
+        "checkpoint_dir": str(tmp_path / "ckpt"),
+    })
+    assert run_cli("bench", "-c", str(cfg_path)) == 0
+    return tmp_path / "ckpt" / "rpo-max_seed0.npz"
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    @pytest.mark.parametrize("reader", list(READER_ROWS))
+    def test_every_reader_fails_naming_the_line(
+        self, tmp_path, caplog, capsys, rpo_max_checkpoint, reader, case
+    ):
+        header, good = READER_ROWS[reader]
+        make_bad, problem = MALFORMED[case]
+        path = tmp_path / "in.csv"
+        if make_bad is None:
+            path.write_text("")
+            where = f"{path}:1: "
+        else:
+            bad = make_bad(good)
+            path.write_text("\n".join([",".join(header), ",".join(good), "", ",".join(bad)]) + "\n")
+            where = f"{path}:4: "
+            problem = problem.format(n=len(header), m=len(bad))
+        out = tmp_path / "out.txt"
+        if reader == "load_csv":
+            with pytest.raises(DataError) as info:
+                load_csv(path)
+            errors = [str(info.value)]
+        else:
+            argv = (["score", "--checkpoint", str(rpo_max_checkpoint), "--input", str(path),
+                     "--output", str(out)] if reader == "score"
+                    else ["report", "--results", str(path), "--out", str(out)])
+            capsys.readouterr()
+            assert run_cli(*argv) == 2
+            assert capsys.readouterr().out == ""
+            assert not out.exists()
+            errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(e.startswith(where) and problem in e for e in errors), errors

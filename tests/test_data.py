@@ -294,6 +294,17 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="bad.csv:3: "):
             load_csv(path)
 
+    def test_fractional_class_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,class\n1.0,0\n2.0,0\n3.0,0.7\n4.0,1\n")
+        with pytest.raises(DataError, match="bad.csv:4: class '0.7' is not an integer"):
+            load_csv(path)
+
+    def test_integral_float_class_accepted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,class\n1.0,0.0\n2.0,1.0\n3.0,-0\n")
+        assert load_csv(path).class_id.tolist() == [0, 1, 0]
+
     def test_missing_normal_class(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,class\n1.0,0\n2.0,1\n")
