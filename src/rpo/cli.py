@@ -121,7 +121,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
-    X, _, _ = datamod.read_features(args.input, "class")
+    X, _ = datamod.read_features(args.input, "class")
     scores = model.score_rows(X)
     depths = depth(scores)
     _ensure_parent(args.output)

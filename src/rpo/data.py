@@ -17,6 +17,8 @@ which exist only after splitting.
 from __future__ import annotations
 
 import csv
+import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,11 +189,11 @@ def generate_multimodal(
     return _dataset(X, class_id, label, split, np.zeros(len(X), dtype=bool))
 
 
-def csv_rows(path):
-    """The header, then ``(line_no, fields)`` of each non-blank row.
+@contextmanager
+def _csv_reader(path):
+    """The file opened as UTF-8, a ``csv.reader`` over it, and the header.
 
-    Every CSV the CLI reads comes through here: UTF-8, blank lines skipped,
-    and a row whose width differs from the header's fails naming its line.
+    An empty file or a blank first line fails as line 1.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -202,8 +204,22 @@ def csv_rows(path):
         header = next(reader, None)
         if not header:
             raise DataError(f"{path}:1: no header line")
+        yield fh, reader, header
+
+
+def csv_rows(path):
+    """The header, then ``(line_no, fields)`` of each non-blank row.
+
+    Every CSV the CLI reads comes through here: UTF-8, blank lines skipped,
+    and a row whose width differs from the header's fails naming its line.
+    ``line_no`` is the physical line on which the row starts, so a quoted
+    field that holds a newline does not shift the lines after it.
+    """
+    with _csv_reader(path) as (_, reader, header):
         yield header
-        for line_no, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            line_no, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -211,11 +227,11 @@ def csv_rows(path):
             yield line_no, row
 
 
-def read_features(path, label_column: str):
-    """Feature matrix, ``label_column`` field per row (None if absent), line numbers.
+def _read_rows(path, label_column: str):
+    """The row loop: ``float()`` on each feature, naming the line of the first bad one.
 
-    Every column except ``label_column`` must hold a finite number; the
-    first value that does not names its line.
+    Returns the feature matrix, the ``label_column`` field of each row as a
+    string (None if the header has no such column) and each row's line.
     """
     rows = csv_rows(path)
     header = next(rows)
@@ -238,6 +254,78 @@ def read_features(path, label_column: str):
     return X, (labels if drop is not None else None), line_nos
 
 
+def _load_table(fh, width: int):
+    """Every row after the header as one float64 array, parsed in C by numpy.
+
+    None where the row loop must decide instead: a value numpy declines, a
+    row whose width differs from the header's, or no data rows at all
+    (where ``loadtxt`` would warn). numpy rounds exactly as ``float()``
+    does, and every value it accepts means the same number to ``float()``;
+    ``comments=None`` keeps ``1.0#c`` from reading as ``1.0``.
+    """
+    for first in fh:
+        if first.strip("\r\n"):
+            break
+    else:
+        return None
+    try:
+        table = np.loadtxt(
+            itertools.chain([first], fh),
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            dtype=np.float64,
+            ndmin=2,
+        )
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return table if table.shape[1] == width else None
+
+
+def _number(field: str) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        return np.nan
+
+
+def read_features(path, label_column: str):
+    """Feature matrix and the ``label_column`` values (None if absent).
+
+    Every column except ``label_column`` must hold a finite number; the
+    first value that does not names its line. A label reads as a float, or
+    as NaN where it is not a number. Values parse exactly as ``float()``
+    parses them: numpy's C reader reads the file, and a file it declines is
+    read again by the row loop, which also accepts what only ``float()``
+    does (``1_0``, non-ASCII digits, a non-numeric label) and names a bad
+    line.
+    """
+    with _csv_reader(path) as (fh, _, header):
+        drop = header.index(label_column) if label_column in header else None
+        table = _load_table(fh, len(header))
+    if table is not None:
+        X = table if drop is None else np.delete(table, drop, axis=1)
+        if np.isfinite(X).all():
+            return X, (None if drop is None else table[:, drop])
+    X, labels, _ = _read_rows(path, label_column)
+    return X, (None if labels is None else np.array([_number(v) for v in labels]))
+
+
+_INT64_END = 2.0**63  # int64 holds the integral floats in [-_INT64_END, _INT64_END)
+
+
+def _class_value(path, line_no: int, value: str) -> float:
+    try:
+        cid = float(value)
+    except ValueError as exc:
+        raise DataError(f"{path}:{line_no}: {exc}") from exc
+    if not cid.is_integer():
+        raise DataError(f"{path}:{line_no}: class {value!r} is not an integer")
+    if not -_INT64_END <= cid < _INT64_END:
+        raise DataError(f"{path}:{line_no}: class {value!r} is out of range")
+    return cid
+
+
 def load_csv(path, label_column: str = "class", normal_class_ids=(0,)) -> Dataset:
     """Read a feature CSV with an integer class column; features stay raw.
 
@@ -246,22 +334,18 @@ def load_csv(path, label_column: str = "class", normal_class_ids=(0,)) -> Datase
     Standardize after splitting, not here.
     """
     normal_ids = set(int(c) for c in normal_class_ids)
-    X, labels, line_nos = read_features(path, label_column)
-    if labels is None:
+    X, classes = read_features(path, label_column)
+    if classes is None:
         raise DataError(f"label column {label_column!r} missing from {path}")
-    if not line_nos:
+    if not len(X):
         raise DataError(f"no data rows in {path}")
-    classes = []
-    for value, line_no in zip(labels, line_nos):
-        try:
-            cid = float(value)
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-        if not cid.is_integer():
-            raise DataError(f"{path}:{line_no}: class {value!r} is not an integer")
-        classes.append(int(cid))
-    class_id = np.asarray(classes, dtype=np.int64)
-    missing = normal_ids - set(classes)
+    integral = (classes == np.trunc(classes)) & (-_INT64_END <= classes) & (classes < _INT64_END)
+    if not integral.all():
+        # the row loop keeps each class as written and its line, to name the first bad one
+        _, fields, line_nos = _read_rows(path, label_column)
+        classes = np.array([_class_value(path, n, v) for v, n in zip(fields, line_nos)])
+    class_id = classes.astype(np.int64)
+    missing = normal_ids - set(class_id.tolist())
     if missing:
         raise DataError(f"unknown class id(s) {sorted(missing)} not present in {path}")
     label = np.where(np.isin(class_id, sorted(normal_ids)), NORMAL, ANOMALY)

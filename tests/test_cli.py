@@ -361,24 +361,32 @@ class TestScore:
         assert any("expected 6" in r.message for r in caplog.records)
 
     @staticmethod
-    def _rows_with_class_column(tmp_path, n=40):
-        """Six features with a ``class`` column in the middle and blank lines."""
+    def _rows_with_class_column(tmp_path, n=40, spelling="digits"):
+        """Six features with a ``class`` column in the middle and blank lines.
+
+        ``spelling`` "words" writes the classes as normal/anomaly, and
+        "underscore" writes one feature as ``1_0``, which only ``float()`` reads.
+        """
         rng = np.random.default_rng(5)
         X = rng.normal(scale=2.0, size=(n, 6))
+        if spelling == "underscore":
+            X[2, 4] = 10.0
         lines = ["f0,f1,f2,class,f3,f4,f5"]
         for i, row in enumerate(X):
             values = [repr(float(v)) for v in row]
-            lines.append(",".join(values[:3] + [str(i % 3)] + values[3:]))
+            if spelling == "underscore" and i == 2:
+                values[4] = "1_0"
+            label = ("normal", "anomaly")[i % 2] if spelling == "words" else str(i % 3)
+            lines.append(",".join(values[:3] + [label] + values[3:]))
             if i % 7 == 0:
                 lines.append("")
         path = tmp_path / "rows.csv"
         path.write_text("\n".join(lines) + "\n")
         return path, X
 
-    @pytest.mark.parametrize("method", ["rpo-max", "deep-rpo-mean"])
-    def test_output_bytes_match_csv_writer_oracle(self, tmp_path, method):
+    def _assert_output_matches_csv_writer_oracle(self, tmp_path, method, spelling):
         ckpt = self._bench_with_checkpoints(tmp_path, method)
-        input_csv, X = self._rows_with_class_column(tmp_path)
+        input_csv, X = self._rows_with_class_column(tmp_path, spelling=spelling)
         out_csv = tmp_path / "scores.csv"
         assert run_cli("score", "--checkpoint", str(ckpt), "--input", str(input_csv),
                        "--output", str(out_csv)) == 0
@@ -388,6 +396,16 @@ class TestScore:
         for s in load_model_checkpoint(ckpt).score_rows(X):
             writer.writerow([repr(float(s)), repr(float(depth(s)))])
         assert out_csv.read_bytes() == oracle.getvalue().encode()
+
+    @pytest.mark.parametrize("method", ["rpo-max", "deep-rpo-mean"])
+    def test_output_bytes_match_csv_writer_oracle(self, tmp_path, method):
+        self._assert_output_matches_csv_writer_oracle(tmp_path, method, "digits")
+
+    @pytest.mark.parametrize("spelling", ["words", "underscore"])
+    @pytest.mark.parametrize("method", ["rpo-max", "deep-rpo-mean"])
+    def test_float_only_spellings_match_csv_writer_oracle(self, tmp_path, method, spelling):
+        """A `normal`/`anomaly` class or a `1_0` value, which numpy's C reader declines."""
+        self._assert_output_matches_csv_writer_oracle(tmp_path, method, spelling)
 
     @pytest.mark.parametrize(
         "bad_line, problem",

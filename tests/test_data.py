@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rpo import data as datamod
 from rpo.data import (
     ANOMALY,
     NORMAL,
@@ -16,6 +19,7 @@ from rpo.data import (
     generate_multimodal,
     inject_sad_labels,
     load_csv,
+    read_features,
     relabel_by_normal_classes,
     save_csv,
     save_manifest,
@@ -316,6 +320,146 @@ class TestCsvRoundTrip:
         path.write_text("f0,f1\n1.0,2.0\n")
         with pytest.raises(DataError, match="label column"):
             load_csv(path)
+
+    def test_bad_value_after_quoted_newline_names_its_line(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('f0,f1\n"1.0\n",2\n3,x\n')
+        with pytest.raises(DataError) as info:
+            read_features(path, "class")
+        assert str(info.value) == f"{path}:4: could not convert string to float: 'x'"
+
+    def test_class_beyond_int64_reports_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        lines = ["f0,class"] + [f"{i}.5,{i % 2}" for i in range(59)] + ["59.5,1e300"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:61: class '1e300' is out of range"
+
+    @pytest.mark.parametrize("value, ok", [("-9223372036854775808", True),
+                                           ("9223372036854775807", False),
+                                           ("9.2233720368547748e18", True)])
+    def test_int64_bounds(self, tmp_path, value, ok):
+        # 9223372036854775807 reads as the float 2**63, one past int64
+        path = tmp_path / "d.csv"
+        path.write_text(f"f0,class\n1.0,0\n2.0,{value}\n")
+        if ok:
+            assert load_csv(path).class_id.tolist() == [0, int(float(value))]
+        else:
+            with pytest.raises(DataError, match=f"d.csv:3: class '{value}' is out of range"):
+                load_csv(path)
+
+
+def _float_or_nan(text):
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
+
+
+# CSV text, then None where both readers accept it, else the "<line>: <message>"
+# both raise. The accepted cases cover what numpy's C reader parses; the
+# row-loop cases cover what only float() accepts.
+READER_CORPUS = {
+    "blank lines": ("f0,f1,class\n\n1,2,0\n\n\n3,4,1\n\n", None),
+    "crlf": ("f0,f1,class\r\n1,2,0\r\n3,4,1\r\n", None),
+    "cr only": ("f0,f1,class\r1,2,0\r3,4,1\r", None),
+    "quoted fields": ('f0,f1,class\n"1.5",2,"0"\n"-3" ,4,1\n', None),
+    "quoted newline": ('f0,f1,class\n"1.5\n",2,0\n3,4,1\n', None),
+    "spaces": ("f0,f1,class\n 1.5 ,  2,0\n", None),
+    "tab": ("f0,f1,class\n\t1.5,2\t,0\n", None),
+    "signs": ("f0,f1,class\n+1,-2.5e+1,0\n-0,.5,1\n", None),
+    "subnormal": ("f0,f1,class\n4.9e-324,-4.9e-324,0\n", None),
+    "55 digits": ("f0,f1,class\n0.1234567890123456789012345678901234567890123456789012345,1,0\n", None),
+    "no final newline": ("f0,f1,class\n1,2,0", None),
+    "no label column": ("f0,f1\n1,2\n3,4\n", None),
+    "label first": ("class,f0,f1\n0,1,2\n1,3,4\n", None),
+    "non-finite labels": ("f0,f1,class\n1,2,nan\n3,4,Infinity\n", None),
+    "header only": ("f0,f1,class\n", None),
+    "header and blank lines": ("f0,f1,class\n\n\r\n", None),
+    "underscore digits": ("f0,f1,class\n1_0,2,0\n", None),
+    "arabic-indic digit": ("f0,f1,class\n\u0661,2,0\n", None),
+    "string labels": ("f0,f1,class\n1,2,normal\n3,4,anomaly\n", None),
+    "long row": ("f0,f1,class\n1,2,0\n1,2,0,4\n", "3: expected 3 values, got 4"),
+    "short row": ("f0,f1,class\n1,2,0\n1,2\n", "3: expected 3 values, got 2"),
+    "short rows only": ("f0,f1,class\n1,2\n3,4\n", "2: expected 3 values, got 2"),
+    "whitespace line": ("f0,f1,class\n1,2,0\n  \n", "3: expected 3 values, got 1"),
+    "comment marker": ("f0,f1,class\n1.0#c,2,0\n", "2: could not convert string to float: '1.0#c'"),
+    "empty field": ("f0,f1,class\n1,,0\n", "2: could not convert string to float: ''"),
+    "1e400": ("f0,f1,class\n1,2,0\n1e400,2,0\n", "3: non-finite value"),
+    "nan": ("f0,f1,class\n1,2,0\n\n1,nan,0\n", "4: non-finite value"),
+    "-Infinity": ("f0,f1,class\n-Infinity,2,0\n", "2: non-finite value"),
+    "bad width after a quoted newline": ('f0,f1\n"1.0\n",2\n\n3\n', "5: expected 2 values, got 1"),
+}
+
+
+class TestReadFeatures:
+    @staticmethod
+    def _agree(path):
+        """read_features and the row loop give the same bytes or the same error."""
+        try:
+            X_ref, fields, _ = datamod._read_rows(path, "class")
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                read_features(path, "class")
+            assert str(info.value) == str(exc)
+            return str(exc)
+        X, labels = read_features(path, "class")
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+        if fields is None:
+            assert labels is None
+        else:
+            np.testing.assert_array_equal(labels, [_float_or_nan(v) for v in fields])
+        return None
+
+    @pytest.mark.parametrize("case", list(READER_CORPUS))
+    def test_c_reader_agrees_with_row_loop(self, tmp_path, case):
+        text, error = READER_CORPUS[case]
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert self._agree(path) == (None if error is None else f"{path}:{error}")
+
+    # mostly numbers in rows of the header's width, so that most files reach
+    # numpy's C reader and some of them hold a value only float() accepts
+    _field = st.one_of(
+        st.floats().map(repr),
+        st.integers().map(str),
+        st.sampled_from(['"1"', ' 2 ', '"3\n"', '+.5', '-0', '1_0', '1e400', 'nan', '', 'x']),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(_field, min_size=3, max_size=3),
+                st.lists(_field, min_size=3, max_size=3),
+                st.lists(_field, min_size=3, max_size=3),
+                st.lists(st.text(alphabet='0123456789.e+-_ "nafI#\t\u0661', max_size=6),
+                         min_size=2, max_size=4),
+                st.just([]),
+            ).map(",".join),
+            max_size=6,
+        ),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_fuzzed_rows_agree_with_row_loop(self, tmp_path_factory, rows, newline):
+        path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+        path.write_bytes(newline.join(["f0,class,f1"] + rows).encode("utf-8"))
+        self._agree(path)
+
+    def test_clean_file_skips_the_row_loop(self, tmp_path, monkeypatch):
+        ds = generate_multimodal(2, 4, 30, 20, seed=17)
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+
+        def row_loop(*args):
+            raise AssertionError("row loop ran on a file numpy's C reader parses")
+
+        monkeypatch.setattr(datamod, "_read_rows", row_loop)
+        X, labels = read_features(path, "class")
+        assert X.tobytes() == ds.X.tobytes()
+        assert labels.tolist() == ds.class_id.tolist()
 
 
 class TestRelabel:
