@@ -85,14 +85,14 @@ class AffineSpec:
 
     ``constant`` multiplies every component by ``alpha``; ``uniform_range``
     and ``standard_normal`` multiply by a random diagonal drawn once from
-    the given seed.
+    the seed passed to ``affine_transform`` (a run passes its own ``affine``
+    sub-seed).
     """
 
     mode: str = "constant"
     alpha: float = 1.0
     low: float = 0.9
     high: float = 1.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("constant", "uniform_range", "standard_normal"):
@@ -193,18 +193,41 @@ def generate_multimodal(
 def _csv_reader(path):
     """The file opened as UTF-8, a ``csv.reader`` over it, and the header.
 
-    An empty file or a blank first line fails as line 1.
+    An empty file or a blank first line fails as line 1, and a byte that is
+    not UTF-8, read here or in the caller's block, fails naming its line.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise DataError(f"{path}:1: no header line")
-        yield fh, reader, header
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header:
+                raise DataError(f"{path}:1: no header line")
+            yield fh, reader, header
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
+
+
+def _not_utf8(path) -> DataError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte.
+
+    The text layer decodes in chunks, so the decode error does not tell the
+    line; the bytes are scanned again, counting CR, LF and CRLF as one line
+    end each, as the ``csv`` reader over a ``newline=""`` file does.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        byte = raw[exc.start]
+        return DataError(f"{path}:{line_no}: not UTF-8: {exc.reason} (byte 0x{byte:02x})")
+    return DataError(f"{path}: not UTF-8")
 
 
 def csv_rows(path):
@@ -493,14 +516,17 @@ def inject_sad_labels(
     return replace(data, split=new_split, sad_flag=new_sad)
 
 
-def affine_transform(data: Dataset, spec: AffineSpec) -> Dataset:
-    """Scale held-out (val/test) features by a diagonal map; train untouched."""
+def affine_transform(data: Dataset, spec: AffineSpec, seed: int) -> Dataset:
+    """Scale held-out (val/test) features by a diagonal map; train untouched.
+
+    A random diagonal is drawn from ``seed``; ``constant`` mode draws nothing.
+    """
     X = data.X.copy()
     held_out = data.split != TRAIN
     if spec.mode == "constant":
         X[held_out] *= spec.alpha
     else:
-        rng = sub_rng(spec.seed, "affine")
+        rng = sub_rng(seed, "affine")
         if spec.mode == "uniform_range":
             diag = rng.uniform(spec.low, spec.high, size=data.dim)
         else:

@@ -1,8 +1,9 @@
 """Multi-seed experiment execution, sweeps, and result aggregation.
 
 One run seed drives every stochastic choice of a seed's pipeline (data
-generation or class pick, splits, projection draw, weight init, batch
-shuffling) through namespaced sub-seeds, so reruns of the same spec are
+generation or class pick, splits, projection draw, dropout mask, weight
+init, batch shuffling, affine diagonal) through namespaced sub-seeds, so
+no spec field holds a seed of its own, and reruns of the same spec are
 reproducible down to the byte in the emitted CSVs.
 
 Per-seed pipeline: assemble dataset -> split -> standardize -> optional
@@ -13,6 +14,7 @@ post-training affine perturbation to the held-out rows -> test AUC.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -111,12 +113,34 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("seed list must be nonempty")
     if not spec.normal_class_ids:
         raise ConfigError("normal_class_ids must be nonempty")
+    if not 0.0 <= spec.sad_ratio < 0.5:
+        raise ConfigError(f"protocol.sad_ratio must lie in [0, 0.5), got {spec.sad_ratio}")
     if spec.sad_ratio > 0.0 and not spec.method.startswith("deep-rpo"):
         raise ConfigError("sad_ratio requires a deep-rpo method")
-    if spec.is_deep and spec.epochs < 1:
-        raise ConfigError("deep methods need epochs >= 1")
-    if spec.source == SYNTHETIC and spec.k_modes < 1:
-        raise ConfigError("synthetic source needs k_modes >= 1")
+    if spec.sad_ratio > 0.0 and spec.sad_classes < 1:
+        raise ConfigError(f"protocol.sad_classes must be >= 1, got {spec.sad_classes}")
+    if spec.is_deep:
+        if spec.epochs < 1:
+            raise ConfigError("deep methods need epochs >= 1")
+        if spec.latent_dim < 1:
+            raise ConfigError(f"model.latent_dim must be >= 1, got {spec.latent_dim}")
+        if any(h < 1 for h in spec.hidden_dims):
+            raise ConfigError(f"model.hidden_dims must all be >= 1, got {list(spec.hidden_dims)}")
+        if not 0.0 < spec.learning_rate < math.inf:
+            raise ConfigError(
+                f"training.learning_rate must be finite and > 0, got {spec.learning_rate}"
+            )
+        if not 0.0 <= spec.weight_decay < math.inf:
+            raise ConfigError(
+                f"training.weight_decay must be finite and >= 0, got {spec.weight_decay}"
+            )
+    if spec.source == SYNTHETIC:
+        if spec.k_modes < 1:
+            raise ConfigError("synthetic source needs k_modes >= 1")
+        if spec.n_per_mode < 1:
+            raise ConfigError(f"dataset.n_per_mode must be >= 1, got {spec.n_per_mode}")
+        if spec.anomaly_n < 0:
+            raise ConfigError(f"dataset.anomaly_n must be >= 0, got {spec.anomaly_n}")
     if not 0.0 < spec.val_fraction < 1.0:
         raise ConfigError(f"val_fraction must lie in (0, 1), got {spec.val_fraction}")
     if not 0.0 <= spec.test_fraction < 1.0:
@@ -133,8 +157,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         )
     if spec.dim < 1:
         raise ConfigError(f"dataset.dim must be >= 1, got {spec.dim}")
-    if not spec.eps_floor > 0.0:
-        raise ConfigError(f"training.eps_floor must be > 0, got {spec.eps_floor}")
+    if not 0.0 < spec.eps_floor < math.inf:
+        raise ConfigError(f"training.eps_floor must be finite and > 0, got {spec.eps_floor}")
     if spec.stats_mode not in STATS_MODES:
         raise ConfigError(
             f"training.stats_mode must be one of {STATS_MODES}, got {spec.stats_mode!r}"
@@ -197,17 +221,14 @@ def _build_projections(spec: ExperimentSpec, space_dim: int, seed: int):
         space_dim, spec.rp_dim, spec.resolved_projections, sub_seed(seed, "projections")
     )
     if spec.dropout is not None:
-        U = apply_dropout(U, replace(spec.dropout, seed=sub_seed(seed, "dropout")))
+        U = apply_dropout(U, spec.dropout, sub_seed(seed, "dropout"))
     return U
 
 
 def _perturbed_eval_data(spec: ExperimentSpec, ds: Dataset, seed: int) -> Dataset:
     if spec.affine is None:
         return ds
-    affine = spec.affine
-    if affine.mode != "constant":
-        affine = replace(affine, seed=sub_seed(seed, "affine"))
-    return datamod.affine_transform(ds, affine)
+    return datamod.affine_transform(ds, spec.affine, sub_seed(seed, "affine"))
 
 
 def run_single_seed(spec: ExperimentSpec, seed: int, checkpoint_dir=None) -> SeedResult:
@@ -383,7 +404,6 @@ def sweep(
     per_value: list[tuple[str, list[SeedResult]]] = []
     for value in values:
         spec = spec_for_axis_value(base, axis, value)
-        validate_spec(spec)
         per_value.append(
             (_axis_value_str(axis, value), run_experiment(spec, workers=workers, progress=progress))
         )

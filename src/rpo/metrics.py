@@ -47,16 +47,15 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def mean_std(values, ddof: int = 1) -> tuple[float, float]:
+def mean_std(values) -> tuple[float, float]:
     """Sample mean and standard deviation (ddof=1; 0.0 for a single value)."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot aggregate zero values")
-    std = float(np.std(v, ddof=ddof)) if v.size > ddof else 0.0
+    std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
     return float(np.mean(v)), std
 
 
-def truncate(value: float, decimals: int = 2) -> float:
-    """Truncate (not round) toward zero; for report tables only."""
-    scale = 10.0**decimals
-    return np.trunc(value * scale) / scale
+def truncate(value: float) -> float:
+    """Truncate (not round) toward zero to two decimals; for report tables only."""
+    return np.trunc(value * 100.0) / 100.0

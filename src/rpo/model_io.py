@@ -11,6 +11,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,14 +98,15 @@ def save_model_checkpoint(path, model: ScoringModel) -> None:
 
 def load_model_checkpoint(path) -> ScoringModel:
     try:
-        archive = np.load(path)
-    except (OSError, ValueError) as exc:  # ValueError: not an npy/npz file
-        raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
-    with archive as data:
-        try:
+        # np.load leaves a file it opened itself open when the archive is damaged
+        with open(path, "rb") as fh, np.load(fh) as data:
             return _unpack(data)
-        except KeyError as exc:  # a member the format requires is missing
-            raise DataError(f"checkpoint {path} lacks {exc}") from exc
+    except KeyError as exc:  # a member the format requires is missing
+        raise DataError(f"checkpoint {path} lacks {exc}") from exc
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # ValueError: not an npy/npz file; EOFError: an empty file;
+        # BadZipFile: a truncated archive, or a member that fails its CRC
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
 def _unpack(data) -> ScoringModel:

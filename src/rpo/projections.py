@@ -10,7 +10,9 @@ Two dropout flavors exist. Projections dropout removes whole maps along the
 p-channel; components dropout zeroes the same input dimensions in every
 retained map (one selection along the d-channel), after which vectors are
 re-normalized when ``m = 1``. Both use floor counts, so tiny rate*count is
-a no-op. A dropout mask is drawn once and stays fixed for the whole run.
+a no-op. A dropout mask is drawn once, from the stream seed the caller
+passes (a run passes its own ``dropout`` sub-seed), and stays fixed for the
+whole run.
 A set is persisted only as part of a scoring checkpoint (``model_io``).
 
 ``project`` is one matmul for m = 1. For m > 1 it hands einsum a (d, p, m)
@@ -77,7 +79,6 @@ class DropoutSpec:
 
     components_rate: float = 0.0
     projections_rate: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("components_rate", "projections_rate"):
@@ -121,8 +122,10 @@ def project(X: np.ndarray, U: ProjectionSet) -> np.ndarray:
     return np.einsum("nd,dpm->npm", X, U.entries.transpose(1, 0, 2).copy())
 
 
-def apply_dropout(U: ProjectionSet, spec: DropoutSpec) -> ProjectionSet:
+def apply_dropout(U: ProjectionSet, spec: DropoutSpec, seed: int) -> ProjectionSet:
     """Apply projections then components dropout, re-normalizing when m = 1.
+
+    The dropped maps and dimensions are drawn from ``seed``.
 
     Raises ``DataError("degenerate dropout")`` if no projection would remain
     or some retained vector would become all-zero.
@@ -134,7 +137,7 @@ def apply_dropout(U: ProjectionSet, spec: DropoutSpec) -> ProjectionSet:
     if U.p - n_proj_drop < 1:
         raise DataError("degenerate dropout")
 
-    rng = sub_rng(spec.seed, "dropout")
+    rng = sub_rng(seed, "dropout")
     keep = np.ones(U.p, dtype=bool)
     if n_proj_drop > 0:
         keep[rng.choice(U.p, size=n_proj_drop, replace=False)] = False

@@ -43,7 +43,6 @@ from .scoring import (
     projected_distances,
     reduce_distances,
     score_batch,
-    validate_estimator,
 )
 from .seeding import sub_rng
 
@@ -82,14 +81,11 @@ class DeepRpoModel:
     eps_floor: float = DEFAULT_EPS_FLOOR
 
     def __post_init__(self):
-        validate_estimator(self.estimator)
+        # ``reduce_distances`` and ``project`` check the estimator and the
+        # projection width where they are first used; ``train`` reads
+        # ``stats_mode`` unchecked, so it is checked here
         if self.stats_mode not in STATS_MODES:
             raise ValueError(f"stats_mode must be one of {STATS_MODES}, got {self.stats_mode!r}")
-        if self.projections.d != self.encoder.latent_dim:
-            raise ValueError(
-                f"projections expect d={self.projections.d} but encoder latent dim "
-                f"is {self.encoder.latent_dim}"
-            )
 
 
 def init_center(enc: Encoder, X_train: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import csv
 import io
+import pathlib
+import zipfile
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from rpo.data import load_csv
 from rpo.errors import ConfigError, DataError, NumericError
 from rpo.model_io import load_model_checkpoint
 from rpo.scoring import depth
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_cli(*argv):
@@ -88,6 +92,11 @@ class TestConfig:
     def test_method_and_methods_conflict(self):
         with pytest.raises(ConfigError):
             parse_config({"method": "rpo-max", "methods": ["rpo-max"]})
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_every_shipped_config_parses(self, path):
+        cfg = parse_config(yaml.safe_load(path.read_text()), config_dir=str(path.parent))
+        assert cfg.methods
 
 
 class TestGenData:
@@ -202,6 +211,22 @@ class TestBench:
             ({"dataset": {"dim": 0}}, "dataset.dim"),
             ({"training": {"eps_floor": 0}}, "training.eps_floor"),
             ({"training": {"stats_mode": "full"}}, "training.stats_mode"),
+            ({"model": {"dropout": {"components_rate": 0.1, "seed": 5}}}, "model.dropout.seed"),
+            ({"protocol": {"affine": {"mode": "uniform_range", "seed": 5}}},
+             "protocol.affine.seed"),
+            ({"method": "deep-rpo-mean", "protocol": {"sad_ratio": 0.7}}, "protocol.sad_ratio"),
+            ({"method": "deep-rpo-mean", "protocol": {"sad_ratio": -0.1}}, "protocol.sad_ratio"),
+            ({"method": "deep-rpo-mean", "protocol": {"sad_ratio": 0.1, "sad_classes": 0}},
+             "protocol.sad_classes"),
+            ({"method": "deep-rpo-mean", "model": {"hidden_dims": [0]}}, "model.hidden_dims"),
+            ({"method": "deep-svdd", "model": {"latent_dim": 0}}, "model.latent_dim"),
+            ({"dataset": {"n_per_mode": 0}}, "dataset.n_per_mode"),
+            ({"dataset": {"anomaly_n": -1}}, "dataset.anomaly_n"),
+            ({"training": {"eps_floor": float("inf")}}, "training.eps_floor"),
+            ({"method": "deep-rpo-mean", "training": {"learning_rate": -1.0}},
+             "training.learning_rate"),
+            ({"method": "deep-rpo-mean", "training": {"weight_decay": -1.0}},
+             "training.weight_decay"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, tmp_path, caplog, overrides, named):
@@ -488,6 +513,8 @@ MALFORMED = {
     "non-number": (lambda good: good[:-1] + ["x5"], "x5"),
     "nan": (lambda good: good[:-1] + ["nan"], "non-finite value"),
     "inf": (lambda good: good[:-1] + ["inf"], "non-finite value"),
+    # written as the byte 0xff (see the surrogateescape encoding below)
+    "non-UTF-8": (lambda good: good[:-1] + ["\udcff5"], "not UTF-8"),
     "no header": (None, "no header line"),
 }
 
@@ -529,7 +556,8 @@ class TestMalformedCsv:
             where = f"{path}:1: "
         else:
             bad = make_bad(good)
-            path.write_text("\n".join([",".join(header), ",".join(good), "", ",".join(bad)]) + "\n")
+            text = "\n".join([",".join(header), ",".join(good), "", ",".join(bad)]) + "\n"
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
             where = f"{path}:4: "
             problem = problem.format(n=len(header), m=len(bad))
         out = tmp_path / "out.txt"
@@ -547,3 +575,64 @@ class TestMalformedCsv:
             assert not out.exists()
             errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any(e.startswith(where) and problem in e for e in errors), errors
+
+    @pytest.mark.parametrize("reader", list(READER_ROWS))
+    def test_non_utf8_byte_far_into_a_large_file_names_its_line(
+        self, tmp_path, caplog, rpo_max_checkpoint, reader
+    ):
+        # past the text layer's first 8 KB chunk, with CRLF and CR line ends before it
+        header, good = READER_ROWS[reader]
+        rows = [",".join(header).encode()] + [",".join(good).encode()] * 3000
+        bad = ",".join(good[:-1] + ["\udcfe1"]).encode("utf-8", "surrogateescape")
+        path = tmp_path / "big.csv"
+        path.write_bytes(b"\r\n".join(rows) + b"\r\r" + bad + b"\n")
+        assert path.stat().st_size > 3 * 8192
+        where = f"{path}:3003: "
+        if reader == "load_csv":
+            with pytest.raises(DataError) as info:
+                load_csv(path)
+            errors = [str(info.value)]
+        else:
+            out = tmp_path / "out.txt"
+            argv = (["score", "--checkpoint", str(rpo_max_checkpoint), "--input", str(path),
+                     "--output", str(out)] if reader == "score"
+                    else ["report", "--results", str(path), "--out", str(out)])
+            assert run_cli(*argv) == 2
+            assert not out.exists()
+            errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(e.startswith(where) and "not UTF-8" in e for e in errors), errors
+
+
+def _flip_a_byte_of_member(raw: bytes, path, member: str) -> bytes:
+    """``raw`` with one byte flipped in the middle of ``member``'s stored data."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    start = info.header_offset + 30 + len(info.filename.encode()) + len(info.extra)
+    damaged = bytearray(raw)
+    damaged[start + info.compress_size // 2] ^= 0xFF
+    return bytes(damaged)
+
+
+DAMAGED_CHECKPOINTS = {
+    "empty": lambda raw, path: b"",
+    "first half": lambda raw, path: raw[: len(raw) // 2],
+    "last 30 bytes cut": lambda raw, path: raw[:-30],
+    "flipped byte": lambda raw, path: _flip_a_byte_of_member(raw, path, "proj_entries.npy"),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGED_CHECKPOINTS))
+def test_damaged_checkpoint_exits_2_naming_the_file(tmp_path, caplog, rpo_max_checkpoint, damage):
+    raw = rpo_max_checkpoint.read_bytes()
+    ckpt = tmp_path / "damaged.npz"
+    ckpt.write_bytes(DAMAGED_CHECKPOINTS[damage](raw, rpo_max_checkpoint))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1,f2,f3,f4,f5\n1,2,3,4,5,6\n")
+    out = tmp_path / "scores.csv"
+    assert run_cli("score", "--checkpoint", str(ckpt), "--input", str(rows),
+                   "--output", str(out)) == 2
+    assert not out.exists()
+    errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert any(f"checkpoint {ckpt}: " in e for e in errors), errors
+    with pytest.raises(DataError, match="cannot read checkpoint"):
+        load_model_checkpoint(ckpt)

@@ -228,26 +228,26 @@ class TestAffine:
 
     def test_identity_alpha(self):
         ds = self._ds()
-        out = affine_transform(ds, AffineSpec(mode="constant", alpha=1.0))
+        out = affine_transform(ds, AffineSpec(mode="constant", alpha=1.0), 0)
         assert np.array_equal(out.X, ds.X)
 
     def test_constant_scales_held_out_only(self):
         ds = self._ds()
-        out = affine_transform(ds, AffineSpec(mode="constant", alpha=0.8))
+        out = affine_transform(ds, AffineSpec(mode="constant", alpha=0.8), 0)
         train_mask = ds.split == TRAIN
         assert np.array_equal(out.X[train_mask], ds.X[train_mask])
         assert np.allclose(out.X[~train_mask], 0.8 * ds.X[~train_mask])
 
     def test_random_diagonal_deterministic(self):
         ds = self._ds()
-        spec = AffineSpec(mode="uniform_range", low=0.9, high=1.1, seed=5)
-        a = affine_transform(ds, spec)
-        b = affine_transform(ds, spec)
+        spec = AffineSpec(mode="uniform_range", low=0.9, high=1.1)
+        a = affine_transform(ds, spec, 5)
+        b = affine_transform(ds, spec, 5)
         assert np.array_equal(a.X, b.X)
 
     def test_standard_normal_mode(self):
         ds = self._ds()
-        out = affine_transform(ds, AffineSpec(mode="standard_normal", seed=3))
+        out = affine_transform(ds, AffineSpec(mode="standard_normal"), 3)
         assert out.X.shape == ds.X.shape
 
     def test_zero_alpha_rejected(self):

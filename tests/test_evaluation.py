@@ -10,11 +10,13 @@ from rpo.evaluation import (
     SeedResult,
     aggregate,
     run_experiment,
+    run_single_seed,
     sweep,
     validate_spec,
 )
 from rpo.metrics import mean_std, roc_auc, truncate
-from rpo.projections import DropoutSpec
+from rpo.projections import DropoutSpec, apply_dropout, generate_projections
+from rpo.seeding import sub_seed
 
 
 def pairwise_auc(scores, labels):
@@ -99,8 +101,8 @@ class TestAggregation:
         assert std == pytest.approx(scalar_std, abs=1e-15)
 
     def test_truncation_not_rounding(self):
-        assert truncate(73.019, 2) == 73.01
-        assert truncate(0.899999, 2) == 0.89
+        assert truncate(73.019) == 73.01
+        assert truncate(0.899999) == 0.89
 
     def test_auc_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -197,6 +199,33 @@ class TestRunExperiment:
         assert [h.train_loss for h in base[0].history] == [
             h.train_loss for h in scaled[0].history
         ]
+
+    @pytest.mark.parametrize("method", ["rpo-max", "deep-rpo-mean"])
+    def test_dropout_and_affine_draw_from_the_run_seed(self, tmp_path, method):
+        spec = quick_spec(
+            method=method,
+            epochs=2,
+            dropout=DropoutSpec(components_rate=0.25, projections_rate=0.2),
+            affine=AffineSpec(mode="standard_normal"),
+        )
+        runs = {}
+        for name, seed in (("a", 3), ("b", 3), ("other", 4)):
+            out = tmp_path / name
+            out.mkdir()
+            result = run_single_seed(spec, seed, checkpoint_dir=out)
+            with np.load(out / f"{method}_seed{seed}.npz") as archive:
+                runs[name] = result, {k: archive[k] for k in archive.files}
+        (res_a, arrays_a), (res_b, arrays_b) = runs["a"], runs["b"]
+        assert res_a.test_auc == res_b.test_auc
+        assert arrays_a.keys() == arrays_b.keys()
+        assert all(np.array_equal(arrays_a[k], arrays_b[k]) for k in arrays_a)
+        # the run's own dropout sub-seed drew the mask
+        space_dim = spec.latent_dim if spec.is_deep else spec.dim
+        drawn = generate_projections(space_dim, 1, 50, sub_seed(3, "projections"))
+        kept = apply_dropout(drawn, spec.dropout, sub_seed(3, "dropout"))
+        assert kept.p == 40
+        assert np.array_equal(arrays_a["proj_entries"], kept.entries)
+        assert not np.array_equal(arrays_a["proj_entries"], runs["other"][1]["proj_entries"])
 
 
 class TestSweep:

@@ -103,24 +103,24 @@ class TestProject:
 class TestDropout:
     def test_zero_rates_identity(self):
         U = generate_projections(d=5, m=1, p=4, seed=0)
-        assert apply_dropout(U, DropoutSpec(0.0, 0.0, seed=1)) is U
+        assert apply_dropout(U, DropoutSpec(0.0, 0.0), 1) is U
 
     def test_projection_dropout_count(self):
         U = generate_projections(d=5, m=1, p=10, seed=0)
-        dropped = apply_dropout(U, DropoutSpec(projections_rate=0.5, seed=3))
+        dropped = apply_dropout(U, DropoutSpec(projections_rate=0.5), 3)
         assert dropped.p == 5
         assert dropped.d == 5 and dropped.m == 1
 
     def test_surviving_projections_come_from_original(self):
         U = generate_projections(d=6, m=2, p=10, seed=1)
-        dropped = apply_dropout(U, DropoutSpec(projections_rate=0.3, seed=5))
+        dropped = apply_dropout(U, DropoutSpec(projections_rate=0.3), 5)
         originals = {arr.tobytes() for arr in U.entries}
         assert all(arr.tobytes() in originals for arr in dropped.entries)
 
     def test_components_dropout_zeros_and_norms(self):
         d, rate = 10, 0.3
         U = generate_projections(d=d, m=1, p=6, seed=2)
-        dropped = apply_dropout(U, DropoutSpec(components_rate=rate, seed=7))
+        dropped = apply_dropout(U, DropoutSpec(components_rate=rate), 7)
         n_zeroed = int(np.floor(rate * d))
         vectors = dropped.entries[:, :, 0]
         for v in vectors:
@@ -129,19 +129,19 @@ class TestDropout:
 
     def test_components_dropout_shares_zero_pattern(self):
         U = generate_projections(d=8, m=1, p=5, seed=2)
-        dropped = apply_dropout(U, DropoutSpec(components_rate=0.4, seed=9))
+        dropped = apply_dropout(U, DropoutSpec(components_rate=0.4), 9)
         patterns = dropped.entries[:, :, 0] == 0.0
         assert np.all(patterns == patterns[0])
 
     def test_floor_semantics_noop(self):
         U = generate_projections(d=5, m=1, p=3, seed=0)
         # 0.1 * 3 projections and 0.1 * 5 dims both floor to 0
-        assert apply_dropout(U, DropoutSpec(0.1, 0.1, seed=1)) is U
+        assert apply_dropout(U, DropoutSpec(0.1, 0.1), 1) is U
 
     def test_projection_dropout_always_leaves_one(self):
         # floor(rate * p) < p for rate < 1, so the p-channel cannot empty out
         U = generate_projections(d=5, m=1, p=3, seed=0)
-        dropped = apply_dropout(U, DropoutSpec(projections_rate=0.99, seed=1))
+        dropped = apply_dropout(U, DropoutSpec(projections_rate=0.99), 1)
         assert dropped.p == 1
 
     def test_degenerate_components_dropout_rejected(self):
@@ -149,7 +149,7 @@ class TestDropout:
         entries = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
         U = ProjectionSet(entries=entries, seed=0)
         with pytest.raises(DataError, match="degenerate dropout"):
-            apply_dropout(U, DropoutSpec(components_rate=0.5, seed=1))
+            apply_dropout(U, DropoutSpec(components_rate=0.5), 1)
 
     def test_rates_must_be_below_one(self):
         with pytest.raises(ValueError):
@@ -159,9 +159,9 @@ class TestDropout:
 
     def test_fixed_mask_per_seed(self):
         U = generate_projections(d=8, m=1, p=10, seed=2)
-        spec = DropoutSpec(components_rate=0.25, projections_rate=0.2, seed=11)
-        a = apply_dropout(U, spec)
-        b = apply_dropout(U, spec)
+        spec = DropoutSpec(components_rate=0.25, projections_rate=0.2)
+        a = apply_dropout(U, spec, 11)
+        b = apply_dropout(U, spec, 11)
         assert np.array_equal(a.entries, b.entries)
 
 
