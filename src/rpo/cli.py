@@ -52,10 +52,8 @@ def cmd_gen_data(args) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     data_path = os.path.join(args.out_dir, "data.csv")
-    manifest_path = os.path.join(args.out_dir, "manifest.csv")
     datamod.save_csv(ds, data_path)
-    datamod.save_manifest(ds, manifest_path)
-    logger.info("wrote %s and %s (%d rows)", data_path, manifest_path, ds.n)
+    logger.info("wrote %s (%d rows)", data_path, ds.n)
     return EXIT_OK
 
 
@@ -155,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV + split manifest")
+    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -61,6 +61,9 @@ def _as_float(value, where: str) -> float:
 
 def _as_int(value, where: str) -> int:
     try:
+        # int() would read a bool as 0 or 1 and truncate a fraction
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be an integer, got {value!r}") from None
@@ -117,7 +120,7 @@ def _take(cls, section: dict, where: str, keys) -> dict:
 
 
 def _parse_seeds(raw) -> tuple:
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         if raw < 1:
             raise ConfigError(f"seeds count must be >= 1, got {raw}")
         return tuple(range(raw))

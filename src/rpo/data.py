@@ -550,12 +550,3 @@ def save_csv(data: Dataset, path) -> None:
         [f"f{i}" for i in range(data.dim)] + ["class"],
         (row.tolist() + [cid] for row, cid in zip(data.X, data.class_id.tolist())),
     )
-
-
-def save_manifest(data: Dataset, path) -> None:
-    """Split manifest: row_index, split, sad_flag."""
-    write_csv(
-        path,
-        ["row_index", "split", "sad_flag"],
-        zip(range(data.n), data.split.tolist(), data.sad_flag.astype(np.int64).tolist()),
-    )

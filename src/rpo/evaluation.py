@@ -6,10 +6,11 @@ init, batch shuffling, affine diagonal) through namespaced sub-seeds, so
 no spec field holds a seed of its own, and reruns of the same spec are
 reproducible down to the byte in the emitted CSVs.
 
-Per-seed pipeline: assemble dataset -> split -> standardize -> optional
-contamination / SAD labeling -> fit or train the method -> (deep methods)
-keep the checkpoint from the best validation-AUC epoch -> apply any
-post-training affine perturbation to the held-out rows -> test AUC.
+A seed runs in two stages. Fit: assemble dataset -> split -> standardize
+-> optional contamination / SAD labeling -> fit or train the method ->
+(deep methods) keep the checkpoint from the best validation-AUC epoch ->
+val AUC. Evaluate: apply any post-training affine perturbation to the
+held-out rows -> test AUC. The perturbation changes nothing the fit reads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import data as datamod
 from .data import AffineSpec, Dataset
 from .encoder import init_encoder
-from .errors import ConfigError, DataError, RpoError, classify
+from .errors import ConfigError, DataError, classify
 from .metrics import mean_std, roc_auc
 from .model_io import ScoringModel, save_model_checkpoint
 from .projections import DropoutSpec, apply_dropout, generate_projections
@@ -111,6 +112,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"unknown method {spec.method!r}; expected one of {METHODS}")
     if not spec.seeds:
         raise ConfigError("seed list must be nonempty")
+    if len(set(spec.seeds)) != len(spec.seeds):
+        raise ConfigError(f"seeds must be distinct, got {list(spec.seeds)}")
     if not spec.normal_class_ids:
         raise ConfigError("normal_class_ids must be nonempty")
     if not 0.0 <= spec.sad_ratio < 0.5:
@@ -225,23 +228,18 @@ def _build_projections(spec: ExperimentSpec, space_dim: int, seed: int):
     return U
 
 
-def _perturbed_eval_data(spec: ExperimentSpec, ds: Dataset, seed: int) -> Dataset:
-    if spec.affine is None:
-        return ds
-    return datamod.affine_transform(ds, spec.affine, sub_seed(seed, "affine"))
+def _fit_seed(spec: ExperimentSpec, seed: int):
+    """The fit stage of one seed; see the module docstring.
 
-
-def run_single_seed(spec: ExperimentSpec, seed: int, checkpoint_dir=None) -> SeedResult:
-    """Execute one seed of the experiment; see the module docstring."""
+    Returns the fitted scorer and the seed's evaluate stage,
+    ``evaluate(affine) -> SeedResult``, which maps the held-out rows by
+    ``affine`` when it is given, then scores the test rows.
+    """
     started = time.perf_counter()
     ds, chosen, scaler_mean, scaler_std = _assemble_dataset(spec, seed)
     X_train = ds.X[ds.mask(datamod.TRAIN)]
-    eval_ds = _perturbed_eval_data(spec, ds, seed)
-    val_mask, test_mask = ds.mask(datamod.VAL), ds.mask(datamod.TEST)
-
-    history: list[EpochRecord] = []
-    best_epoch = -1
     if not spec.is_deep:
+        history, best_epoch = [], -1
         if spec.rp_dim > ds.dim:
             raise ConfigError(
                 f"model.rp_dim {spec.rp_dim} exceeds the {ds.dim} features of {spec.source}"
@@ -280,22 +278,65 @@ def run_single_seed(spec: ExperimentSpec, seed: int, checkpoint_dir=None) -> See
 
     scorer = ScoringModel(spec.method, scaler_mean, scaler_std, **head)
     if not spec.is_deep:
+        val_mask = ds.mask(datamod.VAL)
         val_auc = roc_auc(scorer.score_standardized(ds.X[val_mask]), ds.label[val_mask])
-    test_auc = roc_auc(
-        scorer.score_standardized(eval_ds.X[test_mask]), eval_ds.label[test_mask]
-    )
+
+    def evaluate(affine: AffineSpec | None) -> SeedResult:
+        eval_ds = ds
+        if affine is not None:
+            eval_ds = datamod.affine_transform(ds, affine, sub_seed(seed, "affine"))
+        test_mask = eval_ds.mask(datamod.TEST)
+        return SeedResult(
+            seed=seed,
+            chosen_classes=chosen,
+            best_epoch=best_epoch,
+            val_auc=val_auc,
+            test_auc=roc_auc(
+                scorer.score_standardized(eval_ds.X[test_mask]), eval_ds.label[test_mask]
+            ),
+            wall_time=time.perf_counter() - started,
+            history=history,
+        )
+
+    return scorer, evaluate
+
+
+def run_single_seed(spec: ExperimentSpec, seed: int, checkpoint_dir=None) -> SeedResult:
+    """Fit one seed of the experiment and evaluate it under ``spec.affine``."""
+    scorer, evaluate = _fit_seed(spec, seed)
+    result = evaluate(spec.affine)
     if checkpoint_dir is not None:
         save_model_checkpoint(f"{checkpoint_dir}/{spec.method}_seed{seed}.npz", scorer)
+    return result
 
-    return SeedResult(
-        seed=seed,
-        chosen_classes=chosen,
-        best_epoch=best_epoch,
-        val_auc=val_auc,
-        test_auc=test_auc,
-        wall_time=time.perf_counter() - started,
-        history=history,
-    )
+
+def _evaluate_affines(spec: ExperimentSpec, affines: list, seed: int) -> list[SeedResult]:
+    """Fit one seed once; evaluate it under each of ``affines`` and, last, unperturbed."""
+    _, evaluate = _fit_seed(spec, seed)
+    return [evaluate(affine) for affine in [*affines, None]]
+
+
+def _map_seeds(run_seed, seeds, workers: int, progress=None) -> list:
+    """``run_seed(seed)`` for every seed, in seed-list order, on ``workers`` processes.
+
+    ``progress`` sees each seed's output as it arrives.
+    """
+    outputs = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            runs = [partial(run_seed, seed) for seed in seeds]
+        else:
+            runs = [pool.submit(run_seed, seed).result for seed in seeds]
+        for seed, run in zip(seeds, runs):
+            try:
+                out = run()
+            except Exception as exc:
+                # keep the error category so the CLI maps it to the right exit code
+                raise classify(exc)[0](f"seed {seed}: {exc}") from exc
+            outputs.append(out)
+            if progress:
+                progress(out)
+    return outputs
 
 
 def run_experiment(
@@ -309,29 +350,8 @@ def run_experiment(
     A failing seed aborts the whole run with the seed id attached.
     """
     validate_spec(spec)
-    results: list[SeedResult] = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        if pool is None:
-            runs = [partial(run_single_seed, spec, seed, checkpoint_dir) for seed in spec.seeds]
-        else:
-            runs = [
-                pool.submit(run_single_seed, spec, seed, checkpoint_dir).result
-                for seed in spec.seeds
-            ]
-        for seed, run in zip(spec.seeds, runs):
-            try:
-                res = run()
-            except Exception as exc:
-                raise _seed_failure(seed, exc) from exc
-            results.append(res)
-            if progress:
-                progress(res)
-    return results
-
-
-def _seed_failure(seed: int, exc: Exception) -> RpoError:
-    # keep the error category so the CLI maps it to the right exit code
-    return classify(exc)[0](f"seed {seed}: {exc}")
+    run_seed = partial(run_single_seed, spec, checkpoint_dir=checkpoint_dir)
+    return _map_seeds(run_seed, spec.seeds, workers, progress)
 
 
 def aggregate(results: list[SeedResult]) -> tuple[float, float]:
@@ -387,9 +407,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Run the base spec once per axis value; one aggregate row per value.
 
-    The alpha axis additionally reports the per-seed mean/std AUC gap
-    against the unperturbed (alpha = 1.0) baseline, which is run implicitly
-    when not among the values.
+    The alpha axis changes nothing the fit reads, so it fits each seed once
+    and evaluates it under every value, then unperturbed: the baseline of
+    the per-seed mean/std AUC gap. The other axes run once per value.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -401,38 +421,22 @@ def sweep(
     if axis in ("n_projections", "rp_dim", "dropout") and base.method == "deep-svdd":
         raise ConfigError(f"axis {axis!r} does not apply to deep-svdd")
 
-    per_value: list[tuple[str, list[SeedResult]]] = []
-    for value in values:
-        spec = spec_for_axis_value(base, axis, value)
-        per_value.append(
-            (_axis_value_str(axis, value), run_experiment(spec, workers=workers, progress=progress))
-        )
-
+    specs = [spec_for_axis_value(base, axis, value) for value in values]
     baseline = None
     if axis == "alpha":
-        for (vstr, results), value in zip(per_value, values):
-            if float(value) == 1.0:
-                baseline = results
-                break
-        if baseline is None:
-            baseline_spec = spec_for_axis_value(base, axis, 1.0)
-            baseline = run_experiment(baseline_spec, workers=workers, progress=progress)
+        validate_spec(base)
+        run_seed = partial(_evaluate_affines, base, [spec.affine for spec in specs])
+        # one log line per fitted seed, with its unperturbed test AUC
+        log = progress and (lambda results: progress(results[-1]))
+        *per_value, baseline = zip(*_map_seeds(run_seed, base.seeds, workers, log))
+    else:
+        per_value = [run_experiment(spec, workers=workers, progress=progress) for spec in specs]
 
     rows = []
-    for vstr, results in per_value:
-        mean, std = aggregate(results)
-        gap_mean = gap_std = None
+    for value, results in zip(values, per_value):
+        row = SweepRow(_axis_value_str(axis, value), *aggregate(results), len(results))
         if baseline is not None:
             gaps = [r.test_auc - b.test_auc for r, b in zip(results, baseline)]
-            gap_mean, gap_std = mean_std(gaps)
-        rows.append(
-            SweepRow(
-                value=vstr,
-                mean_auc=mean,
-                std_auc=std,
-                n_seeds=len(results),
-                gap_mean=gap_mean,
-                gap_std=gap_std,
-            )
-        )
+            row.gap_mean, row.gap_std = mean_std(gaps)
+        rows.append(row)
     return rows

@@ -98,14 +98,16 @@ def save_model_checkpoint(path, model: ScoringModel) -> None:
 
 def load_model_checkpoint(path) -> ScoringModel:
     try:
-        # np.load leaves a file it opened itself open when the archive is damaged
-        with open(path, "rb") as fh, np.load(fh) as data:
+        # np.load leaves a file it opened itself open when the archive is
+        # damaged, and returns a plain .npy file as an array, not an archive
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as data:
             return _unpack(data)
     except KeyError as exc:  # a member the format requires is missing
         raise DataError(f"checkpoint {path} lacks {exc}") from exc
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        # ValueError: not an npy/npz file; EOFError: an empty file;
-        # BadZipFile: a truncated archive, or a member that fails its CRC
+        # BadZipFile: not an archive (an empty or .npy file), a truncated
+        # archive, or a member that fails its CRC; ValueError: a member that
+        # is not a whole .npy array; EOFError: a member cut short
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
 
 

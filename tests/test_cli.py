@@ -10,7 +10,7 @@ import yaml
 from rpo import evaluation
 from rpo.cli import main
 from rpo.config import load_config, parse_config
-from rpo.data import load_csv
+from rpo.data import generate_multimodal, load_csv
 from rpo.errors import ConfigError, DataError, NumericError
 from rpo.model_io import load_model_checkpoint
 from rpo.scoring import depth
@@ -107,14 +107,12 @@ class TestGenData:
             "--n-per-mode", "40", "--anomalies", "30", "--out-dir", str(out),
         )
         assert code == 0
-        assert (out / "data.csv").exists() and (out / "manifest.csv").exists()
-        from test_data import apply_manifest
-
-        loaded = apply_manifest(
-            load_csv(out / "data.csv", normal_class_ids=(0, 1, 2)), out / "manifest.csv"
-        )
-        assert loaded.dim == 16
-        assert loaded.count("train") > 0
+        assert sorted(p.name for p in out.iterdir()) == ["data.csv"]
+        loaded = load_csv(out / "data.csv", normal_class_ids=(0, 1, 2))
+        expected = generate_multimodal(3, 16, 40, 30, seed=7)
+        assert np.array_equal(loaded.X, expected.X)
+        assert np.array_equal(loaded.class_id, expected.class_id)
+        assert np.array_equal(loaded.label, expected.label)
 
     def test_identical_files_on_rerun(self, tmp_path):
         args = ["gen-data", "--modes", "2", "--dim", "4", "--seed", "3",
@@ -123,7 +121,6 @@ class TestGenData:
         assert run_cli(*args, "--out-dir", str(a)) == 0
         assert run_cli(*args, "--out-dir", str(b)) == 0
         assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
-        assert (a / "manifest.csv").read_bytes() == (b / "manifest.csv").read_bytes()
 
     def test_zero_modes_usage_error(self, tmp_path):
         code = run_cli("gen-data", "--modes", "0", "--dim", "4", "--out-dir", str(tmp_path))
@@ -227,6 +224,12 @@ class TestBench:
              "training.learning_rate"),
             ({"method": "deep-rpo-mean", "training": {"weight_decay": -1.0}},
              "training.weight_decay"),
+            ({"seeds": [1.5]}, "seeds"),
+            ({"seeds": [0, 0]}, "seeds"),
+            ({"seeds": True}, "seeds"),
+            ({"training": {"epochs": 2.7}}, "training.epochs"),
+            ({"model": {"n_projections": True}}, "model.n_projections"),
+            ({"dataset": {"normal_class_ids": [0.5]}}, "dataset.normal_class_ids"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, tmp_path, caplog, overrides, named):
@@ -613,11 +616,19 @@ def _flip_a_byte_of_member(raw: bytes, path, member: str) -> bytes:
     return bytes(damaged)
 
 
+def _npy_bytes(array) -> bytes:
+    """What ``np.save`` writes for ``array``: a bare .npy file, not an archive."""
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 DAMAGED_CHECKPOINTS = {
     "empty": lambda raw, path: b"",
     "first half": lambda raw, path: raw[: len(raw) // 2],
     "last 30 bytes cut": lambda raw, path: raw[:-30],
     "flipped byte": lambda raw, path: _flip_a_byte_of_member(raw, path, "proj_entries.npy"),
+    "plain .npy": lambda raw, path: _npy_bytes(np.arange(3.0)),
 }
 
 

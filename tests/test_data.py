@@ -1,6 +1,3 @@
-import csv
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,23 +19,10 @@ from rpo.data import (
     read_features,
     relabel_by_normal_classes,
     save_csv,
-    save_manifest,
     split,
     standardize,
 )
 from rpo.errors import DataError
-
-
-def apply_manifest(data, path):
-    """Restore the split tags and SAD flags that ``save_manifest`` wrote."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header, *rows = [row for row in csv.reader(fh) if row]
-    assert header == ["row_index", "split", "sad_flag"]
-    idx = [int(row[0]) for row in rows]
-    split_tags, sad = data.split.copy(), data.sad_flag.copy()
-    split_tags[idx] = [row[1] for row in rows]
-    sad[idx] = [bool(int(row[2])) for row in rows]
-    return replace(data, split=split_tags, sad_flag=sad)
 
 
 class TestGenerate:
@@ -263,15 +247,11 @@ class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         ds = generate_multimodal(2, 4, 30, 20, seed=17)
         data_path = tmp_path / "data.csv"
-        manifest_path = tmp_path / "manifest.csv"
         save_csv(ds, data_path)
-        save_manifest(ds, manifest_path)
         loaded = load_csv(data_path, label_column="class", normal_class_ids=(0, 1))
-        loaded = apply_manifest(loaded, manifest_path)
         assert np.array_equal(loaded.X, ds.X)
         assert np.array_equal(loaded.class_id, ds.class_id)
         assert np.array_equal(loaded.label, ds.label)
-        assert np.array_equal(loaded.split, ds.split)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

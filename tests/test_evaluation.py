@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpo import evaluation
 from rpo.data import AffineSpec
 from rpo.errors import ConfigError, RpoError
 from rpo.evaluation import (
@@ -11,12 +14,14 @@ from rpo.evaluation import (
     aggregate,
     run_experiment,
     run_single_seed,
+    spec_for_axis_value,
     sweep,
     validate_spec,
 )
 from rpo.metrics import mean_std, roc_auc, truncate
 from rpo.projections import DropoutSpec, apply_dropout, generate_projections
 from rpo.seeding import sub_seed
+from rpo.training import train
 
 
 def pairwise_auc(scores, labels):
@@ -270,7 +275,58 @@ class TestSweep:
     def test_sweep_matches_direct_run(self):
         spec = quick_spec(method="deep-rpo-mean", epochs=2)
         rows = sweep(spec, "rp_dim", [2])
-        from dataclasses import replace
-
         direct = run_experiment(replace(spec, rp_dim=2))
         assert rows[0].mean_auc == aggregate(direct)[0]
+
+
+def alpha_rows_run_per_value(base, values):
+    """The alpha sweep as separate experiments: one per value, and one at alpha = 1.0 for the gap."""
+    baseline = run_experiment(spec_for_axis_value(base, "alpha", 1.0))
+    rows = []
+    for value in values:
+        results = run_experiment(spec_for_axis_value(base, "alpha", value))
+        gaps = [r.test_auc - b.test_auc for r, b in zip(results, baseline)]
+        rows.append((str(value), *aggregate(results), *mean_std(gaps)))
+    return rows
+
+
+class TestAlphaSweepFitsOnce:
+    @pytest.mark.parametrize(
+        "method, values, workers",
+        [
+            ("rpo-max", [0.8, 1.0, 1.2], 1),
+            ("rpo-max", [0.5], 2),
+            ("deep-svdd", [0.9, 1.1], 1),
+            ("deep-svdd", [1.0, 0.7], 2),
+            ("deep-rpo-mean", [0.95, 1.0, 1.05], 2),
+            ("deep-rpo-mean", [1.3, 0.6], 1),
+        ],
+    )
+    def test_equals_an_experiment_per_value(self, method, values, workers):
+        base = quick_spec(method=method, epochs=2)
+        rows = sweep(base, "alpha", values, workers=workers)
+        got = [(r.value, r.mean_auc, r.std_auc, r.gap_mean, r.gap_std) for r in rows]
+        assert got == alpha_rows_run_per_value(base, values)
+
+    def test_trains_each_seed_once(self, monkeypatch):
+        trained = []
+
+        def counting_train(*args, **kwargs):
+            trained.append(kwargs["seed"])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", counting_train)
+        base = quick_spec(method="deep-rpo-mean", epochs=2, seeds=(0, 1, 2))
+        logged = []
+        rows = sweep(base, "alpha", [0.8, 0.9, 1.1, 1.2], progress=logged.append)
+        assert len(rows) == 4
+        assert trained == [sub_seed(seed, "train") for seed in base.seeds]
+        # one log line per fitted seed, carrying its unperturbed test AUC
+        assert [r.seed for r in logged] == list(base.seeds)
+        assert [r.test_auc for r in logged] == [r.test_auc for r in run_experiment(base)]
+
+    def test_base_affine_is_ignored(self):
+        base = quick_spec(method="deep-rpo-mean", epochs=2)
+        perturbed = replace(base, affine=AffineSpec(mode="uniform_range", low=0.2, high=3.0))
+        assert aggregate(run_experiment(perturbed)) != aggregate(run_experiment(base))
+        assert sweep(perturbed, "alpha", [0.9, 1.0]) == sweep(base, "alpha", [0.9, 1.0])
