@@ -68,9 +68,16 @@ def _log_seed(result) -> None:
     )
 
 
+def _workers(args, cfg) -> int:
+    """The worker count: ``--workers`` when given, else the config's (0 means unset)."""
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
+    return args.workers or cfg.workers
+
+
 def cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    workers = args.workers or cfg.workers
+    workers = _workers(args, cfg)
     base_spec = cfg.base_spec
     if args.seeds:  # quick mode: first N seeds regardless of config
         base_spec = replace(base_spec, seeds=tuple(range(args.seeds)))
@@ -105,7 +112,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if cfg.sweep_axis is None:
         raise ConfigError("config has no sweep section (sweep.axis, sweep.values)")
-    workers = args.workers or cfg.workers
+    workers = _workers(args, cfg)
     method = cfg.methods[0]
     if len(cfg.methods) > 1:
         raise ConfigError("sweep runs a single method; give 'method', not 'methods'")

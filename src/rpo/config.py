@@ -54,6 +54,8 @@ def _reject_unknown(section: dict, section_name: str) -> None:
 
 def _as_float(value, where: str) -> float:
     try:
+        if isinstance(value, bool):  # float() would read it as 0.0 or 1.0
+            raise ValueError
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None

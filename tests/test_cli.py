@@ -230,6 +230,8 @@ class TestBench:
             ({"training": {"epochs": 2.7}}, "training.epochs"),
             ({"model": {"n_projections": True}}, "model.n_projections"),
             ({"dataset": {"normal_class_ids": [0.5]}}, "dataset.normal_class_ids"),
+            ({"method": "deep-rpo-mean", "training": {"learning_rate": True}},
+             "training.learning_rate"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, tmp_path, caplog, overrides, named):
@@ -331,6 +333,18 @@ class TestSweepCommand:
         assert ran == []
         assert any("sweep.values" in r.message for r in caplog.records if r.levelname == "ERROR")
         assert not (tmp_path / "out" / "aggregate.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_negative_workers_exits_1_naming_the_flag(tmp_path, monkeypatch, caplog, command):
+    ran = []
+    monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+    cfg_path = tmp_path / "c.yaml"
+    write_config(cfg_path, sweep={"axis": "alpha", "values": [0.9, 1.1]})
+    assert run_cli(command, "-c", str(cfg_path), "--workers", "-3") == 1
+    assert ran == []
+    assert any("--workers" in r.message for r in caplog.records if r.levelname == "ERROR")
+    assert not (tmp_path / "out").exists()
 
 
 class TestScore:

@@ -1,12 +1,21 @@
+import json
+import os
+import pathlib
 import statistics
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpo
+from rpo import scoring
 from rpo.projections import ProjectionSet, generate_projections, project
 from rpo.scoring import (
+    SCORE_BLOCK_ROWS,
     RpoStats,
     depth,
     fit_rpo,
@@ -170,6 +179,84 @@ class TestScore:
         stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_cov=None, eps_floor=1e-6)
         with pytest.raises(ValueError):
             score_batch(np.zeros((1, 4)), U, stats, "max")
+
+
+B = SCORE_BLOCK_ROWS
+BLOCK_EDGE_ROWS = [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 5 * B + 7]
+
+# Compares blocked score_batch with the one-call form for every shape and
+# prints the shapes whose scores differ by any bit.
+_ONE_CALL_ORACLE_SCRIPT = """
+import json, sys
+import numpy as np
+from rpo.projections import generate_projections, project
+from rpo.scoring import fit_rpo, projected_distances, reduce_distances, score_batch
+differ = []
+for m in (1, 3):
+    for p in (40, 1000):
+        U = generate_projections(d=6, m=m, p=p, seed=3)
+        rng = np.random.default_rng(100 * m + p)
+        stats = fit_rpo(rng.normal(size=(60, 6)), U)
+        for n in json.loads(sys.argv[1]):
+            X = rng.normal(scale=3.0, size=(n, 6))
+            T = project(X, U)
+            for est in ("max", "mean"):
+                oracle = reduce_distances(projected_distances(T, stats), est)
+                if score_batch(X, U, stats, est).tobytes() != oracle.tobytes():
+                    differ.append([m, p, n, est])
+print(json.dumps(differ))
+"""
+
+
+class TestBlocks:
+    def test_blocked_scores_equal_one_call_form_bit_for_bit(self):
+        # on more BLAS threads the one-call matmul splits its rows among the
+        # threads, not as the blocks do, so bit equality holds on one thread
+        # only: check it in a child process whose BLAS starts with one thread
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        src = str(pathlib.Path(rpo.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _ONE_CALL_ORACLE_SCRIPT, json.dumps(BLOCK_EDGE_ROWS)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
+
+    @pytest.mark.parametrize("n", [0] + BLOCK_EDGE_ROWS)
+    def test_projects_in_blocks_of_b_to_2b_minus_1_rows(self, monkeypatch, n):
+        rows = []
+
+        def counting_project(X, U):
+            rows.append(X.shape[0])
+            return project(X, U)
+
+        U = generate_projections(d=4, m=1, p=8, seed=0)
+        stats = fit_rpo(np.random.default_rng(0).normal(size=(30, 4)), U)
+        monkeypatch.setattr(scoring, "project", counting_project)
+        X = np.random.default_rng(1).normal(size=(n, 4))
+        assert score_batch(X, U, stats, "max").shape == (n,)
+        assert len(rows) == max(1, n // B)
+        assert sum(rows) == n
+        if n >= B:
+            assert all(B <= r < 2 * B for r in rows)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_peak_memory_is_one_block_not_the_whole_projection(self, m):
+        # the whole (n, p, m) projection alone would take 160 MB at m = 1
+        n, d, p = 20_000, 16, 1_000
+        U = generate_projections(d=d, m=m, p=p, seed=0)
+        rng = np.random.default_rng(2)
+        stats = fit_rpo(rng.normal(size=(200, d)), U)
+        X = rng.normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            score_batch(X, U, stats, "max")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestInvariances:
