@@ -68,18 +68,18 @@ def _log_seed(result) -> None:
     )
 
 
-def _workers(args, cfg) -> int:
-    """The worker count: ``--workers`` when given, else the config's (0 means unset)."""
-    if args.workers < 0:
-        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
-    return args.workers or cfg.workers
+def _count_flag(value: int, flag: str) -> int:
+    """A count given on the command line; 0 means unset, so the config's count applies."""
+    if value < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {value}")
+    return value
 
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    workers = _workers(args, cfg)
+    workers = _count_flag(args.workers, "--workers") or cfg.workers
     base_spec = cfg.base_spec
-    if args.seeds:  # quick mode: first N seeds regardless of config
+    if _count_flag(args.seeds, "--seeds"):  # quick mode: first N seeds regardless of config
         base_spec = replace(base_spec, seeds=tuple(range(args.seeds)))
     if cfg.checkpoint_dir:
         os.makedirs(cfg.checkpoint_dir, exist_ok=True)
@@ -112,7 +112,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if cfg.sweep_axis is None:
         raise ConfigError("config has no sweep section (sweep.axis, sweep.values)")
-    workers = _workers(args, cfg)
+    workers = _count_flag(args.workers, "--workers") or cfg.workers
     method = cfg.methods[0]
     if len(cfg.methods) > 1:
         raise ConfigError("sweep runs a single method; give 'method', not 'methods'")

@@ -99,6 +99,8 @@ class AffineSpec:
             raise ValueError(f"unknown affine mode {self.mode!r}")
         if self.mode == "constant" and self.alpha == 0.0:
             raise ValueError("constant affine alpha must be nonzero")
+        if not np.all(np.isfinite([self.alpha, self.low, self.high])):
+            raise ValueError(f"affine alpha, low and high must be finite, got {self}")
         if self.low > self.high:
             raise ValueError(f"affine range [{self.low}, {self.high}] is empty")
 
@@ -174,10 +176,6 @@ def generate_multimodal(
     if accepted < anomaly_n:
         raise DataError("could not sample anomalies outside every blob core")
     if anomaly_n:
-        assert np.all(
-            np.linalg.norm(anomalies[:, None, :] - means[None, :, :], axis=2).min(axis=1)
-            >= _ANOMALY_MARGIN
-        )
         X_parts.append(anomalies)
         class_parts.append(np.full(anomaly_n, k_modes))
         split_parts.append(np.full(anomaly_n, TEST, dtype="U5"))

@@ -79,6 +79,84 @@ class ExperimentSpec:
     eps_floor: float = DEFAULT_EPS_FLOOR
     seeds: tuple = (0, 1, 2, 3, 4)
 
+    def __post_init__(self):
+        """Reject a value no run can use, naming its YAML key; ``replace()`` checks too."""
+        if self.method not in METHODS:
+            raise ConfigError(f"method: unknown method {self.method!r}; expected one of {METHODS}")
+        if not self.seeds:
+            raise ConfigError("seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
+        if not self.normal_class_ids:
+            raise ConfigError("dataset.normal_class_ids must be nonempty")
+        if not 0.0 <= self.sad_ratio < 0.5:
+            raise ConfigError(f"protocol.sad_ratio must lie in [0, 0.5), got {self.sad_ratio}")
+        if self.sad_ratio > 0.0 and not self.method.startswith("deep-rpo"):
+            raise ConfigError(
+                f"protocol.sad_ratio > 0 requires a deep-rpo method, got {self.method!r}"
+            )
+        if self.sad_ratio > 0.0 and self.sad_classes < 1:
+            raise ConfigError(f"protocol.sad_classes must be >= 1, got {self.sad_classes}")
+        if self.is_deep:
+            if self.epochs < 1:
+                raise ConfigError(
+                    f"training.epochs must be >= 1 for a deep method, got {self.epochs}"
+                )
+            if self.latent_dim < 1:
+                raise ConfigError(f"model.latent_dim must be >= 1, got {self.latent_dim}")
+            if any(h < 1 for h in self.hidden_dims):
+                raise ConfigError(
+                    f"model.hidden_dims must all be >= 1, got {list(self.hidden_dims)}"
+                )
+            if not 0.0 < self.learning_rate < math.inf:
+                raise ConfigError(
+                    f"training.learning_rate must be finite and > 0, got {self.learning_rate}"
+                )
+            if not 0.0 <= self.weight_decay < math.inf:
+                raise ConfigError(
+                    f"training.weight_decay must be finite and >= 0, got {self.weight_decay}"
+                )
+        if self.source == SYNTHETIC:
+            if self.k_modes < 1:
+                raise ConfigError(
+                    f"dataset.k_modes must be >= 1 for a synthetic source, got {self.k_modes}"
+                )
+            if self.n_per_mode < 1:
+                raise ConfigError(f"dataset.n_per_mode must be >= 1, got {self.n_per_mode}")
+            if self.anomaly_n < 0:
+                raise ConfigError(f"dataset.anomaly_n must be >= 0, got {self.anomaly_n}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"protocol.val_fraction must lie in (0, 1), got {self.val_fraction}")
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise ConfigError(
+                f"protocol.test_fraction must lie in [0, 1), got {self.test_fraction}"
+            )
+        if self.rp_dim < 1:
+            raise ConfigError(f"model.rp_dim must be >= 1, got {self.rp_dim}")
+        if self.n_projections is not None and self.n_projections < 1:
+            raise ConfigError(f"model.n_projections must be >= 1, got {self.n_projections}")
+        if self.batch_size < 2:
+            raise ConfigError(f"training.batch_size must be >= 2, got {self.batch_size}")
+        if not 0.0 <= self.contamination < 0.5:
+            raise ConfigError(
+                f"protocol.contamination must lie in [0, 0.5), got {self.contamination}"
+            )
+        if self.dim < 1:
+            raise ConfigError(f"dataset.dim must be >= 1, got {self.dim}")
+        if not 0.0 < self.eps_floor < math.inf:
+            raise ConfigError(f"training.eps_floor must be finite and > 0, got {self.eps_floor}")
+        if self.stats_mode not in STATS_MODES:
+            raise ConfigError(
+                f"training.stats_mode must be one of {STATS_MODES}, got {self.stats_mode!r}"
+            )
+        # a CSV source's width is known only once it is loaded, so
+        # _fit_seed checks shallow methods on a CSV against it
+        if self.method != "deep-svdd" and (self.is_deep or self.source == SYNTHETIC):
+            key, bound = (("model.latent_dim", self.latent_dim) if self.is_deep
+                          else ("dataset.dim", self.dim))
+            if self.rp_dim > bound:
+                raise ConfigError(f"model.rp_dim {self.rp_dim} exceeds {key} {bound}")
+
     @property
     def is_deep(self) -> bool:
         return self.method.startswith("deep")
@@ -107,81 +185,14 @@ class SeedResult:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def validate_spec(spec: ExperimentSpec) -> None:
-    if spec.method not in METHODS:
-        raise ConfigError(f"unknown method {spec.method!r}; expected one of {METHODS}")
-    if not spec.seeds:
-        raise ConfigError("seed list must be nonempty")
-    if len(set(spec.seeds)) != len(spec.seeds):
-        raise ConfigError(f"seeds must be distinct, got {list(spec.seeds)}")
-    if not spec.normal_class_ids:
-        raise ConfigError("normal_class_ids must be nonempty")
-    if not 0.0 <= spec.sad_ratio < 0.5:
-        raise ConfigError(f"protocol.sad_ratio must lie in [0, 0.5), got {spec.sad_ratio}")
-    if spec.sad_ratio > 0.0 and not spec.method.startswith("deep-rpo"):
-        raise ConfigError("sad_ratio requires a deep-rpo method")
-    if spec.sad_ratio > 0.0 and spec.sad_classes < 1:
-        raise ConfigError(f"protocol.sad_classes must be >= 1, got {spec.sad_classes}")
-    if spec.is_deep:
-        if spec.epochs < 1:
-            raise ConfigError("deep methods need epochs >= 1")
-        if spec.latent_dim < 1:
-            raise ConfigError(f"model.latent_dim must be >= 1, got {spec.latent_dim}")
-        if any(h < 1 for h in spec.hidden_dims):
-            raise ConfigError(f"model.hidden_dims must all be >= 1, got {list(spec.hidden_dims)}")
-        if not 0.0 < spec.learning_rate < math.inf:
-            raise ConfigError(
-                f"training.learning_rate must be finite and > 0, got {spec.learning_rate}"
-            )
-        if not 0.0 <= spec.weight_decay < math.inf:
-            raise ConfigError(
-                f"training.weight_decay must be finite and >= 0, got {spec.weight_decay}"
-            )
-    if spec.source == SYNTHETIC:
-        if spec.k_modes < 1:
-            raise ConfigError("synthetic source needs k_modes >= 1")
-        if spec.n_per_mode < 1:
-            raise ConfigError(f"dataset.n_per_mode must be >= 1, got {spec.n_per_mode}")
-        if spec.anomaly_n < 0:
-            raise ConfigError(f"dataset.anomaly_n must be >= 0, got {spec.anomaly_n}")
-    if not 0.0 < spec.val_fraction < 1.0:
-        raise ConfigError(f"val_fraction must lie in (0, 1), got {spec.val_fraction}")
-    if not 0.0 <= spec.test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must lie in [0, 1), got {spec.test_fraction}")
-    if spec.rp_dim < 1:
-        raise ConfigError(f"rp_dim must be >= 1, got {spec.rp_dim}")
-    if spec.n_projections is not None and spec.n_projections < 1:
-        raise ConfigError(f"model.n_projections must be >= 1, got {spec.n_projections}")
-    if spec.batch_size < 2:
-        raise ConfigError(f"training.batch_size must be >= 2, got {spec.batch_size}")
-    if not 0.0 <= spec.contamination < 0.5:
-        raise ConfigError(
-            f"protocol.contamination must lie in [0, 0.5), got {spec.contamination}"
-        )
-    if spec.dim < 1:
-        raise ConfigError(f"dataset.dim must be >= 1, got {spec.dim}")
-    if not 0.0 < spec.eps_floor < math.inf:
-        raise ConfigError(f"training.eps_floor must be finite and > 0, got {spec.eps_floor}")
-    if spec.stats_mode not in STATS_MODES:
-        raise ConfigError(
-            f"training.stats_mode must be one of {STATS_MODES}, got {spec.stats_mode!r}"
-        )
-    # a CSV source's width is known only once it is loaded, so
-    # run_single_seed checks shallow methods on a CSV against it
-    if spec.method != "deep-svdd" and (spec.is_deep or spec.source == SYNTHETIC):
-        key, bound = (
-            ("model.latent_dim", spec.latent_dim) if spec.is_deep else ("dataset.dim", spec.dim)
-        )
-        if spec.rp_dim > bound:
-            raise ConfigError(f"model.rp_dim {spec.rp_dim} exceeds {key} {bound}")
-
-
 @lru_cache(maxsize=4)
 def _load_source(path: str, label_column: str, normal_class_ids: tuple) -> Dataset:
     return datamod.load_csv(path, label_column=label_column, normal_class_ids=normal_class_ids)
 
 
-def _assemble_dataset(spec: ExperimentSpec, seed: int) -> tuple[Dataset, tuple]:
+def _assemble_dataset(
+    spec: ExperimentSpec, seed: int
+) -> tuple[Dataset, tuple, np.ndarray, np.ndarray]:
     if spec.source == SYNTHETIC:
         raw = datamod.generate_multimodal(
             spec.k_modes,
@@ -349,7 +360,6 @@ def run_experiment(
 
     A failing seed aborts the whole run with the seed id attached.
     """
-    validate_spec(spec)
     run_seed = partial(run_single_seed, spec, checkpoint_dir=checkpoint_dir)
     return _map_seeds(run_seed, spec.seeds, workers, progress)
 
@@ -424,7 +434,6 @@ def sweep(
     specs = [spec_for_axis_value(base, axis, value) for value in values]
     baseline = None
     if axis == "alpha":
-        validate_spec(base)
         run_seed = partial(_evaluate_affines, base, [spec.affine for spec in specs])
         # one log line per fitted seed, with its unperturbed test AUC
         log = progress and (lambda results: progress(results[-1]))

@@ -95,8 +95,6 @@ def generate_projections(d: int, m: int, p: int, seed: int) -> ProjectionSet:
     """
     if d < 1 or m < 1 or p < 1:
         raise ValueError(f"d, m, p must all be >= 1, got d={d}, m={m}, p={p}")
-    if m > d:
-        raise ValueError(f"projection output dim m={m} exceeds input dim d={d}")
     rng = sub_rng(seed, "projections")
     entries = rng.standard_normal((p, d, m))
     return ProjectionSet(entries=_normalize_columns(entries), seed=seed)

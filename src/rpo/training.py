@@ -174,9 +174,9 @@ def deep_rpo_loss(
     if not np.isfinite(loss):
         raise NumericError("non-finite outlyingness loss")
 
-    # dLoss/dD_ij
+    # dLoss/dD_ij; the mean's is one value per row, an (n, 1) column that broadcasts
     if model.estimator == "mean":
-        dD = (dscore / model.projections.p)[:, np.newaxis] * np.ones_like(D)
+        dD = (dscore / model.projections.p)[:, np.newaxis]
     else:
         dD = np.zeros_like(D)
         dD[np.arange(n), np.argmax(D, axis=1)] = dscore

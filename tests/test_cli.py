@@ -195,11 +195,11 @@ class TestBench:
         [
             ({"protocol": {"affine": {"mode": "random-diagonal"}}}, "protocol.affine"),
             ({"model": {"dropout": {"components_rate": 1.5}}}, "model.dropout"),
-            ({"protocol": {"val_fraction": 1.5}}, "val_fraction"),
-            ({"protocol": {"test_fraction": 1.0}}, "test_fraction"),
+            ({"protocol": {"val_fraction": 1.5}}, "protocol.val_fraction"),
+            ({"protocol": {"test_fraction": 1.0}}, "protocol.test_fraction"),
             ({"model": {"hidden_dims": 8}}, "model.hidden_dims"),
             ({"dataset": {"normal_class_ids": 1}}, "dataset.normal_class_ids"),
-            ({"dataset": {"normal_class_ids": []}}, "normal_class_ids"),
+            ({"dataset": {"normal_class_ids": []}}, "dataset.normal_class_ids"),
             ({"method": None, "methods": []}, "methods"),
             ({"method": None, "methods": "rpo-max"}, "methods"),
             ({"training": {"batch_size": 0}}, "training.batch_size"),
@@ -232,6 +232,18 @@ class TestBench:
             ({"dataset": {"normal_class_ids": [0.5]}}, "dataset.normal_class_ids"),
             ({"method": "deep-rpo-mean", "training": {"learning_rate": True}},
              "training.learning_rate"),
+            ({"method": "bogus"}, "method"),
+            ({"method": "deep-svdd", "training": {"epochs": 0}}, "training.epochs"),
+            ({"dataset": {"k_modes": 0}}, "dataset.k_modes"),
+            ({"model": {"rp_dim": 0}}, "model.rp_dim"),
+            ({"protocol": {"sad_ratio": 0.1}}, "protocol.sad_ratio"),
+            ({"seeds": 0}, "seeds"),
+            ({"protocol": {"affine": {"mode": "constant", "alpha": float("nan")}}},
+             "protocol.affine"),
+            ({"protocol": {"affine": {"mode": "constant", "alpha": float("inf")}}},
+             "protocol.affine"),
+            ({"protocol": {"affine": {"mode": "uniform_range", "low": float("nan")}}},
+             "protocol.affine"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, tmp_path, caplog, overrides, named):
@@ -322,11 +334,14 @@ class TestSweepCommand:
         [
             {"axis": "dropout", "values": [{"components_rate": 0.1}, {"components_rate": 1.5}]},
             {"axis": "n_projections", "values": [20, "abc"]},
+            {"axis": "alpha", "values": [0.9, float("nan")]},
+            {"axis": "alpha", "values": [0.9, float("inf")]},
         ],
     )
     def test_bad_sweep_value_exits_1_before_any_seed(self, tmp_path, monkeypatch, caplog, sweep):
         ran = []
-        monkeypatch.setattr(evaluation, "run_experiment", lambda *a, **k: ran.append(a))
+        # every sweep axis runs its seeds through _map_seeds
+        monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
         cfg_path = tmp_path / "c.yaml"
         write_config(cfg_path, sweep=sweep)
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
@@ -344,6 +359,17 @@ def test_negative_workers_exits_1_naming_the_flag(tmp_path, monkeypatch, caplog,
     assert run_cli(command, "-c", str(cfg_path), "--workers", "-3") == 1
     assert ran == []
     assert any("--workers" in r.message for r in caplog.records if r.levelname == "ERROR")
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seeds_exits_1_naming_the_flag(tmp_path, monkeypatch, caplog):
+    ran = []
+    monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+    cfg_path = tmp_path / "c.yaml"
+    write_config(cfg_path)
+    assert run_cli("bench", "-c", str(cfg_path), "--seeds", "-3") == 1
+    assert ran == []
+    assert any("--seeds" in r.message for r in caplog.records if r.levelname == "ERROR")
     assert not (tmp_path / "out").exists()
 
 

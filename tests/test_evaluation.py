@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from rpo.evaluation import (
     run_single_seed,
     spec_for_axis_value,
     sweep,
-    validate_spec,
 )
 from rpo.metrics import mean_std, roc_auc, truncate
 from rpo.projections import DropoutSpec, apply_dropout, generate_projections
@@ -174,9 +174,24 @@ class TestRunExperiment:
 
     def test_sad_requires_deep_rpo(self):
         with pytest.raises(ConfigError):
-            validate_spec(quick_spec(sad_ratio=0.1))
+            quick_spec(sad_ratio=0.1)
         with pytest.raises(ConfigError):
-            validate_spec(quick_spec(method="deep-svdd", sad_ratio=0.1))
+            quick_spec(method="deep-svdd", sad_ratio=0.1)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"method": "rpo-max", "eps_floor": math.inf}, "training.eps_floor"),
+            ({"method": "deep-rpo-mean", "learning_rate": -1.0}, "training.learning_rate"),
+        ],
+    )
+    def test_a_spec_checks_itself_when_built_or_replaced(self, overrides, key):
+        # run_single_seed takes a spec as it is, so a bad value must fail where
+        # the spec is made: by its constructor or by replace()
+        with pytest.raises(ConfigError, match=key):
+            ExperimentSpec(**overrides)
+        with pytest.raises(ConfigError, match=key):
+            replace(quick_spec(), **overrides)
 
     def test_csv_source_with_class_pick(self, tmp_path):
         from rpo.data import generate_multimodal, save_csv
@@ -256,6 +271,13 @@ class TestSweep:
     def test_invalid_axis_rejected(self):
         with pytest.raises(ConfigError):
             sweep(quick_spec(), "bananas", [1])
+
+    def test_bad_value_rejected_before_any_seed_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(evaluation, "run_single_seed", lambda *a, **k: ran.append(a))
+        with pytest.raises(ConfigError, match="model.n_projections"):
+            sweep(quick_spec(), "n_projections", [10, 0])
+        assert ran == []
 
     def test_axis_method_compatibility(self):
         with pytest.raises(ConfigError):
