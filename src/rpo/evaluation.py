@@ -421,8 +421,6 @@ def sweep(
     and evaluates it under every value, then unperturbed: the baseline of
     the per-seed mean/std AUC gap. The other axes run once per value.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     values = list(values)
     if not values:
         raise ConfigError("sweep values list is empty")

@@ -268,9 +268,12 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(quick_spec(), "alpha", [])
 
-    def test_invalid_axis_rejected(self):
-        with pytest.raises(ConfigError):
+    def test_invalid_axis_rejected(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(evaluation, "run_single_seed", lambda *a, **k: ran.append(a))
+        with pytest.raises(ConfigError, match="unknown sweep axis 'bananas'"):
             sweep(quick_spec(), "bananas", [1])
+        assert ran == []
 
     def test_bad_value_rejected_before_any_seed_runs(self, monkeypatch):
         ran = []

@@ -1,17 +1,29 @@
-"""The m > 1 kernels, held bit for bit to the einsum forms they replace.
+"""The m > 1 kernels and the deep-rpo gradient, held to the einsum forms they replace.
 
-``project``, the covariance in ``fit_rpo_projected`` and the Mahalanobis
-form in ``projected_distances`` each take their sums in an order fixed by
-their loops rather than by einsum's layout-dependent inner reduction. The
-oracles below are the earlier einsum formulas, kept verbatim: every result
-must equal theirs by ``tobytes()``, and a whole deep-rpo run with the
-oracles patched in must reproduce its losses, AUCs and checkpoint.
+Two contracts hold here, each against oracles that are the earlier einsum
+code, kept verbatim.
+
+Bit for bit: ``project``, the covariance in ``fit_rpo_projected`` and the
+Mahalanobis form in ``projected_distances`` each take their sums in an
+order fixed by their loops rather than by einsum's layout-dependent inner
+reduction. Every result must equal the oracle's by ``tobytes()``, and a
+whole deep-rpo run with these oracles patched in must reproduce its
+losses, AUCs and checkpoint. The m = 1 gradient of ``deep_rpo_loss`` is
+held to the same bytes.
 
 The oracles' own sums follow the memory layout of their operands: on an
 F-ordered ``T`` the covariance and distance einsums reduce in another
 order. The program only ever passes C-ordered projections, and the kernels
 copy ``T`` into a fixed layout first, so an F-ordered ``T`` must give the
 kernels' (and the oracles') result for its C-ordered copy.
+
+Within a tolerance: the m > 1 gradient of ``deep_rpo_loss`` is one matrix
+product through ``F = entries @ inv_cov``, which sums in another order than
+the oracle's two einsums. Each weight matrix's gradient must lie within
+``GRADIENT_RTOL`` of the oracle's, relative to that matrix's largest
+oracle entry (``assert_within_gradient_tolerance``), and a whole m = 3
+run must keep its train losses within the same bound and its AUCs and
+best epoch exactly.
 """
 
 import sys
@@ -23,6 +35,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rpo import scoring, training
+from rpo.encoder import init_encoder
+from rpo.errors import NumericError
 from rpo.evaluation import ExperimentSpec, run_single_seed
 from rpo.projections import generate_projections, project
 from rpo.scoring import (
@@ -31,7 +45,9 @@ from rpo.scoring import (
     RpoStats,
     fit_rpo_projected,
     projected_distances,
+    reduce_distances,
 )
+from rpo.training import DeepRpoModel, _regularizer, deep_rpo_loss
 
 # the earlier kernels, verbatim
 
@@ -223,3 +239,197 @@ def test_deep_rpo_run_bit_identical_to_einsum_oracles(tmp_path, monkeypatch, met
     for key in ckpt:
         assert _bytes_equal(ckpt[key], o_ckpt[key]), key
     assert ckpt["stats_inv_cov"].shape[1:] == (3, 3)
+
+
+# the gradient contract: bit for bit at m = 1, GRADIENT_RTOL at m > 1
+
+GRADIENT_RTOL = 1e-12
+
+
+def oracle_deep_rpo_loss(
+    model: DeepRpoModel,
+    batch: np.ndarray,
+    sad_flags: np.ndarray | None = None,
+    stats: RpoStats | None = None,
+) -> tuple[float, list[np.ndarray]]:
+    """Projection-outlyingness training objective and its weight gradient.
+
+    ``sad_flags`` (bool, one per batch row) marks the labeled anomalies.
+    With ``stats=None`` and batch mode, location/spread are computed from
+    the batch itself; in full-set mode the caller must supply ``stats``
+    (recomputed once per epoch over all training latents). Either way the
+    statistics are constants in the gradient.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[0] == 0:
+        raise ValueError("empty batch")
+    n = batch.shape[0]
+    if stats is None:
+        if model.stats_mode == "full-set":
+            raise ValueError("full-set stats_mode requires precomputed stats")
+        if n < 2:
+            raise ValueError("insufficient batch for robust stats")
+
+    flags = None
+    if sad_flags is not None:
+        flags = np.asarray(sad_flags, dtype=bool)
+        if flags.shape != (n,):
+            raise ValueError(f"SAD flags shape {flags.shape} does not match batch size {n}")
+
+    Z, cache = model.encoder.forward(batch)
+    T = project(Z, model.projections)  # (n, p, m)
+    if stats is None:
+        stats = fit_rpo_projected(T, eps_floor=model.eps_floor)
+
+    D = projected_distances(T, stats)  # (n, p)
+    scores = reduce_distances(D, model.estimator)
+
+    # dLoss/dscore_i, with the SAD inversion applied where flagged
+    contrib = scores.copy()
+    dscore = np.full(n, 1.0 / n)
+    if flags is not None and np.any(flags):
+        clamped = np.maximum(scores[flags], model.eps_floor)
+        contrib[flags] = 1.0 / clamped
+        inv_grad = np.where(scores[flags] > model.eps_floor, -1.0 / clamped**2, 0.0)
+        dscore[flags] = inv_grad / n
+
+    loss = float(np.mean(contrib)) + _regularizer(model.encoder, model.lam)
+    if not np.isfinite(loss):
+        raise NumericError("non-finite outlyingness loss")
+
+    # dLoss/dD_ij; the mean's is one value per row, an (n, 1) column that broadcasts
+    if model.estimator == "mean":
+        dD = (dscore / model.projections.p)[:, np.newaxis]
+    else:
+        dD = np.zeros_like(D)
+        dD[np.arange(n), np.argmax(D, axis=1)] = dscore
+
+    # dLoss/dT, statistics held constant
+    if stats.mad is not None:
+        sign = np.sign(T[:, :, 0] - stats.med)
+        dT = (dD * sign / stats.mad)[:, :, np.newaxis]
+    else:
+        R = T - stats.med[np.newaxis]  # (n, p, m)
+        PR = np.einsum("pij,npj->npi", stats.inv_cov, R)
+        safe = np.where(D > 0.0, D, 1.0)
+        dT = dD[:, :, np.newaxis] * PR / safe[:, :, np.newaxis]
+        dT[D == 0.0] = 0.0
+
+    dZ = np.einsum("npm,pdm->nd", dT, model.projections.entries)
+    grads = model.encoder.backward(cache, dZ)
+    for g, W in zip(grads, model.encoder.weights):
+        g += model.lam * W
+    return loss, grads
+
+
+def gradient_deviation(grads, oracle_grads):
+    """Largest per-layer max |g - oracle| / max |oracle| over the weight matrices."""
+    worst = 0.0
+    for g, o in zip(grads, oracle_grads, strict=True):
+        assert g.shape == o.shape
+        scale = np.max(np.abs(o))
+        err = np.max(np.abs(g - o))
+        worst = max(worst, err / scale if scale > 0 else (0.0 if err == 0 else np.inf))
+    return worst
+
+
+def assert_within_gradient_tolerance(grads, oracle_grads):
+    assert gradient_deviation(grads, oracle_grads) <= GRADIENT_RTOL
+
+
+def gradient_instance(m, n, p, estimator, sad, given_stats, seed=0):
+    """A model, a batch, SAD flags and (optionally) stats for ``deep_rpo_loss``.
+
+    With ``given_stats`` the stats are fitted on the batch, then the median
+    is moved onto row 5's projections, so row 5 has D == 0 everywhere. At
+    m = 1 a quarter of the rows are +0.0 and another -0.0: zero latents,
+    whose residuals often tie with a zero median (always with
+    ``given_stats``, as row 5 is one of them).
+    """
+    rng = np.random.default_rng(seed + 100 * m + n + p)
+    enc = init_encoder([6, 16, 8], rng)
+    U = generate_projections(8, m, p, seed=seed + m)
+    model = DeepRpoModel(enc, U, estimator=estimator, lam=1e-3)
+    batch = rng.normal(size=(n, 6))
+    if m == 1:
+        batch[: n // 4] = 0.0
+        batch[n // 4 : n // 2] = -0.0
+    flags = None
+    if sad:
+        flags = np.zeros(n, dtype=bool)
+        flags[[5, 17]] = True
+    stats = None
+    if given_stats:
+        T = project(enc.forward(batch)[0], U)
+        fitted = fit_rpo_projected(T)
+        med = T[5, :, 0].copy() if m == 1 else T[5].copy()
+        stats = RpoStats(med=med, mad=fitted.mad, inv_cov=fitted.inv_cov,
+                         eps_floor=fitted.eps_floor)
+        assert np.all(projected_distances(T, stats)[5] == 0.0)
+    return model, batch, flags, stats
+
+
+@pytest.mark.parametrize("given_stats", [False, True], ids=["batch-stats", "D0-row"])
+@pytest.mark.parametrize("sad", [False, True], ids=["plain", "sad"])
+@pytest.mark.parametrize("estimator", ["mean", "max"])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_mdim_gradient_within_tolerance_of_einsum_oracle(m, estimator, sad, given_stats):
+    model, batch, flags, stats = gradient_instance(m, 128, 200, estimator, sad, given_stats)
+    loss, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    o_loss, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    assert np.float64(loss).tobytes() == np.float64(o_loss).tobytes()
+    assert_within_gradient_tolerance(grads, o_grads)
+
+
+@pytest.mark.parametrize("given_stats", [False, True], ids=["batch-stats", "D0-row"])
+@pytest.mark.parametrize("estimator", ["mean", "max"])
+@pytest.mark.parametrize("p", [500, 1000])
+@pytest.mark.parametrize("n", [128, 28, 540])
+def test_m1_gradient_equals_einsum_oracle(n, p, estimator, given_stats):
+    model, batch, flags, stats = gradient_instance(1, n, p, estimator, True, given_stats)
+    loss, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    o_loss, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    assert np.float64(loss).tobytes() == np.float64(o_loss).tobytes()
+    for g, o in zip(grads, o_grads, strict=True):
+        assert _bytes_equal(g, o)
+
+
+def _m_major_latent_grad(R, w, entries, inv_cov):
+    """``_mahalanobis_latent_grad`` with ``F`` reshaped without its transpose."""
+    n, p, m = R.shape
+    F = np.matmul(entries, inv_cov)
+    R *= w[:, :, np.newaxis]
+    return R.reshape(n, p * m) @ F.reshape(p * m, entries.shape[1])
+
+
+def test_wrong_transpose_breaks_gradient_tolerance_by_far(monkeypatch):
+    monkeypatch.setattr(training, "_mahalanobis_latent_grad", _m_major_latent_grad)
+    model, batch, flags, stats = gradient_instance(3, 128, 200, "mean", True, True)
+    _, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    _, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    assert gradient_deviation(grads, o_grads) > 1e-3
+
+
+@pytest.mark.parametrize("rp_dim", [1, 3])
+def test_deep_rpo_run_against_einsum_gradient_oracle(monkeypatch, rp_dim):
+    """AUCs and best epoch equal; train losses bit for bit at m = 1, within GRADIENT_RTOL at m = 3."""
+    spec = ExperimentSpec(
+        method="deep-rpo-mean", k_modes=3, dim=12, n_per_mode=80, anomaly_n=60,
+        n_projections=60, rp_dim=rp_dim, epochs=4, batch_size=64, seeds=(3,),
+        sad_ratio=0.05,
+    )
+    result = run_single_seed(spec, seed=3)
+    monkeypatch.setattr(training, "deep_rpo_loss", oracle_deep_rpo_loss)
+    oracle = run_single_seed(spec, seed=3)
+    loss = np.array([r.train_loss for r in result.history])
+    o_loss = np.array([r.train_loss for r in oracle.history])
+    assert loss.shape == (4,)
+    # no AUC at the ceiling, where a drifting score could not move it
+    assert max(r.val_auc for r in result.history) < 1.0 and result.test_auc < 1.0
+    if rp_dim == 1:
+        assert _bytes_equal(loss, o_loss)
+    else:
+        assert np.max(np.abs(loss - o_loss) / np.abs(o_loss)) <= GRADIENT_RTOL
+    assert [r.val_auc for r in result.history] == [r.val_auc for r in oracle.history]
+    assert result.test_auc == oracle.test_auc
+    assert result.best_epoch == oracle.best_epoch

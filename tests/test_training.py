@@ -196,7 +196,7 @@ class TestDeepRpoLoss:
         assert flagged - base == pytest.approx(expected_delta, rel=1e-10)
 
     @pytest.mark.parametrize("estimator", ["mean", "max"])
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
     def test_gradient_matches_finite_differences(self, estimator, m, lam):
         seed = 1000 * len(estimator) + 100 * m + (7 if lam else 3)
@@ -219,6 +219,21 @@ class TestDeepRpoLoss:
         flags = np.zeros(6, dtype=bool)
         flags[1] = flags[4] = True
         model, batch, stats = _fd_safe_instance(seed=88, estimator="mean", sad_flags=flags)
+        _, analytic = deep_rpo_loss(model, batch, sad_flags=flags)
+        numeric = fd_gradients(
+            model.encoder,
+            lambda: deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)[0],
+            step=1e-6,
+        )
+        assert relative_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("estimator", ["mean", "max"])
+    def test_gradient_with_sad_matches_finite_differences_m3(self, estimator):
+        flags = np.zeros(6, dtype=bool)
+        flags[0] = flags[3] = True
+        model, batch, stats = _fd_safe_instance(
+            seed=93, estimator=estimator, m=3, sad_flags=flags, lam=1e-3
+        )
         _, analytic = deep_rpo_loss(model, batch, sad_flags=flags)
         numeric = fd_gradients(
             model.encoder,
