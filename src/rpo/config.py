@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import yaml
 
 from .errors import ConfigError, DataError
-from .evaluation import SWEEP_AXES, SYNTHETIC, ExperimentSpec, spec_for_axis_value
+from .evaluation import SYNTHETIC, ExperimentSpec, spec_for_axis_value
 
 
 @dataclass
@@ -184,8 +184,6 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
         run_kwargs.update(_take(RunConfig, section, name, RUN_SECTIONS[name]))
         _reject_unknown(section, name)
     sweep_axis = run_kwargs.get("sweep_axis")
-    if sweep_axis is not None and sweep_axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
     if sweep_axis is not None and not run_kwargs.get("sweep_values"):
         raise ConfigError("sweep.values must be a nonempty list")
 

@@ -5,7 +5,8 @@ leaky-rectifier activation on every hidden layer (the output layer is
 linear). Bias-free layers and a non-saturating activation are the
 structural conditions that keep a one-class objective from collapsing the
 latent representation onto a single point, so they are enforced here
-rather than left to configuration.
+rather than left to configuration: the negative slope is the constant
+``LEAKY_SLOPE``, and a checkpoint stores only the weights.
 
 Everything is numpy float64 on purpose: forward passes are deterministic
 and gradients are exact reverse-mode (validated against finite differences
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_SLOPE = 0.1
+LEAKY_SLOPE = 0.1  # the hidden activation is max(h, LEAKY_SLOPE * h)
 
 
 @dataclass
@@ -34,7 +35,7 @@ class ForwardCache:
 class Encoder:
     """Stack of bias-free dense layers with leaky-rectifier hidden units."""
 
-    def __init__(self, weights: list[np.ndarray], slope: float = DEFAULT_SLOPE):
+    def __init__(self, weights: list[np.ndarray]):
         if not weights:
             raise ValueError("encoder needs at least one layer")
         for i, W in enumerate(weights):
@@ -49,7 +50,6 @@ class Encoder:
                     f"layer {i + 1} input dim {weights[i + 1].shape[0]}"
                 )
         self.weights = [np.asarray(W, dtype=np.float64) for W in weights]
-        self.slope = float(slope)
 
     @property
     def layer_dims(self) -> list[int]:
@@ -76,7 +76,7 @@ class Encoder:
         for W in self.weights[:-1]:
             H = A @ W
             preacts.append(H)
-            A = np.where(H > 0, H, self.slope * H)
+            A = np.where(H > 0, H, LEAKY_SLOPE * H)
             inputs.append(A)
         Z = A @ self.weights[-1]
         return Z, ForwardCache(inputs=inputs, preacts=preacts, n_layers=len(self.weights))
@@ -101,21 +101,20 @@ class Encoder:
             if l > 0:
                 G = G @ self.weights[l].T
                 H = cache.preacts[l - 1]
-                G = G * np.where(H > 0, 1.0, self.slope)
+                G = G * np.where(H > 0, 1.0, LEAKY_SLOPE)
         return grads
 
 
-def init_encoder(layer_dims: list[int], seed_rng: np.random.Generator,
-                 slope: float = DEFAULT_SLOPE) -> Encoder:
+def init_encoder(layer_dims: list[int], seed_rng: np.random.Generator) -> Encoder:
     """He-style initialization scaled for the leaky rectifier."""
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
         raise ValueError(f"layer_dims must list >= 2 positive sizes, got {layer_dims}")
-    gain = np.sqrt(2.0 / (1.0 + slope**2))
+    gain = np.sqrt(2.0 / (1.0 + LEAKY_SLOPE**2))
     weights = []
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
         std = gain / np.sqrt(d_in)
         weights.append(seed_rng.standard_normal((d_in, d_out)) * std)
-    return Encoder(weights, slope=slope)
+    return Encoder(weights)
 
 
 # Adam's moment decay rates and denominator guard. No weight decay is applied

@@ -31,7 +31,7 @@ from .errors import ConfigError, DataError, classify
 from .metrics import mean_std, roc_auc
 from .model_io import ScoringModel, save_model_checkpoint
 from .projections import DropoutSpec, apply_dropout, generate_projections
-from .scoring import DEFAULT_EPS_FLOOR, fit_rpo, method_estimator
+from .scoring import DEFAULT_EPS_FLOOR, METHODS, fit_rpo, method_estimator
 from .seeding import sub_rng, sub_seed
 from .training import (
     STATS_MODES,
@@ -43,7 +43,6 @@ from .training import (
     train,
 )
 
-METHODS = ("rpo-max", "rpo-mean", "deep-svdd", "deep-rpo-max", "deep-rpo-mean")
 SWEEP_AXES = ("n_projections", "rp_dim", "dropout", "alpha", "sad_ratio")
 SYNTHETIC = "synthetic"
 
@@ -424,8 +423,6 @@ def sweep(
     values = list(values)
     if not values:
         raise ConfigError("sweep values list is empty")
-    if axis == "sad_ratio" and not base.method.startswith("deep-rpo"):
-        raise ConfigError("sad_ratio sweep requires a deep-rpo method")
     if axis in ("n_projections", "rp_dim", "dropout") and base.method == "deep-svdd":
         raise ConfigError(f"axis {axis!r} does not apply to deep-svdd")
 

@@ -4,24 +4,33 @@ A :class:`ScoringModel` is everything needed to score new rows: the
 standardizer fitted on the train split, the encoder weights (deep methods),
 and the score head, which is either the hypersphere center (deep-svdd) or
 the frozen projection set with its fitted statistics (projection methods).
-A checkpoint is one ``.npz`` archive of those arrays plus a format version
-and the method name. Arrays are stored raw, so save/load round-trips
-bit-exactly.
+A scorer checks its parts when it is built, so one that exists fits its
+method and scores every finite row to a finite value.
+
+A checkpoint is one ``.npz`` archive of format version 2, holding only what
+scoring reads: ``version``, ``method``, ``scaler_mean`` and ``scaler_std``;
+``layer_dims`` and ``W0`` .. ``W{L-1}`` for an encoder; ``center`` for
+deep-svdd; otherwise ``proj_entries``, ``stats_med`` and either
+``stats_mad`` (m = 1) or ``stats_inv_cov`` (m > 1). Arrays are stored raw,
+so save/load round-trips bit-exactly. A file of another version is refused;
+rerunning the ``rpo bench`` config that wrote it writes the same model in
+this format.
 """
 
 from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .encoder import Encoder
 from .errors import DataError
 from .projections import ProjectionSet
-from .scoring import RpoStats, center_distances, method_estimator, score_batch
+from .scoring import METHODS, RpoStats, center_distances, method_estimator, score_batch
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +48,46 @@ class ScoringModel:
     center: np.ndarray | None = None
     projections: ProjectionSet | None = None
     stats: RpoStats | None = None
+
+    def __post_init__(self):
+        """Reject parts that do not fit the method or each other, or cannot score.
+
+        Raises ``ValueError`` naming the part; ``load_model_checkpoint`` adds
+        the file.
+        """
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        svdd = self.method == "deep-svdd"
+        for part, needed in (("encoder", self.method.startswith("deep")), ("center", svdd),
+                             ("projections", not svdd), ("stats", not svdd)):
+            if (getattr(self, part) is not None) != needed:
+                raise ValueError(
+                    f"method {self.method!r} {'needs' if needed else 'takes no'} {part}"
+                )
+        width = self.scaler_mean.size
+        space = width if self.encoder is None else self.encoder.latent_dim
+        if self.encoder is not None and self.encoder.input_dim != width:
+            raise ValueError(f"the encoder reads {self.encoder.input_dim} features, not {width}")
+        # every array in the shape scoring reads it in, so none broadcasts
+        shapes = {"scaler_mean": (width,), "scaler_std": (width,), "center": (space,)}
+        if not svdd:
+            p, d, m = self.projections.entries.shape
+            if d != space:
+                raise ValueError(f"the projections map {d} dimensions, not {space}")
+            if (self.stats.mad is None) != (m > 1):
+                raise ValueError(f"m = {m} projections need stats.{'inv_cov' if m > 1 else 'mad'}")
+            shapes.update({"stats.med": (p,) if m == 1 else (p, m), "stats.mad": (p,),
+                           "stats.inv_cov": (p, m, m)})
+        for name, shape in shapes.items():
+            a = attrgetter(name)(self)
+            if a is None:
+                continue
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} holds a non-finite value")
+            if name in ("scaler_std", "stats.mad") and not np.all(a > 0):
+                raise ValueError(f"{name} must be > 0")
 
     @property
     def input_dim(self) -> int:
@@ -78,17 +127,14 @@ def save_model_checkpoint(path, model: ScoringModel) -> None:
     }
     if model.encoder is not None:
         payload["layer_dims"] = np.asarray(model.encoder.layer_dims, dtype=np.int64)
-        payload["slope"] = np.float64(model.encoder.slope)
         for l, W in enumerate(model.encoder.weights):
             payload[f"W{l}"] = W
     if model.center is not None:
         payload["center"] = model.center
     if model.projections is not None:
         payload["proj_entries"] = model.projections.entries
-        payload["proj_seed"] = np.int64(model.projections.seed)
     if model.stats is not None:
         payload["stats_med"] = model.stats.med
-        payload["eps_floor"] = np.float64(model.stats.eps_floor)
         if model.stats.mad is not None:
             payload["stats_mad"] = model.stats.mad
         else:
@@ -101,42 +147,41 @@ def load_model_checkpoint(path) -> ScoringModel:
         # np.load leaves a file it opened itself open when the archive is
         # damaged, and returns a plain .npy file as an array, not an archive
         with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as data:
+            version = int(data["version"])
+            if version != CHECKPOINT_VERSION:
+                raise DataError(
+                    f"checkpoint {path} has format version {version}; this rpo reads "
+                    f"version {CHECKPOINT_VERSION} (rerun the rpo bench config that wrote it)"
+                )
             return _unpack(data)
     except KeyError as exc:  # a member the format requires is missing
         raise DataError(f"checkpoint {path} lacks {exc}") from exc
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         # BadZipFile: not an archive (an empty or .npy file), a truncated
         # archive, or a member that fails its CRC; ValueError: a member that
-        # is not a whole .npy array; EOFError: a member cut short
+        # is not a whole .npy array, or parts that make no scorer; TypeError:
+        # a member of the wrong kind (text where numbers belong); EOFError: a
+        # member cut short
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
 def _unpack(data) -> ScoringModel:
-    version = int(data["version"])
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
     encoder = None
     if "layer_dims" in data:
         dims = data["layer_dims"].tolist()
-        weights = [data[f"W{l}"] for l in range(len(dims) - 1)]
-        encoder = Encoder(weights, slope=float(data["slope"]))
-    projections = None
-    if "proj_entries" in data:
-        projections = ProjectionSet(entries=data["proj_entries"], seed=int(data["proj_seed"]))
+        encoder = Encoder([data[f"W{l}"] for l in range(len(dims) - 1)])
+    entries = data.get("proj_entries")
     stats = None
     if "stats_med" in data:
         stats = RpoStats(
-            med=data["stats_med"],
-            mad=data["stats_mad"] if "stats_mad" in data else None,
-            inv_cov=data["stats_inv_cov"] if "stats_inv_cov" in data else None,
-            eps_floor=float(data["eps_floor"]),
+            med=data["stats_med"], mad=data.get("stats_mad"), inv_cov=data.get("stats_inv_cov")
         )
     return ScoringModel(
         method=str(data["method"]),
         scaler_mean=data["scaler_mean"],
         scaler_std=data["scaler_std"],
         encoder=encoder,
-        center=data["center"] if "center" in data else None,
-        projections=projections,
+        center=data.get("center"),
+        projections=None if entries is None else ProjectionSet(entries=entries),
         stats=stats,
     )

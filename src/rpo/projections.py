@@ -13,7 +13,9 @@ re-normalized when ``m = 1``. Both use floor counts, so tiny rate*count is
 a no-op. A dropout mask is drawn once, from the stream seed the caller
 passes (a run passes its own ``dropout`` sub-seed), and stays fixed for the
 whole run.
-A set is persisted only as part of a scoring checkpoint (``model_io``).
+A set is persisted only as part of a scoring checkpoint (``model_io``), as
+its raw entries: the seed that drew them is not kept, because no score
+reads it.
 
 ``project`` is one matmul for m = 1. For m > 1 it hands einsum a (d, p, m)
 copy of the maps and takes ``einsum("nd,dpm->npm")``: the sum over d then
@@ -41,7 +43,6 @@ class ProjectionSet:
     """Immutable stack of ``p`` projection maps of shape (d, m)."""
 
     entries: np.ndarray  # (p, d, m) float64
-    seed: int
 
     def __post_init__(self):
         e = self.entries
@@ -97,7 +98,7 @@ def generate_projections(d: int, m: int, p: int, seed: int) -> ProjectionSet:
         raise ValueError(f"d, m, p must all be >= 1, got d={d}, m={m}, p={p}")
     rng = sub_rng(seed, "projections")
     entries = rng.standard_normal((p, d, m))
-    return ProjectionSet(entries=_normalize_columns(entries), seed=seed)
+    return ProjectionSet(entries=_normalize_columns(entries))
 
 
 def _normalize_columns(entries: np.ndarray) -> np.ndarray:
@@ -149,4 +150,4 @@ def apply_dropout(U: ProjectionSet, spec: DropoutSpec, seed: int) -> ProjectionS
         if U.m == 1:
             entries = _normalize_columns(entries)
 
-    return ProjectionSet(entries=entries, seed=U.seed)
+    return ProjectionSet(entries=entries)

@@ -89,6 +89,9 @@ def validate_estimator(kind: str) -> str:
     return kind
 
 
+METHODS = ("rpo-max", "rpo-mean", "deep-svdd", "deep-rpo-max", "deep-rpo-mean")
+
+
 def method_estimator(method: str) -> Estimator:
     """The estimator a method name selects: ``*-max`` methods reduce with max."""
     return "max" if method.endswith("max") else "mean"
@@ -106,13 +109,10 @@ class RpoStats:
     med: np.ndarray
     mad: np.ndarray | None
     inv_cov: np.ndarray | None
-    eps_floor: float
 
     def __post_init__(self):
         if (self.mad is None) == (self.inv_cov is None):
             raise ValueError("exactly one of mad and inv_cov must be set")
-        if self.eps_floor <= 0:
-            raise ValueError(f"eps_floor must be positive, got {self.eps_floor}")
 
     @property
     def p(self) -> int:
@@ -136,6 +136,8 @@ def fit_rpo(
 
 def fit_rpo_projected(T: np.ndarray, eps_floor: float = DEFAULT_EPS_FLOOR) -> RpoStats:
     """Fit statistics from already-projected coordinates of shape (n, p, m)."""
+    if eps_floor <= 0:
+        raise ValueError(f"eps_floor must be positive, got {eps_floor}")
     n, p, m = T.shape
     if n == 0:
         raise ValueError("empty training set")
@@ -148,7 +150,7 @@ def fit_rpo_projected(T: np.ndarray, eps_floor: float = DEFAULT_EPS_FLOOR) -> Rp
         np.subtract(buf, med[:, np.newaxis], out=buf)
         np.abs(buf, out=buf)
         mad = np.maximum(_sort_rows_median(buf), eps_floor)
-        return RpoStats(med=med, mad=mad, inv_cov=None, eps_floor=eps_floor)
+        return RpoStats(med=med, mad=mad, inv_cov=None)
 
     med = _sort_rows_median(np.array(T.reshape(n, p * m).T, order="C")).reshape(p, m)
     # rows outermost, whatever p is (see the module docstring)
@@ -164,7 +166,7 @@ def fit_rpo_projected(T: np.ndarray, eps_floor: float = DEFAULT_EPS_FLOOR) -> Rp
     if not np.all(np.isfinite(inv_cov)):
         raise NumericError("projected covariance inverse is not finite")
     inv_cov = 0.5 * (inv_cov + np.transpose(inv_cov, (0, 2, 1)))
-    return RpoStats(med=med, mad=None, inv_cov=inv_cov, eps_floor=eps_floor)
+    return RpoStats(med=med, mad=None, inv_cov=inv_cov)
 
 
 def _sort_rows_median(buf: np.ndarray) -> np.ndarray:

@@ -349,6 +349,16 @@ class TestSweepCommand:
         assert any("sweep.values" in r.message for r in caplog.records if r.levelname == "ERROR")
         assert not (tmp_path / "out" / "aggregate.csv").exists()
 
+    def test_unknown_axis_exits_1_naming_it(self, tmp_path, monkeypatch, caplog):
+        ran = []
+        monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, sweep={"axis": "bananas", "values": [1]})
+        assert run_cli("sweep", "-c", str(cfg_path)) == 1
+        assert ran == []
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("'bananas'" in e for e in errors), errors
+
 
 @pytest.mark.parametrize("command", ["bench", "sweep"])
 def test_negative_workers_exits_1_naming_the_flag(tmp_path, monkeypatch, caplog, command):
@@ -663,12 +673,46 @@ def _npy_bytes(array) -> bytes:
     return buf.getvalue()
 
 
+def _rewritten(path, **changes) -> bytes:
+    """The archive at ``path`` saved again with members replaced; ``None`` drops one."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    for name, value in changes.items():
+        if value is None:
+            del members[name]
+        else:
+            members[name] = value
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+def _first_set(path, member: str, value: float) -> np.ndarray:
+    """``member`` of the archive at ``path`` with its first value set to ``value``."""
+    with np.load(path) as archive:
+        array = archive[member].copy()
+    array.flat[0] = value
+    return array
+
+
+NO_HEAD = dict(proj_entries=None, stats_med=None, stats_mad=None)
 DAMAGED_CHECKPOINTS = {
     "empty": lambda raw, path: b"",
     "first half": lambda raw, path: raw[: len(raw) // 2],
     "last 30 bytes cut": lambda raw, path: raw[:-30],
     "flipped byte": lambda raw, path: _flip_a_byte_of_member(raw, path, "proj_entries.npy"),
     "plain .npy": lambda raw, path: _npy_bytes(np.arange(3.0)),
+    "projections without stats": lambda raw, path: _rewritten(
+        path, stats_med=None, stats_mad=None),
+    "no head": lambda raw, path: _rewritten(path, **NO_HEAD),
+    "unknown method with a center": lambda raw, path: _rewritten(
+        path, method=np.str_("bogus"), center=np.zeros(6), **NO_HEAD),
+    "NaN median": lambda raw, path: _rewritten(
+        path, stats_med=_first_set(path, "stats_med", np.nan)),
+    "zero scaler_std": lambda raw, path: _rewritten(
+        path, scaler_std=_first_set(path, "scaler_std", 0.0)),
+    "one scaler_std for six features": lambda raw, path: _rewritten(path, scaler_std=np.ones(1)),
+    "text scaler_mean": lambda raw, path: _rewritten(path, scaler_mean=np.array(["a"] * 6)),
 }
 
 
@@ -687,3 +731,19 @@ def test_damaged_checkpoint_exits_2_naming_the_file(tmp_path, caplog, rpo_max_ch
     assert any(f"checkpoint {ckpt}: " in e for e in errors), errors
     with pytest.raises(DataError, match="cannot read checkpoint"):
         load_model_checkpoint(ckpt)
+
+
+def test_version_1_checkpoint_exits_2_naming_the_file(tmp_path, caplog, rpo_max_checkpoint):
+    """A version-1 archive, with the members it held then, is refused."""
+    ckpt = tmp_path / "v1.npz"
+    ckpt.write_bytes(_rewritten(rpo_max_checkpoint, version=np.int64(1),
+                                proj_seed=np.int64(0), eps_floor=np.float64(1e-6)))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1,f2,f3,f4,f5\n1,2,3,4,5,6\n")
+    out = tmp_path / "scores.csv"
+    assert run_cli("score", "--checkpoint", str(ckpt), "--input", str(rows),
+                   "--output", str(out)) == 2
+    assert not out.exists()
+    errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert any(str(ckpt) in e and "version 1" in e and "reads version 2" in e
+               for e in errors), errors

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rpo.encoder import (
+    LEAKY_SLOPE,
     AdamState,
     Encoder,
     adam_step,
@@ -88,7 +89,7 @@ class TestForward:
         enc = init_encoder(dims, rng)
         X = rng.normal(size=(6, dims[0]))
         Z, _ = enc.forward(X)
-        assert np.allclose(Z, naive_forward(enc.weights, enc.slope, X), atol=1e-10)
+        assert np.allclose(Z, naive_forward(enc.weights, LEAKY_SLOPE, X), atol=1e-10)
 
     def test_shape_mismatch(self):
         enc = Encoder([np.eye(3)])
@@ -217,21 +218,20 @@ class TestCheckpoint:
     """Encoder weights persist only inside a scoring checkpoint."""
 
     def test_round_trip_bit_exact(self, tmp_path):
-        enc = init_encoder([5, 4, 3], np.random.default_rng(7), slope=0.2)
+        enc = init_encoder([5, 4, 3], np.random.default_rng(7))
         path = tmp_path / "enc.npz"
         save_model_checkpoint(
             path, ScoringModel("deep-svdd", np.zeros(5), np.ones(5), encoder=enc, center=np.ones(3))
         )
         loaded = load_model_checkpoint(path).encoder
         assert loaded.layer_dims == enc.layer_dims
-        assert loaded.slope == enc.slope
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, enc.weights))
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(
             path, version=np.int64(999), method=np.str_("deep-svdd"), scaler_mean=np.zeros(2),
-            scaler_std=np.ones(2), layer_dims=np.array([2, 2]), slope=0.1, W0=np.eye(2),
+            scaler_std=np.ones(2), layer_dims=np.array([2, 2]), W0=np.eye(2),
             center=np.zeros(2),
         )
         with pytest.raises(DataError, match="version"):

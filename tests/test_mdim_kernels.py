@@ -64,7 +64,7 @@ def oracle_fit(T, eps_floor=DEFAULT_EPS_FLOOR, ridge=RIDGE):
     cov = cov + ridge * np.eye(m)
     inv_cov = np.linalg.inv(cov)
     inv_cov = 0.5 * (inv_cov + np.transpose(inv_cov, (0, 2, 1)))
-    return RpoStats(med=med, mad=None, inv_cov=inv_cov, eps_floor=eps_floor)
+    return RpoStats(med=med, mad=None, inv_cov=inv_cov)
 
 
 def oracle_distances(T, stats, out=None):
@@ -363,8 +363,7 @@ def gradient_instance(m, n, p, estimator, sad, given_stats, seed=0):
         T = project(enc.forward(batch)[0], U)
         fitted = fit_rpo_projected(T)
         med = T[5, :, 0].copy() if m == 1 else T[5].copy()
-        stats = RpoStats(med=med, mad=fitted.mad, inv_cov=fitted.inv_cov,
-                         eps_floor=fitted.eps_floor)
+        stats = RpoStats(med=med, mad=fitted.mad, inv_cov=fitted.inv_cov)
         assert np.all(projected_distances(T, stats)[5] == 0.0)
     return model, batch, flags, stats
 

@@ -5,11 +5,11 @@ from rpo import data as datamod
 from rpo import evaluation
 from rpo.encoder import init_encoder
 from rpo.errors import DataError
-from rpo.evaluation import METHODS, ExperimentSpec, run_single_seed
+from rpo.evaluation import ExperimentSpec, run_single_seed
 from rpo.metrics import roc_auc
 from rpo.model_io import ScoringModel, load_model_checkpoint, save_model_checkpoint
 from rpo.projections import generate_projections
-from rpo.scoring import fit_rpo, score_batch
+from rpo.scoring import METHODS, RpoStats, fit_rpo, score_batch
 from rpo.seeding import sub_seed
 
 
@@ -58,20 +58,18 @@ def test_deep_checkpoint_round_trip(tmp_path):
 
 def test_deep_rpo_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    enc = init_encoder([6, 5, 4], rng, slope=0.3)
+    enc = init_encoder([6, 5, 4], rng)
     U = generate_projections(d=4, m=3, p=9, seed=5)
     stats = fit_rpo(enc.forward(rng.normal(size=(30, 6)))[0], U, eps_floor=1e-4)
     mean, std = rng.normal(size=6), rng.uniform(0.5, 2.0, size=6)
     saved = ScoringModel("deep-rpo-max", mean, std, encoder=enc, projections=U, stats=stats)
     model = round_trip(tmp_path, saved)
     assert model.estimator == "max"
-    assert model.encoder.slope == enc.slope
     assert all(np.array_equal(a, b) for a, b in zip(model.encoder.weights, enc.weights))
     assert np.array_equal(model.projections.entries, U.entries)
-    assert model.projections.seed == U.seed
     assert np.array_equal(model.stats.med, stats.med)
     assert np.array_equal(model.stats.inv_cov, stats.inv_cov)
-    assert model.stats.mad is None and model.stats.eps_floor == stats.eps_floor
+    assert model.stats.mad is None
     assert np.array_equal(model.scaler_mean, mean) and np.array_equal(model.scaler_std, std)
     X = rng.normal(size=(8, 6))
     assert np.array_equal(model.score_rows(X), saved.score_rows(X))
@@ -85,6 +83,39 @@ def test_width_mismatch_message(tmp_path):
     )
     with pytest.raises(DataError, match="expected 4"):
         model.score_rows(np.zeros((2, 6)))
+
+
+def test_a_scorer_checks_its_parts_when_built():
+    rng = np.random.default_rng(3)
+    enc = init_encoder([4, 3], rng)
+    X = rng.normal(size=(20, 4))
+    U1 = generate_projections(d=4, m=1, p=5, seed=0)
+    U2 = generate_projections(d=3, m=2, p=5, seed=0)
+    stats1, stats2 = fit_rpo(X, U1), fit_rpo(enc.forward(X)[0], U2)
+    width4 = dict(scaler_mean=np.zeros(4), scaler_std=np.ones(4))
+    ScoringModel("rpo-max", **width4, projections=U1, stats=stats1)
+    ScoringModel("deep-rpo-mean", **width4, encoder=enc, projections=U2, stats=stats2)
+    bad = [
+        ("rpo-max", width4, dict(encoder=enc, projections=U1, stats=stats1), "takes no encoder"),
+        ("deep-rpo-max", width4, dict(projections=U2, stats=stats2), "needs encoder"),
+        ("deep-svdd", width4, dict(encoder=enc, center=np.zeros(3), projections=U2, stats=stats2),
+         "takes no projections"),
+        ("deep-rpo-max", width4, dict(encoder=enc, projections=U1, stats=stats1),
+         "map 4 dimensions, not 3"),
+        ("deep-rpo-max", dict(scaler_mean=np.zeros(6), scaler_std=np.ones(6)),
+         dict(encoder=enc, projections=U2, stats=stats2), "reads 4 features, not 6"),
+        ("rpo-mean", width4, dict(projections=U1, stats=stats2), "need stats.mad"),
+        ("rpo-mean", width4,
+         dict(projections=U1, stats=RpoStats(med=np.zeros(1), mad=np.ones(5), inv_cov=None)),
+         "stats.med must have shape"),
+        ("rpo-mean", width4,
+         dict(projections=U1, stats=RpoStats(med=np.zeros(5), mad=np.zeros(5), inv_cov=None)),
+         "stats.mad must be > 0"),
+        ("deep-svdd", width4, dict(encoder=enc, center=np.full(3, np.inf)), "center holds"),
+    ]
+    for method, scaler, parts, problem in bad:
+        with pytest.raises(ValueError, match=problem):
+            ScoringModel(method, **scaler, **parts)
 
 
 def test_missing_checkpoint(tmp_path):

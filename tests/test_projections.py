@@ -68,7 +68,7 @@ class TestProject:
         assert np.all(out == 0.0)
 
     def test_axis_projection(self):
-        U = ProjectionSet(entries=np.array([[[1.0], [0.0]]]), seed=0)
+        U = ProjectionSet(entries=np.array([[[1.0], [0.0]]]))
         out = project(np.array([[3.0, 7.0]]), U)
         assert out[0, 0, 0] == 3.0
 
@@ -147,7 +147,7 @@ class TestDropout:
     def test_degenerate_components_dropout_rejected(self):
         # axis-aligned vectors in d=2: dropping either dim zeroes one of them
         entries = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
-        U = ProjectionSet(entries=entries, seed=0)
+        U = ProjectionSet(entries=entries)
         with pytest.raises(DataError, match="degenerate dropout"):
             apply_dropout(U, DropoutSpec(components_rate=0.5), 1)
 
@@ -178,7 +178,6 @@ class TestSerialization:
                 path, ScoringModel("rpo-mean", np.zeros(6), np.ones(6), projections=U, stats=stats)
             )
             loaded = load_model_checkpoint(path)
-            assert loaded.projections.seed == U.seed
             assert loaded.projections.entries.shape == U.entries.shape
             assert np.array_equal(loaded.projections.entries, U.entries)
             assert np.array_equal(loaded.stats.med, stats.med)

@@ -15,6 +15,7 @@ import rpo
 from rpo import scoring
 from rpo.projections import ProjectionSet, generate_projections, project
 from rpo.scoring import (
+    DEFAULT_EPS_FLOOR,
     SCORE_BLOCK_ROWS,
     RpoStats,
     depth,
@@ -63,7 +64,7 @@ class TestFit:
         assert np.all(stats.mad == 1e-6)
 
     def test_symmetric_three_points(self):
-        U = ProjectionSet(entries=np.array([[[1.0]]]), seed=0)
+        U = ProjectionSet(entries=np.array([[[1.0]]]))
         stats = fit_rpo(np.array([[-1.0], [0.0], [1.0]]), U)
         assert stats.med[0] == 0.0
         assert stats.mad[0] == 1.0
@@ -80,7 +81,7 @@ class TestFit:
             dev = sorted(abs(t - med) for t in T[:, j])
             mad = (dev[24] + dev[25]) / 2.0
             assert stats.med[j] == med
-            assert stats.mad[j] == max(mad, stats.eps_floor)
+            assert stats.mad[j] == max(mad, DEFAULT_EPS_FLOOR)
 
     def test_multidim_stats_shapes(self):
         rng = np.random.default_rng(2)
@@ -107,15 +108,15 @@ class TestScore:
         stats = fit_rpo(X, U)
         # a point projecting exactly onto every median does not exist in
         # general; build stats by hand instead
-        stats = RpoStats(med=np.zeros(6), mad=np.ones(6), inv_cov=None, eps_floor=1e-6)
+        stats = RpoStats(med=np.zeros(6), mad=np.ones(6), inv_cov=None)
         assert score_batch(np.zeros((1, 4)), U, stats, "max")[0] == 0.0
         assert score_batch(np.zeros((1, 4)), U, stats, "mean")[0] == 0.0
 
     def test_two_projection_arithmetic(self):
         # normalized distances {2, 4} -> max 4, mean 3
         entries = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
-        U = ProjectionSet(entries=entries, seed=0)
-        stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_cov=None, eps_floor=1e-6)
+        U = ProjectionSet(entries=entries)
+        stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_cov=None)
         x = np.array([[2.0, 4.0]])
         assert score_batch(x, U, stats, "max")[0] == 4.0
         assert score_batch(x, U, stats, "mean")[0] == 3.0
@@ -170,13 +171,13 @@ class TestScore:
 
     def test_dimension_mismatch(self):
         U = generate_projections(d=4, m=1, p=3, seed=0)
-        stats = RpoStats(med=np.zeros(3), mad=np.ones(3), inv_cov=None, eps_floor=1e-6)
+        stats = RpoStats(med=np.zeros(3), mad=np.ones(3), inv_cov=None)
         with pytest.raises(ValueError):
             score_batch(np.zeros((1, 5)), U, stats, "max")
 
     def test_projection_count_mismatch(self):
         U = generate_projections(d=4, m=1, p=3, seed=0)
-        stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_cov=None, eps_floor=1e-6)
+        stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_cov=None)
         with pytest.raises(ValueError):
             score_batch(np.zeros((1, 4)), U, stats, "max")
 
@@ -304,7 +305,7 @@ class TestInvariances:
     def test_projection_permutation_invariance(self):
         U, X, queries = self._instance(9)
         perm = np.random.default_rng(1).permutation(U.p)
-        U_perm = ProjectionSet(entries=U.entries[perm], seed=U.seed)
+        U_perm = ProjectionSet(entries=U.entries[perm])
         for est in ("max", "mean"):
             assert np.allclose(
                 score_batch(queries, U, fit_rpo(X, U), est),

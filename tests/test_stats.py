@@ -114,7 +114,7 @@ class TestMad:
         assert mad(v) == oracle_mad(v)
 
     def test_empty_sample_rejected(self):
-        U = ProjectionSet(entries=np.ones((1, 1, 1)), seed=0)
+        U = ProjectionSet(entries=np.ones((1, 1, 1)))
         with pytest.raises(ValueError, match="empty training set"):
             fit_rpo(np.zeros((0, 1)), U)
 

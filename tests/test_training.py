@@ -145,7 +145,7 @@ class TestDeepRpoLoss:
         # identity encoder on 1-D batch {-1, 0, 1, 5}: MED=0.5, MAD=1,
         # distances {1.5, 0.5, 0.5, 4.5}; with p=1 both estimators give 1.75
         enc = Encoder([np.eye(1)])
-        U = ProjectionSet(entries=np.array([[[1.0]]]), seed=0)
+        U = ProjectionSet(entries=np.array([[[1.0]]]))
         model = DeepRpoModel(enc, U, estimator=estimator, lam=0.0)
         batch = np.array([[-1.0], [0.0], [1.0], [5.0]])
         stats = fit_rpo_projected(project(enc.forward(batch)[0], U))
