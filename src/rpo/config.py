@@ -128,8 +128,7 @@ SPEC_SECTIONS = {
     "dataset": ("source", "label_column", "normal_class_ids", "k_modes", "dim",
                 "n_per_mode", "anomaly_n"),
     "model": ("n_projections", "rp_dim", "latent_dim", "hidden_dims", "dropout"),
-    "training": ("epochs", "batch_size", "learning_rate", "weight_decay", "stats_mode",
-                 "eps_floor"),
+    "training": ("epochs", "batch_size", "learning_rate", "weight_decay"),
     "protocol": ("val_fraction", "test_fraction", "contamination", "sad_ratio",
                  "sad_classes", "affine"),
 }

@@ -31,10 +31,9 @@ from .errors import ConfigError, DataError, classify
 from .metrics import mean_std, roc_auc
 from .model_io import ScoringModel, save_model_checkpoint
 from .projections import DropoutSpec, apply_dropout, generate_projections
-from .scoring import DEFAULT_EPS_FLOOR, METHODS, fit_rpo, method_estimator
+from .scoring import METHODS, fit_rpo, method_estimator
 from .seeding import sub_rng, sub_seed
 from .training import (
-    STATS_MODES,
     DeepRpoModel,
     EpochRecord,
     SvddModel,
@@ -74,8 +73,6 @@ class ExperimentSpec:
     sad_ratio: float = 0.0
     sad_classes: int = 2
     affine: AffineSpec | None = None
-    stats_mode: str = "batch"
-    eps_floor: float = DEFAULT_EPS_FLOOR
     seeds: tuple = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
@@ -126,9 +123,16 @@ class ExperimentSpec:
                 raise ConfigError(f"dataset.anomaly_n must be >= 0, got {self.anomaly_n}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"protocol.val_fraction must lie in (0, 1), got {self.val_fraction}")
-        if not 0.0 <= self.test_fraction < 1.0:
+        # every source starts its normals in train, so 0 leaves no normal test row
+        if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(
-                f"protocol.test_fraction must lie in [0, 1), got {self.test_fraction}"
+                f"protocol.test_fraction must lie in (0, 1), got {self.test_fraction}"
+            )
+        # generate_multimodal moves this many normals of each mode to test
+        if self.source == SYNTHETIC and round(self.test_fraction * self.n_per_mode) < 1:
+            raise ConfigError(
+                f"protocol.test_fraction {self.test_fraction} moves no normal row of "
+                f"dataset.n_per_mode {self.n_per_mode} to the test split"
             )
         if self.rp_dim < 1:
             raise ConfigError(f"model.rp_dim must be >= 1, got {self.rp_dim}")
@@ -142,12 +146,6 @@ class ExperimentSpec:
             )
         if self.dim < 1:
             raise ConfigError(f"dataset.dim must be >= 1, got {self.dim}")
-        if not 0.0 < self.eps_floor < math.inf:
-            raise ConfigError(f"training.eps_floor must be finite and > 0, got {self.eps_floor}")
-        if self.stats_mode not in STATS_MODES:
-            raise ConfigError(
-                f"training.stats_mode must be one of {STATS_MODES}, got {self.stats_mode!r}"
-            )
         # a CSV source's width is known only once it is loaded, so
         # _fit_seed checks shallow methods on a CSV against it
         if self.method != "deep-svdd" and (self.is_deep or self.source == SYNTHETIC):
@@ -255,7 +253,7 @@ def _fit_seed(spec: ExperimentSpec, seed: int):
                 f"model.rp_dim {spec.rp_dim} exceeds the {ds.dim} features of {spec.source}"
             )
         U = _build_projections(spec, ds.dim, seed)
-        head = dict(projections=U, stats=fit_rpo(X_train, U, eps_floor=spec.eps_floor))
+        head = dict(projections=U, stats=fit_rpo(X_train, U))
     else:
         enc = init_encoder(
             [ds.dim, *spec.hidden_dims, spec.latent_dim], sub_rng(seed, "weights")
@@ -268,8 +266,6 @@ def _fit_seed(spec: ExperimentSpec, seed: int):
                 _build_projections(spec, spec.latent_dim, seed),
                 estimator=method_estimator(spec.method),
                 lam=spec.weight_decay,
-                stats_mode=spec.stats_mode,
-                eps_floor=spec.eps_floor,
             )
         result = train(
             model,

@@ -2,7 +2,7 @@
 
 Fit stage (training data only): for 1-D projections, store the median and
 MAD of each projection's coordinates; the MAD is clamped from below by
-``eps_floor`` so degenerate projections cannot divide by ~0. For
+``EPS_FLOOR`` so degenerate projections cannot divide by ~0. For
 multidimensional projections, store the componentwise median and the
 inverse of the ridge-regularized sample covariance of the projected
 training points. Deep RPO refits these every batch, so the medians come
@@ -78,7 +78,7 @@ from .projections import ProjectionSet, project
 
 Estimator = Literal["max", "mean"]
 
-DEFAULT_EPS_FLOOR = 1e-6
+EPS_FLOOR = 1e-6  # lower bound of each m = 1 MAD
 RIDGE = 1e-6  # added to each m > 1 projected covariance before inverting
 SCORE_BLOCK_ROWS = 384  # rows per ``score_batch`` block (see the module docstring)
 
@@ -119,9 +119,7 @@ class RpoStats:
         return self.med.shape[0]
 
 
-def fit_rpo(
-    X_train: np.ndarray, U: ProjectionSet, eps_floor: float = DEFAULT_EPS_FLOOR
-) -> RpoStats:
+def fit_rpo(X_train: np.ndarray, U: ProjectionSet) -> RpoStats:
     """Fit per-projection robust statistics on the training set.
 
     Raises ``ValueError`` on an empty training set and ``NumericError`` if a
@@ -131,11 +129,15 @@ def fit_rpo(
     if X_train.ndim != 2 or X_train.shape[0] == 0:
         raise ValueError("empty training set")
     T = project(X_train, U)  # (n, p, m)
-    return fit_rpo_projected(T, eps_floor=eps_floor)
+    return fit_rpo_projected(T)
 
 
-def fit_rpo_projected(T: np.ndarray, eps_floor: float = DEFAULT_EPS_FLOOR) -> RpoStats:
-    """Fit statistics from already-projected coordinates of shape (n, p, m)."""
+def fit_rpo_projected(T: np.ndarray, eps_floor: float = EPS_FLOOR) -> RpoStats:
+    """Fit statistics from already-projected coordinates of shape (n, p, m).
+
+    ``eps_floor`` bounds each m = 1 MAD from below; the package always
+    leaves it at ``EPS_FLOOR``.
+    """
     if eps_floor <= 0:
         raise ValueError(f"eps_floor must be positive, got {eps_floor}")
     n, p, m = T.shape

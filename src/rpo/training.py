@@ -9,7 +9,8 @@ random projections by either ``mean`` or ``max``; multidimensional
 projections use the robust Mahalanobis distance with a ridge-regularized
 batch covariance.
 
-Medians, MADs, and covariances are treated as per-batch constants in the
+Every batch refits its own medians, MADs, and covariances, as the paper's
+objective does, and they are treated as per-batch constants in the
 gradient (stop-gradient): they are piecewise-constant or non-smooth in the
 weights, so differentiating through them would make the update ill-defined.
 The finite-difference checks in the test suite freeze them the same way.
@@ -27,8 +28,9 @@ form, so the two agree to a relative 1e-12 per weight matrix, not bit for
 bit (see the README's "Numerics" section).
 
 Semi-supervision: a train row flagged as a labeled anomaly contributes the
-inverse of its normalized distance, pushing it away from the normality
-location estimators while normal rows are pulled in.
+inverse of its normalized distance, floored at ``scoring.EPS_FLOOR``,
+pushing it away from the normality location estimators while normal rows
+are pulled in.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import NumericError
 from .metrics import roc_auc
 from .projections import ProjectionSet, project
 from .scoring import (
-    DEFAULT_EPS_FLOOR,
+    EPS_FLOOR,
     RpoStats,
     center_distances,
     fit_rpo_projected,
@@ -52,8 +54,6 @@ from .scoring import (
     score_batch,
 )
 from .seeding import sub_rng
-
-STATS_MODES = ("batch", "full-set")
 
 
 @dataclass
@@ -84,15 +84,6 @@ class DeepRpoModel:
     projections: ProjectionSet
     estimator: str = "mean"
     lam: float = 1e-6
-    stats_mode: str = "batch"  # one of STATS_MODES
-    eps_floor: float = DEFAULT_EPS_FLOOR
-
-    def __post_init__(self):
-        # ``reduce_distances`` and ``project`` check the estimator and the
-        # projection width where they are first used; ``train`` reads
-        # ``stats_mode`` unchecked, so it is checked here
-        if self.stats_mode not in STATS_MODES:
-            raise ValueError(f"stats_mode must be one of {STATS_MODES}, got {self.stats_mode!r}")
 
 
 def init_center(enc: Encoder, X_train: np.ndarray) -> np.ndarray:
@@ -153,20 +144,16 @@ def deep_rpo_loss(
     """Projection-outlyingness training objective and its weight gradient.
 
     ``sad_flags`` (bool, one per batch row) marks the labeled anomalies.
-    With ``stats=None`` and batch mode, location/spread are computed from
-    the batch itself; in full-set mode the caller must supply ``stats``
-    (recomputed once per epoch over all training latents). Either way the
-    statistics are constants in the gradient.
+    Location/spread are fitted on the batch itself, as the paper's
+    objective does, unless ``stats`` supplies them; either way they are
+    constants in the gradient.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise ValueError("empty batch")
     n = batch.shape[0]
-    if stats is None:
-        if model.stats_mode == "full-set":
-            raise ValueError("full-set stats_mode requires precomputed stats")
-        if n < 2:
-            raise ValueError("insufficient batch for robust stats")
+    if stats is None and n < 2:
+        raise ValueError("insufficient batch for robust stats")
 
     flags = None
     if sad_flags is not None:
@@ -177,7 +164,7 @@ def deep_rpo_loss(
     Z, cache = model.encoder.forward(batch)
     T = project(Z, model.projections)  # (n, p, m)
     if stats is None:
-        stats = fit_rpo_projected(T, eps_floor=model.eps_floor)
+        stats = fit_rpo_projected(T)
 
     D = projected_distances(T, stats)  # (n, p)
     scores = reduce_distances(D, model.estimator)
@@ -186,9 +173,9 @@ def deep_rpo_loss(
     contrib = scores.copy()
     dscore = np.full(n, 1.0 / n)
     if flags is not None and np.any(flags):
-        clamped = np.maximum(scores[flags], model.eps_floor)
+        clamped = np.maximum(scores[flags], EPS_FLOOR)
         contrib[flags] = 1.0 / clamped
-        inv_grad = np.where(scores[flags] > model.eps_floor, -1.0 / clamped**2, 0.0)
+        inv_grad = np.where(scores[flags] > EPS_FLOOR, -1.0 / clamped**2, 0.0)
         dscore[flags] = inv_grad / n
 
     loss = float(np.mean(contrib)) + _regularizer(model.encoder, model.lam)
@@ -258,7 +245,7 @@ def fit_eval_stats(model: DeepRpoModel, X_train: np.ndarray) -> RpoStats:
     """Refit location/spread on the full training set's latents for scoring."""
     Z, _ = model.encoder.forward(np.asarray(X_train, dtype=np.float64))
     T = project(Z, model.projections)
-    return fit_rpo_projected(T, eps_floor=model.eps_floor)
+    return fit_rpo_projected(T)
 
 
 def _validation_auc(model, X_train, X_val, y_val) -> float:
@@ -310,9 +297,6 @@ def train(
 
     n = X_train.shape[0]
     for epoch in range(1, epochs + 1):
-        epoch_stats = None
-        if isinstance(model, DeepRpoModel) and model.stats_mode == "full-set":
-            epoch_stats = fit_eval_stats(model, X_train)
         perm = rng.permutation(n)
         total_loss = 0.0
         total_rows = 0
@@ -325,7 +309,7 @@ def train(
                 loss, grads = svdd_loss(model, batch)
             else:
                 flags = sad_flags[idx] if sad_enabled else None
-                loss, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=epoch_stats)
+                loss, grads = deep_rpo_loss(model, batch, sad_flags=flags)
             adam_step(model.encoder, grads, opt)
             total_loss += loss * idx.size
             total_rows += idx.size

@@ -206,8 +206,9 @@ class TestBench:
             ({"model": {"n_projections": 0}}, "model.n_projections"),
             ({"protocol": {"contamination": 1.5}}, "protocol.contamination"),
             ({"dataset": {"dim": 0}}, "dataset.dim"),
-            ({"training": {"eps_floor": 0}}, "training.eps_floor"),
-            ({"training": {"stats_mode": "full"}}, "training.stats_mode"),
+            # removed keys: a once-valid value is now an unknown key
+            ({"training": {"eps_floor": 1.0e-6}}, "training.eps_floor"),
+            ({"training": {"stats_mode": "batch"}}, "training.stats_mode"),
             ({"model": {"dropout": {"components_rate": 0.1, "seed": 5}}}, "model.dropout.seed"),
             ({"protocol": {"affine": {"mode": "uniform_range", "seed": 5}}},
              "protocol.affine.seed"),
@@ -219,7 +220,8 @@ class TestBench:
             ({"method": "deep-svdd", "model": {"latent_dim": 0}}, "model.latent_dim"),
             ({"dataset": {"n_per_mode": 0}}, "dataset.n_per_mode"),
             ({"dataset": {"anomaly_n": -1}}, "dataset.anomaly_n"),
-            ({"training": {"eps_floor": float("inf")}}, "training.eps_floor"),
+            # every source starts its normals in train: 0 leaves no normal test row
+            ({"protocol": {"test_fraction": 0.0}}, "protocol.test_fraction"),
             ({"method": "deep-rpo-mean", "training": {"learning_rate": -1.0}},
              "training.learning_rate"),
             ({"method": "deep-rpo-mean", "training": {"weight_decay": -1.0}},
@@ -244,6 +246,12 @@ class TestBench:
              "protocol.affine"),
             ({"protocol": {"affine": {"mode": "uniform_range", "low": float("nan")}}},
              "protocol.affine"),
+            # a CSV source that does not exist: the spec check comes first
+            ({"dataset": {"source": "data.csv"}, "protocol": {"test_fraction": 0.0}},
+             "protocol.test_fraction"),
+            # round(0.004 * 100) = 0 normals of a synthetic mode go to test
+            ({"dataset": {"n_per_mode": 100}, "protocol": {"test_fraction": 0.004}},
+             "protocol.test_fraction"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, tmp_path, caplog, overrides, named):

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -181,7 +180,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "overrides, key",
         [
-            ({"method": "rpo-max", "eps_floor": math.inf}, "training.eps_floor"),
+            ({"method": "rpo-max", "rp_dim": 0}, "model.rp_dim"),
             ({"method": "deep-rpo-mean", "learning_rate": -1.0}, "training.learning_rate"),
         ],
     )

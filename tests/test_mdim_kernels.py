@@ -40,7 +40,7 @@ from rpo.errors import NumericError
 from rpo.evaluation import ExperimentSpec, run_single_seed
 from rpo.projections import generate_projections, project
 from rpo.scoring import (
-    DEFAULT_EPS_FLOOR,
+    EPS_FLOOR,
     RIDGE,
     RpoStats,
     fit_rpo_projected,
@@ -56,7 +56,7 @@ def oracle_project(X, U):
     return np.einsum("nd,pdm->npm", np.asarray(X, dtype=np.float64), U.entries)
 
 
-def oracle_fit(T, eps_floor=DEFAULT_EPS_FLOOR, ridge=RIDGE):
+def oracle_fit(T, eps_floor=EPS_FLOOR, ridge=RIDGE):
     n, p, m = T.shape
     med = np.median(T, axis=0)
     centered = T - np.mean(T, axis=0)
@@ -255,20 +255,15 @@ def oracle_deep_rpo_loss(
     """Projection-outlyingness training objective and its weight gradient.
 
     ``sad_flags`` (bool, one per batch row) marks the labeled anomalies.
-    With ``stats=None`` and batch mode, location/spread are computed from
-    the batch itself; in full-set mode the caller must supply ``stats``
-    (recomputed once per epoch over all training latents). Either way the
-    statistics are constants in the gradient.
+    With ``stats=None``, location/spread are computed from the batch
+    itself; either way the statistics are constants in the gradient.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise ValueError("empty batch")
     n = batch.shape[0]
-    if stats is None:
-        if model.stats_mode == "full-set":
-            raise ValueError("full-set stats_mode requires precomputed stats")
-        if n < 2:
-            raise ValueError("insufficient batch for robust stats")
+    if stats is None and n < 2:
+        raise ValueError("insufficient batch for robust stats")
 
     flags = None
     if sad_flags is not None:
@@ -279,7 +274,7 @@ def oracle_deep_rpo_loss(
     Z, cache = model.encoder.forward(batch)
     T = project(Z, model.projections)  # (n, p, m)
     if stats is None:
-        stats = fit_rpo_projected(T, eps_floor=model.eps_floor)
+        stats = fit_rpo_projected(T)
 
     D = projected_distances(T, stats)  # (n, p)
     scores = reduce_distances(D, model.estimator)
@@ -288,9 +283,9 @@ def oracle_deep_rpo_loss(
     contrib = scores.copy()
     dscore = np.full(n, 1.0 / n)
     if flags is not None and np.any(flags):
-        clamped = np.maximum(scores[flags], model.eps_floor)
+        clamped = np.maximum(scores[flags], EPS_FLOOR)
         contrib[flags] = 1.0 / clamped
-        inv_grad = np.where(scores[flags] > model.eps_floor, -1.0 / clamped**2, 0.0)
+        inv_grad = np.where(scores[flags] > EPS_FLOOR, -1.0 / clamped**2, 0.0)
         dscore[flags] = inv_grad / n
 
     loss = float(np.mean(contrib)) + _regularizer(model.encoder, model.lam)

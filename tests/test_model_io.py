@@ -60,7 +60,7 @@ def test_deep_rpo_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     enc = init_encoder([6, 5, 4], rng)
     U = generate_projections(d=4, m=3, p=9, seed=5)
-    stats = fit_rpo(enc.forward(rng.normal(size=(30, 6)))[0], U, eps_floor=1e-4)
+    stats = fit_rpo(enc.forward(rng.normal(size=(30, 6)))[0], U)
     mean, std = rng.normal(size=6), rng.uniform(0.5, 2.0, size=6)
     saved = ScoringModel("deep-rpo-max", mean, std, encoder=enc, projections=U, stats=stats)
     model = round_trip(tmp_path, saved)

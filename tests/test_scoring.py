@@ -15,7 +15,7 @@ import rpo
 from rpo import scoring
 from rpo.projections import ProjectionSet, generate_projections, project
 from rpo.scoring import (
-    DEFAULT_EPS_FLOOR,
+    EPS_FLOOR,
     SCORE_BLOCK_ROWS,
     RpoStats,
     depth,
@@ -60,8 +60,8 @@ class TestFit:
     def test_identical_points_floor_mad(self):
         U = generate_projections(d=3, m=1, p=5, seed=0)
         X = np.tile([1.0, 2.0, 3.0], (10, 1))
-        stats = fit_rpo(X, U, eps_floor=1e-6)
-        assert np.all(stats.mad == 1e-6)
+        stats = fit_rpo(X, U)
+        assert np.all(stats.mad == EPS_FLOOR)
 
     def test_symmetric_three_points(self):
         U = ProjectionSet(entries=np.array([[[1.0]]]))
@@ -81,7 +81,7 @@ class TestFit:
             dev = sorted(abs(t - med) for t in T[:, j])
             mad = (dev[24] + dev[25]) / 2.0
             assert stats.med[j] == med
-            assert stats.mad[j] == max(mad, DEFAULT_EPS_FLOOR)
+            assert stats.mad[j] == max(mad, EPS_FLOOR)
 
     def test_multidim_stats_shapes(self):
         rng = np.random.default_rng(2)

@@ -3,9 +3,10 @@
 These two raw statistics (no Gaussian consistency factor; even-length
 medians average the two central order statistics) normalize every
 projected distance, so they are checked against a full-sort oracle. The
-stored MAD is floored at ``eps_floor``. ``fit_rpo_projected`` reads them
-from one sorted buffer, so ``TestBitExact`` also holds them to
-``np.median`` byte for byte on many columns at once.
+stored MAD is floored at ``EPS_FLOOR``, or at the ``eps_floor`` given.
+``fit_rpo_projected`` reads them from one sorted buffer, so
+``TestBitExact`` also holds them to ``np.median`` byte for byte on many
+columns at once.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from rpo.data import Dataset
 from rpo.projections import ProjectionSet
-from rpo.scoring import DEFAULT_EPS_FLOOR, fit_rpo, fit_rpo_projected
+from rpo.scoring import EPS_FLOOR, fit_rpo, fit_rpo_projected
 
 
 def sort_oracle_median(values):
@@ -32,7 +33,7 @@ def sort_oracle_mad(values, center):
     return sort_oracle_median([abs(float(x) - center) for x in values])
 
 
-def fitted(values, eps_floor=DEFAULT_EPS_FLOOR):
+def fitted(values, eps_floor=EPS_FLOOR):
     """Median and floored MAD of one projection's coordinates."""
     T = np.asarray(values, dtype=np.float64).reshape(-1, 1, 1)
     stats = fit_rpo_projected(T, eps_floor=eps_floor)
@@ -43,11 +44,11 @@ def median(values):
     return fitted(values)[0]
 
 
-def mad(values, eps_floor=DEFAULT_EPS_FLOOR):
+def mad(values, eps_floor=EPS_FLOOR):
     return fitted(values, eps_floor)[1]
 
 
-def oracle_mad(values, eps_floor=DEFAULT_EPS_FLOOR):
+def oracle_mad(values, eps_floor=EPS_FLOOR):
     return max(sort_oracle_mad(values, sort_oracle_median(values)), eps_floor)
 
 
@@ -130,7 +131,7 @@ class TestMad:
     @given(samples, st.floats(min_value=1e-3, max_value=1e3))
     def test_positive_scale_equivariance(self, v, a):
         # eps_floor scales with the sample, so the floor scales too
-        scaled = mad([a * x for x in v], eps_floor=a * DEFAULT_EPS_FLOOR)
+        scaled = mad([a * x for x in v], eps_floor=a * EPS_FLOOR)
         assert scaled == pytest.approx(a * mad(v), rel=1e-9, abs=1e-12)
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=20))
@@ -140,7 +141,7 @@ class TestMad:
         # is stored as the floor
         med = median(v)
         at_median = sum(1 for x in v if float(x) == med)
-        assert (mad(v) == DEFAULT_EPS_FLOOR) == (2 * at_median > len(v))
+        assert (mad(v) == EPS_FLOOR) == (2 * at_median > len(v))
 
 
 # ties, signed zeros and arbitrary values, so sorted runs hold equal keys
@@ -164,7 +165,7 @@ def np_median_and_mad(T):
     """The ``np.median`` oracle for the m = 1 statistics, MAD floored."""
     coords = T[:, :, 0]
     med = np.median(coords, axis=0)
-    return med, np.maximum(np.median(np.abs(coords - med), axis=0), DEFAULT_EPS_FLOOR)
+    return med, np.maximum(np.median(np.abs(coords - med), axis=0), EPS_FLOOR)
 
 
 class TestBitExact:

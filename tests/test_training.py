@@ -4,7 +4,7 @@ import pytest
 from rpo.data import generate_multimodal, split, standardize
 from rpo.encoder import Encoder, init_encoder
 from rpo.projections import ProjectionSet, generate_projections, project
-from rpo.scoring import fit_rpo_projected, projected_distances, reduce_distances
+from rpo.scoring import EPS_FLOOR, fit_rpo_projected, projected_distances, reduce_distances
 from rpo.training import (
     DeepRpoModel,
     SvddModel,
@@ -170,13 +170,6 @@ class TestDeepRpoLoss:
         with pytest.raises(ValueError, match="insufficient batch"):
             deep_rpo_loss(model, np.ones((1, 2)))
 
-    def test_full_set_mode_needs_stats(self):
-        enc = Encoder([np.eye(2)])
-        U = generate_projections(d=2, m=1, p=3, seed=3)
-        model = DeepRpoModel(enc, U, estimator="mean", stats_mode="full-set")
-        with pytest.raises(ValueError, match="full-set"):
-            deep_rpo_loss(model, np.ones((4, 2)))
-
     def test_sad_flag_flips_only_that_sample(self):
         rng = np.random.default_rng(7)
         enc = init_encoder([3, 4, 2], rng)
@@ -192,7 +185,7 @@ class TestDeepRpoLoss:
         flags[2] = True
         flagged, _ = deep_rpo_loss(model, batch, sad_flags=flags)
         s = scores[2]
-        expected_delta = (1.0 / max(s, model.eps_floor) - s) / 6.0
+        expected_delta = (1.0 / max(s, EPS_FLOOR) - s) / 6.0
         assert flagged - base == pytest.approx(expected_delta, rel=1e-10)
 
     @pytest.mark.parametrize("estimator", ["mean", "max"])
@@ -296,12 +289,6 @@ class TestTrain:
         )
         with pytest.raises(ValueError, match="validation AUC undefined"):
             train(model, ds, epochs=1, batch_size=8, seed=0)
-
-    def test_full_set_stats_mode_trains(self):
-        ds = toy_dataset(seed=7)
-        model = self._deep_rpo_model(ds, seed=7, stats_mode="full-set")
-        result = train(model, ds, epochs=2, batch_size=16, seed=1)
-        assert len(result.history) == 2
 
     def test_svdd_training_descends(self):
         ds = toy_dataset(seed=8)
