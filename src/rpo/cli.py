@@ -16,7 +16,7 @@ from dataclasses import replace
 from . import data as datamod
 from .config import load_config
 from .errors import EXIT_USAGE, HANDLED, ConfigError, classify
-from .evaluation import run_experiment, sweep
+from .evaluation import ExperimentSpec, run_experiment, sweep
 from .model_io import load_model_checkpoint
 from .reporting import (
     aggregate_rows_for_methods,
@@ -113,20 +113,19 @@ def cmd_sweep(args) -> int:
     if cfg.sweep_axis is None:
         raise ConfigError("config has no sweep section (sweep.axis, sweep.values)")
     workers = _count_flag(args.workers, "--workers") or cfg.workers
-    method = cfg.methods[0]
     if len(cfg.methods) > 1:
         raise ConfigError("sweep runs a single method; give 'method', not 'methods'")
-    spec = replace(cfg.base_spec, method=method)
+    spec = cfg.base_spec  # its method is methods[0]
     rows = sweep(spec, cfg.sweep_axis, cfg.sweep_values, workers=workers, progress=_log_seed)
     _ensure_parent(cfg.aggregate_path)
-    write_aggregate_csv(cfg.aggregate_path, aggregate_rows_for_sweep(method, rows))
+    write_aggregate_csv(cfg.aggregate_path, aggregate_rows_for_sweep(spec.method, rows))
     logger.info("wrote %s", cfg.aggregate_path)
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
-    X, _ = datamod.read_features(args.input, "class")
+    X, _ = datamod.read_features(args.input, datamod.LABEL_COLUMN)
     scores = model.score_rows(X)
     depths = depth(scores)
     _ensure_parent(args.output)
@@ -164,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-per-mode", type=int, default=500)
-    p.add_argument("--anomalies", type=int, default=300)
+    p.add_argument("--n-per-mode", type=int, default=ExperimentSpec.n_per_mode)
+    p.add_argument("--anomalies", type=int, default=ExperimentSpec.anomaly_n)
     p.add_argument("--out-dir", default="out/dataset")
     p.set_defaults(func=cmd_gen_data)
 

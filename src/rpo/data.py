@@ -28,6 +28,8 @@ from .seeding import sub_rng
 
 TRAIN, VAL, TEST = "train", "val", "test"
 NORMAL, ANOMALY = 0, 1
+LABEL_COLUMN = "class"  # the class column that save_csv writes and rpo score drops
+TEST_FRACTION = 0.25  # share of each source's normals that starts in test
 
 _BLOB_SIGMA = 1.0
 _MEAN_SEPARATION = 6.0  # pairwise blob-mean distance, units of sigma
@@ -133,7 +135,7 @@ def generate_multimodal(
     n_per_mode: int,
     anomaly_n: int,
     seed: int,
-    test_fraction: float = 0.25,
+    test_fraction: float = TEST_FRACTION,
 ) -> Dataset:
     """Gaussian-blob normality plus box anomalies kept clear of every blob.
 
@@ -347,7 +349,7 @@ def _class_value(path, line_no: int, value: str) -> float:
     return cid
 
 
-def load_csv(path, label_column: str = "class", normal_class_ids=(0,)) -> Dataset:
+def load_csv(path, label_column: str, normal_class_ids) -> Dataset:
     """Read a feature CSV with an integer class column; features stay raw.
 
     Rows whose class id belongs to ``normal_class_ids`` are labeled normal
@@ -542,9 +544,9 @@ def write_csv(path, header, rows) -> None:
 
 
 def save_csv(data: Dataset, path) -> None:
-    """Feature columns f0..f{d-1} then the integer ``class`` column."""
+    """Feature columns f0..f{d-1} then the integer ``LABEL_COLUMN`` column."""
     write_csv(
         path,
-        [f"f{i}" for i in range(data.dim)] + ["class"],
+        [f"f{i}" for i in range(data.dim)] + [LABEL_COLUMN],
         (row.tolist() + [cid] for row, cid in zip(data.X, data.class_id.tolist())),
     )

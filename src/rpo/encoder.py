@@ -16,7 +16,7 @@ Weights are persisted only as part of a scoring checkpoint (``model_io``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,13 +128,13 @@ ADAM_EPS = 1e-8
 class AdamState:
     """Adaptive-moment optimizer state: first and second moments per layer."""
 
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: list
+    v: list
+    learning_rate: float
     step: int = 0
-    learning_rate: float = 1e-4
 
 
-def init_adam(enc: Encoder, learning_rate: float = 1e-4) -> AdamState:
+def init_adam(enc: Encoder, learning_rate: float) -> AdamState:
     return AdamState(
         m=[np.zeros_like(W) for W in enc.weights],
         v=[np.zeros_like(W) for W in enc.weights],

@@ -31,7 +31,7 @@ from .errors import ConfigError, DataError, classify
 from .metrics import mean_std, roc_auc
 from .model_io import ScoringModel, save_model_checkpoint
 from .projections import DropoutSpec, apply_dropout, generate_projections
-from .scoring import METHODS, fit_rpo, method_estimator
+from .scoring import METHODS, fit_rpo
 from .seeding import sub_rng, sub_seed
 from .training import (
     DeepRpoModel,
@@ -48,11 +48,11 @@ SYNTHETIC = "synthetic"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one benchmark run."""
+    """One benchmark run; its defaults are the paper protocol's, written nowhere else."""
 
-    method: str = "deep-rpo-mean"
+    method: str = "deep-rpo-mean"  # a key of scoring.METHODS
     source: str = SYNTHETIC  # SYNTHETIC or a dataset CSV path
-    label_column: str = "class"
+    label_column: str = datamod.LABEL_COLUMN
     normal_class_ids: tuple = (0,)
     k_modes: int = 2  # synthetic: blob count; CSV: classes picked per seed (0 = all normals)
     dim: int = 16
@@ -68,7 +68,7 @@ class ExperimentSpec:
     learning_rate: float = 1e-4
     weight_decay: float = 1e-6
     val_fraction: float = 0.1
-    test_fraction: float = 0.25
+    test_fraction: float = datamod.TEST_FRACTION
     contamination: float = 0.0
     sad_ratio: float = 0.0
     sad_classes: int = 2
@@ -78,7 +78,9 @@ class ExperimentSpec:
     def __post_init__(self):
         """Reject a value no run can use, naming its YAML key; ``replace()`` checks too."""
         if self.method not in METHODS:
-            raise ConfigError(f"method: unknown method {self.method!r}; expected one of {METHODS}")
+            raise ConfigError(
+                f"method: unknown method {self.method!r}; expected one of {tuple(METHODS)}"
+            )
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -87,13 +89,14 @@ class ExperimentSpec:
             raise ConfigError("dataset.normal_class_ids must be nonempty")
         if not 0.0 <= self.sad_ratio < 0.5:
             raise ConfigError(f"protocol.sad_ratio must lie in [0, 0.5), got {self.sad_ratio}")
-        if self.sad_ratio > 0.0 and not self.method.startswith("deep-rpo"):
+        parts = METHODS[self.method]
+        if self.sad_ratio > 0.0 and (parts.center or not parts.encoder):
             raise ConfigError(
                 f"protocol.sad_ratio > 0 requires a deep-rpo method, got {self.method!r}"
             )
         if self.sad_ratio > 0.0 and self.sad_classes < 1:
             raise ConfigError(f"protocol.sad_classes must be >= 1, got {self.sad_classes}")
-        if self.is_deep:
+        if parts.encoder:
             if self.epochs < 1:
                 raise ConfigError(
                     f"training.epochs must be >= 1 for a deep method, got {self.epochs}"
@@ -112,15 +115,6 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"training.weight_decay must be finite and >= 0, got {self.weight_decay}"
                 )
-        if self.source == SYNTHETIC:
-            if self.k_modes < 1:
-                raise ConfigError(
-                    f"dataset.k_modes must be >= 1 for a synthetic source, got {self.k_modes}"
-                )
-            if self.n_per_mode < 1:
-                raise ConfigError(f"dataset.n_per_mode must be >= 1, got {self.n_per_mode}")
-            if self.anomaly_n < 0:
-                raise ConfigError(f"dataset.anomaly_n must be >= 0, got {self.anomaly_n}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"protocol.val_fraction must lie in (0, 1), got {self.val_fraction}")
         # every source starts its normals in train, so 0 leaves no normal test row
@@ -128,12 +122,32 @@ class ExperimentSpec:
             raise ConfigError(
                 f"protocol.test_fraction must lie in (0, 1), got {self.test_fraction}"
             )
-        # generate_multimodal moves this many normals of each mode to test
-        if self.source == SYNTHETIC and round(self.test_fraction * self.n_per_mode) < 1:
-            raise ConfigError(
-                f"protocol.test_fraction {self.test_fraction} moves no normal row of "
-                f"dataset.n_per_mode {self.n_per_mode} to the test split"
-            )
+        if self.source == SYNTHETIC:
+            if self.k_modes < 1:
+                raise ConfigError(
+                    f"dataset.k_modes must be >= 1 for a synthetic source, got {self.k_modes}"
+                )
+            if self.n_per_mode < 1:
+                raise ConfigError(f"dataset.n_per_mode must be >= 1, got {self.n_per_mode}")
+            # generate_multimodal moves n_test normals of each mode to test; split then
+            # moves n_val of the pooled train normals, and n_val anomalies, to validation
+            n_test = round(self.test_fraction * self.n_per_mode)
+            if n_test < 1:
+                raise ConfigError(
+                    f"protocol.test_fraction {self.test_fraction} moves no normal row of "
+                    f"dataset.n_per_mode {self.n_per_mode} to the test split"
+                )
+            n_val = round(self.val_fraction * (self.k_modes * (self.n_per_mode - n_test)))
+            if n_val < 1:
+                raise ConfigError(
+                    f"dataset.n_per_mode {self.n_per_mode} leaves too few train normals for "
+                    f"protocol.val_fraction {self.val_fraction} to move one to validation"
+                )
+            if self.anomaly_n < n_val + 1:
+                raise ConfigError(
+                    f"dataset.anomaly_n must be >= {n_val + 1} ({n_val} for validation and "
+                    f"one for test), got {self.anomaly_n}"
+                )
         if self.rp_dim < 1:
             raise ConfigError(f"model.rp_dim must be >= 1, got {self.rp_dim}")
         if self.n_projections is not None and self.n_projections < 1:
@@ -148,15 +162,15 @@ class ExperimentSpec:
             raise ConfigError(f"dataset.dim must be >= 1, got {self.dim}")
         # a CSV source's width is known only once it is loaded, so
         # _fit_seed checks shallow methods on a CSV against it
-        if self.method != "deep-svdd" and (self.is_deep or self.source == SYNTHETIC):
-            key, bound = (("model.latent_dim", self.latent_dim) if self.is_deep
+        if not parts.center and (parts.encoder or self.source == SYNTHETIC):
+            key, bound = (("model.latent_dim", self.latent_dim) if parts.encoder
                           else ("dataset.dim", self.dim))
             if self.rp_dim > bound:
                 raise ConfigError(f"model.rp_dim {self.rp_dim} exceeds {key} {bound}")
 
     @property
     def is_deep(self) -> bool:
-        return self.method.startswith("deep")
+        return METHODS[self.method].encoder
 
     @property
     def resolved_projections(self) -> int:
@@ -246,7 +260,8 @@ def _fit_seed(spec: ExperimentSpec, seed: int):
     started = time.perf_counter()
     ds, chosen, scaler_mean, scaler_std = _assemble_dataset(spec, seed)
     X_train = ds.X[ds.mask(datamod.TRAIN)]
-    if not spec.is_deep:
+    parts = METHODS[spec.method]
+    if not parts.encoder:
         history, best_epoch = [], -1
         if spec.rp_dim > ds.dim:
             raise ConfigError(
@@ -255,35 +270,23 @@ def _fit_seed(spec: ExperimentSpec, seed: int):
         U = _build_projections(spec, ds.dim, seed)
         head = dict(projections=U, stats=fit_rpo(X_train, U))
     else:
-        enc = init_encoder(
-            [ds.dim, *spec.hidden_dims, spec.latent_dim], sub_rng(seed, "weights")
-        )
-        if spec.method == "deep-svdd":
+        enc = init_encoder([ds.dim, *spec.hidden_dims, spec.latent_dim], sub_rng(seed, "weights"))
+        if parts.center:
             model = SvddModel(enc, init_center(enc, X_train), lam=spec.weight_decay)
         else:
-            model = DeepRpoModel(
-                enc,
-                _build_projections(spec, spec.latent_dim, seed),
-                estimator=method_estimator(spec.method),
-                lam=spec.weight_decay,
-            )
-        result = train(
-            model,
-            ds,
-            epochs=spec.epochs,
-            batch_size=spec.batch_size,
-            seed=sub_seed(seed, "train"),
-            learning_rate=spec.learning_rate,
-        )
+            U = _build_projections(spec, spec.latent_dim, seed)
+            model = DeepRpoModel(enc, U, estimator=parts.estimator, lam=spec.weight_decay)
+        result = train(model, ds, epochs=spec.epochs, batch_size=spec.batch_size,
+                       seed=sub_seed(seed, "train"), learning_rate=spec.learning_rate)
         history, best_epoch, val_auc = result.history, result.best_epoch, result.best_val_auc
-        if isinstance(model, SvddModel):
+        if parts.center:
             head = dict(encoder=model.encoder, center=model.center)
         else:
             stats = fit_eval_stats(model, X_train)
             head = dict(encoder=model.encoder, projections=model.projections, stats=stats)
 
     scorer = ScoringModel(spec.method, scaler_mean, scaler_std, **head)
-    if not spec.is_deep:
+    if not parts.encoder:
         val_mask = ds.mask(datamod.VAL)
         val_auc = roc_auc(scorer.score_standardized(ds.X[val_mask]), ds.label[val_mask])
 
@@ -419,8 +422,8 @@ def sweep(
     values = list(values)
     if not values:
         raise ConfigError("sweep values list is empty")
-    if axis in ("n_projections", "rp_dim", "dropout") and base.method == "deep-svdd":
-        raise ConfigError(f"axis {axis!r} does not apply to deep-svdd")
+    if axis in ("n_projections", "rp_dim", "dropout") and METHODS[base.method].center:
+        raise ConfigError(f"axis {axis!r} does not apply to {base.method}")
 
     specs = [spec_for_axis_value(base, axis, value) for value in values]
     baseline = None

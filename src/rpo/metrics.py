@@ -11,17 +11,10 @@ import numpy as np
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # 1-based midrank
-        i = j + 1
-    return ranks
+    """1-based ranks; ties (-0.0 equals 0.0) share their mean, an exact half-integer."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the rank of each distinct value's last copy
+    return (last - 0.5 * (counts - 1))[inverse]
 
 
 def roc_auc(scores, labels) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from .encoder import Encoder
 from .errors import DataError
 from .projections import ProjectionSet
-from .scoring import METHODS, RpoStats, center_distances, method_estimator, score_batch
+from .scoring import METHODS, RpoStats, center_distances, score_batch
 
 CHECKPOINT_VERSION = 2
 
@@ -56,10 +56,10 @@ class ScoringModel:
         the file.
         """
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        svdd = self.method == "deep-svdd"
-        for part, needed in (("encoder", self.method.startswith("deep")), ("center", svdd),
-                             ("projections", not svdd), ("stats", not svdd)):
+            raise ValueError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
+        parts = METHODS[self.method]
+        for part, needed in (("encoder", parts.encoder), ("center", parts.center),
+                             ("projections", not parts.center), ("stats", not parts.center)):
             if (getattr(self, part) is not None) != needed:
                 raise ValueError(
                     f"method {self.method!r} {'needs' if needed else 'takes no'} {part}"
@@ -70,7 +70,7 @@ class ScoringModel:
             raise ValueError(f"the encoder reads {self.encoder.input_dim} features, not {width}")
         # every array in the shape scoring reads it in, so none broadcasts
         shapes = {"scaler_mean": (width,), "scaler_std": (width,), "center": (space,)}
-        if not svdd:
+        if not parts.center:
             p, d, m = self.projections.entries.shape
             if d != space:
                 raise ValueError(f"the projections map {d} dimensions, not {space}")
@@ -94,8 +94,8 @@ class ScoringModel:
         return self.scaler_mean.shape[0]
 
     @property
-    def estimator(self) -> str:
-        return method_estimator(self.method)
+    def estimator(self) -> str | None:
+        return METHODS[self.method].estimator
 
     def score_standardized(self, Z: np.ndarray) -> np.ndarray:
         """Outlyingness per row already standardized with this model's scaler."""

@@ -76,11 +76,12 @@ def render_report(results_path) -> str:
         by_method[(row[0], row[1], row[2])].append(test_auc)
     if not by_method:
         raise DataError(f"no result rows in {results_path}")
-    lines = [f"{'method':<16} {'dataset':<24} {'modes':>5} {'seeds':>5} {'test AUC':>16}"]
+    width = max(24, *(len(dataset) for _, dataset, _ in by_method))  # a CSV source is its path
+    lines = [f"{'method':<16} {'dataset':<{width}} {'modes':>5} {'seeds':>5} {'test AUC':>16}"]
     for (method, dataset, k_modes), aucs in sorted(by_method.items()):
         mean, std = mean_std(aucs)
         lines.append(
-            f"{method:<16} {dataset:<24} {k_modes:>5} {len(aucs):>5} "
+            f"{method:<16} {dataset:<{width}} {k_modes:>5} {len(aucs):>5} "
             f"{truncate(100.0 * mean):>8.2f} ± {truncate(100.0 * std):.2f}"
         )
     return "\n".join(lines)

@@ -69,7 +69,7 @@ equivalence between the paths is claimed anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -83,18 +83,21 @@ RIDGE = 1e-6  # added to each m > 1 projected covariance before inverting
 SCORE_BLOCK_ROWS = 384  # rows per ``score_batch`` block (see the module docstring)
 
 
-def validate_estimator(kind: str) -> str:
-    if kind not in ("max", "mean"):
-        raise ValueError(f"estimator must be 'max' or 'mean', got {kind!r}")
-    return kind
+class Method(NamedTuple):
+    """What a method is made of; every rule that tells methods apart reads this."""
+
+    encoder: bool  # trains an encoder and scores its latents
+    center: bool  # scores by distance to a latent center, not by projections
+    estimator: Estimator | None  # reduces projection distances; None with a center
 
 
-METHODS = ("rpo-max", "rpo-mean", "deep-svdd", "deep-rpo-max", "deep-rpo-mean")
-
-
-def method_estimator(method: str) -> Estimator:
-    """The estimator a method name selects: ``*-max`` methods reduce with max."""
-    return "max" if method.endswith("max") else "mean"
+METHODS = {
+    "rpo-max": Method(encoder=False, center=False, estimator="max"),
+    "rpo-mean": Method(encoder=False, center=False, estimator="mean"),
+    "deep-svdd": Method(encoder=True, center=True, estimator=None),
+    "deep-rpo-max": Method(encoder=True, center=False, estimator="max"),
+    "deep-rpo-mean": Method(encoder=True, center=False, estimator="mean"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +227,8 @@ def projected_distances(
 
 
 def reduce_distances(D: np.ndarray, est: Estimator) -> np.ndarray:
-    validate_estimator(est)
+    if est not in ("max", "mean"):
+        raise ValueError(f"estimator must be 'max' or 'mean', got {est!r}")
     return D.max(axis=1) if est == "max" else D.mean(axis=1)
 
 

@@ -62,7 +62,7 @@ class SvddModel:
 
     encoder: Encoder
     center: np.ndarray
-    lam: float = 1e-6
+    lam: float
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
@@ -82,8 +82,8 @@ class DeepRpoModel:
 
     encoder: Encoder
     projections: ProjectionSet
-    estimator: str = "mean"
-    lam: float = 1e-6
+    estimator: str
+    lam: float
 
 
 def init_center(enc: Encoder, X_train: np.ndarray) -> np.ndarray:
@@ -256,14 +256,8 @@ def _validation_auc(model, X_train, X_val, y_val) -> float:
     return roc_auc(scores, y_val)
 
 
-def train(
-    model: SvddModel | DeepRpoModel,
-    data: Dataset,
-    epochs: int,
-    batch_size: int = 128,
-    seed: int = 0,
-    learning_rate: float = 1e-4,
-) -> TrainResult:
+def train(model: SvddModel | DeepRpoModel, data: Dataset, epochs: int, batch_size: int,
+          seed: int, learning_rate: float) -> TrainResult:
     """Shuffled mini-batch training with best-validation-epoch selection.
 
     Validation AUC is recorded each epoch (projection models rescore with

@@ -8,10 +8,11 @@ import pytest
 import yaml
 
 from rpo import evaluation
-from rpo.cli import main
+from rpo.cli import build_parser, main
 from rpo.config import load_config, parse_config
 from rpo.data import generate_multimodal, load_csv
 from rpo.errors import ConfigError, DataError, NumericError
+from rpo.evaluation import ExperimentSpec
 from rpo.model_io import load_model_checkpoint
 from rpo.scoring import depth
 
@@ -108,7 +109,7 @@ class TestGenData:
         )
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == ["data.csv"]
-        loaded = load_csv(out / "data.csv", normal_class_ids=(0, 1, 2))
+        loaded = load_csv(out / "data.csv", "class", (0, 1, 2))
         expected = generate_multimodal(3, 16, 40, 30, seed=7)
         assert np.array_equal(loaded.X, expected.X)
         assert np.array_equal(loaded.class_id, expected.class_id)
@@ -128,6 +129,11 @@ class TestGenData:
 
     def test_missing_required_flag_usage_error(self):
         assert run_cli("gen-data", "--dim", "4") == 1
+
+    def test_count_defaults_are_the_spec_defaults(self):
+        args = build_parser().parse_args(["gen-data", "--modes", "1", "--dim", "2"])
+        assert args.n_per_mode == ExperimentSpec.n_per_mode
+        assert args.anomalies == ExperimentSpec.anomaly_n
 
 
 class TestBench:
@@ -260,6 +266,32 @@ class TestBench:
         assert run_cli("bench", "-c", str(cfg_path)) == 1
         assert any(named in r.message for r in caplog.records if r.levelname == "ERROR")
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "dataset, named",
+        [
+            # 2 modes of 3 rows: round(0.25 * 3) = 1 each to test, then
+            # round(0.1 * 4) = 0 of the 4 train normals to validation
+            ({"n_per_mode": 3}, "dataset.n_per_mode"),
+            ({"n_per_mode": 4}, None),
+            # 2 modes of 500 rows: 75 of the 750 train normals go to validation,
+            # matched by 75 anomalies, and split keeps one more for test
+            ({"n_per_mode": 500, "anomaly_n": 75}, "dataset.anomaly_n"),
+            ({"n_per_mode": 500, "anomaly_n": 76}, None),
+        ],
+    )
+    def test_synthetic_split_that_cannot_run_exits_1(self, tmp_path, caplog, dataset, named):
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, method="deep-rpo-mean", seeds=[0],
+                     dataset={"dim": 4, **dataset}, model={"n_projections": 8},
+                     training={"epochs": 1, "batch_size": 32})
+        code = run_cli("bench", "-c", str(cfg_path))
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        if named is None:
+            assert code == 0, errors
+        else:
+            assert code == 1 and any(named in e for e in errors), errors
+            assert not (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize(
         "exc, code",
@@ -530,6 +562,19 @@ class TestReport:
     def test_report_missing_file(self):
         assert run_cli("report", "--results", "nope.csv") == 2
 
+    @pytest.mark.parametrize("source", ["synthetic", "/data/benchmarks/odds/satellite_v2.csv"])
+    def test_report_columns_stay_under_their_headers(self, tmp_path, capsys, source):
+        path = tmp_path / "results.csv"
+        path.write_text("method,dataset,k_modes,seed,best_epoch,val_auc,test_auc\n"
+                        f"rpo-max,{source},2,0,-1,0.9,0.75\nrpo-max,synthetic,12,0,-1,0.9,0.5\n")
+        assert run_cli("report", "--results", str(path)) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        width = max(24, len(source))
+        assert header == f"{'method':<16} {'dataset':<{width}} {'modes':>5} {'seeds':>5} {'test AUC':>16}"
+        modes = header.index("modes")
+        assert sorted(row[modes : modes + 5] for row in rows) == ["    2", "   12"]
+        assert all(row[modes + 6 : modes + 11] == "    1" for row in rows)
+
     @pytest.mark.parametrize(
         "bad_row, problem",
         [("rpo-max,synthetic,2,1,-1,0.9", "expected 7 values, got 6"),
@@ -624,7 +669,7 @@ class TestMalformedCsv:
         out = tmp_path / "out.txt"
         if reader == "load_csv":
             with pytest.raises(DataError) as info:
-                load_csv(path)
+                load_csv(path, "class", (0,))
             errors = [str(info.value)]
         else:
             argv = (["score", "--checkpoint", str(rpo_max_checkpoint), "--input", str(path),
@@ -651,7 +696,7 @@ class TestMalformedCsv:
         where = f"{path}:3003: "
         if reader == "load_csv":
             with pytest.raises(DataError) as info:
-                load_csv(path)
+                load_csv(path, "class", (0,))
             errors = [str(info.value)]
         else:
             out = tmp_path / "out.txt"

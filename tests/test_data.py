@@ -257,49 +257,49 @@ class TestCsvRoundTrip:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(DataError):
-            load_csv(path)
+            load_csv(path, "class", (0,))
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("f0,f1,class\n")
         with pytest.raises(DataError, match="no data rows"):
-            load_csv(path)
+            load_csv(path, "class", (0,))
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,class\n1.0,2.0,0\n1.0,oops,0\n")
         with pytest.raises(DataError, match="bad.csv:3"):
-            load_csv(path)
+            load_csv(path, "class", (0,))
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_class_reports_line(self, tmp_path, value):
         path = tmp_path / "bad.csv"
         path.write_text(f"f0,f1,class\n1.0,2.0,0\n1.0,2.0,{value}\n")
         with pytest.raises(DataError, match="bad.csv:3: "):
-            load_csv(path)
+            load_csv(path, "class", (0,))
 
     def test_fractional_class_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,class\n1.0,0\n2.0,0\n3.0,0.7\n4.0,1\n")
         with pytest.raises(DataError, match="bad.csv:4: class '0.7' is not an integer"):
-            load_csv(path)
+            load_csv(path, "class", (0,))
 
     def test_integral_float_class_accepted(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,class\n1.0,0.0\n2.0,1.0\n3.0,-0\n")
-        assert load_csv(path).class_id.tolist() == [0, 1, 0]
+        assert load_csv(path, "class", (0,)).class_id.tolist() == [0, 1, 0]
 
     def test_missing_normal_class(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,class\n1.0,0\n2.0,1\n")
         with pytest.raises(DataError, match="unknown class id"):
-            load_csv(path, normal_class_ids=(7,))
+            load_csv(path, "class", (7,))
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1\n1.0,2.0\n")
         with pytest.raises(DataError, match="label column"):
-            load_csv(path)
+            load_csv(path, "class", (0,))
 
     def test_bad_value_after_quoted_newline_names_its_line(self, tmp_path):
         path = tmp_path / "q.csv"
@@ -313,7 +313,7 @@ class TestCsvRoundTrip:
         lines = ["f0,class"] + [f"{i}.5,{i % 2}" for i in range(59)] + ["59.5,1e300"]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError) as info:
-            load_csv(path)
+            load_csv(path, "class", (0,))
         assert str(info.value) == f"{path}:61: class '1e300' is out of range"
 
     @pytest.mark.parametrize("value, ok", [("-9223372036854775808", True),
@@ -324,10 +324,10 @@ class TestCsvRoundTrip:
         path = tmp_path / "d.csv"
         path.write_text(f"f0,class\n1.0,0\n2.0,{value}\n")
         if ok:
-            assert load_csv(path).class_id.tolist() == [0, int(float(value))]
+            assert load_csv(path, "class", (0,)).class_id.tolist() == [0, int(float(value))]
         else:
             with pytest.raises(DataError, match=f"d.csv:3: class '{value}' is out of range"):
-                load_csv(path)
+                load_csv(path, "class", (0,))
 
 
 def _float_or_nan(text):

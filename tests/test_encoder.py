@@ -157,7 +157,7 @@ class TestAdam:
     def test_zero_grads_no_decay_keeps_weights(self):
         enc = init_encoder([3, 2], np.random.default_rng(3))
         before = [W.copy() for W in enc.weights]
-        opt = init_adam(enc)
+        opt = init_adam(enc, learning_rate=1e-4)
         adam_step(enc, [np.zeros_like(W) for W in enc.weights], opt)
         assert all(np.array_equal(a, b) for a, b in zip(before, enc.weights))
 
@@ -209,7 +209,7 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         enc = init_encoder([3, 2], np.random.default_rng(6))
-        opt = init_adam(enc)
+        opt = init_adam(enc, learning_rate=1e-4)
         with pytest.raises(ValueError):
             adam_step(enc, [np.zeros((2, 2))], opt)
 

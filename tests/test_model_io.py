@@ -123,7 +123,7 @@ def test_missing_checkpoint(tmp_path):
         load_model_checkpoint(tmp_path / "nope.npz")
 
 
-CASES = [(m, r) for m in METHODS for r in (1, 3) if not (m == "deep-svdd" and r == 3)]
+CASES = [(m, r) for m in METHODS for r in (1, 3) if not (METHODS[m].center and r == 3)]
 
 
 @pytest.mark.parametrize("method, rp_dim", CASES)

@@ -26,21 +26,21 @@ from rpo.scoring import (
 )
 
 
-def naive_score(x, U, X_train, est, eps_floor=1e-6, ridge=1e-6):
-    """Loop-over-projections oracle: own statistics, own reduction.
+def naive_fit(U, X_train, eps_floor=1e-6, ridge=1e-6):
+    """Loop-over-projections oracle fit: each projection's own statistics.
 
     Uses plain Python floats and statistics.median so it shares nothing
     with the vectorized implementation beyond the dot-product primitive.
+    Returns one (median, spread) pair per projection: the spread is the
+    floored MAD for m = 1 and the inverse ridge covariance otherwise.
     """
-    dists = []
-    for j in range(U.p):
-        u = U.entries[j]  # (d, m)
+    fitted = []
+    for u in U.entries:  # (d, m)
         if U.m == 1:
             projected = [float(np.dot(u[:, 0], row)) for row in X_train]
             med = statistics.median(projected)
             dev = statistics.median([abs(t - med) for t in projected])
-            dev = max(dev, eps_floor)
-            dists.append(abs(float(np.dot(u[:, 0], x)) - med) / dev)
+            fitted.append((med, max(dev, eps_floor)))
         else:
             projected = [[float(np.dot(u[:, k], row)) for k in range(U.m)] for row in X_train]
             med = [statistics.median([t[k] for t in projected]) for k in range(U.m)]
@@ -50,9 +50,19 @@ def naive_score(x, U, X_train, est, eps_floor=1e-6, ridge=1e-6):
                 r = np.array(t) - np.array(mean)
                 cov += np.outer(r, r)
             cov = cov / (len(projected) - 1) + ridge * np.eye(U.m)
-            inv = np.linalg.inv(cov)
+            fitted.append((med, np.linalg.inv(cov)))
+    return fitted
+
+
+def naive_score(x, U, fitted, est):
+    """The oracle's outlyingness of one query ``x`` under ``naive_fit``'s statistics."""
+    dists = []
+    for u, (med, spread) in zip(U.entries, fitted):
+        if U.m == 1:
+            dists.append(abs(float(np.dot(u[:, 0], x)) - med) / spread)
+        else:
             r = np.array([float(np.dot(u[:, k], x)) for k in range(U.m)]) - np.array(med)
-            dists.append(float(np.sqrt(r @ inv @ r)))
+            dists.append(float(np.sqrt(r @ spread @ r)))
     return max(dists) if est == "max" else sum(dists) / len(dists)
 
 
@@ -129,8 +139,9 @@ class TestScore:
         X_train = rng.normal(size=(40, 6))
         stats = fit_rpo(X_train, U)
         queries = rng.normal(size=(5, 6))
+        fitted = naive_fit(U, X_train)
         for x, got in zip(queries, score_batch(queries, U, stats, est)):
-            assert got == pytest.approx(naive_score(x, U, X_train, est), abs=1e-10)
+            assert got == pytest.approx(naive_score(x, U, fitted, est), abs=1e-10)
 
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("est", ["max", "mean"])

@@ -166,7 +166,7 @@ class TestDeepRpoLoss:
     def test_insufficient_batch_rejected(self):
         enc = Encoder([np.eye(2)])
         U = generate_projections(d=2, m=1, p=3, seed=3)
-        model = DeepRpoModel(enc, U, estimator="mean")
+        model = DeepRpoModel(enc, U, estimator="mean", lam=1e-6)
         with pytest.raises(ValueError, match="insufficient batch"):
             deep_rpo_loss(model, np.ones((1, 2)))
 
@@ -204,7 +204,7 @@ class TestDeepRpoLoss:
 
     def test_sad_flags_shape_checked(self):
         enc = Encoder([np.eye(2)])
-        model = DeepRpoModel(enc, generate_projections(d=2, m=1, p=3, seed=5))
+        model = DeepRpoModel(enc, generate_projections(d=2, m=1, p=3, seed=5), "mean", 1e-6)
         with pytest.raises(ValueError, match="SAD flags shape"):
             deep_rpo_loss(model, np.ones((4, 2)), sad_flags=np.zeros(3, dtype=bool))
 
@@ -247,7 +247,7 @@ class TestTrain:
         ds = toy_dataset()
         model = self._deep_rpo_model(ds)
         before = [W.copy() for W in model.encoder.weights]
-        result = train(model, ds, epochs=0, batch_size=16, seed=1)
+        result = train(model, ds, epochs=0, batch_size=16, seed=1, learning_rate=1e-4)
         assert result.history == []
         assert result.best_epoch == -1
         assert all(np.array_equal(a, b) for a, b in zip(before, model.encoder.weights))
@@ -255,7 +255,7 @@ class TestTrain:
     def test_improves_on_separable_synthetic(self):
         ds = toy_dataset(seed=3)
         model = self._deep_rpo_model(ds, seed=3)
-        result = train(model, ds, epochs=10, batch_size=16, seed=3)
+        result = train(model, ds, epochs=10, batch_size=16, seed=3, learning_rate=1e-4)
         assert result.best_val_auc >= result.history[0].val_auc
         assert result.best_epoch >= 1
 
@@ -264,7 +264,7 @@ class TestTrain:
         histories = []
         for _ in range(2):
             model = self._deep_rpo_model(ds, seed=4)
-            result = train(model, ds, epochs=4, batch_size=16, seed=9)
+            result = train(model, ds, epochs=4, batch_size=16, seed=9, learning_rate=1e-4)
             histories.append([(r.train_loss, r.val_auc) for r in result.history])
         assert histories[0] == histories[1]
 
@@ -272,30 +272,31 @@ class TestTrain:
         ds = toy_dataset(seed=5)
         model = self._deep_rpo_model(ds, seed=5)
         entries_before = model.projections.entries.copy()
-        train(model, ds, epochs=3, batch_size=16, seed=2)
+        train(model, ds, epochs=3, batch_size=16, seed=2, learning_rate=1e-4)
         assert np.array_equal(model.projections.entries, entries_before)
 
         rng = np.random.default_rng(6)
         enc = init_encoder([ds.dim, 8, 4], rng)
         svdd = SvddModel(enc, init_center(enc, ds.X[ds.mask("train")]), lam=1e-6)
         center_before = svdd.center.copy()
-        train(svdd, ds, epochs=3, batch_size=16, seed=2)
+        train(svdd, ds, epochs=3, batch_size=16, seed=2, learning_rate=1e-4)
         assert np.array_equal(svdd.center, center_before)
 
     def test_validation_needs_both_labels(self):
         ds = generate_multimodal(1, 4, n_per_mode=40, anomaly_n=0, seed=0)
         model = DeepRpoModel(
-            Encoder([np.eye(4)]), generate_projections(4, 1, 5, seed=0), estimator="mean"
+            Encoder([np.eye(4)]), generate_projections(4, 1, 5, seed=0), estimator="mean",
+            lam=1e-6,
         )
         with pytest.raises(ValueError, match="validation AUC undefined"):
-            train(model, ds, epochs=1, batch_size=8, seed=0)
+            train(model, ds, epochs=1, batch_size=8, seed=0, learning_rate=1e-4)
 
     def test_svdd_training_descends(self):
         ds = toy_dataset(seed=8)
         rng = np.random.default_rng(8)
         enc = init_encoder([ds.dim, 8, 4], rng)
         model = SvddModel(enc, init_center(enc, ds.X[ds.mask("train")]), lam=1e-6)
-        result = train(model, ds, epochs=8, batch_size=16, seed=3)
+        result = train(model, ds, epochs=8, batch_size=16, seed=3, learning_rate=1e-4)
         assert result.history[-1].train_loss < result.history[0].train_loss
 
     def test_latent_scores_need_stats_for_projection_models(self):
