@@ -26,7 +26,7 @@ from .reporting import (
     write_history_csv,
     write_results_csv,
 )
-from .scoring import depth
+from .scoring import depth, row_blocks
 
 logger = logging.getLogger("rpo")
 
@@ -132,7 +132,9 @@ def cmd_score(args) -> int:
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         # what csv.writer would write: a float's repr holds no comma, quote or newline
         fh.write("score,depth\n")
-        fh.write("".join(f"{s!r},{d!r}\n" for s, d in zip(scores.tolist(), depths.tolist())))
+        for rows in row_blocks(scores.size):
+            pairs = zip(scores[rows].tolist(), depths[rows].tolist())
+            fh.write("".join(f"{s!r},{d!r}\n" for s, d in pairs))
     logger.info("scored %d rows -> %s", len(scores), args.output)
     return EXIT_OK
 

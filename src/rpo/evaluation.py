@@ -96,6 +96,10 @@ class ExperimentSpec:
             )
         if self.sad_ratio > 0.0 and self.sad_classes < 1:
             raise ConfigError(f"protocol.sad_classes must be >= 1, got {self.sad_classes}")
+        if not 0.0 <= self.contamination < 0.5:
+            raise ConfigError(
+                f"protocol.contamination must lie in [0, 0.5), got {self.contamination}"
+            )
         if parts.encoder:
             if self.epochs < 1:
                 raise ConfigError(
@@ -148,16 +152,27 @@ class ExperimentSpec:
                     f"dataset.anomaly_n must be >= {n_val + 1} ({n_val} for validation and "
                     f"one for test), got {self.anomaly_n}"
                 )
+            # contaminate, then inject_sad_labels, each moves _injection_count(ratio,
+            # train rows) test anomalies to train and must leave one in test
+            n_train = self.k_modes * (self.n_per_mode - n_test) - n_val
+            pool = self.anomaly_n - n_val
+            for key, ratio in (("protocol.contamination", self.contamination),
+                               ("protocol.sad_ratio", self.sad_ratio)):
+                n_inject = datamod._injection_count(ratio, n_train)
+                if n_inject and pool < n_inject + 1:
+                    raise ConfigError(
+                        f"{key} {ratio} moves {n_inject} test anomalies to train, but only "
+                        f"{pool} of dataset.anomaly_n {self.anomaly_n} are left there, and "
+                        f"one must stay for test"
+                    )
+                n_train += n_inject
+                pool -= n_inject
         if self.rp_dim < 1:
             raise ConfigError(f"model.rp_dim must be >= 1, got {self.rp_dim}")
         if self.n_projections is not None and self.n_projections < 1:
             raise ConfigError(f"model.n_projections must be >= 1, got {self.n_projections}")
         if self.batch_size < 2:
             raise ConfigError(f"training.batch_size must be >= 2, got {self.batch_size}")
-        if not 0.0 <= self.contamination < 0.5:
-            raise ConfigError(
-                f"protocol.contamination must lie in [0, 0.5), got {self.contamination}"
-            )
         if self.dim < 1:
             raise ConfigError(f"dataset.dim must be >= 1, got {self.dim}")
         # a CSV source's width is known only once it is loaded, so

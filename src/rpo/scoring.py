@@ -17,12 +17,15 @@ estimator reduces across projections with either ``max`` (worst-case
 outlyingness) or ``mean``. Scores map to a center-outward depth in (0, 1]
 via ``1 / (1 + score)``.
 
-``score_batch`` projects, takes distances and reduces one block of rows at
-a time into a preallocated (n,) score array, so it never holds the
-(n, p, m) projection of all n rows. Blocks take ``SCORE_BLOCK_ROWS`` = 384
-rows, and a remainder of fewer rows joins the last block: every block has
-384 to 767 rows, and any n below 768 is one block. On one BLAS thread the
-scores then equal the one-call form
+Scoring runs over row blocks, and ``row_blocks`` is the one place that
+sets them: ``SCORE_BLOCK_ROWS`` = 384 rows each, and a remainder of fewer
+rows joins the last block, so every block has 384 to 767 rows and any n
+below 768 is one block. ``score_batch`` projects, takes distances and
+reduces one block of rows at a time into a preallocated (n,) score array,
+so it never holds the (n, p, m) projection of all n rows. A checkpoint's
+scorer (``model_io.ScoringModel``) runs its whole pipeline over the same
+blocks, so each block it hands to ``score_batch`` is one block there. On
+one BLAS thread the ``score_batch`` scores equal the one-call form
 ``reduce_distances(projected_distances(project(X, U), stats), est)`` bit
 for bit. Every step but the m = 1 matmul works row by row; OpenBLAS
 (measured with 0.3.31's x86-64 Haswell kernels) gives that matmul the same
@@ -68,6 +71,7 @@ equivalence between the paths is claimed anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -80,7 +84,7 @@ Estimator = Literal["max", "mean"]
 
 EPS_FLOOR = 1e-6  # lower bound of each m = 1 MAD
 RIDGE = 1e-6  # added to each m > 1 projected covariance before inverting
-SCORE_BLOCK_ROWS = 384  # rows per ``score_batch`` block (see the module docstring)
+SCORE_BLOCK_ROWS = 384  # rows per scoring block (see the module docstring)
 
 
 class Method(NamedTuple):
@@ -232,6 +236,18 @@ def reduce_distances(D: np.ndarray, est: Estimator) -> np.ndarray:
     return D.max(axis=1) if est == "max" else D.mean(axis=1)
 
 
+def row_blocks(n: int) -> Iterator[slice]:
+    """The scoring blocks of ``n`` rows, in order: ``SCORE_BLOCK_ROWS`` rows each.
+
+    A remainder of fewer rows joins the last block, so every block has 384
+    to 767 rows and any n below 768 (0 included) is one block.
+    """
+    blocks = max(1, n // SCORE_BLOCK_ROWS)
+    for i in range(blocks):
+        start = i * SCORE_BLOCK_ROWS
+        yield slice(start, n if i == blocks - 1 else start + SCORE_BLOCK_ROWS)
+
+
 def score_batch(
     X: np.ndarray, U: ProjectionSet, stats: RpoStats, est: Estimator
 ) -> np.ndarray:
@@ -244,17 +260,13 @@ def score_batch(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    n = X.shape[0]
-    scores = np.empty(n)
-    blocks = max(1, n // SCORE_BLOCK_ROWS)  # a short remainder joins the last block
-    for i in range(blocks):
-        start = i * SCORE_BLOCK_ROWS
-        stop = n if i == blocks - 1 else start + SCORE_BLOCK_ROWS
-        T = project(X[start:stop], U)
+    scores = np.empty(X.shape[0])
+    for rows in row_blocks(X.shape[0]):
+        T = project(X[rows], U)
         # T is a fresh array no caller sees, so for m = 1 the distances may
         # overwrite it: the only (rows, p) array then is the projection itself
         out = T[:, :, 0] if U.m == 1 else None
-        scores[start:stop] = reduce_distances(projected_distances(T, stats, out=out), est)
+        scores[rows] = reduce_distances(projected_distances(T, stats, out=out), est)
     return scores
 
 

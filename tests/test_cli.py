@@ -294,6 +294,37 @@ class TestBench:
             assert not (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize(
+        "protocol, anomaly_n, named",
+        [
+            # 2 modes of 80 rows: 20 each to test, then 12 of the 120 train
+            # normals and 12 anomalies to validation, leaving 108 train rows;
+            # 0.1 of the train split is round(0.1 * 108 / 0.9) = 12 injected rows
+            ({"contamination": 0.1}, 13, "protocol.contamination"),
+            ({"contamination": 0.1}, 24, "protocol.contamination"),
+            ({"contamination": 0.1}, 25, None),
+            ({"sad_ratio": 0.1}, 24, "protocol.sad_ratio"),
+            ({"sad_ratio": 0.1}, 25, None),
+            # SAD runs after contamination: round(0.1 * 120 / 0.9) = 13 more rows
+            ({"contamination": 0.1, "sad_ratio": 0.1}, 37, "protocol.sad_ratio"),
+            ({"contamination": 0.1, "sad_ratio": 0.1}, 38, None),
+        ],
+    )
+    def test_synthetic_anomaly_pool_too_small_exits_1(self, tmp_path, caplog, protocol,
+                                                      anomaly_n, named):
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, method="deep-rpo-mean", seeds=[0],
+                     dataset={"dim": 4, "n_per_mode": 80, "anomaly_n": anomaly_n},
+                     model={"n_projections": 8}, protocol=protocol,
+                     training={"epochs": 1, "batch_size": 32})
+        code = run_cli("bench", "-c", str(cfg_path))
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        if named is None:
+            assert code == 0, errors
+        else:
+            assert code == 1 and any(named in e for e in errors), errors
+            assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
         "exc, code",
         [
             (ConfigError("bad spec"), 1),
@@ -502,9 +533,9 @@ class TestScore:
         path.write_text("\n".join(lines) + "\n")
         return path, X
 
-    def _assert_output_matches_csv_writer_oracle(self, tmp_path, method, spelling):
+    def _assert_output_matches_csv_writer_oracle(self, tmp_path, method, spelling, n=40):
         ckpt = self._bench_with_checkpoints(tmp_path, method)
-        input_csv, X = self._rows_with_class_column(tmp_path, spelling=spelling)
+        input_csv, X = self._rows_with_class_column(tmp_path, n=n, spelling=spelling)
         out_csv = tmp_path / "scores.csv"
         assert run_cli("score", "--checkpoint", str(ckpt), "--input", str(input_csv),
                        "--output", str(out_csv)) == 0
@@ -518,6 +549,10 @@ class TestScore:
     @pytest.mark.parametrize("method", ["rpo-max", "deep-rpo-mean"])
     def test_output_bytes_match_csv_writer_oracle(self, tmp_path, method):
         self._assert_output_matches_csv_writer_oracle(tmp_path, method, "digits")
+
+    def test_output_written_in_blocks_matches_csv_writer_oracle(self, tmp_path):
+        # 1,000 rows are two scoring blocks (384 and 616 rows), each written on its own
+        self._assert_output_matches_csv_writer_oracle(tmp_path, "deep-rpo-mean", "digits", n=1000)
 
     @pytest.mark.parametrize("spelling", ["words", "underscore"])
     @pytest.mark.parametrize("method", ["rpo-max", "deep-rpo-mean"])

@@ -197,10 +197,16 @@ class TestRunExperiment:
         mean, _ = aggregate(results)
         assert mean > 0.9
 
-    def test_seed_failure_carries_seed_id(self):
-        # the validation split leaves one test anomaly, too few to contaminate
-        # with; the spec checks only the split, so the failure comes from the seed
-        spec = quick_spec(anomaly_n=13, contamination=0.1, seeds=(5,))
+    def test_seed_failure_carries_seed_id(self, tmp_path):
+        # a CSV's split depends on its rows, so only the seed finds that 3
+        # anomalies cannot match the 8 validation normals of 100 - 25 train rows
+        path = tmp_path / "few_anomalies.csv"
+        rows = np.random.default_rng(0).normal(size=(103, 6))
+        lines = ["f0,f1,f2,f3,f4,f5,class"] + [
+            ",".join(map(repr, row.tolist())) + f",{int(i >= 100)}" for i, row in enumerate(rows)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        spec = quick_spec(source=str(path), k_modes=0, seeds=(5,))
         with pytest.raises(RpoError, match="seed 5"):
             run_experiment(spec)
 

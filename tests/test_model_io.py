@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,28 @@ def test_a_scorer_checks_its_parts_when_built():
     for method, scaler, parts, problem in bad:
         with pytest.raises(ValueError, match=problem):
             ScoringModel(method, **scaler, **parts)
+
+
+@pytest.mark.parametrize("method, n_projections", [("deep-rpo-mean", 500), ("rpo-max", 1000)])
+def test_scoring_memory_is_one_block_not_all_rows(method, n_projections):
+    # all 20,000 rows standardized take 2.6 MB, and the encoder's layers for
+    # all of them 18 MB; the largest block here has 416 rows, whose
+    # projection takes 3.3 MB at p = 1000
+    rng = np.random.default_rng(6)
+    d = 16
+    X = rng.normal(size=(20_000, d))
+    enc = init_encoder([d, 32, 16, 8], rng) if METHODS[method].encoder else None
+    U = generate_projections(d=8 if enc else d, m=1, p=n_projections, seed=0)
+    train = rng.normal(size=(200, d))
+    stats = fit_rpo(enc.forward(train)[0] if enc else train, U)
+    model = ScoringModel(method, np.zeros(d), np.ones(d), encoder=enc, projections=U, stats=stats)
+    tracemalloc.start()
+    try:
+        model.score_rows(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_missing_checkpoint(tmp_path):

@@ -220,21 +220,93 @@ print(json.dumps(differ))
 """
 
 
+# Scores each case ([layer_dims, method, rp_dim, n, seed]) with a checkpoint
+# scorer, block by block, and with the whole-input form: standardize all n
+# rows, one encoder pass, one-call head. Prints, per case, None when the two
+# are equal bit for bit and otherwise the largest difference over the
+# largest whole-input score.
+_WHOLE_INPUT_ORACLE_SCRIPT = """
+import json, sys
+import numpy as np
+from rpo.encoder import init_encoder
+from rpo.model_io import ScoringModel
+from rpo.projections import generate_projections, project
+from rpo.scoring import center_distances, fit_rpo, projected_distances, reduce_distances
+gaps = []
+for dims, method, rp_dim, n, seed in json.loads(sys.argv[1]):
+    rng = np.random.default_rng(seed)
+    enc = init_encoder(dims, rng)
+    mean, std = rng.normal(size=dims[0]), rng.uniform(0.5, 2.0, size=dims[0])
+    if method == "deep-svdd":
+        model = ScoringModel(method, mean, std, encoder=enc, center=rng.normal(size=dims[-1]))
+    else:
+        U = generate_projections(d=dims[-1], m=rp_dim, p=500, seed=seed)
+        stats = fit_rpo(enc.forward(rng.normal(size=(200, dims[0])))[0], U)
+        model = ScoringModel(method, mean, std, encoder=enc, projections=U, stats=stats)
+    X = mean + rng.normal(scale=2.0, size=(n, dims[0]))
+    Z, _ = enc.forward((X - mean) / std)
+    if model.center is not None:
+        oracle = center_distances(Z, model.center)
+    else:
+        oracle = reduce_distances(projected_distances(project(Z, U), stats), model.estimator)
+    got = model.score_rows(X)
+    same = got.tobytes() == oracle.tobytes()
+    gaps.append(None if same else float(np.max(np.abs(got - oracle)) / np.max(oracle)))
+print(json.dumps(gaps))
+"""
+
+# Block-wise encoder products may round differently from one product over
+# all rows at some layer shapes; the largest score difference stays within
+# BLOCK_RTOL of the largest score (README "Numerics").
+BLOCK_RTOL = 1e-10
+ENCODER_HEADS = [("deep-svdd", 1), ("deep-rpo-max", 1), ("deep-rpo-mean", 1),
+                 ("deep-rpo-max", 3), ("deep-rpo-mean", 3)]
+
+
+def _run_on_one_blas_thread(script, cases):
+    """Stdout of ``script`` (JSON) run on ``cases`` in a child process with one BLAS thread.
+
+    On more BLAS threads a one-call matmul splits its rows among the threads,
+    not as the blocks do, so bit equality holds on one thread only, and a
+    BLAS library fixes its thread count when it loads.
+    """
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(pathlib.Path(rpo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(cases)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestBlocks:
     def test_blocked_scores_equal_one_call_form_bit_for_bit(self):
-        # on more BLAS threads the one-call matmul splits its rows among the
-        # threads, not as the blocks do, so bit equality holds on one thread
-        # only: check it in a child process whose BLAS starts with one thread
-        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        src = str(pathlib.Path(rpo.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _ONE_CALL_ORACLE_SCRIPT, json.dumps(BLOCK_EDGE_ROWS)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == []
+        assert _run_on_one_blas_thread(_ONE_CALL_ORACLE_SCRIPT, BLOCK_EDGE_ROWS) == []
+
+    @pytest.mark.parametrize("dims", [
+        [16, 32, 16, 8],  # the synthetic protocol's encoder
+        [36, 32, 16, 8],  # configs/satellite.yaml's encoder
+    ])
+    def test_encoder_scores_equal_whole_input_form_bit_for_bit(self, dims):
+        cases = [[dims, method, rp_dim, n, seed]
+                 for seed, (method, rp_dim) in enumerate(ENCODER_HEADS)
+                 for n in BLOCK_EDGE_ROWS]
+        assert _run_on_one_blas_thread(_WHOLE_INPUT_ORACLE_SCRIPT, cases) == [None] * len(cases)
+
+    def test_encoder_scores_within_block_rtol_at_random_shapes(self):
+        rng = np.random.default_rng(11)
+        cases = []
+        for seed in range(30):
+            method, rp_dim = ENCODER_HEADS[seed % len(ENCODER_HEADS)]
+            dims = [int(rng.integers(1, 801))] + [
+                int(rng.integers(1, 65)) for _ in range(rng.integers(1, 4))]
+            dims[-1] = max(dims[-1], rp_dim)
+            cases.append([dims, method, rp_dim, int(rng.integers(2 * B, 5 * B)), seed])
+        gaps = _run_on_one_blas_thread(_WHOLE_INPUT_ORACLE_SCRIPT, cases)
+        assert max(g or 0.0 for g in gaps) <= BLOCK_RTOL
 
     @pytest.mark.parametrize("n", [0] + BLOCK_EDGE_ROWS)
     def test_projects_in_blocks_of_b_to_2b_minus_1_rows(self, monkeypatch, n):
