@@ -26,7 +26,8 @@ from .reporting import (
     write_history_csv,
     write_results_csv,
 )
-from .scoring import depth, row_blocks
+from .scoring import depth
+from .seeding import SEED_END
 
 logger = logging.getLogger("rpo")
 
@@ -39,14 +40,13 @@ def _ensure_parent(path: str) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    if args.modes < 1:
-        raise ConfigError(f"--modes must be >= 1, got {args.modes}")
-    if args.dim < 1:
-        raise ConfigError(f"--dim must be >= 1, got {args.dim}")
-    if args.n_per_mode < 1:
-        raise ConfigError(f"--n-per-mode must be >= 1, got {args.n_per_mode}")
-    if args.anomalies < 0:
-        raise ConfigError(f"--anomalies must be >= 0, got {args.anomalies}")
+    for flag, value, low in (("--modes", args.modes, 1), ("--dim", args.dim, 1),
+                             ("--n-per-mode", args.n_per_mode, 1),
+                             ("--anomalies", args.anomalies, 0)):
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    if not 0 <= args.seed < SEED_END:
+        raise ConfigError(f"--seed must lie in [0, 2**32), got {args.seed}")
     ds = datamod.generate_multimodal(
         args.modes, args.dim, args.n_per_mode, args.anomalies, seed=args.seed
     )
@@ -127,14 +127,8 @@ def cmd_score(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
     X, _ = datamod.read_features(args.input, datamod.LABEL_COLUMN)
     scores = model.score_rows(X)
-    depths = depth(scores)
     _ensure_parent(args.output)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        # what csv.writer would write: a float's repr holds no comma, quote or newline
-        fh.write("score,depth\n")
-        for rows in row_blocks(scores.size):
-            pairs = zip(scores[rows].tolist(), depths[rows].tolist())
-            fh.write("".join(f"{s!r},{d!r}\n" for s, d in pairs))
+    datamod.write_numbers(args.output, ["score", "depth"], [scores, depth(scores)])
     logger.info("scored %d rows -> %s", len(scores), args.output)
     return EXIT_OK
 

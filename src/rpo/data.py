@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
+from .scoring import row_blocks
 from .seeding import sub_rng
 
 TRAIN, VAL, TEST = "train", "val", "test"
@@ -34,6 +35,7 @@ TEST_FRACTION = 0.25  # share of each source's normals that starts in test
 _BLOB_SIGMA = 1.0
 _MEAN_SEPARATION = 6.0  # pairwise blob-mean distance, units of sigma
 _ANOMALY_MARGIN = 3.0  # min distance from any anomaly to every blob mean
+_ANOMALY_BATCH_VALUES = 2**14  # bound on a candidate batch's (candidates, k, d) distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,21 +168,21 @@ def generate_multimodal(
 
     lo = means.min(axis=0) - 2.0 * _MEAN_SEPARATION
     hi = means.max(axis=0) + 2.0 * _MEAN_SEPARATION
-    anomalies = np.empty((anomaly_n, d))
-    accepted = 0
-    for _ in range(1000 * max(anomaly_n, 1)):
-        if accepted == anomaly_n:
-            break
-        candidate = rng.uniform(lo, hi, size=d)
-        if np.min(np.linalg.norm(means - candidate, axis=1)) >= _ANOMALY_MARGIN:
-            anomalies[accepted] = candidate
-            accepted += 1
+    # batches draw the stream one candidate at a time would, within the same budget
+    budget, batch = 1000 * max(anomaly_n, 1), max(1, _ANOMALY_BATCH_VALUES // (k_modes * d))
+    anomalies, accepted, drawn = np.empty((anomaly_n, d)), 0, 0
+    while accepted < anomaly_n and drawn < budget:
+        candidates = rng.uniform(lo, hi, size=(min(batch, budget - drawn), d))
+        drawn += len(candidates)
+        nearest = np.linalg.norm(means - candidates[:, None], axis=2).min(axis=1)
+        clear = candidates[nearest >= _ANOMALY_MARGIN][: anomaly_n - accepted]
+        anomalies[accepted : accepted + len(clear)] = clear
+        accepted += len(clear)
     if accepted < anomaly_n:
         raise DataError("could not sample anomalies outside every blob core")
-    if anomaly_n:
-        X_parts.append(anomalies)
-        class_parts.append(np.full(anomaly_n, k_modes))
-        split_parts.append(np.full(anomaly_n, TEST, dtype="U5"))
+    X_parts.append(anomalies)
+    class_parts.append(np.full(anomaly_n, k_modes))
+    split_parts.append(np.full(anomaly_n, TEST, dtype="U5"))
 
     X = np.vstack(X_parts)
     class_id = np.concatenate(class_parts)
@@ -536,17 +538,23 @@ def affine_transform(data: Dataset, spec: AffineSpec, seed: int) -> Dataset:
 
 
 def write_csv(path, header, rows) -> None:
-    """The one CSV writer: a float as its repr, ``None`` as an empty field."""
+    """The writer for text tables: a float as its repr, ``None`` as an empty field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
+def write_numbers(path, header, columns) -> None:
+    """``write_csv``'s bytes for 1-D float and int ``columns``: each value's repr, by block."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for rows in row_blocks(len(columns[0])):  # map, zip and join run the rows in C
+            fields = [map(repr, c[rows].tolist()) for c in columns]
+            fh.write("\n".join([*map(",".join, zip(*fields)), ""]))  # "" ends the last row
+
+
 def save_csv(data: Dataset, path) -> None:
     """Feature columns f0..f{d-1} then the integer ``LABEL_COLUMN`` column."""
-    write_csv(
-        path,
-        [f"f{i}" for i in range(data.dim)] + [LABEL_COLUMN],
-        (row.tolist() + [cid] for row, cid in zip(data.X, data.class_id.tolist())),
-    )
+    header = [f"f{i}" for i in range(data.dim)] + [LABEL_COLUMN]
+    write_numbers(path, header, [*data.X.T, data.class_id])

@@ -32,7 +32,7 @@ from .metrics import mean_std, roc_auc
 from .model_io import ScoringModel, save_model_checkpoint
 from .projections import DropoutSpec, apply_dropout, generate_projections
 from .scoring import METHODS, fit_rpo
-from .seeding import sub_rng, sub_seed
+from .seeding import SEED_END, sub_rng, sub_seed
 from .training import (
     DeepRpoModel,
     EpochRecord,
@@ -83,6 +83,9 @@ class ExperimentSpec:
             )
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        outside = [s for s in self.seeds if not 0 <= s < SEED_END]
+        if outside:
+            raise ConfigError(f"seeds must lie in [0, 2**32), got {outside}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if not self.normal_class_ids:

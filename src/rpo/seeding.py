@@ -11,10 +11,12 @@ import zlib
 
 import numpy as np
 
+SEED_END = 2**32  # sub_rng keeps a seed's low 32 bits, so a user's seed must lie below this
+
 
 def sub_rng(seed: int, *names: str) -> np.random.Generator:
     """Return a generator for the stream named by ``names`` under ``seed``."""
-    entropy = [int(seed) & 0xFFFFFFFF] + [zlib.crc32(n.encode("utf-8")) for n in names]
+    entropy = [int(seed) & (SEED_END - 1)] + [zlib.crc32(n.encode("utf-8")) for n in names]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

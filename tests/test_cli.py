@@ -443,6 +443,44 @@ def test_negative_workers_exits_1_naming_the_flag(tmp_path, monkeypatch, caplog,
     assert not (tmp_path / "out").exists()
 
 
+# sub_rng keeps a seed's low 32 bits: 2**32 would rerun seed 0 and -1 seed 2**32 - 1
+SEED_BOUNDS = [(-1, False), (0, True), (2**32 - 1, True), (2**32, False)]
+
+
+@pytest.mark.parametrize("seed, runs", SEED_BOUNDS)
+def test_config_seed_outside_32_bits_exits_1_naming_seeds(tmp_path, monkeypatch, caplog,
+                                                          seed, runs):
+    ran = []
+    monkeypatch.setattr(evaluation, "_map_seeds", lambda run, seeds, *a, **k: ran.append(seeds))
+    cfg_path = tmp_path / "c.yaml"
+    write_config(cfg_path, seeds=[seed])
+    if runs:
+        assert load_config(cfg_path).base_spec.seeds == (seed,)
+        return
+    assert run_cli("bench", "-c", str(cfg_path)) == 1
+    assert ran == []
+    assert any("seeds" in r.message for r in caplog.records if r.levelname == "ERROR")
+    assert not (tmp_path / "out").exists()
+
+
+def test_seeds_that_alias_mod_2_32_exit_1(tmp_path, caplog):
+    cfg_path = tmp_path / "c.yaml"
+    write_config(cfg_path, seeds=[0, 2**32])
+    assert run_cli("bench", "-c", str(cfg_path)) == 1
+    assert any("seeds" in r.message for r in caplog.records if r.levelname == "ERROR")
+
+
+@pytest.mark.parametrize("seed, runs", SEED_BOUNDS)
+def test_gen_data_seed_outside_32_bits_exits_1_naming_the_flag(tmp_path, caplog, seed, runs):
+    out = tmp_path / "ds"
+    code = run_cli("gen-data", "--modes", "1", "--dim", "2", "--n-per-mode", "20",
+                   "--anomalies", "5", "--seed", str(seed), "--out-dir", str(out))
+    assert code == (0 if runs else 1)
+    assert (out / "data.csv").exists() == runs
+    if not runs:
+        assert any("--seed" in r.message for r in caplog.records if r.levelname == "ERROR")
+
+
 def test_negative_seeds_exits_1_naming_the_flag(tmp_path, monkeypatch, caplog):
     ran = []
     monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +24,10 @@ from rpo.data import (
     save_csv,
     split,
     standardize,
+    write_numbers,
 )
 from rpo.errors import DataError
+from rpo.seeding import sub_rng
 
 
 class TestGenerate:
@@ -67,6 +72,107 @@ class TestGenerate:
             generate_multimodal(0, 4, 10, 5, seed=0)
         with pytest.raises(ValueError):
             generate_multimodal(2, 0, 10, 5, seed=0)
+
+
+
+def _anomaly_stream(k_modes, d, n_per_mode, seed):
+    """The datagen stream where anomaly sampling starts, the box, and the normal rows."""
+    rng = sub_rng(seed, "datagen")
+    means = datamod._place_blob_means(k_modes, d, rng)
+    X_parts, class_parts, split_parts = [], [], []
+    for c in range(k_modes):
+        X_parts.append(means[c] + datamod._BLOB_SIGMA * rng.standard_normal((n_per_mode, d)))
+        class_parts.append(np.full(n_per_mode, c))
+        tags = np.full(n_per_mode, TRAIN, dtype="U5")
+        n_test = int(round(datamod.TEST_FRACTION * n_per_mode))
+        if n_test:
+            tags[rng.permutation(n_per_mode)[:n_test]] = TEST
+        split_parts.append(tags)
+    lo = means.min(axis=0) - 2.0 * datamod._MEAN_SEPARATION
+    hi = means.max(axis=0) + 2.0 * datamod._MEAN_SEPARATION
+    return rng, means, lo, hi, (X_parts, class_parts, split_parts)
+
+
+def _generate_one_candidate_at_a_time(k_modes, d, n_per_mode, anomaly_n, seed):
+    """``generate_multimodal`` as it was with its one-candidate anomaly loop: the oracle."""
+    rng, means, lo, hi, (X_parts, class_parts, split_parts) = _anomaly_stream(
+        k_modes, d, n_per_mode, seed
+    )
+    anomalies = np.empty((anomaly_n, d))
+    accepted = 0
+    for _ in range(1000 * max(anomaly_n, 1)):
+        if accepted == anomaly_n:
+            break
+        candidate = rng.uniform(lo, hi, size=d)
+        if np.min(np.linalg.norm(means - candidate, axis=1)) >= datamod._ANOMALY_MARGIN:
+            anomalies[accepted] = candidate
+            accepted += 1
+    if accepted < anomaly_n:
+        raise DataError("could not sample anomalies outside every blob core")
+    if anomaly_n:
+        X_parts.append(anomalies)
+        class_parts.append(np.full(anomaly_n, k_modes))
+        split_parts.append(np.full(anomaly_n, TEST, dtype="U5"))
+    return np.vstack(X_parts), np.concatenate(class_parts), np.concatenate(split_parts)
+
+
+def _candidate_distances(seed, count):
+    """The blob-mean distance of each of the first ``count`` candidates at k = 1, d = 2."""
+    rng, means, lo, hi, _ = _anomaly_stream(1, 2, 10, seed)
+    return np.array([np.linalg.norm(means[0] - rng.uniform(lo, hi, size=2))
+                     for _ in range(count)])
+
+
+def _outcome(generate, *args):
+    """The generator's (X, class_id, split) bytes, or the message of its DataError."""
+    try:
+        out = generate(*args)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(out, datamod.Dataset):
+        out = (out.X, out.class_id, out.split)
+    return tuple(a.tobytes() for a in out)
+
+
+class TestAnomalySamplerOracle:
+    """Candidates drawn in batches give the one-candidate loop's data, byte for byte."""
+
+    @pytest.mark.parametrize("anomaly_n", [0, 1, 300, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 16, 49])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_equals_one_candidate_loop(self, k, d, anomaly_n):
+        args = (k, d, 20, anomaly_n, 1000 + 7 * k + d)
+        new = _outcome(generate_multimodal, *args)
+        assert not isinstance(new, str)
+        assert new == _outcome(_generate_one_candidate_at_a_time, *args)
+
+    @pytest.mark.parametrize("anomaly_n", [1, 5])
+    def test_no_candidate_passes_raises_the_same_error(self, monkeypatch, anomaly_n):
+        monkeypatch.setattr(datamod, "_ANOMALY_MARGIN", 1e9)
+        args = (2, 4, 20, anomaly_n, 3)
+        with pytest.raises(DataError, match="could not sample anomalies"):
+            generate_multimodal(*args)
+        assert _outcome(generate_multimodal, *args) == _outcome(
+            _generate_one_candidate_at_a_time, *args
+        )
+
+    @pytest.mark.parametrize("batch_values", [2, 14, datamod._ANOMALY_BATCH_VALUES])
+    def test_one_anomaly_may_be_candidate_1000_but_not_1001(self, monkeypatch, batch_values):
+        # seed 1031's 1,000th candidate lies farthest from the mean of the first 1,000,
+        # and seed 231's 1,001st lies farther than all of them
+        monkeypatch.setattr(datamod, "_ANOMALY_BATCH_VALUES", batch_values)
+        last = _candidate_distances(1031, 1000)
+        assert last[-1] == last.max()
+        monkeypatch.setattr(datamod, "_ANOMALY_MARGIN", last[-1])
+        assert _outcome(generate_multimodal, 1, 2, 10, 1, 1031) == _outcome(
+            _generate_one_candidate_at_a_time, 1, 2, 10, 1, 1031
+        )
+
+        past = _candidate_distances(231, 1001)
+        assert past[-1] > past[:-1].max()
+        monkeypatch.setattr(datamod, "_ANOMALY_MARGIN", np.nextafter(past[:-1].max(), np.inf))
+        with pytest.raises(DataError, match="could not sample anomalies"):
+            generate_multimodal(1, 2, 10, 1, seed=231)
 
 
 class TestSplit:
@@ -440,6 +546,44 @@ class TestReadFeatures:
         X, labels = read_features(path, "class")
         assert X.tobytes() == ds.X.tobytes()
         assert labels.tolist() == ds.class_id.tolist()
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``rows``: the number writer's oracle."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+class TestWriteNumbers:
+    EDGE_FLOATS = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1, -2.5]
+
+    @pytest.mark.parametrize("n", [0, 1, 383, 384, 767, 768, 769])
+    def test_bytes_match_csv_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 3))
+        edge = np.resize(self.EDGE_FLOATS, X.size).reshape(X.shape)
+        X = np.where(rng.random(X.shape) < 0.3, edge, X)
+        cid = rng.integers(-(2**62), 2**62, size=n)
+        if n:
+            cid[0], X[0, 0] = -(2**63), -0.0
+        y = rng.standard_normal(n)
+        path = tmp_path / "t.csv"
+        write_numbers(path, ["a", "b", "c", "class", "y"], [*X.T, cid, y])
+        rows = (x + [c, v] for x, c, v in zip(X.tolist(), cid.tolist(), y.tolist()))
+        assert path.read_bytes() == _csv_writer_bytes(["a", "b", "c", "class", "y"], rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_save_csv_equals_the_csv_writer_body_it_replaced(self, tmp_path, seed):
+        ds = generate_multimodal(2, 16, 9000, 1000, seed=seed)
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        header = [f"f{i}" for i in range(ds.dim)] + ["class"]
+        rows = (row.tolist() + [cid] for row, cid in zip(ds.X, ds.class_id.tolist()))
+        assert path.read_bytes() == _csv_writer_bytes(header, rows)
 
 
 class TestRelabel:
