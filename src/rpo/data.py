@@ -35,7 +35,7 @@ TEST_FRACTION = 0.25  # share of each source's normals that starts in test
 _BLOB_SIGMA = 1.0
 _MEAN_SEPARATION = 6.0  # pairwise blob-mean distance, units of sigma
 _ANOMALY_MARGIN = 3.0  # min distance from any anomaly to every blob mean
-_ANOMALY_BATCH_VALUES = 2**14  # bound on a candidate batch's (candidates, k, d) distances
+_CANDIDATE_BATCH_VALUES = 2**14  # bound on a candidate batch's (candidates, k, d) distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,15 +120,49 @@ def _dataset(X, class_id, label, split, sad_flag) -> Dataset:
 
 
 def _place_blob_means(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """``k`` means, each ``_MEAN_SEPARATION`` or more from every earlier one.
+
+    Up to ``10_000 * k`` candidates are drawn from a box, and one is kept
+    when its ``np.linalg.norm`` distance to every kept mean is at least the
+    separation. Candidates are drawn and tested in batches, but the means,
+    and the generator's state on return, are those of drawing and testing
+    one candidate at a time: the stream is rewound to the batch's start and
+    redrawn up to the candidate that completes the k means.
+    """
     half_width = max(10.0, 4.0 * k)
-    means: list[np.ndarray] = []
-    for _ in range(10_000 * k):
-        candidate = rng.uniform(-half_width, half_width, size=d)
-        if all(np.linalg.norm(candidate - mu) >= _MEAN_SEPARATION for mu in means):
-            means.append(candidate)
+    budget, batch = 10_000 * k, max(1, _CANDIDATE_BATCH_VALUES // (k * d))
+    means = np.empty((0, d))
+    while budget:
+        state = rng.bit_generator.state
+        candidates = rng.uniform(-half_width, half_width, size=(min(batch, budget), d))
+        budget -= len(candidates)
+        pending = np.flatnonzero(_clear_of(candidates, means))
+        while pending.size:
+            first, rest = pending[0], pending[1:]
+            means = np.vstack([means, candidates[first]])
             if len(means) == k:
-                return np.vstack(means)
+                rng.bit_generator.state = state
+                rng.uniform(-half_width, half_width, size=(first + 1, d))
+                return means
+            pending = rest[_clear_of(candidates[rest], candidates[first : first + 1])]
     raise DataError(f"could not place {k} blob means {_MEAN_SEPARATION} sigma apart in d={d}")
+
+
+def _clear_of(candidates: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Whether each candidate lies ``_MEAN_SEPARATION`` or more from every mean.
+
+    Equals ``np.linalg.norm(candidate - mu) >= _MEAN_SEPARATION`` for every
+    pair: the vectorized squared distances settle all pairs but those within
+    a relative 1e-9 of the bound, far above their rounding, and those few
+    take that exact test.
+    """
+    diff = candidates[:, np.newaxis, :] - means  # (candidates, means, d)
+    sq = np.einsum("cmd,cmd->cm", diff, diff)
+    bound = _MEAN_SEPARATION**2
+    clear = sq >= bound
+    for c, j in zip(*np.nonzero(np.abs(sq - bound) <= 1e-9 * bound)):
+        clear[c, j] = np.linalg.norm(diff[c, j]) >= _MEAN_SEPARATION
+    return clear.all(axis=1)
 
 
 def generate_multimodal(
@@ -169,7 +203,7 @@ def generate_multimodal(
     lo = means.min(axis=0) - 2.0 * _MEAN_SEPARATION
     hi = means.max(axis=0) + 2.0 * _MEAN_SEPARATION
     # batches draw the stream one candidate at a time would, within the same budget
-    budget, batch = 1000 * max(anomaly_n, 1), max(1, _ANOMALY_BATCH_VALUES // (k_modes * d))
+    budget, batch = 1000 * max(anomaly_n, 1), max(1, _CANDIDATE_BATCH_VALUES // (k_modes * d))
     anomalies, accepted, drawn = np.empty((anomaly_n, d)), 0, 0
     while accepted < anomaly_n and drawn < budget:
         candidates = rng.uniform(lo, hi, size=(min(batch, budget - drawn), d))

@@ -17,13 +17,15 @@ A set is persisted only as part of a scoring checkpoint (``model_io``), as
 its raw entries: the seed that drew them is not kept, because no score
 reads it.
 
-``project`` is one matmul for m = 1. For m > 1 it hands einsum a (d, p, m)
-copy of the maps and takes ``einsum("nd,dpm->npm")``: the sum over d then
-runs in einsum's outer loop, and its inner loop runs over the contiguous
-(p, m) block. Each coordinate still adds its d products one at a time, in
-order of d, exactly as ``einsum("nd,pdm->npm")`` on the (p, d, m) entries
-does in its strided inner loop, so the two agree bit for bit (the tests
-keep the latter as their oracle); the copy is small (p * d * m values).
+``project`` is one matmul at every m. For m > 1 the maps are laid out as
+one (d, p * m) matrix, projection-major (``entries.transpose(1, 0, 2)``),
+so the product reshapes to a C-ordered (n, p, m) without a copy. BLAS sums
+over d in its own blocked order, not one product at a time in order of d
+as the earlier ``einsum("nd,pdm->npm")`` did, so the last bits differ. The
+contract is a backward-error bound: each coordinate lies within 1e-12 of
+the einsum's value, relative to the same sum over absolute values,
+``|X| @ |E|`` (``MDIM_RTOL`` in ``tests/test_mdim_kernels.py``, which keeps
+the einsum as its oracle).
 """
 
 from __future__ import annotations
@@ -117,8 +119,9 @@ def project(X: np.ndarray, U: ProjectionSet) -> np.ndarray:
         raise ValueError(f"X has {X.shape[1]} columns but projections expect d={U.d}")
     if U.m == 1:
         return (X @ U.entries[:, :, 0].T)[:, :, np.newaxis]
-    # the sum over d in einsum's outer loop (see the module docstring)
-    return np.einsum("nd,dpm->npm", X, U.entries.transpose(1, 0, 2).copy())
+    # one product with projection-major columns (see the module docstring)
+    maps = U.entries.transpose(1, 0, 2).reshape(U.d, U.p * U.m)
+    return (X @ maps).reshape(X.shape[0], U.p, U.m)
 
 
 def apply_dropout(U: ProjectionSet, spec: DropoutSpec, seed: int) -> ProjectionSet:

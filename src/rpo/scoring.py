@@ -27,14 +27,14 @@ scorer (``model_io.ScoringModel``) runs its whole pipeline over the same
 blocks, so each block it hands to ``score_batch`` is one block there. On
 one BLAS thread the ``score_batch`` scores equal the one-call form
 ``reduce_distances(projected_distances(project(X, U), stats), est)`` bit
-for bit. Every step but the m = 1 matmul works row by row; OpenBLAS
+for bit. Every step but the projection's matmul works row by row; OpenBLAS
 (measured with 0.3.31's x86-64 Haswell kernels) gives that matmul the same
-bits for a block of 192 * k rows as for one call over all rows, and
-384 = 2 * 192. A short block (a remainder left on its own) takes its
-small-row path and changes bits, and so do blocks of 1,000, 1,024 or
-4,096 rows. On more BLAS threads the one-call matmul splits its rows
-among the threads, not as the blocks do, so no bit equality is claimed
-there.
+bits for a block of 192 * k rows as for one call over all rows, at m = 1
+and m > 1, and 384 = 2 * 192. A short block (a remainder left on its own)
+takes its small-row path and changes bits, and so do blocks of 1,000,
+1,024 or 4,096 rows. On more BLAS threads the one-call matmul splits its
+rows among the threads, not as the blocks do, so no bit equality is
+claimed there.
 ``projected_distances`` takes an ``out=`` array: for m = 1 it subtracts,
 takes ``abs`` and divides in that one array, so ``score_batch``, which owns
 each block's projection and reads it only once, passes the projection
@@ -42,21 +42,26 @@ itself: a block then holds one (rows, p) float64 array, not the
 projection plus three temporaries. The training loss reads its projection
 again for the gradient, so it passes no ``out``.
 
-The m > 1 kernels fix the order of every sum in their own code, so the
-result does not depend on the memory layout of ``T``, and it equals the
-plain einsum forms ``"npi,npj->pij"`` (covariance) and
-``"npi,pij,npj->np"`` (quadratic form) on a C-ordered ``T`` bit for bit;
-the tests keep those as oracles. The plain forms reduce in a strided inner
-loop, which is slow. The covariance centres one C-ordered (n, m, p) copy
-of ``T`` in place and takes ``einsum("nip,njp->pij")``: rows are the
-copy's outermost axis, so einsum adds them in its outer loop, in row
-order, even when p = 1 drops the projection axis (with rows in the middle,
-as in an (m, n, p) copy, einsum would then sum them in a SIMD inner loop,
-in another order). The quadratic form copies the residuals once to
-(m, n, p), so each R[i] is a contiguous (n, p) plane, and adds
-``(R[i] * C[i, j]) * R[j]`` (``C`` the (m, m, p) inverse covariances)
-i-major, j-minor, into one (n, p) sum: the plain form's products in its
-order. Neither writes ``T`` or holds more than one (n, p, m) copy of it.
+At m > 1 the covariance fixes the order of its sum in its own code, so it
+does not depend on the memory layout of ``T``, and it equals the plain
+einsum ``"npi,npj->pij"`` on a C-ordered ``T`` bit for bit; the tests keep
+that as its oracle. The plain form reduces in a strided inner loop, which
+is slow. The covariance centres one C-ordered (n, m, p) copy of ``T`` in
+place and takes ``einsum("nip,njp->pij")``: rows are the copy's outermost
+axis, so einsum adds them in its outer loop, in row order, even when p = 1
+drops the projection axis (with rows in the middle, as in an (m, n, p)
+copy, einsum would then sum them in a SIMD inner loop, in another order).
+The quadratic form copies the residuals once to (m, n, p), so each R[i] is
+a contiguous (n, p) plane, and adds into one (n, p) sum, i-major, the
+diagonal term ``(R[i] * C[i, i]) * R[i]`` and then ``(R[i] * (2 * C[i, j]))
+* R[j]`` for each j > i (``C`` the (m, m, p) inverse covariances, symmetric
+to the bit): m(m + 1) / 2 terms instead of the m * m of the plain form
+``"npi,pij,npj->np"``. Its last bits differ from that form's, so it is held
+to a backward-error bound: each squared distance lies within 1e-12 of the
+einsum's, relative to ``sum |R[i]| |C[i, j]| |R[j]|`` over all i, j
+(``MDIM_RTOL`` in ``tests/test_mdim_kernels.py``). Its result does not
+depend on the layout of ``T`` either. Neither writes ``T`` or holds more
+than one (n, p, m) copy of it.
 
 This module holds every score head: the projection outlyingness above
 (``score_batch``) and the deep-svdd squared distance to a latent center
@@ -215,15 +220,16 @@ def projected_distances(
         raise ValueError(
             f"stats fitted for m={stats.med.shape[1]}, got m={T.shape[2]}"
         )
-    # sum R[i] * C[i, j] * R[j], i-major, j-minor (see the module docstring)
+    # each distinct pair once, off-diagonal terms doubled (see the module docstring)
     R = np.array(T.transpose(2, 0, 1), order="C")
     R -= stats.med.T[:, np.newaxis, :]
     C = np.ascontiguousarray(stats.inv_cov.transpose(1, 2, 0))  # (m, m, p)
     quad = np.zeros(T.shape[:2])
     term = np.empty_like(quad)
-    for i in range(R.shape[0]):
-        for j in range(R.shape[0]):
-            np.multiply(R[i], C[i, j], out=term)
+    m = R.shape[0]
+    for i in range(m):
+        for j in range(i, m):
+            np.multiply(R[i], C[i, j] if i == j else 2.0 * C[i, j], out=term)
             term *= R[j]
             quad += term
     np.maximum(quad, 0.0, out=quad)

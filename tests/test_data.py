@@ -1,5 +1,6 @@
 import csv
 import io
+import time
 
 import numpy as np
 import pytest
@@ -156,11 +157,11 @@ class TestAnomalySamplerOracle:
             _generate_one_candidate_at_a_time, *args
         )
 
-    @pytest.mark.parametrize("batch_values", [2, 14, datamod._ANOMALY_BATCH_VALUES])
+    @pytest.mark.parametrize("batch_values", [2, 14, datamod._CANDIDATE_BATCH_VALUES])
     def test_one_anomaly_may_be_candidate_1000_but_not_1001(self, monkeypatch, batch_values):
         # seed 1031's 1,000th candidate lies farthest from the mean of the first 1,000,
         # and seed 231's 1,001st lies farther than all of them
-        monkeypatch.setattr(datamod, "_ANOMALY_BATCH_VALUES", batch_values)
+        monkeypatch.setattr(datamod, "_CANDIDATE_BATCH_VALUES", batch_values)
         last = _candidate_distances(1031, 1000)
         assert last[-1] == last.max()
         monkeypatch.setattr(datamod, "_ANOMALY_MARGIN", last[-1])
@@ -173,6 +174,65 @@ class TestAnomalySamplerOracle:
         monkeypatch.setattr(datamod, "_ANOMALY_MARGIN", np.nextafter(past[:-1].max(), np.inf))
         with pytest.raises(DataError, match="could not sample anomalies"):
             generate_multimodal(1, 2, 10, 1, seed=231)
+
+
+def _place_one_candidate_at_a_time(k, d, rng):
+    """``_place_blob_means`` as it was, drawing and testing one candidate at a time: the oracle."""
+    half_width = max(10.0, 4.0 * k)
+    means = []
+    for _ in range(10_000 * k):
+        candidate = rng.uniform(-half_width, half_width, size=d)
+        if all(np.linalg.norm(candidate - mu) >= datamod._MEAN_SEPARATION for mu in means):
+            means.append(candidate)
+            if len(means) == k:
+                return np.vstack(means)
+    raise DataError(
+        f"could not place {k} blob means {datamod._MEAN_SEPARATION} sigma apart in d={d}"
+    )
+
+
+def _placement(place, k, d, seed):
+    """The means' bytes and the generator's next draw, or the message of the DataError."""
+    rng = sub_rng(seed, "datagen")
+    try:
+        means = place(k, d, rng)
+    except DataError as exc:
+        return str(exc)
+    return means.tobytes(), rng.random(4).tobytes()
+
+
+class TestBlobMeansOracle:
+    """Candidates tested in batches give the one-candidate loop's means and stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 1017])
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_equals_one_candidate_loop(self, k, d, seed):
+        new = _placement(datamod._place_blob_means, k, d, seed)
+        assert new == _placement(_place_one_candidate_at_a_time, k, d, seed)
+        if k < 8 or d > 1:
+            assert not isinstance(new, str)
+
+    @pytest.mark.parametrize("batch_values", [1, 7, datamod._CANDIDATE_BATCH_VALUES])
+    def test_a_distance_exactly_at_the_bound_is_kept(self, monkeypatch, batch_values):
+        # the separation set to the exact norm between the first two candidates
+        # keeps the second; one ulp more drops it
+        monkeypatch.setattr(datamod, "_CANDIDATE_BATCH_VALUES", batch_values)
+        rng = sub_rng(5, "datagen")
+        first, second = rng.uniform(-10.0, 10.0, size=(2, 16))
+        gap = np.linalg.norm(second - first)
+        for separation in (gap, np.nextafter(gap, np.inf)):
+            monkeypatch.setattr(datamod, "_MEAN_SEPARATION", separation)
+            new = _placement(datamod._place_blob_means, 2, 16, 5)
+            assert new == _placement(_place_one_candidate_at_a_time, 2, 16, 5)
+            kept = np.frombuffer(new[0]).reshape(2, 16)[1]
+            assert (kept.tobytes() == second.tobytes()) == (separation == gap)
+
+    def test_too_many_modes_fail_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(DataError, match=r"^could not place 50 blob means 6\.0 sigma apart in d=1$"):
+            generate_multimodal(50, 1, n_per_mode=10, anomaly_n=0, seed=0)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestSplit:
