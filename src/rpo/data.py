@@ -165,14 +165,8 @@ def _clear_of(candidates: np.ndarray, means: np.ndarray) -> np.ndarray:
     return clear.all(axis=1)
 
 
-def generate_multimodal(
-    k_modes: int,
-    d: int,
-    n_per_mode: int,
-    anomaly_n: int,
-    seed: int,
-    test_fraction: float = TEST_FRACTION,
-) -> Dataset:
+def generate_multimodal(k_modes: int, d: int, n_per_mode: int, anomaly_n: int, seed: int,
+                        test_fraction: float = TEST_FRACTION) -> Dataset:
     """Gaussian-blob normality plus box anomalies kept clear of every blob.
 
     Normal rows get class ids 0..k-1 and are pre-partitioned into train and
@@ -184,8 +178,7 @@ def generate_multimodal(
             f"invalid counts: k_modes={k_modes}, d={d}, "
             f"n_per_mode={n_per_mode}, anomaly_n={anomaly_n}"
         )
-    if not 0.0 <= test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in [0, 1), got {test_fraction}")
+    n_test = _test_count(test_fraction, n_per_mode)
     rng = sub_rng(seed, "datagen")
     means = _place_blob_means(k_modes, d, rng)
 
@@ -195,7 +188,6 @@ def generate_multimodal(
         X_parts.append(rows)
         class_parts.append(np.full(n_per_mode, c))
         tags = np.full(n_per_mode, TRAIN, dtype="U5")
-        n_test = int(round(test_fraction * n_per_mode))
         if n_test:
             tags[rng.permutation(n_per_mode)[:n_test]] = TEST
         split_parts.append(tags)
@@ -429,12 +421,71 @@ def relabel_by_normal_classes(data: Dataset, picked_class_ids) -> Dataset:
     )
 
 
-def split(
-    data: Dataset,
-    val_fraction: float,
-    seed: int,
-    test_fraction: float = 0.0,
-) -> Dataset:
+class CountError(DataError):
+    """``CountError(count, message)``: the count ``plan_counts`` calls ``count`` cannot be met."""
+
+    count = property(lambda self: self.args[0])
+
+    def __str__(self):
+        return "{}: {}".format(*self.args)
+
+
+def _test_count(test_fraction: float, n_normals: int) -> int:
+    """The normals that ``test_fraction`` of ``n_normals`` moves to test."""
+    if not 0.0 <= test_fraction < 1.0:
+        raise ValueError(f"test_fraction must lie in [0, 1), got {test_fraction}")
+    return int(round(test_fraction * n_normals))
+
+
+def _val_count(val_fraction: float, n_normals: int) -> int:
+    """The train normals, and as many anomalies, that validation takes: at least one."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"val_fraction must lie in (0, 1), got {val_fraction}")
+    n_val = int(round(val_fraction * n_normals))
+    if n_val < 1:
+        raise CountError("n_val", f"{val_fraction} of {n_normals} train normals rounds to 0")
+    return n_val
+
+
+def _pool_left(count: str, n: int, pool: int) -> int:
+    """The test anomalies left after ``count`` draws ``n`` of ``pool``; one must stay for test."""
+    if pool < n + 1:
+        raise CountError(count, f"{n} test anomalies move, 1 stays for test, and {pool} are there")
+    return pool - n
+
+
+def _injection_count(ratio: float, n_train: int) -> int:
+    # x rows added to an n-row train split make up ratio of it: x = ratio*n/(1-ratio)
+    return int(round(ratio * n_train / (1.0 - ratio)))
+
+
+def plan_counts(k_modes: int, n_per_mode: int, anomaly_n: int, test_fraction: float,
+                val_fraction: float, contamination: float, sad_ratio: float,
+                min_train: int) -> dict:
+    """A synthetic seed's row counts, by the rules its drawing functions use.
+
+    ``n_test`` normals of each mode go to test; ``n_val`` train normals, and
+    as many test anomalies, to validation; ``contamination``, then
+    ``sad_labels``, test anomalies to train, leaving ``n_train`` train rows,
+    of which a run needs ``min_train``. A count that cannot be met raises a
+    ``CountError`` naming it.
+    """
+    n_test = _test_count(test_fraction, n_per_mode)
+    if n_test < 1:
+        raise CountError("n_test", f"{test_fraction} of {n_per_mode} normals per mode rounds to 0")
+    n_normals = k_modes * (n_per_mode - n_test)
+    n_val = _val_count(val_fraction, n_normals)
+    counts = dict(n_test=n_test, n_val=n_val)
+    pool, n_train = _pool_left("val_anomalies", n_val, anomaly_n), n_normals - n_val
+    for count, ratio in (("contamination", contamination), ("sad_labels", sad_ratio)):
+        counts[count] = n = _injection_count(ratio, n_train)
+        pool, n_train = _pool_left(count, n, pool), n_train + n
+    if n_train < min_train:
+        raise CountError("n_train", f"{n_train} train rows are left, and a run needs {min_train}")
+    return {**counts, "n_train": n_train, "test_anomalies": pool}
+
+
+def split(data: Dataset, val_fraction: float, seed: int, test_fraction: float = 0.0) -> Dataset:
     """Carve a validation split out of the training normals.
 
     Moves ``val_fraction`` of the train normals to validation and matches
@@ -443,31 +494,24 @@ def split(
     first moves that share of train normals to test, for sources that ship
     without a canonical test partition.
     """
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must lie in (0, 1), got {val_fraction}")
-    if not 0.0 <= test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in [0, 1), got {test_fraction}")
     if data.count(VAL) > 0:
         raise ValueError("dataset already has a validation split")
     rng = sub_rng(seed, "split")
     new_split = data.split.copy()
 
     train_normals = np.flatnonzero((data.split == TRAIN) & (data.label == NORMAL))
-    if test_fraction > 0.0:
-        n_test = int(round(test_fraction * train_normals.size))
+    n_test = _test_count(test_fraction, train_normals.size)
+    if test_fraction > 0.0:  # draws even where n_test rounds to 0, so the stream stays put
         moved = rng.permutation(train_normals)[:n_test]
         new_split[moved] = TEST
         train_normals = np.setdiff1d(train_normals, moved)
 
-    n_val = int(round(val_fraction * train_normals.size))
-    if n_val < 1:
-        raise ValueError("val_fraction leaves an empty validation split")
+    n_val = _val_count(val_fraction, train_normals.size)
     val_normals = rng.permutation(train_normals)[:n_val]
     new_split[val_normals] = VAL
 
     anomaly_pool = np.flatnonzero((new_split == TEST) & (data.label == ANOMALY))
-    if anomaly_pool.size < n_val + 1:
-        raise DataError("insufficient anomalies for disjoint val/test pools")
+    _pool_left("val_anomalies", n_val, anomaly_pool.size)
     val_anomalies = rng.permutation(anomaly_pool)[:n_val]
     new_split[val_anomalies] = VAL
 
@@ -488,11 +532,6 @@ def standardize(data: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
     return replace(data, X=(data.X - mean) / std), mean, std
 
 
-def _injection_count(ratio: float, n_train: int) -> int:
-    # x rows added to an n-row train split make up ratio of it: x = ratio*n/(1-ratio)
-    return int(round(ratio * n_train / (1.0 - ratio)))
-
-
 def contaminate(data: Dataset, ratio: float, seed: int) -> Dataset:
     """Pollute the train split with anomalies drawn from the test pool.
 
@@ -501,14 +540,11 @@ def contaminate(data: Dataset, ratio: float, seed: int) -> Dataset:
     """
     if not 0.0 <= ratio < 0.5:
         raise ValueError(f"contamination ratio must lie in [0, 0.5), got {ratio}")
-    if ratio == 0.0:
-        return data
     n_inject = _injection_count(ratio, data.count(TRAIN))
     if n_inject == 0:
         return data
     pool = np.flatnonzero((data.split == TEST) & (data.label == ANOMALY))
-    if pool.size < n_inject + 1:
-        raise DataError("insufficient anomaly pool for contamination")
+    _pool_left("contamination", n_inject, pool.size)
     rng = sub_rng(seed, "contaminate")
     moved = rng.permutation(pool)[:n_inject]
     new_split = data.split.copy()
@@ -516,9 +552,8 @@ def contaminate(data: Dataset, ratio: float, seed: int) -> Dataset:
     return replace(data, split=new_split)
 
 
-def inject_sad_labels(
-    data: Dataset, sad_ratio: float, n_anomalous_classes: int, seed: int
-) -> Dataset:
+def inject_sad_labels(data: Dataset, sad_ratio: float, n_anomalous_classes: int,
+                      seed: int) -> Dataset:
     """Add labeled anomalies from a few anomaly classes to the train split.
 
     Flagged rows make up ``sad_ratio`` of the resulting train split and are
@@ -529,21 +564,15 @@ def inject_sad_labels(
         raise ValueError(f"sad_ratio must lie in [0, 0.5), got {sad_ratio}")
     if n_anomalous_classes < 1:
         raise ValueError("n_anomalous_classes must be >= 1")
-    if sad_ratio == 0.0:
-        return data
     n_inject = _injection_count(sad_ratio, data.count(TRAIN))
     if n_inject == 0:
         return data
     rng = sub_rng(seed, "sad")
     pool_mask = (data.split == TEST) & (data.label == ANOMALY)
     classes = np.unique(data.class_id[pool_mask])
-    if classes.size == 0:
-        raise DataError("insufficient pool for SAD labeling")
-    n_pick = min(n_anomalous_classes, classes.size)
-    picked = rng.choice(classes, size=n_pick, replace=False)
+    picked = rng.choice(classes, size=min(n_anomalous_classes, classes.size), replace=False)
     pool = np.flatnonzero(pool_mask & np.isin(data.class_id, picked))
-    if pool.size < n_inject + 1:
-        raise DataError("insufficient pool for SAD labeling")
+    _pool_left("sad_labels", n_inject, pool.size)
     moved = rng.permutation(pool)[:n_inject]
     new_split = data.split.copy()
     new_split[moved] = TRAIN

@@ -44,6 +44,10 @@ from .training import (
 
 SWEEP_AXES = ("n_projections", "rp_dim", "dropout", "alpha", "sad_ratio")
 SYNTHETIC = "synthetic"
+# the YAML key that sets each count of data.plan_counts
+_COUNT_KEYS = {"n_test": "protocol.test_fraction", "n_val": "dataset.n_per_mode",
+               "val_anomalies": "dataset.anomaly_n", "contamination": "protocol.contamination",
+               "sad_labels": "protocol.sad_ratio", "n_train": "protocol.val_fraction"}
 
 
 @dataclass(frozen=True)
@@ -136,40 +140,13 @@ class ExperimentSpec:
                 )
             if self.n_per_mode < 1:
                 raise ConfigError(f"dataset.n_per_mode must be >= 1, got {self.n_per_mode}")
-            # generate_multimodal moves n_test normals of each mode to test; split then
-            # moves n_val of the pooled train normals, and n_val anomalies, to validation
-            n_test = round(self.test_fraction * self.n_per_mode)
-            if n_test < 1:
-                raise ConfigError(
-                    f"protocol.test_fraction {self.test_fraction} moves no normal row of "
-                    f"dataset.n_per_mode {self.n_per_mode} to the test split"
-                )
-            n_val = round(self.val_fraction * (self.k_modes * (self.n_per_mode - n_test)))
-            if n_val < 1:
-                raise ConfigError(
-                    f"dataset.n_per_mode {self.n_per_mode} leaves too few train normals for "
-                    f"protocol.val_fraction {self.val_fraction} to move one to validation"
-                )
-            if self.anomaly_n < n_val + 1:
-                raise ConfigError(
-                    f"dataset.anomaly_n must be >= {n_val + 1} ({n_val} for validation and "
-                    f"one for test), got {self.anomaly_n}"
-                )
-            # contaminate, then inject_sad_labels, each moves _injection_count(ratio,
-            # train rows) test anomalies to train and must leave one in test
-            n_train = self.k_modes * (self.n_per_mode - n_test) - n_val
-            pool = self.anomaly_n - n_val
-            for key, ratio in (("protocol.contamination", self.contamination),
-                               ("protocol.sad_ratio", self.sad_ratio)):
-                n_inject = datamod._injection_count(ratio, n_train)
-                if n_inject and pool < n_inject + 1:
-                    raise ConfigError(
-                        f"{key} {ratio} moves {n_inject} test anomalies to train, but only "
-                        f"{pool} of dataset.anomaly_n {self.anomaly_n} are left there, and "
-                        f"one must stay for test"
-                    )
-                n_train += n_inject
-                pool -= n_inject
+            try:  # training.train needs 2 train rows; a shallow fit needs 1
+                datamod.plan_counts(self.k_modes, self.n_per_mode, self.anomaly_n,
+                                    self.test_fraction, self.val_fraction, self.contamination,
+                                    self.sad_ratio, min_train=2 if parts.encoder else 1)
+            except datamod.CountError as exc:
+                key = _COUNT_KEYS[exc.count]
+                raise ConfigError(f"{key} {getattr(self, key.split('.')[1])}: {exc.args[1]}")
         if self.rp_dim < 1:
             raise ConfigError(f"model.rp_dim must be >= 1, got {self.rp_dim}")
         if self.n_projections is not None and self.n_projections < 1:

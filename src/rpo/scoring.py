@@ -144,14 +144,8 @@ def fit_rpo(X_train: np.ndarray, U: ProjectionSet) -> RpoStats:
     return fit_rpo_projected(T)
 
 
-def fit_rpo_projected(T: np.ndarray, eps_floor: float = EPS_FLOOR) -> RpoStats:
-    """Fit statistics from already-projected coordinates of shape (n, p, m).
-
-    ``eps_floor`` bounds each m = 1 MAD from below; the package always
-    leaves it at ``EPS_FLOOR``.
-    """
-    if eps_floor <= 0:
-        raise ValueError(f"eps_floor must be positive, got {eps_floor}")
+def fit_rpo_projected(T: np.ndarray) -> RpoStats:
+    """Fit statistics from already-projected coordinates of shape (n, p, m)."""
     n, p, m = T.shape
     if n == 0:
         raise ValueError("empty training set")
@@ -163,7 +157,7 @@ def fit_rpo_projected(T: np.ndarray, eps_floor: float = EPS_FLOOR) -> RpoStats:
         # the MAD is order-free, so it reuses the sorted buffer in place
         np.subtract(buf, med[:, np.newaxis], out=buf)
         np.abs(buf, out=buf)
-        mad = np.maximum(_sort_rows_median(buf), eps_floor)
+        mad = np.maximum(_sort_rows_median(buf), EPS_FLOOR)
         return RpoStats(med=med, mad=mad, inv_cov=None)
 
     med = _sort_rows_median(np.array(T.reshape(n, p * m).T, order="C")).reshape(p, m)

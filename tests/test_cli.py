@@ -278,12 +278,26 @@ class TestBench:
             # matched by 75 anomalies, and split keeps one more for test
             ({"n_per_mode": 500, "anomaly_n": 75}, "dataset.anomaly_n"),
             ({"n_per_mode": 500, "anomaly_n": 76}, None),
+            # 1 mode of 8 rows: 2 to test, then round(0.95 * 6) = 6 of the 6 train
+            # normals to validation, leaving no row to standardize on
+            ({"k_modes": 1, "n_per_mode": 8, "anomaly_n": 20, "method": "rpo-max",
+              "protocol": {"val_fraction": 0.95}}, "protocol.val_fraction"),
+            # round(0.8 * 6) = 5 to validation leaves 1 train row: a shallow fit
+            # runs on it, training needs 2
+            ({"k_modes": 1, "n_per_mode": 8, "anomaly_n": 20, "method": "rpo-max",
+              "protocol": {"val_fraction": 0.8}}, None),
+            ({"k_modes": 1, "n_per_mode": 8, "anomaly_n": 20,
+              "protocol": {"val_fraction": 0.8}}, "protocol.val_fraction"),
         ],
     )
     def test_synthetic_split_that_cannot_run_exits_1(self, tmp_path, caplog, dataset, named):
+        # a case's "method" and "protocol" entries set those sections; the rest is the dataset's
+        dataset = dict(dataset)
+        method = dataset.pop("method", "deep-rpo-mean")
+        protocol = dataset.pop("protocol", {})
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, method="deep-rpo-mean", seeds=[0],
-                     dataset={"dim": 4, **dataset}, model={"n_projections": 8},
+        write_config(cfg_path, method=method, seeds=[0], dataset={"dim": 4, **dataset},
+                     model={"n_projections": 8}, protocol=protocol,
                      training={"epochs": 1, "batch_size": 32})
         code = run_cli("bench", "-c", str(cfg_path))
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]

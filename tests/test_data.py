@@ -1,6 +1,7 @@
 import csv
 import io
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,7 +266,8 @@ class TestSplit:
 
     def test_insufficient_anomalies(self):
         ds = generate_multimodal(1, 4, n_per_mode=100, anomaly_n=3, seed=8, test_fraction=0.0)
-        with pytest.raises(DataError, match="insufficient anomalies"):
+        with pytest.raises(DataError, match="^val_anomalies: 20 test anomalies move, 1 stays "
+                                            "for test, and 3 are there$"):
             split(ds, 0.2, seed=0)
 
     def test_test_fraction_carves_normals(self):
@@ -296,8 +298,6 @@ class TestStandardize:
         ds = generate_multimodal(1, 3, 50, 20, seed=12)
         X = ds.X.copy()
         X[:, 1] = 4.0
-        from dataclasses import replace
-
         ds = replace(ds, X=X)
         out, _, std = standardize(ds)
         assert std[1] == 1.0
@@ -335,8 +335,9 @@ class TestContaminate:
 
     def test_insufficient_pool(self):
         ds = generate_multimodal(1, 4, n_per_mode=400, anomaly_n=45, seed=14, test_fraction=0.0)
-        ds = split(ds, 0.1, seed=0)  # 36 val anomalies, 9 left in test
-        with pytest.raises(DataError, match="insufficient anomaly pool"):
+        ds = split(ds, 0.1, seed=0)  # 40 val anomalies, 5 left in test
+        with pytest.raises(DataError, match="^contamination: 240 test anomalies move, 1 stays "
+                                            "for test, and 5 are there$"):
             contaminate(ds, 0.4, seed=0)
 
 
@@ -369,6 +370,16 @@ class TestSadLabels:
         out = inject_sad_labels(ds, 0.05, 2, seed=2)
         moved = ds.split != out.split
         assert np.all(out.split[moved] == TRAIN)
+
+    @pytest.mark.parametrize("left", [5, 0])
+    def test_insufficient_pool(self, left):
+        ds = generate_multimodal(1, 4, n_per_mode=400, anomaly_n=45, seed=14, test_fraction=0.0)
+        ds = split(ds, 0.1, seed=0)  # 40 val anomalies, 5 left in test
+        if not left:
+            ds = replace(ds, split=np.where(ds.split == TEST, VAL, ds.split))
+        with pytest.raises(DataError, match=f"^sad_labels: 240 test anomalies move, 1 stays "
+                                            f"for test, and {left} are there$"):
+            inject_sad_labels(ds, 0.4, 2, seed=0)
 
 
 class TestAffine:

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpo import evaluation
-from rpo.data import AffineSpec, load_csv
+from rpo.data import ANOMALY, NORMAL, TEST, TRAIN, VAL, AffineSpec, load_csv, plan_counts
 from rpo.encoder import AdamState, init_adam
-from rpo.errors import ConfigError, RpoError
+from rpo.errors import ConfigError, DataError, RpoError
 from rpo.evaluation import (
     ExperimentSpec,
     SeedResult,
+    _assemble_dataset,
     aggregate,
     run_experiment,
     run_single_seed,
@@ -171,6 +174,62 @@ def test_protocol_values_default_only_in_the_spec(func, params):
     # a library default would let a direct call differ from rpo bench
     signature = inspect.signature(func)
     assert all(signature.parameters[p].default is inspect.Parameter.empty for p in params)
+
+
+def unit_interval(max_value):
+    return st.floats(min_value=0.0, max_value=max_value, exclude_min=True, exclude_max=True)
+
+
+class TestCountPlan:
+    """The spec takes a synthetic source's counts exactly when seed 0 can run on them.
+
+    Blob and anomaly placement always succeed at these sizes, so only the
+    counts can make a seed fail.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        method=st.sampled_from(["rpo-max", "deep-rpo-mean"]),
+        k_modes=st.integers(1, 3),
+        dim=st.integers(1, 4),
+        n_per_mode=st.integers(1, 40),
+        anomaly_n=st.integers(0, 40),
+        test_fraction=unit_interval(1.0),
+        val_fraction=unit_interval(1.0),
+        contamination=st.one_of(st.just(0.0), unit_interval(0.5)),
+        sad_ratio=st.one_of(st.just(0.0), unit_interval(0.5)),
+    )
+    def test_spec_accepted_exactly_when_seed_0_can_run(self, method, **values):
+        if method == "rpo-max":
+            values["sad_ratio"] = 0.0  # SAD labels need a deep-rpo method
+        values.update(method=method, seeds=(0,))
+        min_train = 2 if method == "deep-rpo-mean" else 1
+        try:
+            spec = ExperimentSpec(**values)
+        except ConfigError as exc:
+            assert any(key in str(exc) for key in evaluation._COUNT_KEYS.values()), exc
+            defaults = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+            spec, accepted = types.SimpleNamespace(**{**defaults, **values}), False
+        else:
+            accepted = True
+        try:
+            ds = _assemble_dataset(spec, 0)[0]
+        except (DataError, ValueError):
+            runs = False
+        else:
+            both = [ds.count(part, label) for part in (VAL, TEST) for label in (NORMAL, ANOMALY)]
+            runs = all(both) and ds.count(TRAIN) >= min_train
+        assert accepted == runs
+        if accepted:
+            counts = plan_counts(spec.k_modes, spec.n_per_mode, spec.anomaly_n,
+                                 spec.test_fraction, spec.val_fraction, spec.contamination,
+                                 spec.sad_ratio, min_train)
+            assert ds.count(TEST, NORMAL) == spec.k_modes * counts["n_test"]
+            assert ds.count(VAL, NORMAL) == ds.count(VAL, ANOMALY) == counts["n_val"]
+            assert ds.count(TRAIN, ANOMALY) == counts["contamination"] + counts["sad_labels"]
+            assert int(ds.sad_flag.sum()) == counts["sad_labels"]
+            assert ds.count(TRAIN) == counts["n_train"]
+            assert ds.count(TEST, ANOMALY) == counts["test_anomalies"]
 
 
 class TestRunExperiment:

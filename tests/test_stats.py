@@ -3,7 +3,7 @@
 These two raw statistics (no Gaussian consistency factor; even-length
 medians average the two central order statistics) normalize every
 projected distance, so they are checked against a full-sort oracle. The
-stored MAD is floored at ``EPS_FLOOR``, or at the ``eps_floor`` given.
+stored MAD is floored at ``EPS_FLOOR``.
 ``fit_rpo_projected`` reads them from one sorted buffer, so
 ``TestBitExact`` also holds them to ``np.median`` byte for byte on many
 columns at once.
@@ -33,10 +33,10 @@ def sort_oracle_mad(values, center):
     return sort_oracle_median([abs(float(x) - center) for x in values])
 
 
-def fitted(values, eps_floor=EPS_FLOOR):
+def fitted(values):
     """Median and floored MAD of one projection's coordinates."""
     T = np.asarray(values, dtype=np.float64).reshape(-1, 1, 1)
-    stats = fit_rpo_projected(T, eps_floor=eps_floor)
+    stats = fit_rpo_projected(T)
     return float(stats.med[0]), float(stats.mad[0])
 
 
@@ -44,12 +44,12 @@ def median(values):
     return fitted(values)[0]
 
 
-def mad(values, eps_floor=EPS_FLOOR):
-    return fitted(values, eps_floor)[1]
+def mad(values):
+    return fitted(values)[1]
 
 
-def oracle_mad(values, eps_floor=EPS_FLOOR):
-    return max(sort_oracle_mad(values, sort_oracle_median(values)), eps_floor)
+def oracle_mad(values):
+    return max(sort_oracle_mad(values, sort_oracle_median(values)), EPS_FLOOR)
 
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -107,7 +107,7 @@ class TestMad:
 
     def test_constant_sample_is_zero(self):
         # a zero MAD is stored as the floor, so no distance divides by zero
-        assert mad([4.2, 4.2, 4.2], eps_floor=1e-3) == 1e-3
+        assert mad([4.2, 4.2, 4.2]) == EPS_FLOOR
 
     def test_matches_sort_oracle_on_random_sample(self):
         rng = np.random.default_rng(11)
@@ -130,9 +130,10 @@ class TestMad:
 
     @given(samples, st.floats(min_value=1e-3, max_value=1e3))
     def test_positive_scale_equivariance(self, v, a):
-        # eps_floor scales with the sample, so the floor scales too
-        scaled = mad([a * x for x in v], eps_floor=a * EPS_FLOOR)
-        assert scaled == pytest.approx(a * mad(v), rel=1e-9, abs=1e-12)
+        # the unfloored MAD scales with the sample; the floor stays put
+        unfloored = sort_oracle_mad(v, sort_oracle_median(v))
+        scaled = mad([a * x for x in v])
+        assert scaled == pytest.approx(max(a * unfloored, EPS_FLOOR), rel=1e-9, abs=1e-12)
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=20))
     def test_zero_mad_iff_majority_at_median(self, v):
