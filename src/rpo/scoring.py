@@ -42,26 +42,33 @@ itself: a block then holds one (rows, p) float64 array, not the
 projection plus three temporaries. The training loss reads its projection
 again for the gradient, so it passes no ``out``.
 
-At m > 1 the covariance fixes the order of its sum in its own code, so it
-does not depend on the memory layout of ``T``, and it equals the plain
-einsum ``"npi,npj->pij"`` on a C-ordered ``T`` bit for bit; the tests keep
-that as its oracle. The plain form reduces in a strided inner loop, which
-is slow. The covariance centres one C-ordered (n, m, p) copy of ``T`` in
-place and takes ``einsum("nip,njp->pij")``: rows are the copy's outermost
-axis, so einsum adds them in its outer loop, in row order, even when p = 1
-drops the projection axis (with rows in the middle, as in an (m, n, p)
-copy, einsum would then sum them in a SIMD inner loop, in another order).
+At m > 1 each projection's covariance is ``E_p^T S E_p``, with ``E_p``
+the (d, m) map and ``S = X_c^T X_c / (n - 1)`` the (d, d) covariance of the
+rows ``X`` that ``T = project(X, U)`` projects. That is O(n d^2 + p d^2 m)
+work, where a sum over the (n, p, m) projection is O(n p m^2), and it makes
+no copy of ``T``. ``X_c^T X_c`` and ``S @ E`` are BLAS products, so the
+last bits differ from the plain einsum ``"npi,npj->pij"`` over the centred
+``T``, which the tests keep as the oracle. The contract is a
+backward-error bound: each covariance entry lies within 1e-12 of the
+oracle's, relative to ``|E_p|^T (|X|^T |X|) |E_p| / (n - 1)``, the same
+form over absolute, uncentred rows (``MDIM_RTOL`` in
+``tests/test_mdim_kernels.py``). A bound relative to the centred form
+would not hold for rows far from the origin: centring loses the offset's
+digits in both forms. On rows 1e3 from the origin with a spread of 1e-3
+the two differ by up to 4.5e-10 of the centred form, and 2e-22 of the
+uncentred one. The medians are still read from ``T`` and
+equal ``np.median`` bit for bit; the ridge, the inverse and the
+symmetrization act on the covariance as before.
+
 The quadratic form copies the residuals once to (m, n, p), so each R[i] is
 a contiguous (n, p) plane, and adds into one (n, p) sum, i-major, the
 diagonal term ``(R[i] * C[i, i]) * R[i]`` and then ``(R[i] * (2 * C[i, j]))
 * R[j]`` for each j > i (``C`` the (m, m, p) inverse covariances, symmetric
 to the bit): m(m + 1) / 2 terms instead of the m * m of the plain form
 ``"npi,pij,npj->np"``. Its last bits differ from that form's, so it is held
-to a backward-error bound: each squared distance lies within 1e-12 of the
-einsum's, relative to ``sum |R[i]| |C[i, j]| |R[j]|`` over all i, j
-(``MDIM_RTOL`` in ``tests/test_mdim_kernels.py``). Its result does not
-depend on the layout of ``T`` either. Neither writes ``T`` or holds more
-than one (n, p, m) copy of it.
+to the same kind of bound: each squared distance lies within 1e-12 of the
+einsum's, relative to ``sum |R[i]| |C[i, j]| |R[j]|`` over all i, j. Its
+result does not depend on the layout of ``T``, and it never writes ``T``.
 
 This module holds every score head: the projection outlyingness above
 (``score_batch``) and the deep-svdd squared distance to a latent center
@@ -140,13 +147,22 @@ def fit_rpo(X_train: np.ndarray, U: ProjectionSet) -> RpoStats:
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.ndim != 2 or X_train.shape[0] == 0:
         raise ValueError("empty training set")
-    T = project(X_train, U)  # (n, p, m)
-    return fit_rpo_projected(T)
+    return fit_rpo_projected(project(X_train, U), X_train, U)
 
 
-def fit_rpo_projected(T: np.ndarray) -> RpoStats:
-    """Fit statistics from already-projected coordinates of shape (n, p, m)."""
+def fit_rpo_projected(T: np.ndarray, X: np.ndarray, U: ProjectionSet) -> RpoStats:
+    """Fit statistics from ``T = project(X, U)``, shape (n, p, m).
+
+    The medians (and m = 1 MADs) are read from ``T``; at m > 1 each
+    projection's covariance is taken from the rows ``X`` and the maps of
+    ``U`` (see the module docstring). Raises ``ValueError`` when ``X`` or
+    ``U`` does not fit ``T``.
+    """
     n, p, m = T.shape
+    if (U.p, U.m) != (p, m):
+        raise ValueError(f"T holds {p} projections to m={m}, the maps {U.p} to m={U.m}")
+    if X.shape != (n, U.d):
+        raise ValueError(f"X must have shape {(n, U.d)} to fit T and the maps, got {X.shape}")
     if n == 0:
         raise ValueError("empty training set")
     if m == 1:
@@ -161,12 +177,7 @@ def fit_rpo_projected(T: np.ndarray) -> RpoStats:
         return RpoStats(med=med, mad=mad, inv_cov=None)
 
     med = _sort_rows_median(np.array(T.reshape(n, p * m).T, order="C")).reshape(p, m)
-    # rows outermost, whatever p is (see the module docstring)
-    ct = np.array(T.transpose(0, 2, 1), order="C")
-    ct -= np.mean(ct, axis=0)
-    denom = max(n - 1, 1)
-    cov = np.einsum("nip,njp->pij", ct, ct) / denom
-    cov = cov + RIDGE * np.eye(m)
+    cov = _projected_covariance(X, U) + RIDGE * np.eye(m)
     try:
         inv_cov = np.linalg.inv(cov)
     except np.linalg.LinAlgError as exc:
@@ -175,6 +186,16 @@ def fit_rpo_projected(T: np.ndarray) -> RpoStats:
         raise NumericError("projected covariance inverse is not finite")
     inv_cov = 0.5 * (inv_cov + np.transpose(inv_cov, (0, 2, 1)))
     return RpoStats(med=med, mad=None, inv_cov=inv_cov)
+
+
+def _projected_covariance(X: np.ndarray, U: ProjectionSet) -> np.ndarray:
+    """Each projection's covariance ``E_p^T S E_p``, shape (p, m, m).
+
+    ``S`` is the (d, d) covariance of the rows of ``X`` (module docstring).
+    """
+    Xc = X - np.mean(X, axis=0)
+    S = (Xc.T @ Xc) / max(X.shape[0] - 1, 1)
+    return np.matmul(U.entries.transpose(0, 2, 1), S @ U.entries)
 
 
 def _sort_rows_median(buf: np.ndarray) -> np.ndarray:

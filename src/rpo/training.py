@@ -7,7 +7,11 @@ objective replaces the single-center distance with the per-projection
 MAD-normalized distance to the projected median, reduced across the frozen
 random projections by either ``mean`` or ``max``; multidimensional
 projections use the robust Mahalanobis distance with a ridge-regularized
-batch covariance.
+batch covariance. ``fit_rpo_projected`` takes that covariance from the
+batch latents and the maps, not from their projection, so both callers here
+pass the latents ``Z`` with ``T = project(Z, projections)``; it is within a
+stated 1e-12 of the sum over the projection, not bit for bit (see the
+README's "Numerics" section).
 
 Every batch refits its own medians, MADs, and covariances, as the paper's
 objective does, and they are treated as per-batch constants in the
@@ -164,7 +168,7 @@ def deep_rpo_loss(
     Z, cache = model.encoder.forward(batch)
     T = project(Z, model.projections)  # (n, p, m)
     if stats is None:
-        stats = fit_rpo_projected(T)
+        stats = fit_rpo_projected(T, Z, model.projections)
 
     D = projected_distances(T, stats)  # (n, p)
     scores = reduce_distances(D, model.estimator)
@@ -244,8 +248,7 @@ def latent_scores(model: SvddModel | DeepRpoModel, X: np.ndarray,
 def fit_eval_stats(model: DeepRpoModel, X_train: np.ndarray) -> RpoStats:
     """Refit location/spread on the full training set's latents for scoring."""
     Z, _ = model.encoder.forward(np.asarray(X_train, dtype=np.float64))
-    T = project(Z, model.projections)
-    return fit_rpo_projected(T)
+    return fit_rpo_projected(project(Z, model.projections), Z, model.projections)
 
 
 def _validation_auc(model, X_train, X_val, y_val) -> float:

@@ -887,3 +887,43 @@ def test_version_1_checkpoint_exits_2_naming_the_file(tmp_path, caplog, rpo_max_
     errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
     assert any(str(ckpt) in e and "version 1" in e and "reads version 2" in e
                for e in errors), errors
+
+
+@pytest.fixture(scope="module")
+def deep_rpo_m3_checkpoint(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("ckpt-m3")
+    cfg_path = tmp_path / "c.yaml"
+    write_config(cfg_path, method="deep-rpo-mean", seeds=[0], model={"rp_dim": 3}, output={
+        "results": str(tmp_path / "out" / "results.csv"),
+        "aggregate": str(tmp_path / "out" / "aggregate.csv"),
+        "checkpoint_dir": str(tmp_path / "ckpt"),
+    })
+    assert run_cli("bench", "-c", str(cfg_path)) == 0
+    return tmp_path / "ckpt" / "deep-rpo-mean_seed0.npz"
+
+
+@pytest.mark.parametrize("problem", ["positive definite", "symmetric", None])
+def test_unusable_inverse_covariance_exits_2_naming_it(
+    tmp_path, caplog, deep_rpo_m3_checkpoint, problem
+):
+    """A negated inverse covariance would score every row 0.0; an asymmetric one is no fit's."""
+    with np.load(deep_rpo_m3_checkpoint) as archive:
+        inv_cov = archive["stats_inv_cov"].copy()
+    if problem == "positive definite":
+        inv_cov = -inv_cov
+    elif problem == "symmetric":
+        inv_cov[0, 0, 1] = np.nextafter(inv_cov[0, 0, 1], np.inf)
+    ckpt = tmp_path / "m3.npz"
+    ckpt.write_bytes(_rewritten(deep_rpo_m3_checkpoint, stats_inv_cov=inv_cov))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1,f2,f3,f4,f5\n1,2,3,4,5,6\n")
+    out = tmp_path / "scores.csv"
+    code = run_cli("score", "--checkpoint", str(ckpt), "--input", str(rows),
+                   "--output", str(out))
+    if problem is None:  # the checkpoint as the fit wrote it
+        assert code == 0 and out.exists()
+        return
+    assert code == 2
+    assert not out.exists()
+    errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert any(f"checkpoint {ckpt}: stats.inv_cov must be {problem}" in e for e in errors), errors

@@ -1,37 +1,42 @@
 """The m > 1 kernels and the deep-rpo gradient, held to the einsum forms they replace.
 
 Two contracts hold here, each against oracles that are the earlier einsum
-code, kept verbatim.
+code, kept verbatim (the earlier fit split into ``oracle_cov`` and
+``oracle_fit``, and the earlier loss calling the fit with its rows and maps).
 
-Bit for bit: the covariance in ``fit_rpo_projected`` takes its sum in an
-order fixed by its loop rather than by einsum's layout-dependent inner
-reduction, so its medians and inverse covariances must equal the oracle's
-by ``tobytes()``. The m = 1 gradient of ``deep_rpo_loss`` is held to the
-same bytes.
+Bit for bit: the medians of ``fit_rpo_projected`` equal ``np.median`` by
+``tobytes()``, and its inverse covariances equal the earlier ridge, inverse
+and symmetrization applied to its own covariance. The m = 1 gradient of
+``deep_rpo_loss`` is held to the same bytes.
 
 The oracles' own sums follow the memory layout of their operands: on an
-F-ordered ``T`` the covariance and distance einsums reduce in another
-order. The program only ever passes C-ordered projections, and the kernels
-copy ``T`` into a fixed layout first, so an F-ordered ``T`` must give the
-kernels' (and the oracles') result for its C-ordered copy.
+F-ordered ``T`` the distance einsum reduces in another order. The program
+only ever passes C-ordered projections, and the kernels copy ``T`` into a
+fixed layout first, so an F-ordered ``T`` must give the kernels' (and the
+oracles') result for its C-ordered copy.
 
 Within a tolerance: ``project`` at m > 1 is one BLAS product, which sums
-over d in its own blocked order, and the Mahalanobis form in
-``projected_distances`` adds each distinct pair (i, j) once with the
-off-diagonal term doubled, m(m + 1) / 2 terms instead of the oracle's
-m * m. Both are held to a backward-error bound: each value lies within
-``MDIM_RTOL`` of the oracle's, relative to the same sum taken over
-absolute values (``|X| @ |E|`` for a projected coordinate,
-``sum |R_i| |C_ij| |R_j|`` for a squared distance), through
-``assert_within_mdim_tolerance``. A whole deep-rpo run with the oracles
-patched in must keep its AUCs and best epoch exactly, and its losses and
-checkpoint within the same bound. The m > 1 gradient of ``deep_rpo_loss``
-is one matrix product through ``F = entries @ inv_cov``, which sums in
-another order than the oracle's two einsums. Each weight matrix's gradient
-must lie within ``GRADIENT_RTOL`` of the oracle's, relative to that
-matrix's largest oracle entry (``assert_within_gradient_tolerance``), and
-a whole m = 3 run must keep its train losses within the same bound and its
-AUCs and best epoch exactly.
+over d in its own blocked order; the covariance in ``fit_rpo_projected`` is
+``E_p^T S E_p`` from the rows' (d, d) covariance ``S``, not a sum over the
+(n, p, m) projection; and the Mahalanobis form in ``projected_distances``
+adds each distinct pair (i, j) once with the off-diagonal term doubled,
+m(m + 1) / 2 terms instead of the oracle's m * m. All three are held to a
+backward-error bound: each value lies within ``MDIM_RTOL`` of the oracle's,
+relative to the same form taken over absolute values (``|X| @ |E|`` for a
+projected coordinate, ``|E_p|^T (|X|^T |X|) |E_p| / (n - 1)`` over the
+uncentred rows for a covariance entry, ``sum |R_i| |C_ij| |R_j|`` for a
+squared distance), through ``assert_within_mdim_tolerance``. The covariance
+scale takes the rows uncentred because centring loses the digits of rows
+far from the origin, in the kernel and the oracle alike
+(``test_fit_within_tolerance_on_offset_latents``). A whole deep-rpo run
+with the oracles patched in must keep its AUCs and best epoch exactly, and
+its losses and checkpoint within the same bound. The m > 1 gradient of
+``deep_rpo_loss`` is one matrix product through ``F = entries @ inv_cov``,
+which sums in another order than the oracle's two einsums. Each weight
+matrix's gradient must lie within ``GRADIENT_RTOL`` of the oracle's,
+relative to that matrix's largest oracle entry
+(``assert_within_gradient_tolerance``), and a whole m = 3 run must keep its
+train losses within the same bound and its AUCs and best epoch exactly.
 """
 
 import sys
@@ -64,11 +69,22 @@ def oracle_project(X, U):
     return np.einsum("nd,pdm->npm", np.asarray(X, dtype=np.float64), U.entries)
 
 
-def oracle_fit(T, eps_floor=EPS_FLOOR, ridge=RIDGE):
+def oracle_cov(T):
+    n = T.shape[0]
+    centered = T - np.mean(T, axis=0)
+    return np.einsum("npi,npj->pij", centered, centered) / max(n - 1, 1)
+
+
+def oracle_fit(T, X=None, U=None, cov=None, ridge=RIDGE):
+    """The earlier fit; ``X`` and ``U`` are taken unread, so it stands in for the kernel.
+
+    ``cov`` replaces the einsum covariance: the kernel's covariance then
+    runs through the earlier ridge, inverse and symmetrization.
+    """
     n, p, m = T.shape
     med = np.median(T, axis=0)
-    centered = T - np.mean(T, axis=0)
-    cov = np.einsum("npi,npj->pij", centered, centered) / max(n - 1, 1)
+    if cov is None:
+        cov = oracle_cov(T)
     cov = cov + ridge * np.eye(m)
     inv_cov = np.linalg.inv(cov)
     inv_cov = 0.5 * (inv_cov + np.transpose(inv_cov, (0, 2, 1)))
@@ -111,7 +127,7 @@ def _bytes_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# the tolerance contract of the m > 1 projection and distances
+# the tolerance contract of the m > 1 projection, covariance and distances
 
 MDIM_RTOL = 1e-12
 
@@ -125,8 +141,14 @@ def mdim_deviation(value, oracle, scale):
     return float(np.max(rel, initial=0.0))
 
 
+# a value below the smallest normal float keeps no relative precision (a
+# product that underflows rounds to a multiple of 5e-324), so the bound also
+# allows that much absolutely: |value - oracle| <= MDIM_RTOL * scale + UNDERFLOW
+UNDERFLOW = np.finfo(np.float64).tiny
+
+
 def assert_within_mdim_tolerance(value, oracle, scale):
-    assert mdim_deviation(value, oracle, scale) <= MDIM_RTOL
+    assert mdim_deviation(value, oracle, scale + UNDERFLOW / MDIM_RTOL) <= MDIM_RTOL
 
 
 def project_scale(X, U):
@@ -138,6 +160,21 @@ def distance_scale(T, stats):
     """``sum |R_i| |C_ij| |R_j|``: the squared distance's sum over absolute values."""
     R = np.abs(T - stats.med[np.newaxis])
     return np.einsum("npi,pij,npj->np", R, np.abs(stats.inv_cov), R)
+
+
+def covariance_scale(X, U):
+    """``|E_p|^T (|X|^T |X|) |E_p| / (n - 1)``: the covariance over absolute, uncentred rows."""
+    A, E = np.abs(X), np.abs(U.entries)
+    return np.einsum("pdi,de,pej->pij", E, A.T @ A, E) / max(X.shape[0] - 1, 1)
+
+
+def assert_fit_within_tolerance(stats, T, X, U):
+    """Medians and the inverse of the kernel's covariance bit for bit; that covariance within MDIM_RTOL."""
+    cov = scoring._projected_covariance(X, U)
+    assert_within_mdim_tolerance(cov, oracle_cov(T), covariance_scale(X, U))
+    expected = oracle_fit(T, cov=cov)
+    assert _bytes_equal(stats.med, expected.med)
+    assert _bytes_equal(stats.inv_cov, expected.inv_cov)
 
 
 def assert_project_within_tolerance(T, X, U):
@@ -162,14 +199,34 @@ def test_project_equals_einsum_oracle(shape):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_fit_equals_einsum_oracle(shape):
     X, U = instance(*shape)
+    X_before = X.copy()
     T = oracle_project(X, U)
-    expected = oracle_fit(T)
     for layout in (T, np.asfortranarray(T)):
         before = layout.copy(order="K")
-        stats = fit_rpo_projected(layout)
-        assert _bytes_equal(stats.med, expected.med)
-        assert _bytes_equal(stats.inv_cov, expected.inv_cov)
+        stats = fit_rpo_projected(layout, X, U)
+        assert_fit_within_tolerance(stats, T, X, U)
         assert _bytes_equal(layout, before)
+    assert _bytes_equal(X, X_before)
+
+
+OFFSET_SHAPES = [(m, n, m, 1000) for m in (2, 3, 4) for n in (3, 540)]
+
+
+@pytest.mark.parametrize("shape", OFFSET_SHAPES, ids=shape_id)
+def test_fit_within_tolerance_on_offset_latents(shape):
+    """Latents pulled close together far from the origin: the bound needs uncentred rows.
+
+    Centring loses the offset's digits, in the kernel and in the oracle
+    alike, so relative to the centred form the two differ by far more than
+    MDIM_RTOL; relative to the uncentred form they stay within it.
+    """
+    X, U = instance(*shape)
+    X = 1e3 + 1e-3 * X
+    T = oracle_project(X, U)
+    assert_fit_within_tolerance(fit_rpo_projected(T, X, U), T, X, U)
+    cov = scoring._projected_covariance(X, U)
+    centred_scale = covariance_scale(X - np.mean(X, axis=0), U)
+    assert mdim_deviation(cov, oracle_cov(T), centred_scale) > 10 * MDIM_RTOL
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
@@ -198,11 +255,14 @@ residual_values = st.one_of(
 
 
 @st.composite
-def projected(draw):
+def rows_and_maps(draw, max_p=20):
+    """Rows ``X`` (n, d) of ``residual_values`` and m > 1 maps for them."""
     m = draw(st.integers(min_value=2, max_value=4))
+    d = draw(st.integers(min_value=m, max_value=16))
+    p = draw(st.integers(min_value=1, max_value=max_p))
     n = draw(st.integers(min_value=1, max_value=9))
-    p = draw(st.integers(min_value=1, max_value=5))
-    return draw(arrays(np.float64, (n, p, m), elements=residual_values))
+    X = draw(arrays(np.float64, (n, d), elements=residual_values))
+    return X, generate_projections(d, m, p, seed=draw(st.integers(0, 2**16)))
 
 
 class TestTiesAndSignedZeros:
@@ -210,25 +270,20 @@ class TestTiesAndSignedZeros:
     # +0.0 and -0.0 are common; bounded values keep the ridge visible, so
     # the covariance inverts
     @settings(max_examples=200, deadline=None)
-    @given(projected())
-    def test_fit_and_distances_equal_oracles(self, T):
-        before = T.copy()
-        expected = oracle_fit(T)
-        stats = fit_rpo_projected(T)
-        assert _bytes_equal(stats.med, expected.med)
-        assert _bytes_equal(stats.inv_cov, expected.inv_cov)
-        assert_distances_within_tolerance(projected_distances(T, stats), T, expected)
-        assert _bytes_equal(T, before)
+    @given(rows_and_maps(max_p=5))
+    def test_fit_and_distances_equal_oracles(self, rows_maps):
+        X, U = rows_maps
+        T = project(X, U)
+        before, X_before = T.copy(), X.copy()
+        stats = fit_rpo_projected(T, X, U)
+        assert_fit_within_tolerance(stats, T, X, U)
+        assert_distances_within_tolerance(projected_distances(T, stats), T, stats)
+        assert _bytes_equal(T, before) and _bytes_equal(X, X_before)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_project_equals_oracle(self, data):
-        m = data.draw(st.integers(min_value=2, max_value=4))
-        d = data.draw(st.integers(min_value=m, max_value=16))
-        p = data.draw(st.integers(min_value=1, max_value=20))
-        n = data.draw(st.integers(min_value=1, max_value=9))
-        X = data.draw(arrays(np.float64, (n, d), elements=residual_values))
-        U = generate_projections(d, m, p, seed=data.draw(st.integers(0, 2**16)))
+    @given(rows_and_maps())
+    def test_project_equals_oracle(self, rows_maps):
+        X, U = rows_maps
         assert_project_within_tolerance(project(X, U), X, U)
 
 
@@ -317,6 +372,21 @@ def test_m_major_maps_break_project_tolerance_by_far(shape):
     assert mdim_deviation(T, oracle_project(X, U), project_scale(X, U)) > 1e-3
 
 
+def _uncentred_covariance(X, U):
+    """``_projected_covariance`` with ``S`` taken over the rows uncentred."""
+    S = (X.T @ X) / max(X.shape[0] - 1, 1)
+    return np.matmul(U.entries.transpose(0, 2, 1), S @ U.entries)
+
+
+@pytest.mark.parametrize("shape", [(3, 128, 16, 37), (2, 540, 2, 1000)], ids=shape_id)
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_uncentred_covariance_breaks_fit_tolerance_by_far(shape, offset):
+    X, U = instance(*shape)
+    X = X + offset
+    cov = _uncentred_covariance(X, U)
+    assert mdim_deviation(cov, oracle_cov(oracle_project(X, U)), covariance_scale(X, U)) > 1e-3
+
+
 @pytest.mark.parametrize("shape", [(3, 128, 16, 37), (2, 540, 2, 1000)], ids=shape_id)
 def test_undoubled_pairs_break_distance_tolerance_by_far(shape):
     X, U = instance(*shape)
@@ -360,7 +430,7 @@ def oracle_deep_rpo_loss(
     Z, cache = model.encoder.forward(batch)
     T = project(Z, model.projections)  # (n, p, m)
     if stats is None:
-        stats = fit_rpo_projected(T)
+        stats = fit_rpo_projected(T, Z, model.projections)
 
     D = projected_distances(T, stats)  # (n, p)
     scores = reduce_distances(D, model.estimator)
@@ -441,8 +511,9 @@ def gradient_instance(m, n, p, estimator, sad, given_stats, seed=0):
         flags[[5, 17]] = True
     stats = None
     if given_stats:
-        T = project(enc.forward(batch)[0], U)
-        fitted = fit_rpo_projected(T)
+        Z = enc.forward(batch)[0]
+        T = project(Z, U)
+        fitted = fit_rpo_projected(T, Z, U)
         med = T[5, :, 0].copy() if m == 1 else T[5].copy()
         stats = RpoStats(med=med, mad=fitted.mad, inv_cov=fitted.inv_cov)
         assert np.all(projected_distances(T, stats)[5] == 0.0)

@@ -120,6 +120,44 @@ def test_a_scorer_checks_its_parts_when_built():
             ScoringModel(method, **scaler, **parts)
 
 
+def _unusable_inverse_covariances(inv_cov):
+    """A negated copy (every quadratic form <= 0) and a copy off symmetric by one ulp."""
+    asymmetric = inv_cov.copy()
+    asymmetric[0, 0, 1] = np.nextafter(asymmetric[0, 0, 1], np.inf)
+    return {"positive definite": -inv_cov, "symmetric": asymmetric}
+
+
+def test_a_scorer_rejects_an_unusable_inverse_covariance():
+    # a negated inverse would score every row 0.0: the distance clamps
+    # negative quadratic forms to 0
+    X = np.random.default_rng(4).normal(size=(30, 4))
+    U = generate_projections(d=4, m=2, p=5, seed=0)
+    stats = fit_rpo(X, U)
+    width4 = dict(scaler_mean=np.zeros(4), scaler_std=np.ones(4))
+    for problem, inv_cov in _unusable_inverse_covariances(stats.inv_cov).items():
+        bad = RpoStats(med=stats.med, mad=None, inv_cov=inv_cov)
+        with pytest.raises(ValueError, match=f"stats.inv_cov must be {problem}"):
+            ScoringModel("rpo-mean", **width4, projections=U, stats=bad)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("rows", ["normal", "offset", "duplicated", "rank-1", "two"])
+def test_every_fitted_inverse_covariance_passes(m, rows):
+    rng = np.random.default_rng(m)
+    X = rng.normal(size=(60, 6))
+    if rows == "offset":
+        X = 1e3 + 1e-3 * X
+    elif rows == "duplicated":
+        X = np.repeat(X[:6], 10, axis=0)
+    elif rows == "rank-1":
+        X = np.outer(rng.normal(size=60), rng.normal(size=6))
+    elif rows == "two":
+        X = X[:2]
+    U = generate_projections(d=6, m=m, p=200, seed=m)
+    stats = fit_rpo(X, U)
+    ScoringModel("rpo-mean", np.zeros(6), np.ones(6), projections=U, stats=stats)
+
+
 @pytest.mark.parametrize("method, n_projections", [("deep-rpo-mean", 500), ("rpo-max", 1000)])
 def test_scoring_memory_is_one_block_not_all_rows(method, n_projections):
     # all 20,000 rows standardized take 2.6 MB, and the encoder's layers for

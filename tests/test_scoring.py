@@ -20,6 +20,7 @@ from rpo.scoring import (
     RpoStats,
     depth,
     fit_rpo,
+    fit_rpo_projected,
     projected_distances,
     reduce_distances,
     score_batch,
@@ -108,6 +109,20 @@ class TestFit:
         U = generate_projections(d=3, m=1, p=2, seed=0)
         with pytest.raises(ValueError):
             fit_rpo(np.zeros((0, 3)), U)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_rows_or_maps_that_do_not_fit_t_rejected(self, m):
+        # a wrong X would give a wrong covariance without an error
+        rng = np.random.default_rng(8)
+        U = generate_projections(d=4, m=m, p=6, seed=1)
+        X = rng.normal(size=(20, 4))
+        T = project(X, U)
+        with pytest.raises(ValueError, match=r"X must have shape \(20, 4\)"):
+            fit_rpo_projected(T, X[:19], U)
+        with pytest.raises(ValueError, match=r"X must have shape \(20, 4\)"):
+            fit_rpo_projected(T, np.hstack([X, X[:, :1]]), U)
+        with pytest.raises(ValueError, match="T holds 6 projections"):
+            fit_rpo_projected(T, X, generate_projections(d=4, m=m, p=5, seed=1))
 
 
 class TestScore:

@@ -33,10 +33,19 @@ def sort_oracle_mad(values, center):
     return sort_oracle_median([abs(float(x) - center) for x in values])
 
 
+def fit(T):
+    """``fit_rpo_projected(T, X, U)`` with rows and maps that project to ``T``.
+
+    Map k picks the m columns k * m .. k * m + m - 1 of the rows.
+    """
+    n, p, m = T.shape
+    maps = np.eye(p * m).reshape(p * m, p, m).transpose(1, 0, 2)
+    return fit_rpo_projected(T, T.reshape(n, p * m), ProjectionSet(entries=maps))
+
+
 def fitted(values):
     """Median and floored MAD of one projection's coordinates."""
-    T = np.asarray(values, dtype=np.float64).reshape(-1, 1, 1)
-    stats = fit_rpo_projected(T)
+    stats = fit(np.asarray(values, dtype=np.float64).reshape(-1, 1, 1))
     return float(stats.med[0]), float(stats.mad[0])
 
 
@@ -70,7 +79,7 @@ class TestMedian:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty training set"):
-            fit_rpo_projected(np.zeros((0, 3, 1)))
+            fit(np.zeros((0, 3, 1)))
 
     def test_nan_rejected(self):
         # non-finite features are rejected where data enters, before any median
@@ -173,7 +182,7 @@ class TestBitExact:
     @pytest.mark.parametrize("n", [2, 3, 4, 127, 128])
     def test_many_columns_at_fixed_n(self, n):
         T = np.random.default_rng(n).normal(size=(n, 7, 1))
-        stats = fit_rpo_projected(T)
+        stats = fit(T)
         med, mad = np_median_and_mad(T)
         assert stats.med.tobytes() == med.tobytes()
         assert stats.mad.tobytes() == mad.tobytes()
@@ -181,7 +190,7 @@ class TestBitExact:
     @given(projected())
     def test_m1_median_and_mad_equal_np_median(self, T):
         before = T.copy()
-        stats = fit_rpo_projected(T)
+        stats = fit(T)
         med, mad = np_median_and_mad(T)
         assert stats.med.tobytes() == med.tobytes()
         assert stats.mad.tobytes() == mad.tobytes()
@@ -193,14 +202,14 @@ class TestBitExact:
     )))
     def test_m3_median_equals_np_median(self, T):
         # bounded values keep the ridge visible, so the covariance inverts
-        assert fit_rpo_projected(T).med.tobytes() == np.median(T, axis=0).tobytes()
+        assert fit(T).med.tobytes() == np.median(T, axis=0).tobytes()
 
     @given(projected(), st.data())
     def test_nan_column_gives_nan_median_and_mad(self, T, data):
         n, p, _ = T.shape
         j = data.draw(st.integers(min_value=0, max_value=p - 1))
         T[data.draw(st.integers(min_value=0, max_value=n - 1)), j, 0] = np.nan
-        stats = fit_rpo_projected(T)
+        stats = fit(T)
         med, mad = np_median_and_mad(T)
         assert np.isnan(stats.med[j]) and np.isnan(stats.mad[j])
         assert stats.med.tobytes() == med.tobytes()

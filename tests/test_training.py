@@ -111,8 +111,9 @@ def _fd_safe_instance(seed, estimator, m=1, sad_flags=None, lam=0.0, min_margin=
         U = generate_projections(d=3, m=m, p=3, seed=int(rng.integers(1 << 30)))
         model = DeepRpoModel(enc, U, estimator=estimator, lam=lam)
         batch = rng.normal(size=(6, 3))
-        T = project(enc.forward(batch)[0], U)
-        stats = fit_rpo_projected(T)
+        Z = enc.forward(batch)[0]
+        T = project(Z, U)
+        stats = fit_rpo_projected(T, Z, U)
         D = projected_distances(T, stats)
         if m == 1 and np.min(np.abs(T[:, :, 0] - stats.med)) < min_margin:
             continue
@@ -148,7 +149,8 @@ class TestDeepRpoLoss:
         U = ProjectionSet(entries=np.array([[[1.0]]]))
         model = DeepRpoModel(enc, U, estimator=estimator, lam=0.0)
         batch = np.array([[-1.0], [0.0], [1.0], [5.0]])
-        stats = fit_rpo_projected(project(enc.forward(batch)[0], U))
+        Z = enc.forward(batch)[0]
+        stats = fit_rpo_projected(project(Z, U), Z, U)
         assert stats.med[0] == 0.5
         assert stats.mad[0] == 1.0
         loss, _ = deep_rpo_loss(model, batch)
@@ -176,9 +178,9 @@ class TestDeepRpoLoss:
         U = generate_projections(d=2, m=1, p=4, seed=4)
         model = DeepRpoModel(enc, U, estimator="mean", lam=0.0)
         batch = rng.normal(size=(6, 3))
-        stats = fit_rpo_projected(project(enc.forward(batch)[0], U))
-
         Z, _ = enc.forward(batch)
+        stats = fit_rpo_projected(project(Z, U), Z, U)
+
         scores = reduce_distances(projected_distances(project(Z, U), stats), "mean")
         base, _ = deep_rpo_loss(model, batch)
         flags = np.zeros(6, dtype=bool)
