@@ -101,8 +101,16 @@ class ScoringModel:
                 raise ValueError(f"{name} holds a non-finite value")
             if name in ("scaler_std", "stats.mad") and not np.all(a > 0):
                 raise ValueError(f"{name} must be > 0")
-        if self.stats is not None and self.stats.inv_cov is not None:
-            _check_inverse_covariances(self.stats.inv_cov)
+            if name == "stats.inv_cov":
+                # the fit's 0.5 * (A + A^T) is symmetric to the bit; a matrix that
+                # is not positive definite gives negative quadratic forms, which the
+                # distance clamps to 0, so every row would score 0.0
+                if not np.array_equal(a, a.transpose(0, 2, 1)):
+                    raise ValueError(f"{name} must be symmetric")
+                try:
+                    np.linalg.cholesky(a)
+                except np.linalg.LinAlgError:
+                    raise ValueError(f"{name} must be positive definite") from None
 
     @property
     def input_dim(self) -> int:
@@ -138,22 +146,6 @@ class ScoringModel:
             else:
                 scores[rows] = score_batch(Z, self.projections, self.stats, self.estimator)
         return scores
-
-
-def _check_inverse_covariances(inv_cov: np.ndarray) -> None:
-    """Reject inverse covariances that are not symmetric positive definite.
-
-    The fit symmetrizes each inverse as ``0.5 * (A + A^T)``, which is
-    symmetric to the bit. A matrix that is not positive definite gives
-    negative quadratic forms, which the distance clamps to 0, so every row
-    would score 0.0.
-    """
-    if not np.array_equal(inv_cov, inv_cov.transpose(0, 2, 1)):
-        raise ValueError("stats.inv_cov must be symmetric")
-    try:
-        np.linalg.cholesky(inv_cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("stats.inv_cov must be positive definite") from None
 
 
 def save_model_checkpoint(path, model: ScoringModel) -> None:
