@@ -56,9 +56,9 @@ form over absolute, uncentred rows (``MDIM_RTOL`` in
 would not hold for rows far from the origin: centring loses the offset's
 digits in both forms. On rows 1e3 from the origin with a spread of 1e-3
 the two differ by up to 4.5e-10 of the centred form, and 2e-22 of the
-uncentred one. The medians are still read from ``T`` and
-equal ``np.median`` bit for bit; the ridge, the inverse and the
-symmetrization act on the covariance as before.
+uncentred one. The medians are still read from ``T`` and equal
+``np.median`` bit for bit; the ridge, the inverse and the symmetrization
+act on the covariance as before.
 
 The quadratic form copies the residuals once to (m, n, p), so each R[i] is
 a contiguous (n, p) plane, and adds into one (n, p) sum, i-major, the

@@ -120,21 +120,16 @@ def test_a_scorer_checks_its_parts_when_built():
             ScoringModel(method, **scaler, **parts)
 
 
-def _unusable_inverse_covariances(inv_cov):
-    """A negated copy (every quadratic form <= 0) and a copy off symmetric by one ulp."""
-    asymmetric = inv_cov.copy()
-    asymmetric[0, 0, 1] = np.nextafter(asymmetric[0, 0, 1], np.inf)
-    return {"positive definite": -inv_cov, "symmetric": asymmetric}
-
-
 def test_a_scorer_rejects_an_unusable_inverse_covariance():
     # a negated inverse would score every row 0.0: the distance clamps
-    # negative quadratic forms to 0
+    # negative quadratic forms to 0; the other is off symmetric by one ulp
     X = np.random.default_rng(4).normal(size=(30, 4))
     U = generate_projections(d=4, m=2, p=5, seed=0)
     stats = fit_rpo(X, U)
+    asymmetric = stats.inv_cov.copy()
+    asymmetric[0, 0, 1] = np.nextafter(asymmetric[0, 0, 1], np.inf)
     width4 = dict(scaler_mean=np.zeros(4), scaler_std=np.ones(4))
-    for problem, inv_cov in _unusable_inverse_covariances(stats.inv_cov).items():
+    for problem, inv_cov in (("positive definite", -stats.inv_cov), ("symmetric", asymmetric)):
         bad = RpoStats(med=stats.med, mad=None, inv_cov=inv_cov)
         with pytest.raises(ValueError, match=f"stats.inv_cov must be {problem}"):
             ScoringModel("rpo-mean", **width4, projections=U, stats=bad)
