@@ -48,8 +48,8 @@ rows ``X`` that ``T = project(X, U)`` projects. That is O(n d^2 + p d^2 m)
 work, where a sum over the (n, p, m) projection is O(n p m^2), and it makes
 no copy of ``T``. It is the faster form while d is small: the deep-rpo
 latents (d = 8 by default), and shallow inputs up to about d = 128 at
-n = 540, p = 1000. At d = 256 and m = 3 the ``E_p^T S`` product alone
-outweighs the sum over the projection, and the fit is slower (measured in
+n = 540, p = 1000. From about d = 256 the ``E_p^T S`` product outweighs
+the sum over the projection, and the fit is slower (measured in
 CHANGES.md). ``X_c^T X_c`` and ``E_p^T S`` are BLAS products, so the
 last bits differ from the plain einsum ``"npi,npj->pij"`` over the centred
 ``T``, which the tests keep as the oracle. The contract is a
