@@ -33,15 +33,23 @@ this format.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
 from .encoder import Encoder
-from .errors import DataError
+from .errors import DataError, NumericError
 from .projections import ProjectionSet
-from .scoring import METHODS, RpoStats, center_distances, row_blocks, score_batch
+from .scoring import (
+    METHODS,
+    RpoStats,
+    Whitened,
+    center_distances,
+    row_blocks,
+    score_batch,
+    whiten,
+)
 
 CHECKPOINT_VERSION = 2
 
@@ -61,6 +69,9 @@ class ScoringModel:
     center: np.ndarray | None = None
     projections: ProjectionSet | None = None
     stats: RpoStats | None = None
+    # what the projection head scores with: ``stats`` at m = 1, their
+    # whitened maps at m > 1, built once when the scorer is
+    _head: RpoStats | Whitened | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         """Reject parts that do not fit the method or each other, or cannot score.
@@ -101,16 +112,17 @@ class ScoringModel:
                 raise ValueError(f"{name} holds a non-finite value")
             if name in ("scaler_std", "stats.mad") and not np.all(a > 0):
                 raise ValueError(f"{name} must be > 0")
-            if name == "stats.inv_cov":
-                # the fit's 0.5 * (A + A^T) is symmetric to the bit; a matrix that
-                # is not positive definite gives negative quadratic forms, which the
-                # distance clamps to 0, so every row would score 0.0
-                if not np.array_equal(a, a.transpose(0, 2, 1)):
-                    raise ValueError(f"{name} must be symmetric")
-                try:
-                    np.linalg.cholesky(a)
-                except np.linalg.LinAlgError:
-                    raise ValueError(f"{name} must be positive definite") from None
+            if name == "stats.inv_cov" and not np.array_equal(a, a.transpose(0, 2, 1)):
+                # the fit's 0.5 * (A + A^T) is symmetric to the bit
+                raise ValueError(f"{name} must be symmetric")
+        head = self.stats
+        if head is not None and head.inv_cov is not None:
+            # the scorer scores with the Cholesky factor that checks the inverse
+            try:
+                head = whiten(self.projections, head)
+            except NumericError:
+                raise ValueError("stats.inv_cov must be positive definite") from None
+        object.__setattr__(self, "_head", head)
 
     @property
     def input_dim(self) -> int:
@@ -144,7 +156,7 @@ class ScoringModel:
             if self.center is not None:
                 scores[rows] = center_distances(Z, self.center)
             else:
-                scores[rows] = score_batch(Z, self.projections, self.stats, self.estimator)
+                scores[rows] = score_batch(Z, self.projections, self._head, self.estimator)
         return scores
 
 

@@ -12,7 +12,8 @@ equal ``np.median`` bit for bit.
 
 Score stage: a query's per-projection normalized distance is
 ``|u^T x - med| / mad`` in the 1-D case and the robust Mahalanobis
-distance ``sqrt((u^T x - med)^T C^-1 (u^T x - med))`` otherwise. The
+distance ``sqrt((u^T x - med)^T C^-1 (u^T x - med))`` otherwise, taken
+through whitened maps (below). The
 estimator reduces across projections with either ``max`` (worst-case
 outlyingness) or ``mean``. Scores map to a center-outward depth in (0, 1]
 via ``1 / (1 + score)``.
@@ -20,14 +21,17 @@ via ``1 / (1 + score)``.
 Scoring runs over row blocks, and ``row_blocks`` is the one place that
 sets them: ``SCORE_BLOCK_ROWS`` = 384 rows each, and a remainder of fewer
 rows joins the last block, so every block has 384 to 767 rows and any n
-below 768 is one block. ``score_batch`` projects, takes distances and
+below 768 is one block. ``score_batch`` projects (at m > 1 through the
+whitened maps, which it builds once per call), takes distances and
 reduces one block of rows at a time into a preallocated (n,) score array,
 so it never holds the (n, p, m) projection of all n rows. A checkpoint's
 scorer (``model_io.ScoringModel``) runs its whole pipeline over the same
 blocks, so each block it hands to ``score_batch`` is one block there. On
-one BLAS thread the ``score_batch`` scores equal the one-call form
-``reduce_distances(projected_distances(project(X, U), stats), est)`` bit
-for bit. Every step but the projection's matmul works row by row; OpenBLAS
+one BLAS thread the ``score_batch`` scores equal the one-call form bit for
+bit: ``reduce_distances(projected_distances(project(X, U), stats), est)``
+at m = 1 and, with ``W = whiten(U, stats)``,
+``reduce_distances(projected_distances(whitened_residuals(X, W), W), est)``
+at m > 1. Every step but the projection's matmul works row by row; OpenBLAS
 (measured with 0.3.31's x86-64 Haswell kernels) gives that matmul the same
 bits for a block of 192 * k rows as for one call over all rows, at m = 1
 and m > 1, and 384 = 2 * 192. A short block (a remainder left on its own)
@@ -36,11 +40,12 @@ takes its small-row path and changes bits, and so do blocks of 1,000,
 rows among the threads, not as the blocks do, so no bit equality is
 claimed there.
 ``projected_distances`` takes an ``out=`` array: for m = 1 it subtracts,
-takes ``abs`` and divides in that one array, so ``score_batch``, which owns
-each block's projection and reads it only once, passes the projection
-itself: a block then holds one (rows, p) float64 array, not the
-projection plus three temporaries. The training loss reads its projection
-again for the gradient, so it passes no ``out``.
+takes ``abs`` and divides in that one array, and for m > 1 it adds the
+squares there, so ``score_batch``, which owns each block's projection and
+reads it only once, passes the projection's first plane itself: at m = 1 a
+block then holds one (rows, p) float64 array, not the projection plus
+three temporaries. The training loss reads its projection again for the
+gradient, so it passes no ``out``.
 
 At m > 1 each projection's covariance is ``E_p^T S E_p``, with ``E_p``
 the (d, m) map and ``S = X_c^T X_c / (n - 1)`` the (d, d) covariance of the
@@ -64,15 +69,33 @@ uncentred one. The medians are still read from ``T`` and equal
 ``np.median`` bit for bit; the ridge, the inverse and the symmetrization
 act on the covariance as before.
 
-The quadratic form copies the residuals once to (m, n, p), so each R[i] is
-a contiguous (n, p) plane, and adds into one (n, p) sum, i-major, the
-diagonal term ``(R[i] * C[i, i]) * R[i]`` and then ``(R[i] * (2 * C[i, j]))
-* R[j]`` for each j > i (``C`` the (m, m, p) inverse covariances, symmetric
-to the bit): m(m + 1) / 2 terms instead of the m * m of the plain form
-``"npi,pij,npj->np"``. Its last bits differ from that form's, so it is held
-to the same kind of bound: each squared distance lies within 1e-12 of the
-einsum's, relative to ``sum |R[i]| |C[i, j]| |R[j]|`` over all i, j. Its
-result does not depend on the layout of ``T``, and it never writes ``T``.
+At m > 1 a distance is taken through whitened maps. ``whiten`` factors
+each inverse covariance as ``inv_cov_p = L_p L_p^T`` (lower Cholesky) and
+folds the factor into the map and the median once per fit: ``E'_p = E_p
+L_p`` and ``med'_p = L_p^T med_p``. The distance is then
+``|x E'_p - med'_p|``, the same kind of work as at m = 1:
+``whitened_residuals`` takes one BLAS product of the rows with the maps,
+laid out m-major as one (d, m * p) matrix (column ``i * p + k`` is
+``E'_k[:, i]``), and subtracts ``med'`` in place from that fresh product;
+``projected_distances`` adds the squares of its m planes, one (n, p)
+plane at a time. The training loss reads the same residuals again for its
+gradient. ``whiten`` is the one place that factors ``inv_cov``: a fit
+whose inverse has no factor raises ``NumericError``, and a checkpoint's
+scorer builds its whitened maps, and so checks the factor, when it is
+loaded.
+
+The whitened distance rounds differently from the plain quadratic form
+``"npi,pij,npj->np"`` over ``T - med``, which the tests keep as the
+oracle, and a row at the median gets a distance of rounding size, not 0.
+The contract is a backward-error bound: each squared distance lies within
+1e-12 of the oracle's, relative to the whitened form over absolute values,
+``sum_k (sum_i |L_ik| (|x| |E_p| + |med_p|)_i)^2`` (``MDIM_RTOL`` and
+``whitened_scale`` in ``tests/test_mdim_kernels.py``). A bound relative
+to ``sum |R_i| |C_ij| |R_j|`` over the residuals ``R`` would not hold: it
+is 0 at the median, and the whitened product rounds relative to the rows,
+not to their residuals. A bound relative to the largest distance would not
+hold either: on latents within 1e-7 to 1e-4 of a 2-D subspace, where ``L``
+is large, the two forms differ by 1.2e-11 to 3.7e-11 of it.
 
 This module holds every score head: the projection outlyingness above
 (``score_batch``) and the deep-svdd squared distance to a latent center
@@ -225,41 +248,86 @@ def _sort_rows_median(buf: np.ndarray) -> np.ndarray:
     return med
 
 
-def projected_distances(
-    T: np.ndarray, stats: RpoStats, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-projection normalized distances, shape (n, p), from projected coords.
+class Whitened(NamedTuple):
+    """The m > 1 score head: each projection's whitening factor folded into its map.
 
-    With ``out`` (float64, shape (n, p)) the distances are written into it
-    and it is returned; it may be ``T[:, :, 0]`` of an m = 1 ``T`` the caller
-    no longer needs. Without ``out``, ``T`` is never written.
+    Built by ``whiten`` (see the module docstring for the layout).
+    """
+
+    maps: np.ndarray  # (d, m * p), m-major: column i * p + k is E'_k[:, i]
+    med: np.ndarray  # (m, p): column k is med'_k = L_k^T med_k
+
+    @property
+    def p(self) -> int:
+        return self.med.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.med.shape[0]
+
+
+def whiten(U: ProjectionSet, stats: RpoStats) -> Whitened:
+    """Fold the Cholesky factor ``L_p`` of each ``stats.inv_cov`` into the maps of ``U``.
+
+    Raises ``NumericError`` when an inverse covariance has no factor (it is
+    not positive definite).
+    """
+    if stats.inv_cov is None or stats.inv_cov.shape != (U.p, U.m, U.m):
+        raise ValueError(f"whitening needs (p, m, m) = {(U.p, U.m, U.m)} inverse covariances")
+    try:
+        L = np.linalg.cholesky(stats.inv_cov)
+    except np.linalg.LinAlgError:
+        raise NumericError(
+            "projected covariance: its inverse is not positive definite"
+        ) from None
+    p, d, m = U.entries.shape
+    maps = np.ascontiguousarray(np.matmul(U.entries, L).transpose(1, 2, 0)).reshape(d, m * p)
+    med = np.matmul(stats.med[:, np.newaxis, :], L)[:, 0, :].T  # (m, p), med_p^T L_p
+    return Whitened(maps=maps, med=np.ascontiguousarray(med))
+
+
+def whitened_residuals(X: np.ndarray, W: Whitened) -> np.ndarray:
+    """``x E'_p - med'_p`` for every row and projection: a transposed (n, p, m) view.
+
+    The view is of a fresh C-ordered (n, m, p) array, the BLAS product of
+    ``X`` with the maps, from which ``med'`` is subtracted in place.
+    """
+    if X.shape[1] != W.maps.shape[0]:
+        raise ValueError(f"X has {X.shape[1]} columns but projections expect d={W.maps.shape[0]}")
+    R = (X @ W.maps).reshape(X.shape[0], W.m, W.p)
+    R -= W.med
+    return R.transpose(0, 2, 1)
+
+
+def projected_distances(
+    T: np.ndarray, stats: RpoStats | Whitened, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-projection normalized distances, shape (n, p).
+
+    At m = 1, ``T`` is ``project(X, U)`` and ``stats`` the fitted
+    ``RpoStats``; at m > 1, ``T`` is ``whitened_residuals(X, W)`` and
+    ``stats`` that ``W``, and each distance is the norm of a residual. With
+    ``out`` (float64, shape (n, p)) the distances are written into it and it
+    is returned; it may be ``T[:, :, 0]`` of a ``T`` the caller no longer
+    needs. Without ``out``, ``T`` is never written.
     """
     if T.shape[1] != stats.p:
         raise ValueError(f"stats fitted for p={stats.p}, got p={T.shape[1]}")
-    if stats.mad is not None:
+    if isinstance(stats, RpoStats):
+        if stats.mad is None:
+            raise ValueError("m > 1 distances take the whitened residuals of whiten(U, stats)")
         if T.shape[2] != 1:
             raise ValueError("1-D stats applied to multidimensional projections")
         D = np.subtract(T[:, :, 0], stats.med, out=out)
         np.abs(D, out=D)
         return np.divide(D, stats.mad, out=D)
-    if T.shape[2] != stats.med.shape[1]:
-        raise ValueError(
-            f"stats fitted for m={stats.med.shape[1]}, got m={T.shape[2]}"
-        )
-    # each distinct pair once, off-diagonal terms doubled (see the module docstring)
-    R = np.array(T.transpose(2, 0, 1), order="C")
-    R -= stats.med.T[:, np.newaxis, :]
-    C = np.ascontiguousarray(stats.inv_cov.transpose(1, 2, 0))  # (m, m, p)
-    quad = np.zeros(T.shape[:2])
-    term = np.empty_like(quad)
-    m = R.shape[0]
-    for i in range(m):
-        for j in range(i, m):
-            np.multiply(R[i], C[i, j] if i == j else 2.0 * C[i, j], out=term)
-            term *= R[j]
-            quad += term
-    np.maximum(quad, 0.0, out=quad)
-    return np.sqrt(quad, out=quad if out is None else out)
+    if T.shape[2] != stats.m:
+        raise ValueError(f"stats fitted for m={stats.m}, got m={T.shape[2]}")
+    # the squares of the m residual planes, added one plane at a time
+    D = np.square(T[:, :, 0], out=out)
+    for i in range(1, stats.m):
+        D += np.square(T[:, :, i])
+    return np.sqrt(D, out=D)
 
 
 def reduce_distances(D: np.ndarray, est: Estimator) -> np.ndarray:
@@ -281,24 +349,26 @@ def row_blocks(n: int) -> Iterator[slice]:
 
 
 def score_batch(
-    X: np.ndarray, U: ProjectionSet, stats: RpoStats, est: Estimator
+    X: np.ndarray, U: ProjectionSet, stats: RpoStats | Whitened, est: Estimator
 ) -> np.ndarray:
     """Outlyingness of each row of ``X``; nonnegative, one score per row.
 
-    Rows are projected and reduced one block at a time, so no (n, p, m)
-    projection of all rows is held. On one BLAS thread the scores equal the
-    one-call form bit for bit (see the module docstring).
+    ``stats`` are the fitted statistics or, at m > 1, their ``whiten(U,
+    stats)``, which a caller that scores many batches keeps. Rows are
+    projected and reduced one block at a time, so no (n, p, m) projection
+    of all rows is held. On one BLAS thread the scores equal the one-call
+    form bit for bit (see the module docstring).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    head = whiten(U, stats) if U.m > 1 and isinstance(stats, RpoStats) else stats
     scores = np.empty(X.shape[0])
     for rows in row_blocks(X.shape[0]):
-        T = project(X[rows], U)
-        # T is a fresh array no caller sees, so for m = 1 the distances may
-        # overwrite it: the only (rows, p) array then is the projection itself
-        out = T[:, :, 0] if U.m == 1 else None
-        scores[rows] = reduce_distances(projected_distances(T, stats, out=out), est)
+        T = project(X[rows], U) if U.m == 1 else whitened_residuals(X[rows], head)
+        # T is a fresh array no caller sees, so the distances may overwrite
+        # its first plane: at m = 1 the only (rows, p) array is then T itself
+        scores[rows] = reduce_distances(projected_distances(T, head, out=T[:, :, 0]), est)
     return scores
 
 

@@ -26,10 +26,16 @@ once.
 
 The latent gradient of the one-dimensional objective equals the einsum
 form ``einsum("npm,pdm->nd", dT, entries)`` bit for bit. The robust
-Mahalanobis gradient (m > 1) is contracted through ``F = entries @
-inv_cov`` in one matrix product: it sums in another order than the einsum
-form, so the two agree to a relative 1e-12 per weight matrix, not bit for
-bit (see the README's "Numerics" section).
+Mahalanobis objective (m > 1) takes its distances through the whitened
+maps of ``scoring.whiten`` (``E'_p = E_p L_p`` with ``inv_cov_p = L_p
+L_p^T``): a distance is the norm of the whitened residual ``r'_p = z E'_p
+- med'_p``, and its gradient ``E'_p r'_p / D_p``. The latent gradient is
+then one matrix product of the residuals, each weighted by ``dLoss/dD /
+D``, with the maps. It sums in another order than the einsum form through
+``inv_cov``, so the two agree to a relative 1e-12 per weight matrix, not
+bit for bit. A row at the median has a distance of rounding size, not 0,
+and so a unit subgradient where the einsum form gives it none (see the
+README's "Numerics" section).
 
 Semi-supervision: a train row flagged as a labeled anomaly contributes the
 inverse of its normalized distance, floored at ``scoring.EPS_FLOOR``,
@@ -56,6 +62,8 @@ from .scoring import (
     projected_distances,
     reduce_distances,
     score_batch,
+    whiten,
+    whitened_residuals,
 )
 from .seeding import sub_rng
 
@@ -125,20 +133,6 @@ def svdd_loss(model: SvddModel, batch: np.ndarray) -> tuple[float, list[np.ndarr
     return loss, grads
 
 
-def _mahalanobis_latent_grad(R, w, entries, inv_cov) -> np.ndarray:
-    """dLoss/dZ[n, d] = sum over p, j of w[n, p] * R[n, p, j] * F[p, d, j].
-
-    ``R`` (n, p, m) holds the residuals and is overwritten; ``w`` (n, p) is
-    dLoss/dD / D. ``F = entries @ inv_cov`` folds each projection's inverse
-    covariance into its entries, so the whole sum is one (n, p*m) by
-    (p*m, d) matrix product.
-    """
-    n, p, m = R.shape
-    F = np.matmul(entries, inv_cov)  # (p, d, m)
-    R *= w[:, :, np.newaxis]
-    return R.reshape(n, p * m) @ F.transpose(0, 2, 1).reshape(p * m, entries.shape[1])
-
-
 def deep_rpo_loss(
     model: DeepRpoModel,
     batch: np.ndarray,
@@ -166,11 +160,17 @@ def deep_rpo_loss(
             raise ValueError(f"SAD flags shape {flags.shape} does not match batch size {n}")
 
     Z, cache = model.encoder.forward(batch)
-    T = project(Z, model.projections)  # (n, p, m)
+    U = model.projections
+    T = project(Z, U) if stats is None or U.m == 1 else None  # (n, p, m)
     if stats is None:
-        stats = fit_rpo_projected(T, Z, model.projections)
+        stats = fit_rpo_projected(T, Z, U)
+    head = stats
+    if U.m > 1:
+        # distances and gradient both read the whitened residuals, not T
+        head = whiten(U, stats)
+        T = whitened_residuals(Z, head)
 
-    D = projected_distances(T, stats)  # (n, p)
+    D = projected_distances(T, head)  # (n, p)
     scores = reduce_distances(D, model.estimator)
 
     # dLoss/dscore_i, with the SAD inversion applied where flagged
@@ -194,8 +194,7 @@ def deep_rpo_loss(
         dD[np.arange(n), np.argmax(D, axis=1)] = dscore
 
     # dLoss/dZ through dLoss/dT, statistics held constant
-    entries = model.projections.entries
-    if stats.mad is not None:
+    if U.m == 1:
         # dT = sign(T - med) * dD / mad, built in one C-ordered (p, n)
         # buffer: einsum sums it over p in the order of the (n, p) form, bit
         # for bit, in half the time. For the finite residuals that reach
@@ -205,11 +204,14 @@ def deep_rpo_loss(
         np.subtract(dTt > 0.0, dTt < 0.0, out=dTt, dtype=np.float64)
         dTt *= dD.T
         dTt /= stats.mad[:, np.newaxis]
-        dZ = np.ascontiguousarray(np.einsum("pn,pd->dn", dTt, entries[:, :, 0]).T)
+        dZ = np.ascontiguousarray(np.einsum("pn,pd->dn", dTt, U.entries[:, :, 0]).T)
     else:
-        R = T - stats.med[np.newaxis]  # (n, p, m)
+        # dD/dx = E'_p r'_p / D: the residuals, weighted by dLoss/dD / D in
+        # place, in one product with the maps
         w = np.divide(dD, D, out=np.zeros_like(D), where=D > 0.0)
-        dZ = _mahalanobis_latent_grad(R, w, entries, stats.inv_cov)
+        R = T.transpose(0, 2, 1)  # the C-ordered (n, m, p) residuals
+        R *= w[:, np.newaxis, :]
+        dZ = R.reshape(n, -1) @ head.maps.T
     grads = model.encoder.backward(cache, dZ)
     for g, W in zip(grads, model.encoder.weights):
         g += model.lam * W

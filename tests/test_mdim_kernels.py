@@ -12,34 +12,46 @@ and symmetrization applied to its own covariance. The m = 1 gradient of
 The oracles' own sums follow the memory layout of their operands: on an
 F-ordered ``T`` the distance einsum reduces in another order. The program
 only ever passes C-ordered projections, and the kernels copy ``T`` into a
-fixed layout first, so an F-ordered ``T`` must give the kernels' (and the
-oracles') result for its C-ordered copy.
+fixed layout first or work elementwise, so an F-ordered ``T`` must give
+the kernels' (and the oracles') result for its C-ordered copy.
 
 Within a tolerance: ``project`` at m > 1 is one BLAS product, which sums
 over d in its own blocked order; the covariance in ``fit_rpo_projected`` is
 ``E_p^T S E_p`` from the rows' (d, d) covariance ``S``, not a sum over the
-(n, p, m) projection; and the Mahalanobis form in ``projected_distances``
-adds each distinct pair (i, j) once with the off-diagonal term doubled,
-m(m + 1) / 2 terms instead of the oracle's m * m. All three are held to a
+(n, p, m) projection; and a distance is the norm of the whitened residual
+``x E'_p - med'_p`` (``whiten``, ``whitened_residuals``), with ``E'_p =
+E_p L_p``, ``med'_p = L_p^T med_p`` and ``inv_cov_p = L_p L_p^T``, not the
+oracle's quadratic form over ``T - med``. All three are held to a
 backward-error bound: each value lies within ``MDIM_RTOL`` of the oracle's,
 relative to the same form taken over absolute values (``|X| @ |E|`` for a
 projected coordinate, ``|E_p|^T (|X|^T |X|) |E_p| / (n - 1)`` over the
-uncentred rows for a covariance entry, ``sum |R_i| |C_ij| |R_j|`` for a
-squared distance), through ``assert_within_mdim_tolerance``. The covariance
-scale takes the rows uncentred because centring loses the digits of rows
-far from the origin, in the kernel and the oracle alike
-(``test_fit_within_tolerance_on_offset_latents``). A whole deep-rpo run
-with the oracles patched in must keep its AUCs and best epoch exactly, and
-its losses and checkpoint within the same bound. The m > 1 gradient of
-``deep_rpo_loss`` is one matrix product through ``F = entries @ inv_cov``,
-which sums in another order than the oracle's two einsums. Each weight
-matrix's gradient must lie within ``GRADIENT_RTOL`` of the oracle's,
-relative to that matrix's largest oracle entry
-(``assert_within_gradient_tolerance``), and a whole m = 3 run must keep its
-train losses within the same bound and its AUCs and best epoch exactly.
+uncentred rows for a covariance entry, ``sum_k (sum_i |L_ik| (|x| |E_p| +
+|med_p|)_i)^2`` for a squared distance), through
+``assert_within_mdim_tolerance``. The covariance scale takes the rows
+uncentred because centring loses the digits of rows far from the origin,
+in the kernel and the oracle alike
+(``test_fit_within_tolerance_on_offset_latents``). The distance scale takes
+the rows and the median, not the residual ``R``: the whitened product
+rounds relative to the rows, and a row at the median, with ``R`` = 0, gets
+a distance of rounding size. A whole deep-rpo run with the oracles patched
+in must keep its AUCs and best epoch exactly, and its losses and checkpoint
+within the same bound.
+
+The m > 1 gradient of ``deep_rpo_loss`` is one product of the weighted
+whitened residuals with the maps, where the oracle takes two einsums
+through ``inv_cov``. Each weight matrix's gradient must lie within
+``GRADIENT_RTOL`` of the oracle's, relative to that matrix's largest oracle
+entry (``assert_within_gradient_tolerance``). A row at the median has the
+oracle's distance 0 and gradient 0; the kernel gives it a distance of
+rounding size and, where it has a gradient, a unit subgradient: the
+oracle's gradient on the other rows, and on that row
+``sum_p dD_p E'_p r'_p / D_p`` with ``|r'_p| / D_p = 1``. A whole m = 3
+run must keep its train losses within the same bound and its AUCs and best
+epoch exactly.
 """
 
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -56,9 +68,12 @@ from rpo.scoring import (
     EPS_FLOOR,
     RIDGE,
     RpoStats,
+    Whitened,
     fit_rpo_projected,
     projected_distances,
     reduce_distances,
+    whiten,
+    whitened_residuals,
 )
 from rpo.training import DeepRpoModel, _regularizer, deep_rpo_loss
 
@@ -156,10 +171,17 @@ def project_scale(X, U):
     return np.einsum("nd,pdm->npm", np.abs(X), np.abs(U.entries))
 
 
-def distance_scale(T, stats):
-    """``sum |R_i| |C_ij| |R_j|``: the squared distance's sum over absolute values."""
-    R = np.abs(T - stats.med[np.newaxis])
-    return np.einsum("npi,pij,npj->np", R, np.abs(stats.inv_cov), R)
+def whitened_scale(X, U, stats):
+    """``sum_k (sum_i |L_ik| (|X| |E_p| + |med_p|)_i)^2``: the whitened squared distance over absolute values."""
+    L = np.abs(np.linalg.cholesky(stats.inv_cov))
+    A = project_scale(X, U) + np.abs(stats.med)
+    return np.sum(np.einsum("npi,pik->npk", A, L) ** 2, axis=2)
+
+
+def whitened_distances(X, U, stats):
+    """The kernels' distances of rows ``X``: the norms of their whitened residuals."""
+    W = whiten(U, stats)
+    return projected_distances(whitened_residuals(X, W), W)
 
 
 def covariance_scale(X, U):
@@ -181,9 +203,9 @@ def assert_project_within_tolerance(T, X, U):
     assert_within_mdim_tolerance(T, oracle_project(X, U), project_scale(X, U))
 
 
-def assert_distances_within_tolerance(D, T, stats, atol=0.0):
-    expected = oracle_distances(T, stats)
-    assert_within_mdim_tolerance(D**2, expected**2, distance_scale(T, stats), atol)
+def assert_distances_within_tolerance(D, X, U, stats, atol=0.0):
+    expected = oracle_distances(oracle_project(X, U), stats)
+    assert_within_mdim_tolerance(D**2, expected**2, whitened_scale(X, U, stats), atol)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
@@ -231,21 +253,51 @@ def test_fit_within_tolerance_on_offset_latents(shape):
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_distances_equal_einsum_oracle(shape):
-    m, n, d, p = shape
     X, U = instance(*shape)
     stats = oracle_fit(oracle_project(X, U))
-    # queries: the training rows, plus rows at the median of every
-    # coordinate (residual +0.0) and at its negation (-0.0 where med is 0)
-    T = np.concatenate([oracle_project(X, U), stats.med[np.newaxis], -stats.med[np.newaxis]])
-    D = projected_distances(T, stats)
-    assert_distances_within_tolerance(D, T, stats)
+    # queries: the training rows, whose +0.0 and -0.0 rows often sit at a
+    # zero median, and their negations (-0.0 for +0.0)
+    Q = np.concatenate([X, -X])
+    W = whiten(U, stats)
+    T = whitened_residuals(Q, W)
+    D = projected_distances(T, W)
+    assert_distances_within_tolerance(D, Q, U, stats)
+    assert _bytes_equal(D, whitened_distances(Q, U, stats))
     for layout in (T, np.asfortranarray(T)):
         before = layout.copy(order="K")
-        assert _bytes_equal(projected_distances(layout, stats), D)
+        assert _bytes_equal(projected_distances(layout, W), D)
         assert _bytes_equal(layout, before)
     out = np.full(T.shape[:2], np.nan)
-    assert projected_distances(T, stats, out=out) is out
+    assert projected_distances(T, W, out=out) is out
     assert _bytes_equal(out, D)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-7])
+@pytest.mark.parametrize("m", [2, 3])
+def test_distances_within_tolerance_on_near_singular_latents(m, eps):
+    """Latents within ``eps`` of a 2-D subspace: factors ``L_p`` near the ridge's 1e3.
+
+    The kernel and the oracle then differ by more than MDIM_RTOL of the
+    largest distance (1.2e-11 to 3.7e-11 of it), and within it relative to
+    the whitened scale.
+    """
+    rng = np.random.default_rng(int(m / eps))
+    X = rng.normal(size=(540, 2)) @ rng.normal(size=(2, 8)) + eps * rng.normal(size=(540, 8))
+    U = generate_projections(8, m, 500, seed=m)
+    T = project(X, U)
+    stats = fit_rpo_projected(T, X, U)
+    D = whitened_distances(X, U, stats)
+    assert_distances_within_tolerance(D, X, U, stats)
+    assert np.max(np.linalg.cholesky(stats.inv_cov)) > 1e2
+    expected = oracle_distances(oracle_project(X, U), stats)
+    assert np.max(np.abs(D - expected)) > MDIM_RTOL * np.max(expected)
+
+
+def test_rpo_stats_at_m_above_1_are_refused_by_distances():
+    X, U = instance(3, 20, 6, 5)
+    stats = oracle_fit(oracle_project(X, U))
+    with pytest.raises(ValueError, match="whitened residuals"):
+        projected_distances(project(X, U), stats)
 
 
 residual_values = st.one_of(
@@ -280,8 +332,8 @@ class TestTiesAndSignedZeros:
         before, X_before = T.copy(), X.copy()
         stats = fit_rpo_projected(T, X, U)
         assert_fit_within_tolerance(stats, T, X, U, atol=UNDERFLOW)
-        D = projected_distances(T, stats)
-        assert_distances_within_tolerance(D, T, stats, atol=UNDERFLOW)
+        D = whitened_distances(X, U, stats)
+        assert_distances_within_tolerance(D, X, U, stats, atol=UNDERFLOW)
         assert _bytes_equal(T, before) and _bytes_equal(X, X_before)
 
     @settings(max_examples=100, deadline=None)
@@ -301,12 +353,33 @@ def _patched(fn, oracle):
     return call
 
 
+class _OracleHead(NamedTuple):
+    """What the oracles' ``whiten`` returns: the maps and the stats, unfolded."""
+
+    U: object
+    stats: RpoStats
+
+
+def _oracle_head_distances(T, stats, out=None):
+    if isinstance(stats, _OracleHead):
+        return oracle_distances(T, stats.stats, out=out)
+    return projected_distances(T, stats, out=out)
+
+
 def _install_oracles(monkeypatch):
-    """Bind the oracles at every site that imported a kernel by name."""
+    """Bind the oracles at every site that imported a kernel by name.
+
+    At m > 1 scoring then takes ``oracle_project`` for the whitened
+    residuals and ``oracle_distances`` over them, and the loss is the
+    earlier one.
+    """
     swaps = {
         project: _patched(project, oracle_project),
         fit_rpo_projected: _patched(fit_rpo_projected, oracle_fit),
-        projected_distances: _patched(projected_distances, oracle_distances),
+        whiten: _OracleHead,
+        whitened_residuals: lambda X, head: oracle_project(X, head.U),
+        projected_distances: _oracle_head_distances,
+        deep_rpo_loss: oracle_deep_rpo_loss,
     }
     for name, module in list(sys.modules.items()):
         if name != "rpo" and not name.startswith("rpo."):
@@ -334,9 +407,10 @@ def test_deep_rpo_run_within_tolerance_of_einsum_oracles(tmp_path, monkeypatch, 
     (tmp_path / "oracles").mkdir()
     result, ckpt = _seed_outputs(spec, tmp_path / "kernels")
     _install_oracles(monkeypatch)
-    for name in ("project", "fit_rpo_projected", "projected_distances"):
+    for name in ("project", "fit_rpo_projected", "whiten", "whitened_residuals",
+                 "projected_distances", "deep_rpo_loss"):
         assert getattr(training, name) is not globals()[name]
-    assert scoring.project is not project
+    assert scoring.project is not project and scoring.whiten is not whiten
     oracle, o_ckpt = _seed_outputs(spec, tmp_path / "oracles")
     loss = np.array([r.train_loss for r in result.history])
     o_loss = np.array([r.train_loss for r in oracle.history])
@@ -360,13 +434,22 @@ def _m_major_project(X, U):
     return (X @ maps).reshape(X.shape[0], U.p, U.m)
 
 
-def _undoubled_distances(T, stats):
-    """The Mahalanobis form over distinct pairs without doubling the off-diagonal terms."""
-    R = np.array(T.transpose(2, 0, 1), order="C") - stats.med.T[:, np.newaxis, :]
-    C = stats.inv_cov.transpose(1, 2, 0)
-    m = R.shape[0]
-    quad = sum(R[i] * C[i, j] * R[j] for i in range(m) for j in range(i, m))
-    return np.sqrt(np.maximum(quad, 0.0))
+def _mutated_whiten(U, stats, mutation):
+    """``whiten`` with ``L_p^T`` folded in for ``L_p``, or its columns laid p-major.
+
+    ``whitened_residuals`` reads p-major columns as m-major ones.
+    """
+    L = np.linalg.cholesky(stats.inv_cov)
+    if mutation == "transposed-factor":
+        L = L.transpose(0, 2, 1)
+    order = (1, 0, 2) if mutation == "p-major" else (1, 2, 0)
+    maps = np.ascontiguousarray(np.matmul(U.entries, L).transpose(order))
+    med = np.matmul(stats.med[:, np.newaxis, :], L)[:, 0, :]  # (p, m)
+    med = med.reshape(U.m, U.p) if mutation == "p-major" else med.T
+    return Whitened(maps=maps.reshape(U.d, U.m * U.p), med=np.ascontiguousarray(med))
+
+
+MUTATIONS = ["transposed-factor", "p-major"]
 
 
 @pytest.mark.parametrize("shape", [(3, 128, 16, 37), (2, 540, 2, 1000)], ids=shape_id)
@@ -395,13 +478,14 @@ def test_uncentred_covariance_breaks_fit_tolerance_by_far(shape, offset):
 
 
 @pytest.mark.parametrize("shape", [(3, 128, 16, 37), (2, 540, 2, 1000)], ids=shape_id)
-def test_undoubled_pairs_break_distance_tolerance_by_far(shape):
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutated_whitened_maps_break_distance_tolerance_by_far(shape, mutation):
     X, U = instance(*shape)
-    T = oracle_project(X, U)
-    stats = oracle_fit(T)
-    D = _undoubled_distances(T, stats)
-    expected = oracle_distances(T, stats)
-    assert mdim_deviation(D**2, expected**2, distance_scale(T, stats)) > 1e-3
+    stats = oracle_fit(oracle_project(X, U))
+    W = _mutated_whiten(U, stats, mutation)
+    D = projected_distances(whitened_residuals(X, W), W)
+    expected = oracle_distances(oracle_project(X, U), stats)
+    assert mdim_deviation(D**2, expected**2, whitened_scale(X, U, stats)) > 1e-3
 
 
 # the gradient contract: bit for bit at m = 1, GRADIENT_RTOL at m > 1
@@ -420,6 +504,10 @@ def oracle_deep_rpo_loss(
     ``sad_flags`` (bool, one per batch row) marks the labeled anomalies.
     With ``stats=None``, location/spread are computed from the batch
     itself; either way the statistics are constants in the gradient.
+
+    The earlier loss: it reads ``project`` and ``fit_rpo_projected`` from
+    ``training``, as it did there, so the oracles patched in there apply,
+    and takes its m > 1 distances from ``oracle_distances`` over ``T``.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] == 0:
@@ -435,11 +523,11 @@ def oracle_deep_rpo_loss(
             raise ValueError(f"SAD flags shape {flags.shape} does not match batch size {n}")
 
     Z, cache = model.encoder.forward(batch)
-    T = project(Z, model.projections)  # (n, p, m)
+    T = training.project(Z, model.projections)  # (n, p, m)
     if stats is None:
-        stats = fit_rpo_projected(T, Z, model.projections)
+        stats = training.fit_rpo_projected(T, Z, model.projections)
 
-    D = projected_distances(T, stats)  # (n, p)
+    D = (projected_distances if stats.mad is not None else oracle_distances)(T, stats)  # (n, p)
     scores = reduce_distances(D, model.estimator)
 
     # dLoss/dscore_i, with the SAD inversion applied where flagged
@@ -499,9 +587,9 @@ def gradient_instance(m, n, p, estimator, sad, given_stats, seed=0):
     """A model, a batch, SAD flags and (optionally) stats for ``deep_rpo_loss``.
 
     With ``given_stats`` the stats are fitted on the batch, then the median
-    is moved onto row 5's projections, so row 5 has D == 0 everywhere. At
-    m = 1 a quarter of the rows are +0.0 and another -0.0: zero latents,
-    whose residuals often tie with a zero median (always with
+    is moved onto row 5's projections, so row 5 has the oracle's D == 0
+    everywhere. At m = 1 a quarter of the rows are +0.0 and another -0.0:
+    zero latents, whose residuals often tie with a zero median (always with
     ``given_stats``, as row 5 is one of them).
     """
     rng = np.random.default_rng(seed + 100 * m + n + p)
@@ -523,20 +611,75 @@ def gradient_instance(m, n, p, estimator, sad, given_stats, seed=0):
         fitted = fit_rpo_projected(T, Z, U)
         med = T[5, :, 0].copy() if m == 1 else T[5].copy()
         stats = RpoStats(med=med, mad=fitted.mad, inv_cov=fitted.inv_cov)
-        assert np.all(projected_distances(T, stats)[5] == 0.0)
+        D = projected_distances(T, stats) if m == 1 else oracle_distances(T, stats)
+        assert np.all(D[5] == 0.0)
     return model, batch, flags, stats
+
+
+def _with_latent_gradient(monkeypatch, loss_fn, model, *args, **kwargs):
+    """``loss_fn``'s loss and weight gradient, and the latent gradient it backpropagates."""
+    seen = []
+    backward = model.encoder.backward
+
+    def recording(cache, dZ):
+        seen.append(dZ.copy())
+        return backward(cache, dZ)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model.encoder, "backward", recording)
+        loss, grads = loss_fn(model, *args, **kwargs)
+    return loss, grads, seen[0]
 
 
 @pytest.mark.parametrize("given_stats", [False, True], ids=["batch-stats", "D0-row"])
 @pytest.mark.parametrize("sad", [False, True], ids=["plain", "sad"])
 @pytest.mark.parametrize("estimator", ["mean", "max"])
 @pytest.mark.parametrize("m", [2, 3, 5])
-def test_mdim_gradient_within_tolerance_of_einsum_oracle(m, estimator, sad, given_stats):
+def test_mdim_gradient_within_tolerance_of_einsum_oracle(
+    monkeypatch, m, estimator, sad, given_stats
+):
+    """Loss within GRADIENT_RTOL; gradient within it, but on a row at the median.
+
+    That row (row 5 of ``D0-row``) has the oracle's distance 0 and gradient
+    0; the kernel gives it a distance of rounding size and a unit
+    subgradient ``sum_p dD_p E'_p r'_p / D_p``. A flagged row at the median
+    scores below ``EPS_FLOOR``, so it has no gradient in either.
+    """
     model, batch, flags, stats = gradient_instance(m, 128, 200, estimator, sad, given_stats)
-    loss, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
-    o_loss, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
-    assert np.float64(loss).tobytes() == np.float64(o_loss).tobytes()
-    assert_within_gradient_tolerance(grads, o_grads)
+    loss, grads, dZ = _with_latent_gradient(
+        monkeypatch, deep_rpo_loss, model, batch, sad_flags=flags, stats=stats)
+    o_loss, o_grads, o_dZ = _with_latent_gradient(
+        monkeypatch, oracle_deep_rpo_loss, model, batch, sad_flags=flags, stats=stats)
+    assert abs(loss - o_loss) <= GRADIENT_RTOL * abs(o_loss)
+    if not given_stats:
+        assert_within_gradient_tolerance(grads, o_grads)
+        return
+    # row 5 at the median: its distances are of rounding size, not 0
+    U = model.projections
+    Z = model.encoder.forward(batch)[0]
+    W = whiten(U, stats)
+    R = whitened_residuals(Z, W)[5]  # (p, m)
+    D = projected_distances(whitened_residuals(Z, W), W)[5]
+    assert np.all(D <= np.sqrt(MDIM_RTOL * whitened_scale(Z[5:6], U, stats)[0]))
+    others = np.arange(128) != 5
+    scale = np.max(np.abs(o_dZ))
+    assert np.max(np.abs(dZ[others] - o_dZ[others])) <= GRADIENT_RTOL * scale
+    assert np.all(o_dZ[5] == 0.0)
+    # its gradient is a unit subgradient of each distance, weighted by dLoss/dD
+    if sad or not np.any(D > 0.0):
+        assert np.all(dZ[5] == 0.0)
+        return
+    if estimator == "mean":
+        dD = np.full(U.p, 1.0 / (128 * U.p))
+    else:
+        dD = np.zeros(U.p)
+        dD[np.argmax(D)] = 1.0 / 128
+    unit = np.divide(R, D[:, np.newaxis], out=np.zeros_like(R), where=D[:, np.newaxis] > 0.0)
+    assert np.all(np.abs(np.linalg.norm(unit[D > 0.0], axis=1) - 1.0) <= 1e-15 * U.m)
+    maps = W.maps.reshape(U.d, U.m, U.p)
+    expected = np.einsum("p,dmp,pm->d", dD, maps, unit)
+    assert np.max(np.abs(dZ[5] - expected)) <= GRADIENT_RTOL * np.max(np.abs(expected))
+    assert np.max(np.abs(dZ[5])) > 0.0
 
 
 @pytest.mark.parametrize("given_stats", [False, True], ids=["batch-stats", "D0-row"])
@@ -552,17 +695,11 @@ def test_m1_gradient_equals_einsum_oracle(n, p, estimator, given_stats):
         assert _bytes_equal(g, o)
 
 
-def _m_major_latent_grad(R, w, entries, inv_cov):
-    """``_mahalanobis_latent_grad`` with ``F`` reshaped without its transpose."""
-    n, p, m = R.shape
-    F = np.matmul(entries, inv_cov)
-    R *= w[:, :, np.newaxis]
-    return R.reshape(n, p * m) @ F.reshape(p * m, entries.shape[1])
-
-
 def test_wrong_transpose_breaks_gradient_tolerance_by_far(monkeypatch):
-    monkeypatch.setattr(training, "_mahalanobis_latent_grad", _m_major_latent_grad)
-    model, batch, flags, stats = gradient_instance(3, 128, 200, "mean", True, True)
+    """``L_p^T`` folded into the maps in place of ``L_p``."""
+    monkeypatch.setattr(
+        training, "whiten", lambda U, stats: _mutated_whiten(U, stats, "transposed-factor"))
+    model, batch, flags, stats = gradient_instance(3, 128, 200, "mean", True, False)
     _, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
     _, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
     assert gradient_deviation(grads, o_grads) > 1e-3

@@ -24,6 +24,8 @@ from rpo.scoring import (
     projected_distances,
     reduce_distances,
     score_batch,
+    whiten,
+    whitened_residuals,
 )
 
 
@@ -161,14 +163,17 @@ class TestScore:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("est", ["max", "mean"])
     def test_batch_bit_equal_to_unfused_pipeline(self, m, est):
-        # score_batch computes the distances inside its own projection; the
-        # scores must not move by a single bit
+        # score_batch computes the distances inside its own projection (at
+        # m > 1 its whitened residuals); the scores must not move by a bit
         rng = np.random.default_rng(7 + m)
         U = generate_projections(d=6, m=m, p=40, seed=3)
         stats = fit_rpo(rng.normal(size=(60, 6)), U)
         X = rng.normal(scale=3.0, size=(257, 6))
-        expected = reduce_distances(projected_distances(project(X, U), stats), est)
+        expected = reduce_distances(one_call_distances(X, U, stats), est)
         assert score_batch(X, U, stats, est).tobytes() == expected.tobytes()
+        if m > 1:
+            # a caller that keeps the whitened maps scores the same bits
+            assert score_batch(X, U, whiten(U, stats), est).tobytes() == expected.tobytes()
         if m == 1:
             T = project(X, U)
             plain = reduce_distances(np.abs(T[:, :, 0] - stats.med) / stats.mad, est)
@@ -176,12 +181,15 @@ class TestScore:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_distances_leave_projection_unmodified_without_out(self, m):
+        # at m > 1 the projection the distances read is the whitened residuals
         rng = np.random.default_rng(11)
         U = generate_projections(d=6, m=m, p=40, seed=5)
         stats = fit_rpo(rng.normal(size=(60, 6)), U)
-        T = project(rng.normal(size=(33, 6)), U)
+        X = rng.normal(size=(33, 6))
+        head = stats if m == 1 else whiten(U, stats)
+        T = project(X, U) if m == 1 else whitened_residuals(X, head)
         before = T.copy()
-        projected_distances(T, stats)
+        projected_distances(T, head)
         assert T.tobytes() == before.tobytes()
 
     def test_distances_written_into_out(self):
@@ -208,27 +216,38 @@ class TestScore:
             score_batch(np.zeros((1, 4)), U, stats, "max")
 
 
+def one_call_distances(X, U, stats):
+    """The one-call form's distances: all rows in one projection, at m > 1 a whitened one."""
+    if U.m == 1:
+        return projected_distances(project(X, U), stats)
+    W = whiten(U, stats)
+    return projected_distances(whitened_residuals(X, W), W)
+
+
 B = SCORE_BLOCK_ROWS
 BLOCK_EDGE_ROWS = [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 5 * B + 7]
 
-# Compares blocked score_batch with the one-call form for every shape and
-# prints the shapes whose scores differ by any bit.
+# Compares blocked score_batch with the one-call form (at m > 1 through the
+# whitened maps) for every shape and prints the shapes whose scores differ
+# by any bit.
 _ONE_CALL_ORACLE_SCRIPT = """
 import json, sys
 import numpy as np
 from rpo.projections import generate_projections, project
-from rpo.scoring import fit_rpo, projected_distances, reduce_distances, score_batch
+from rpo.scoring import (fit_rpo, projected_distances, reduce_distances, score_batch, whiten,
+                         whitened_residuals)
 differ = []
 for m in (1, 3):
     for p in (40, 1000):
         U = generate_projections(d=6, m=m, p=p, seed=3)
         rng = np.random.default_rng(100 * m + p)
         stats = fit_rpo(rng.normal(size=(60, 6)), U)
+        head = stats if m == 1 else whiten(U, stats)
         for n in json.loads(sys.argv[1]):
             X = rng.normal(scale=3.0, size=(n, 6))
-            T = project(X, U)
+            T = project(X, U) if m == 1 else whitened_residuals(X, head)
             for est in ("max", "mean"):
-                oracle = reduce_distances(projected_distances(T, stats), est)
+                oracle = reduce_distances(projected_distances(T, head), est)
                 if score_batch(X, U, stats, est).tobytes() != oracle.tobytes():
                     differ.append([m, p, n, est])
 print(json.dumps(differ))
@@ -237,16 +256,17 @@ print(json.dumps(differ))
 
 # Scores each case ([layer_dims, method, rp_dim, n, seed]) with a checkpoint
 # scorer, block by block, and with the whole-input form: standardize all n
-# rows, one encoder pass, one-call head. Prints, per case, None when the two
-# are equal bit for bit and otherwise the largest difference over the
-# largest whole-input score.
+# rows, one encoder pass, one-call head (at m > 1 through the whitened
+# maps). Prints, per case, None when the two are equal bit for bit and
+# otherwise the largest difference over the largest whole-input score.
 _WHOLE_INPUT_ORACLE_SCRIPT = """
 import json, sys
 import numpy as np
 from rpo.encoder import init_encoder
 from rpo.model_io import ScoringModel
 from rpo.projections import generate_projections, project
-from rpo.scoring import center_distances, fit_rpo, projected_distances, reduce_distances
+from rpo.scoring import (center_distances, fit_rpo, projected_distances, reduce_distances,
+                         whiten, whitened_residuals)
 gaps = []
 for dims, method, rp_dim, n, seed in json.loads(sys.argv[1]):
     rng = np.random.default_rng(seed)
@@ -263,7 +283,12 @@ for dims, method, rp_dim, n, seed in json.loads(sys.argv[1]):
     if model.center is not None:
         oracle = center_distances(Z, model.center)
     else:
-        oracle = reduce_distances(projected_distances(project(Z, U), stats), model.estimator)
+        if rp_dim == 1:
+            D = projected_distances(project(Z, U), stats)
+        else:
+            W = whiten(U, stats)
+            D = projected_distances(whitened_residuals(Z, W), W)
+        oracle = reduce_distances(D, model.estimator)
     got = model.score_rows(X)
     same = got.tobytes() == oracle.tobytes()
     gaps.append(None if same else float(np.max(np.abs(got - oracle)) / np.max(oracle)))

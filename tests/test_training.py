@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
+from rpo import training
 from rpo.data import generate_multimodal, split, standardize
 from rpo.encoder import Encoder, init_encoder
+from rpo.errors import EXIT_NUMERIC, NumericError, classify
 from rpo.projections import ProjectionSet, generate_projections, project
-from rpo.scoring import EPS_FLOOR, fit_rpo_projected, projected_distances, reduce_distances
+from rpo.scoring import (
+    EPS_FLOOR,
+    RpoStats,
+    fit_rpo_projected,
+    projected_distances,
+    reduce_distances,
+    whiten,
+    whitened_residuals,
+)
 from rpo.training import (
     DeepRpoModel,
     SvddModel,
@@ -114,7 +124,11 @@ def _fd_safe_instance(seed, estimator, m=1, sad_flags=None, lam=0.0, min_margin=
         Z = enc.forward(batch)[0]
         T = project(Z, U)
         stats = fit_rpo_projected(T, Z, U)
-        D = projected_distances(T, stats)
+        if m == 1:
+            D = projected_distances(T, stats)
+        else:
+            W = whiten(U, stats)
+            D = projected_distances(whitened_residuals(Z, W), W)
         if m == 1 and np.min(np.abs(T[:, :, 0] - stats.med)) < min_margin:
             continue
         if m > 1 and np.min(D) < min_margin:
@@ -308,3 +322,41 @@ class TestTrain:
             latent_scores(model, ds.X[:3])
         stats = fit_eval_stats(model, ds.X[ds.mask("train")])
         assert np.all(latent_scores(model, ds.X[:3], stats) >= 0.0)
+
+
+def _negated(stats):
+    """``stats`` with every inverse covariance negated: symmetric, not positive definite."""
+    return RpoStats(med=stats.med, mad=None, inv_cov=-stats.inv_cov)
+
+
+class TestUnusableFactor:
+    """An m > 1 fit whose inverse covariance has no Cholesky factor fails with exit 3.
+
+    It raises ``NumericError`` naming the projected covariance, where the
+    whitened maps would take the factor.
+    """
+
+    @staticmethod
+    def _m3_model(ds, seed=0):
+        enc = init_encoder([ds.dim, 8, 4], np.random.default_rng(seed))
+        return DeepRpoModel(enc, generate_projections(d=4, m=3, p=20, seed=seed),
+                            estimator="mean", lam=1e-6)
+
+    def test_batch_fit(self, monkeypatch):
+        ds = toy_dataset(seed=10)
+        model = self._m3_model(ds)
+        monkeypatch.setattr(
+            training, "fit_rpo_projected", lambda T, X, U: _negated(fit_rpo_projected(T, X, U)))
+        with pytest.raises(NumericError, match="projected covariance") as failure:
+            deep_rpo_loss(model, ds.X[:32])
+        assert classify(failure.value)[1] == EXIT_NUMERIC
+
+    def test_validation_fit(self, monkeypatch):
+        # the batch fits are usable; only the validation refit is not
+        ds = toy_dataset(seed=11)
+        model = self._m3_model(ds, seed=11)
+        monkeypatch.setattr(
+            training, "fit_eval_stats", lambda model, X: _negated(fit_eval_stats(model, X)))
+        with pytest.raises(NumericError, match="projected covariance") as failure:
+            train(model, ds, epochs=1, batch_size=16, seed=0, learning_rate=1e-4)
+        assert classify(failure.value)[1] == EXIT_NUMERIC
