@@ -67,7 +67,10 @@ digits in both forms. On rows 1e3 from the origin with a spread of 1e-3
 the two differ by up to 4.5e-10 of the centred form, and 2e-22 of the
 uncentred one. The medians are still read from ``T`` and equal
 ``np.median`` bit for bit; the ridge, the inverse and the symmetrization
-act on the covariance as before.
+act on the covariance as before. The fit sorts ``MEDIAN_BLOCK_ROWS``
+coordinates (rows of the (p * m, n) layout) at a time, so a validation
+refit holds one block's sort buffer next to ``T``, not a second
+(n, p, m) array.
 
 At m > 1 a distance is taken through whitened maps. ``whiten`` factors
 each inverse covariance as ``inv_cov_p = L_p L_p^T`` (lower Cholesky) and
@@ -124,6 +127,7 @@ Estimator = Literal["max", "mean"]
 EPS_FLOOR = 1e-6  # lower bound of each m = 1 MAD
 RIDGE = 1e-6  # added to each m > 1 projected covariance before inverting
 SCORE_BLOCK_ROWS = 384  # rows per scoring block (see the module docstring)
+MEDIAN_BLOCK_ROWS = 256  # m > 1 coordinates the fit sorts at a time
 
 
 class Method(NamedTuple):
@@ -203,7 +207,14 @@ def fit_rpo_projected(T: np.ndarray, X: np.ndarray, U: ProjectionSet) -> RpoStat
         mad = np.maximum(_sort_rows_median(buf), EPS_FLOOR)
         return RpoStats(med=med, mad=mad, inv_cov=None)
 
-    med = _sort_rows_median(np.array(T.reshape(n, p * m).T, order="C")).reshape(p, m)
+    # each row of the (p * m, n) layout sorts on its own, so sorting a block
+    # of rows at a time gives the same medians and bounds the sort buffer
+    Tt = T.reshape(n, p * m).T
+    med = np.empty(p * m)
+    for start in range(0, p * m, MEDIAN_BLOCK_ROWS):
+        rows = slice(start, start + MEDIAN_BLOCK_ROWS)
+        med[rows] = _sort_rows_median(np.array(Tt[rows], order="C"))
+    med = med.reshape(p, m)
     cov = _projected_covariance(X, U) + RIDGE * np.eye(m)
     try:
         inv_cov = np.linalg.inv(cov)
