@@ -434,6 +434,15 @@ def _m_major_project(X, U):
     return (X @ maps).reshape(X.shape[0], U.p, U.m)
 
 
+def _undoubled_distances(T, stats):
+    """The Mahalanobis form over distinct pairs without doubling the off-diagonal terms."""
+    R = np.array(T.transpose(2, 0, 1), order="C") - stats.med.T[:, np.newaxis, :]
+    C = stats.inv_cov.transpose(1, 2, 0)
+    m = R.shape[0]
+    quad = sum(R[i] * C[i, j] * R[j] for i in range(m) for j in range(i, m))
+    return np.sqrt(np.maximum(quad, 0.0))
+
+
 def _mutated_whiten(U, stats, mutation):
     """``whiten`` with ``L_p^T`` folded in for ``L_p``, or its columns laid p-major.
 
@@ -487,6 +496,16 @@ def test_mutated_whitened_maps_break_distance_tolerance_by_far(shape, mutation):
     expected = oracle_distances(oracle_project(X, U), stats)
     assert mdim_deviation(D**2, expected**2, whitened_scale(X, U, stats)) > 1e-3
 
+
+
+@pytest.mark.parametrize("shape", [(3, 128, 16, 37), (2, 540, 2, 1000)], ids=shape_id)
+def test_undoubled_pairs_break_distance_tolerance_by_far(shape):
+    X, U = instance(*shape)
+    T = oracle_project(X, U)
+    stats = oracle_fit(T)
+    D = _undoubled_distances(T, stats)
+    expected = oracle_distances(T, stats)
+    assert mdim_deviation(D**2, expected**2, whitened_scale(X, U, stats)) > 1e-3
 
 # the gradient contract: bit for bit at m = 1, GRADIENT_RTOL at m > 1
 
