@@ -6,9 +6,19 @@ MAD of each projection's coordinates; the MAD is clamped from below by
 multidimensional projections, store the componentwise median and the
 inverse of the ridge-regularized sample covariance of the projected
 training points. Deep RPO refits these every batch, so the medians come
-from one in-place sort of a C-ordered (projections, rows) buffer, which the
-MAD then reuses for the absolute deviations and a second sort; the results
-equal ``np.median`` bit for bit.
+from one in-place sort of a C-ordered (projections, rows) buffer, and the
+MAD is selected from the same sorted rows without a second sort. On a
+sorted row x of n values with ``c = n // 2``, the deviations below the
+median, ``a_i = med - x[c-1-i]``, and above it, ``b_j = x[c+j] - med``, are
+two ascending runs, and they equal ``|x - med|`` bit for bit, because IEEE
+subtraction is sign-symmetric: ``med - x`` rounds to ``-(x - med)``. The
+MAD needs order statistics (n - 1) // 2 and n // 2 of the two runs merged,
+and both follow from one split point, found by a binary search of
+``ceil(log2(c))`` + 1 steps over all projections at once; each step takes
+two entries per row from the sorted buffer and compares their deviations.
+The MAD is then the order statistic, or the mean of the two, as
+``np.median`` takes it, so the medians and MADs equal ``np.median``'s bit for
+bit, ties, signed zeros, infinities and NaN included.
 
 Score stage: a query's per-projection normalized distance is
 ``|u^T x - med| / mad`` in the 1-D case and the robust Mahalanobis
@@ -201,10 +211,7 @@ def fit_rpo_projected(T: np.ndarray, X: np.ndarray, U: ProjectionSet) -> RpoStat
         # sorting it in place never writes to T
         buf = np.array(T[:, :, 0].T, order="C")
         med = _sort_rows_median(buf)
-        # the MAD is order-free, so it reuses the sorted buffer in place
-        np.subtract(buf, med[:, np.newaxis], out=buf)
-        np.abs(buf, out=buf)
-        mad = np.maximum(_sort_rows_median(buf), EPS_FLOOR)
+        mad = np.maximum(_sorted_rows_mad(buf, med), EPS_FLOOR)
         return RpoStats(med=med, mad=mad, inv_cov=None)
 
     # each row of the (p * m, n) layout sorts on its own, so sorting a block
@@ -257,6 +264,50 @@ def _sort_rows_median(buf: np.ndarray) -> np.ndarray:
     last = buf[:, -1]
     np.copyto(med, last, where=np.isnan(last))
     return med
+
+
+def _sorted_rows_mad(buf: np.ndarray, med: np.ndarray) -> np.ndarray:
+    """Unfloored MAD of each sorted row of ``buf`` about its median ``med``.
+
+    Equals ``np.median(np.abs(buf - med[:, None]), axis=1)`` bit for bit
+    without a second sort, and allocates nothing of ``buf``'s size (see the
+    module docstring). A row x splits at ``c = n // 2`` into two ascending
+    runs of deviations, ``a_i = med - x[c-1-i]`` and ``b_j = x[c+j] - med``;
+    a binary search over all rows at once finds ``i``, how many of the
+    ``t = (n - 1) // 2 + 1`` smallest deviations come from ``a``. A row with
+    a NaN or infinite median needs no case of its own: its NaN deviations
+    (an entry at an infinite median) and infinite ones reach the result
+    through the comparisons, ``maximum``, ``minimum`` and the masks as they
+    reach ``np.median``'s.
+    """
+    rows, n = buf.shape
+    c, t = n // 2, (n + 1) // 2
+    flat = buf.ravel()
+    start = np.arange(rows) * n
+    top = start + (c - 1)  # flat index of x[c-1-i], at i = 0 so far
+    # a_j is among the t smallest when a_j < b_{t-1-j}: true below i, false
+    # from i on; each step halves the window of j that holds i
+    length = c
+    while length > 1:
+        half = length // 2
+        q = top - half
+        np.subtract(top, half, out=top, where=med - flat.take(q) < flat.take(q + t) - med)
+        length -= half
+    if c:
+        top -= med - flat.take(top) < flat.take(top + t) - med
+    # order statistic t - 1 is the larger of a_{i-1} and b_{t-1-i}; past
+    # either run's end the index lands on a deviation of the other sign, <= 0
+    mad = np.maximum(med - flat.take(top + 1), flat.take(top + t) - med)
+    if n % 2 == 0:
+        # order statistic t is the smaller of a_i and b_{t-i}, which lie
+        # past their run's end at i = c and at i = 0
+        i = start + (c - 1) - top
+        below = np.where(i < c, med - flat.take(top, mode="clip"), np.inf)
+        above = np.where(i > 0, flat.take(top + t + 1, mode="clip") - med, np.inf)
+        mad += np.minimum(below, above)
+        mad /= 2
+    # a -0.0 or a NaN carried from the median takes the sign abs gives it
+    return np.abs(mad, out=mad)
 
 
 class Whitened(NamedTuple):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import rpo
 from rpo import scoring
+from rpo.errors import NumericError
 from rpo.projections import ProjectionSet, generate_projections, project
 from rpo.scoring import (
     EPS_FLOOR,
@@ -125,6 +126,22 @@ class TestFit:
             fit_rpo_projected(T, np.hstack([X, X[:, :1]]), U)
         with pytest.raises(ValueError, match="T holds 6 projections"):
             fit_rpo_projected(T, X, generate_projections(d=4, m=m, p=5, seed=1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scale", [1e4, 3.16e4, 4e4, 1e5])
+    def test_large_rank_one_rows_raise_or_score_finite(self, scale, seed):
+        # RIDGE is an absolute 1e-6, so from rows of about this scale it no
+        # longer keeps the m > 1 inverse usable; such a fit must then fail
+        # loudly, never score silently
+        rng = np.random.default_rng(seed)
+        X = np.outer(rng.standard_normal(60), rng.standard_normal(6)) * scale
+        U = generate_projections(6, 2, 200, seed)
+        try:
+            scores = score_batch(X, U, fit_rpo(X, U), "max")
+        except NumericError as exc:
+            assert "projected covariance" in str(exc)
+        else:
+            assert np.all(np.isfinite(scores))
 
 
 class TestScore:

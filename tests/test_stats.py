@@ -4,9 +4,11 @@ These two raw statistics (no Gaussian consistency factor; even-length
 medians average the two central order statistics) normalize every
 projected distance, so they are checked against a full-sort oracle. The
 stored MAD is floored at ``EPS_FLOOR``.
-``fit_rpo_projected`` reads them from one sorted buffer, so
-``TestBitExact`` also holds them to ``np.median`` byte for byte on many
-columns at once.
+``fit_rpo_projected`` reads them from one sorted buffer, the MAD by a
+binary search over each sorted row, so ``TestBitExact`` also holds them to
+``np.median`` byte for byte on many columns at once, at the sizes deep RPO
+refits on (its batches and its 540-row validation set), with long tied
+runs through the median, infinite entries and midpoints that overflow.
 """
 
 import numpy as np
@@ -178,6 +180,67 @@ def np_median_and_mad(T):
     return med, np.maximum(np.median(np.abs(coords - med), axis=0), EPS_FLOOR)
 
 
+def assert_fit_equals_np_median(T):
+    """The m = 1 fit equals the ``np.median`` oracle byte for byte.
+
+    Infinite entries and overflowing midpoints warn in both (every warning
+    fails a test), so both run with those warnings off.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        stats = fit(T)
+        med, mad = np_median_and_mad(T)
+    assert stats.med.tobytes() == med.tobytes()
+    assert stats.mad.tobytes() == mad.tobytes()
+
+
+# batch sizes and the validation refit's 540 rows, each side of a power of 2
+REFIT_SIZES = [1, 2, 3, 127, 128, 255, 256, 539, 540, 541]
+# a few values, so long tied runs pass through the median and its deviations
+TIED = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0])
+EXTREMES = [np.inf, -np.inf, 1e308, 1.7e308, -1e308, -1.7e308]
+
+
+def tied_columns(n, p, rng):
+    """(n, p, 1) coordinates mostly from ``TIED``, each column with its own weights.
+
+    The rest are normal draws, so that the two middle deviations of an even
+    column can differ.
+    """
+    T = np.empty((n, p, 1))
+    for j in range(p):
+        tied = rng.choice(TIED, size=n, p=rng.dirichlet(np.ones(len(TIED))))
+        T[:, j, 0] = np.where(rng.random(n) < j / p, rng.normal(size=n), tied)
+    return T
+
+
+def extreme_columns(n, rng):
+    """(n, 9, 1) coordinates with infinite entries or overflowing midpoints."""
+    normal = rng.normal(size=n)
+    halves = np.arange(n) < n // 2
+    columns = [
+        normal,
+        np.where(rng.random(n) < 0.2, np.inf, normal),  # a finite median
+        np.where(rng.random(n) < 0.6, np.inf, normal),  # mostly a median at inf
+        np.where(rng.random(n) < 0.6, -np.inf, normal),
+        rng.choice([-np.inf, np.inf], size=n),  # at even n, also -inf + inf
+        rng.permutation(np.where(halves, 1e308, 1.7e308)),  # the midpoint overflows
+        rng.permutation(np.where(halves, -1.7e308, -1e308)),
+        np.full(n, 1e308),  # 1e308 + 1e308 overflows too
+        rng.choice([-1.7e308, 0.0, 1.7e308], size=n),  # deviations overflow
+    ]
+    return np.stack(columns, axis=1)[:, :, np.newaxis]
+
+
+@st.composite
+def refit_sized(draw):
+    """Up to 600 rows drawn from a few values, some of them extreme."""
+    n = draw(st.integers(min_value=1, max_value=600))
+    p = draw(st.integers(min_value=1, max_value=6))
+    pool = draw(st.lists(st.one_of(values, st.sampled_from(EXTREMES)), min_size=1, max_size=6))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return np.random.default_rng(seed).choice(pool, size=(n, p, 1))
+
+
 class TestBitExact:
     @pytest.mark.parametrize("n", [2, 3, 4, 127, 128])
     def test_many_columns_at_fixed_n(self, n):
@@ -186,6 +249,18 @@ class TestBitExact:
         med, mad = np_median_and_mad(T)
         assert stats.med.tobytes() == med.tobytes()
         assert stats.mad.tobytes() == mad.tobytes()
+
+    @pytest.mark.parametrize("n", REFIT_SIZES)
+    def test_tied_columns_at_refit_sizes(self, n):
+        assert_fit_equals_np_median(tied_columns(n, 12, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("n", REFIT_SIZES + [4])
+    def test_infinite_and_overflowing_columns(self, n):
+        assert_fit_equals_np_median(extreme_columns(n, np.random.default_rng(n)))
+
+    @given(refit_sized())
+    def test_m1_statistics_at_refit_sizes_equal_np_median(self, T):
+        assert_fit_equals_np_median(T)
 
     @given(projected())
     def test_m1_median_and_mad_equal_np_median(self, T):
