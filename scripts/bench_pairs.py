@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark on a parent commit and on the working tree, in pairs.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --workload synthetic-m1 \\
+    python3 scripts/bench_pairs.py --parent HEAD~1 --workload synthetic-m1 [score-csv ...] \\
         --seeds 3000-3009 [--seconds 25] [--trace-seed 1000] [--out FILE]
 
 Run it from anywhere inside a git checkout. The parent side is a
@@ -14,13 +14,14 @@ should be held out: ``rpobench/reference.json`` pins seeds 0-9, so their
 outputs are checked there, and any seed's digests are compared across sides.
 
 It writes ``BENCH_<short-sha>.json`` at the repository root (``--out``
-overrides), named after the commit checked out, with every pair's
-end-to-end metrics, each metric's median, quartiles, IQR and win count per
-side, and the ``env`` that ``run.py`` prints. Metric names, their ``better``
-direction and the run length default come from ``BENCHMARK.json``.
-``--trace-seed`` adds one traced pair's per-layer metrics and names every
-count that differs. It exits 1 if any run fails, is not ``correct`` or
-counts a failed unit, and 0 otherwise; the file is written either way.
+overrides), named after the commit checked out. For each workload it holds
+every pair's end-to-end metrics and each metric's median, quartiles, IQR
+and win count per side; the file also holds the ``env`` that ``run.py``
+prints. Metric names, their ``better`` direction and the default run
+length come from ``BENCHMARK.json``. ``--trace-seed`` adds one traced pair
+per workload, with its per-layer metrics and the name of every count that
+differs. It exits 1 if any run fails, is not ``correct`` or counts a
+failed unit, and 0 otherwise; the file is written either way.
 """
 
 from __future__ import annotations
@@ -116,85 +117,102 @@ def run_ok(run: dict) -> bool:
         and run["result"]["failed"] == 0
 
 
+def values(run: dict) -> dict:
+    return {k: v["value"] for k, v in run["result"]["metrics"].items()}
+
+
+def measure_workload(bench: dict, trees: dict, workload: str, seeds: list[int], seconds: float,
+                     trace_seed: int | None, problems: list[str]) -> dict:
+    """Every pair of one workload, its summary and, with ``trace_seed``, one traced pair."""
+    command = [sys.executable, *bench["command"][1:]]
+
+    def pair(index: int, seed: int, trace: int) -> dict | None:
+        runs = {}
+        for side in order(index):
+            runs[side] = run_once(command, trees[side], workload, seed, seconds, trace)
+            if run_ok(runs[side]):
+                print(f"{workload} seed {seed} {side}: correct", file=sys.stderr)
+            else:
+                problems.append(f"{workload} seed {seed} {side} (trace {trace}): "
+                                + runs[side].get("error", runs[side].get("stderr", "")))
+        return runs if all("error" not in runs[side] for side in SIDES) else None
+
+    pairs, env = [], None
+    for index, seed in enumerate(seeds):
+        runs = pair(index, seed, 0)
+        if runs is None:
+            continue
+        env = runs["change"]["info"]["env"]
+        pairs.append({
+            "seed": seed,
+            "first": order(index)[0],
+            "metrics": {side: values(runs[side]) for side in SIDES},
+            "correct": {side: runs[side]["result"]["correct"] for side in SIDES},
+            "failed": {side: runs[side]["result"]["failed"] for side in SIDES},
+            "reference": {side: runs[side]["info"]["reference"] for side in SIDES},
+            "digests_equal": runs["parent"]["info"]["digests"]
+            == runs["change"]["info"]["digests"],
+        })
+    traced = None
+    if trace_seed is not None and (runs := pair(0, trace_seed, 1)) is not None:
+        layers = {side: values(runs[side]) for side in SIDES}
+        counts = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
+        traced = {"seed": trace_seed, **layers,
+                  "changed_counts": [k for k in counts
+                                     if layers["parent"].get(k) != layers["change"].get(k)]}
+    return {
+        "env": env,
+        "summary": summarize(pairs, bench["end_to_end"]) if pairs else None,
+        "pairs": pairs,
+        "traced": traced,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+",
+                        help="one or more workloads, each measured over every seed in turn")
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="one seed per pair: a comma-separated list of seeds or ranges a-b")
     parser.add_argument("--seconds", type=float,
                         help="each run's timed length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--trace-seed", type=int,
-                        help="also run one traced pair on this seed")
+                        help="also run one traced pair of each workload on this seed")
     parser.add_argument("--out", type=Path, help="default: BENCH_<short-sha>.json at the root")
     args = parser.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     bench = json.loads((root / "BENCHMARK.json").read_text())
-    command = [sys.executable, *bench["command"][1:]]
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     commits = {"parent": git(root, "rev-parse", args.parent), "change": git(root, "rev-parse", "HEAD")}
     dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
     out = args.out or root / f"BENCH_{commits['change'][:7]}.json"
 
-    pairs, problems, traced = [], [], None
+    problems, workloads = [], {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": root}
         trees["parent"].mkdir()
         archive = subprocess.run(["git", "archive", commits["parent"]], cwd=root, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+        for workload in args.workload:
+            workloads[workload] = measure_workload(bench, trees, workload, args.seeds, seconds,
+                                                   args.trace_seed, problems)
 
-        def pair(index: int, seed: int, trace: int) -> dict:
-            runs = {}
-            for side in order(index):
-                runs[side] = run_once(command, trees[side], args.workload, seed, seconds, trace)
-                if run_ok(runs[side]):
-                    print(f"seed {seed} {side}: correct", file=sys.stderr)
-                else:
-                    problems.append(f"seed {seed} {side} (trace {trace}): "
-                                    + runs[side].get("error", runs[side].get("stderr", "")))
-            return runs
-
-        for index, seed in enumerate(args.seeds):
-            runs = pair(index, seed, 0)
-            if all("error" not in runs[side] for side in SIDES):
-                pairs.append({
-                    "seed": seed,
-                    "first": order(index)[0],
-                    "metrics": {side: {k: v["value"] for k, v in
-                                       runs[side]["result"]["metrics"].items()}
-                                for side in SIDES},
-                    "correct": {side: runs[side]["result"]["correct"] for side in SIDES},
-                    "failed": {side: runs[side]["result"]["failed"] for side in SIDES},
-                    "reference": {side: runs[side]["info"]["reference"] for side in SIDES},
-                    "digests_equal": runs["parent"]["info"]["digests"]
-                    == runs["change"]["info"]["digests"],
-                })
-                env = runs["change"]["info"]["env"]
-        if args.trace_seed is not None:
-            runs = pair(0, args.trace_seed, 1)
-            if all("error" not in runs[side] for side in SIDES):
-                layers = {side: {k: v["value"] for k, v in
-                                 runs[side]["result"]["metrics"].items()} for side in SIDES}
-                counts = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
-                traced = {"seed": args.trace_seed, **layers,
-                          "changed_counts": [k for k in counts
-                                             if layers["parent"].get(k) != layers["change"].get(k)]}
-
+    envs = [w.pop("env") for w in workloads.values()]
     report = {
-        "workload": args.workload,
         "seconds": seconds,
+        "seeds": args.seeds,
         "commits": {**commits, "change_dirty": dirty},
-        "env": env if pairs else None,
-        "summary": summarize(pairs, bench["end_to_end"]) if pairs else None,
-        "pairs": pairs,
-        "traced": traced,
+        "env": next((e for e in envs if e is not None), None),
+        "workloads": workloads,
         "problems": problems,
     }
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)
-    return 1 if problems or len(pairs) < len(args.seeds) else 0
+    complete = all(len(w["pairs"]) == len(args.seeds) for w in workloads.values())
+    return 0 if complete and not problems else 1
 
 
 if __name__ == "__main__":
