@@ -3,7 +3,9 @@
 
 The ODDS distribution ships X (6435 x 36) and binary y (1 = outlier). The
 emitted CSV has feature columns f0..f35 and a `class` column with 0 for
-inliers and 1 for outliers, matching configs/satellite.yaml.
+inliers and 1 for outliers, matching configs/satellite.yaml. Each value is
+written as its repr, by ``rpo.data.write_numbers``, so the package must be
+installed (``pip install -e .``) or on ``PYTHONPATH``.
 
 Usage: python scripts/convert_satellite_mat.py satellite.mat data/satellite.csv
 """
@@ -12,12 +14,16 @@ import argparse
 import os
 import sys
 
+import numpy as np
 
-def main() -> int:
+from rpo.data import write_numbers
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("mat_path")
     parser.add_argument("csv_path")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     try:
         from scipy.io import loadmat
@@ -26,12 +32,9 @@ def main() -> int:
         return 1
 
     payload = loadmat(args.mat_path)
-    X, y = payload["X"], payload["y"].ravel().astype(int)
+    X, y = np.asarray(payload["X"], dtype=float), payload["y"].ravel().astype(int)
     os.makedirs(os.path.dirname(os.path.abspath(args.csv_path)), exist_ok=True)
-    with open(args.csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"f{i}" for i in range(X.shape[1])) + ",class\n")
-        for row, label in zip(X, y):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+    write_numbers(args.csv_path, [f"f{i}" for i in range(X.shape[1])] + ["class"], [*X.T, y])
     print(f"wrote {args.csv_path}: {X.shape[0]} rows, {X.shape[1]} features, "
           f"{int(y.sum())} outliers")
     return 0

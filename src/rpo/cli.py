@@ -16,16 +16,9 @@ from dataclasses import replace
 from . import data as datamod
 from .config import load_config
 from .errors import EXIT_USAGE, HANDLED, ConfigError, classify
-from .evaluation import ExperimentSpec, run_experiment, sweep
+from .evaluation import ExperimentSpec, aggregate_row, run_experiment, sweep
 from .model_io import load_model_checkpoint
-from .reporting import (
-    aggregate_rows_for_methods,
-    aggregate_rows_for_sweep,
-    render_report,
-    write_aggregate_csv,
-    write_history_csv,
-    write_results_csv,
-)
+from .reporting import render_report, write_aggregate_csv, write_history_csv, write_results_csv
 from .scoring import depth
 from .seeding import SEED_END
 
@@ -78,15 +71,14 @@ def _count_flag(value: int, flag: str) -> int:
 def cmd_bench(args) -> int:
     cfg = load_config(args.config)
     workers = _count_flag(args.workers, "--workers") or cfg.workers
-    base_spec = cfg.base_spec
+    specs = cfg.specs
     if _count_flag(args.seeds, "--seeds"):  # quick mode: first N seeds regardless of config
-        base_spec = replace(base_spec, seeds=tuple(range(args.seeds)))
+        specs = [replace(spec, seeds=tuple(range(args.seeds))) for spec in specs]
     if cfg.checkpoint_dir:
         os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     entries = []
-    for method in cfg.methods:
-        spec = replace(base_spec, method=method)
-        logger.info("running %s on %s (%d seeds)", method, spec.source, len(spec.seeds))
+    for spec in specs:
+        logger.info("running %s on %s (%d seeds)", spec.method, spec.source, len(spec.seeds))
         results = run_experiment(
             spec, workers=workers, checkpoint_dir=cfg.checkpoint_dir, progress=_log_seed
         )
@@ -94,7 +86,8 @@ def cmd_bench(args) -> int:
     _ensure_parent(cfg.results_path)
     _ensure_parent(cfg.aggregate_path)
     write_results_csv(cfg.results_path, entries)
-    write_aggregate_csv(cfg.aggregate_path, aggregate_rows_for_methods(entries))
+    write_aggregate_csv(cfg.aggregate_path,
+                        [aggregate_row(spec, "-", results) for spec, results in entries])
     if cfg.history_dir:
         os.makedirs(cfg.history_dir, exist_ok=True)
         for spec, results in entries:
@@ -113,12 +106,11 @@ def cmd_sweep(args) -> int:
     if cfg.sweep_axis is None:
         raise ConfigError("config has no sweep section (sweep.axis, sweep.values)")
     workers = _count_flag(args.workers, "--workers") or cfg.workers
-    if len(cfg.methods) > 1:
+    if len(cfg.specs) > 1:
         raise ConfigError("sweep runs a single method; give 'method', not 'methods'")
-    spec = cfg.base_spec  # its method is methods[0]
-    rows = sweep(spec, cfg.sweep_axis, cfg.sweep_values, workers=workers, progress=_log_seed)
+    rows = sweep(cfg.sweep_axis, cfg.sweep, workers=workers, progress=_log_seed)
     _ensure_parent(cfg.aggregate_path)
-    write_aggregate_csv(cfg.aggregate_path, aggregate_rows_for_sweep(spec.method, rows))
+    write_aggregate_csv(cfg.aggregate_path, rows)
     logger.info("wrote %s", cfg.aggregate_path)
     return EXIT_OK
 

@@ -16,20 +16,20 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import yaml
 
 from .errors import ConfigError, DataError
-from .evaluation import SYNTHETIC, ExperimentSpec, spec_for_axis_value
+from .evaluation import SYNTHETIC, ExperimentSpec
+from .projections import DropoutSpec
 
 
 @dataclass
 class RunConfig:
-    methods: list[str]
-    base_spec: ExperimentSpec
+    specs: list[ExperimentSpec]  # one per method, in the order the config lists them
     results_path: str = "out/results.csv"
     aggregate_path: str = "out/aggregate.csv"
     checkpoint_dir: str | None = None
     history_dir: str | None = None
     workers: int = 1
     sweep_axis: str | None = None
-    sweep_values: list = field(default_factory=list)
+    sweep: list = field(default_factory=list)  # a (label, spec) pair per sweep.values entry
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -137,8 +137,43 @@ RUN_SECTIONS = {
     "": {"workers": "workers"},
     "output": {"results": "results_path", "aggregate": "aggregate_path",
                "checkpoint_dir": "checkpoint_dir", "history_dir": "history_dir"},
-    "sweep": {"axis": "sweep_axis", "values": "sweep_values"},
+    "sweep": {"axis": "sweep_axis", "values": "sweep"},
 }
+# The key whose rule reads each sweep axis's values; alpha is a constant affine's.
+SWEEP_KEYS = {"n_projections": "model.n_projections", "rp_dim": "model.rp_dim",
+              "dropout": "model.dropout", "alpha": "protocol.affine",
+              "sad_ratio": "protocol.sad_ratio"}
+
+
+def _sweep_label(axis: str, value) -> str:
+    """A sweep value as written; a dropout value shows each rate, absent ones at their default."""
+    if axis == "dropout":
+        return "C={};P={}".format(*(value.get(name, getattr(DropoutSpec, name))
+                                    for name in ("components_rate", "projections_rate")))
+    return str(value)
+
+
+def sweep_points(base: ExperimentSpec, axis: str, values: list) -> list:
+    """``(label, spec)`` for each sweep value: ``base`` with the value read by its key's rule."""
+    if axis not in SWEEP_KEYS:
+        raise ConfigError(
+            f"sweep.axis: unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_KEYS)}"
+        )
+    if not values:
+        raise ConfigError("sweep.values must be a nonempty list")
+    key = SWEEP_KEYS[axis]
+    section, name = key.split(".")
+    points = []
+    for value in values:
+        try:
+            if value is None:  # the key reads null as its default, which sweeps nothing
+                raise ConfigError(f"{key} must not be null")
+            written = {"mode": "constant", "alpha": value} if axis == "alpha" else value
+            spec = replace(base, **_take(ExperimentSpec, {name: written}, section, [name]))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.values: bad {axis} value {value!r}: {exc}") from None
+        points.append((_sweep_label(axis, value), spec))
+    return points
 
 
 def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
@@ -157,7 +192,7 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
     if not methods:
         raise ConfigError("methods must be a nonempty list")
 
-    spec_kwargs = {"method": methods[0]}
+    spec_kwargs = {}
     seeds = raw.pop("seeds", None)
     if seeds is not None:
         spec_kwargs["seeds"] = _parse_seeds(seeds)
@@ -170,32 +205,20 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
         spec_kwargs.update(_take(ExperimentSpec, section, name, keys))
         _reject_unknown(section, name)
     source = spec_kwargs.get("source", SYNTHETIC)
-    if source != SYNTHETIC:
-        if not os.path.isabs(source):
-            spec_kwargs["source"] = os.path.normpath(os.path.join(config_dir, source))
-        spec_kwargs.setdefault("k_modes", 0)  # CSV sources: every normal class
-    dropout = spec_kwargs.get("dropout")
-    if dropout is not None and dropout.components_rate == dropout.projections_rate == 0.0:
-        spec_kwargs["dropout"] = None
+    if source != SYNTHETIC and not os.path.isabs(source):
+        spec_kwargs["source"] = os.path.normpath(os.path.join(config_dir, source))
 
     for name in ("output", "sweep"):
         section = _section(raw, name)
         run_kwargs.update(_take(RunConfig, section, name, RUN_SECTIONS[name]))
         _reject_unknown(section, name)
-    sweep_axis = run_kwargs.get("sweep_axis")
-    if sweep_axis is not None and not run_kwargs.get("sweep_values"):
-        raise ConfigError("sweep.values must be a nonempty list")
-
     _reject_unknown(raw, "")
 
-    # building a spec checks it: every method's, and every sweep value's
-    base_spec = ExperimentSpec(**spec_kwargs)
-    for m in methods[1:]:
-        replace(base_spec, method=m)
-    if sweep_axis is not None:  # a sweep runs methods[0], the method of base_spec
-        for value in run_kwargs["sweep_values"]:
-            spec_for_axis_value(base_spec, sweep_axis, value)
-    return RunConfig(methods=methods, base_spec=base_spec, **run_kwargs)
+    specs = [ExperimentSpec(method=m, **spec_kwargs) for m in methods]
+    values = run_kwargs.pop("sweep", [])
+    if run_kwargs.get("sweep_axis") is not None:  # a sweep runs the first method
+        run_kwargs["sweep"] = sweep_points(specs[0], run_kwargs["sweep_axis"], values)
+    return RunConfig(specs=specs, **run_kwargs)
 
 
 def load_config(path) -> RunConfig:
@@ -208,6 +231,7 @@ def load_config(path) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     cfg = parse_config(raw or {}, config_dir=os.path.dirname(os.path.abspath(path)))
-    if cfg.base_spec.source != SYNTHETIC and not os.path.exists(cfg.base_spec.source):
-        raise DataError(f"dataset file not found: {cfg.base_spec.source}")
+    source = cfg.specs[0].source
+    if source != SYNTHETIC and not os.path.exists(source):
+        raise DataError(f"dataset file not found: {source}")
     return cfg

@@ -19,7 +19,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -42,7 +42,6 @@ from .training import (
     train,
 )
 
-SWEEP_AXES = ("n_projections", "rp_dim", "dropout", "alpha", "sad_ratio")
 SYNTHETIC = "synthetic"
 # the YAML key that sets each count of data.plan_counts
 _COUNT_KEYS = {"n_test": "protocol.test_fraction", "n_val": "dataset.n_per_mode",
@@ -58,7 +57,7 @@ class ExperimentSpec:
     source: str = SYNTHETIC  # SYNTHETIC or a dataset CSV path
     label_column: str = datamod.LABEL_COLUMN
     normal_class_ids: tuple = (0,)
-    k_modes: int = 2  # synthetic: blob count; CSV: classes picked per seed (0 = all normals)
+    k_modes: int | None = None  # synthetic blobs (2); CSV classes picked per seed (0: all normals)
     dim: int = 16
     n_per_mode: int = 500
     anomaly_n: int = 300
@@ -134,14 +133,14 @@ class ExperimentSpec:
                 f"protocol.test_fraction must lie in (0, 1), got {self.test_fraction}"
             )
         if self.source == SYNTHETIC:
-            if self.k_modes < 1:
+            if self.resolved_k_modes < 1:
                 raise ConfigError(
                     f"dataset.k_modes must be >= 1 for a synthetic source, got {self.k_modes}"
                 )
             if self.n_per_mode < 1:
                 raise ConfigError(f"dataset.n_per_mode must be >= 1, got {self.n_per_mode}")
             try:  # training.train needs 2 train rows; a shallow fit needs 1
-                datamod.plan_counts(self.k_modes, self.n_per_mode, self.anomaly_n,
+                datamod.plan_counts(self.resolved_k_modes, self.n_per_mode, self.anomaly_n,
                                     self.test_fraction, self.val_fraction, self.contamination,
                                     self.sad_ratio, min_train=2 if parts.encoder else 1)
             except datamod.CountError as exc:
@@ -173,6 +172,12 @@ class ExperimentSpec:
             return self.n_projections
         return 500 if self.is_deep else 1000
 
+    @property
+    def resolved_k_modes(self) -> int:
+        if self.k_modes is not None:
+            return self.k_modes
+        return 2 if self.source == SYNTHETIC else 0
+
 
 @dataclass
 class SeedResult:
@@ -199,26 +204,29 @@ def _load_source(path: str, label_column: str, normal_class_ids: tuple) -> Datas
 def _assemble_dataset(
     spec: ExperimentSpec, seed: int
 ) -> tuple[Dataset, tuple, np.ndarray, np.ndarray]:
+    k_modes = spec.resolved_k_modes
     if spec.source == SYNTHETIC:
         raw = datamod.generate_multimodal(
-            spec.k_modes,
+            k_modes,
             spec.dim,
             spec.n_per_mode,
             spec.anomaly_n,
             seed=sub_seed(seed, "datagen"),
             test_fraction=spec.test_fraction,
         )
-        chosen = tuple(range(spec.k_modes))
+        chosen = tuple(range(k_modes))
         ds = datamod.split(raw, spec.val_fraction, sub_seed(seed, "split"))
     else:
-        raw = _load_source(str(spec.source), spec.label_column, tuple(spec.normal_class_ids))
-        if spec.k_modes > 0:
+        # a class pick relabels by the classes it picks, so it reads no normal class ids
+        normal_ids = () if k_modes > 0 else tuple(spec.normal_class_ids)
+        raw = _load_source(str(spec.source), spec.label_column, normal_ids)
+        if k_modes > 0:
             classes = np.unique(raw.class_id)
-            if spec.k_modes > classes.size:
+            if k_modes > classes.size:
                 raise DataError(
-                    f"k_modes={spec.k_modes} exceeds the {classes.size} classes in {spec.source}"
+                    f"k_modes={k_modes} exceeds the {classes.size} classes in {spec.source}"
                 )
-            picked = sub_rng(seed, "classpick").choice(classes, size=spec.k_modes, replace=False)
+            picked = sub_rng(seed, "classpick").choice(classes, size=k_modes, replace=False)
             chosen = tuple(sorted(int(c) for c in picked))
             raw = datamod.relabel_by_normal_classes(raw, chosen)
         else:
@@ -362,79 +370,38 @@ def aggregate(results: list[SeedResult]) -> tuple[float, float]:
     return mean_std([r.test_auc for r in results])
 
 
-@dataclass
-class SweepRow:
-    value: str
-    mean_auc: float
-    std_auc: float
-    n_seeds: int
-    gap_mean: float | None = None  # alpha axis: paired mean AUC gap vs alpha=1.0
-    gap_std: float | None = None
+def aggregate_row(spec: ExperimentSpec, label: str, results: list[SeedResult],
+                  baseline: list[SeedResult] | None = None) -> tuple:
+    """The aggregate CSV row ``(method, axis_value, mean, std, n, gap_mean, gap_std)``.
 
-
-def _as_dropout(value) -> DropoutSpec:
-    return value if isinstance(value, DropoutSpec) else DropoutSpec(**dict(value))
-
-
-def spec_for_axis_value(base: ExperimentSpec, axis: str, value) -> ExperimentSpec:
-    """``base`` with one sweep value applied; a value that does not convert is a ConfigError."""
-    try:
-        if axis == "n_projections":
-            return replace(base, n_projections=int(value))
-        if axis == "rp_dim":
-            return replace(base, rp_dim=int(value))
-        if axis == "dropout":
-            return replace(base, dropout=_as_dropout(value))
-        if axis == "alpha":
-            return replace(base, affine=AffineSpec(mode="constant", alpha=float(value)))
-        if axis == "sad_ratio":
-            return replace(base, sad_ratio=float(value))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep.values: bad {axis} value {value!r}: {exc}") from None
-    raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-
-
-def _axis_value_str(axis: str, value) -> str:
-    if axis == "dropout":
-        spec = _as_dropout(value)
-        return f"C={spec.components_rate};P={spec.projections_rate}"
-    return str(value)
-
-
-def sweep(
-    base: ExperimentSpec,
-    axis: str,
-    values,
-    workers: int = 1,
-    progress=None,
-) -> list[SweepRow]:
-    """Run the base spec once per axis value; one aggregate row per value.
-
-    The alpha axis changes nothing the fit reads, so it fits each seed once
-    and evaluates it under every value, then unperturbed: the baseline of
-    the per-seed mean/std AUC gap. The other axes run once per value.
+    The gap is each seed's test AUC minus ``baseline``'s; without a baseline it is empty.
     """
-    values = list(values)
-    if not values:
-        raise ConfigError("sweep values list is empty")
-    if axis in ("n_projections", "rp_dim", "dropout") and METHODS[base.method].center:
-        raise ConfigError(f"axis {axis!r} does not apply to {base.method}")
+    gap = (None, None)
+    if baseline is not None:
+        gap = mean_std([r.test_auc - b.test_auc for r, b in zip(results, baseline)])
+    return (spec.method, label, *aggregate(results), len(results), *gap)
 
-    specs = [spec_for_axis_value(base, axis, value) for value in values]
+
+def sweep(axis: str, points: list, workers: int = 1, progress=None) -> list[tuple]:
+    """Run each ``(label, spec)`` point of a sweep along ``axis``; one aggregate row per point.
+
+    The points differ from each other in ``axis`` alone (``config.sweep_points``
+    makes them). The alpha axis changes nothing the fit reads, so it fits each
+    seed once and evaluates it under every point's affine, then unperturbed:
+    the baseline of the per-seed mean/std AUC gap. The other axes run once
+    per point.
+    """
+    specs = [spec for _, spec in points]
+    if axis in ("n_projections", "rp_dim", "dropout") and METHODS[specs[0].method].center:
+        raise ConfigError(f"axis {axis!r} does not apply to {specs[0].method}")
+
     baseline = None
     if axis == "alpha":
-        run_seed = partial(_evaluate_affines, base, [spec.affine for spec in specs])
+        run_seed = partial(_evaluate_affines, specs[0], [spec.affine for spec in specs])
         # one log line per fitted seed, with its unperturbed test AUC
         log = progress and (lambda results: progress(results[-1]))
-        *per_value, baseline = zip(*_map_seeds(run_seed, base.seeds, workers, log))
+        *per_point, baseline = zip(*_map_seeds(run_seed, specs[0].seeds, workers, log))
     else:
-        per_value = [run_experiment(spec, workers=workers, progress=progress) for spec in specs]
-
-    rows = []
-    for value, results in zip(values, per_value):
-        row = SweepRow(_axis_value_str(axis, value), *aggregate(results), len(results))
-        if baseline is not None:
-            gaps = [r.test_auc - b.test_auc for r, b in zip(results, baseline)]
-            row.gap_mean, row.gap_std = mean_std(gaps)
-        rows.append(row)
-    return rows
+        per_point = [run_experiment(spec, workers=workers, progress=progress) for spec in specs]
+    return [aggregate_row(spec, label, results, baseline)
+            for (label, spec), results in zip(points, per_point)]

@@ -12,7 +12,7 @@ from collections import defaultdict
 
 from .data import csv_rows, write_csv
 from .errors import DataError
-from .evaluation import ExperimentSpec, SeedResult, SweepRow, aggregate
+from .evaluation import ExperimentSpec, SeedResult
 from .metrics import mean_std, truncate
 
 RESULTS_HEADER = ["method", "dataset", "k_modes", "seed", "best_epoch", "val_auc", "test_auc"]
@@ -24,7 +24,8 @@ def write_results_csv(path, entries: list[tuple[ExperimentSpec, list[SeedResult]
         path,
         RESULTS_HEADER,
         (
-            [spec.method, spec.source, spec.k_modes, r.seed, r.best_epoch, r.val_auc, r.test_auc]
+            [spec.method, spec.source, spec.resolved_k_modes, r.seed, r.best_epoch, r.val_auc,
+             r.test_auc]
             for spec, results in entries
             for r in results
         ),
@@ -33,23 +34,6 @@ def write_results_csv(path, entries: list[tuple[ExperimentSpec, list[SeedResult]
 
 def write_aggregate_csv(path, rows: list[tuple[str, str, float, float, int, float | None, float | None]]) -> None:
     write_csv(path, AGGREGATE_HEADER, rows)
-
-
-def aggregate_rows_for_methods(
-    entries: list[tuple[ExperimentSpec, list[SeedResult]]]
-) -> list[tuple]:
-    rows = []
-    for spec, results in entries:
-        mean, std = aggregate(results)
-        rows.append((spec.method, "-", mean, std, len(results), None, None))
-    return rows
-
-
-def aggregate_rows_for_sweep(method: str, sweep_rows: list[SweepRow]) -> list[tuple]:
-    return [
-        (method, row.value, row.mean_auc, row.std_auc, row.n_seeds, row.gap_mean, row.gap_std)
-        for row in sweep_rows
-    ]
 
 
 def write_history_csv(path, history) -> None:

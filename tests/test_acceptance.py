@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from rpo.cli import main as cli_main
+from rpo.config import sweep_points
 from rpo.encoder import init_encoder
 from rpo.evaluation import ExperimentSpec, aggregate, run_experiment, sweep
 from rpo.metrics import roc_auc
@@ -225,13 +226,14 @@ def test_criterion_6_satellite_reproduction():
 
 
 def test_criterion_7_affine_stability():
-    rows = sweep(SYNTHETIC_BENCH, "alpha", [0.8, 0.95, 1.0, 1.05, 1.2])
-    by_alpha = {row.value: row for row in rows}
-    auc_at_1 = by_alpha["1.0"].mean_auc
-    near_ok = all(abs(by_alpha[a].gap_mean) < 0.02 for a in ("0.95", "1.05"))
+    rows = sweep("alpha", sweep_points(SYNTHETIC_BENCH, "alpha", [0.8, 0.95, 1.0, 1.05, 1.2]))
+    # (mean test AUC, mean gap to alpha = 1.0) by alpha label
+    by_alpha = {label: (mean, gap_mean) for _, label, mean, _, _, gap_mean, _ in rows}
+    auc_at_1 = by_alpha["1.0"][0]
+    near_ok = all(abs(by_alpha[a][1]) < 0.02 for a in ("0.95", "1.05"))
     floor = 0.5 + 0.2 * (auc_at_1 - 0.5)
-    far_ok = all(by_alpha[a].mean_auc >= floor for a in ("0.8", "1.2"))
-    detail = ", ".join(f"α={r.value}:{r.mean_auc:.4f}" for r in rows)
+    far_ok = all(by_alpha[a][0] >= floor for a in ("0.8", "1.2"))
+    detail = ", ".join(f"α={label}:{mean:.4f}" for label, (mean, _) in by_alpha.items())
     report(7, "post-training affine perturbation keeps AUC stable", near_ok and far_ok, f"[{detail}]")
 
 

@@ -2,18 +2,20 @@ import csv
 import io
 import pathlib
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from rpo import evaluation
+from rpo import cli, evaluation
 from rpo.cli import build_parser, main
 from rpo.config import load_config, parse_config
-from rpo.data import generate_multimodal, load_csv
+from rpo.data import AffineSpec, generate_multimodal, load_csv, write_numbers
 from rpo.errors import ConfigError, DataError, NumericError
-from rpo.evaluation import ExperimentSpec
+from rpo.evaluation import ExperimentSpec, run_experiment
 from rpo.model_io import load_model_checkpoint
+from rpo.projections import DropoutSpec
 from rpo.scoring import depth
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -70,11 +72,11 @@ class TestConfig:
 
     def test_seeds_int_shorthand(self):
         cfg = parse_config({"method": "rpo-max", "seeds": 3})
-        assert cfg.base_spec.seeds == (0, 1, 2)
+        assert [spec.seeds for spec in cfg.specs] == [(0, 1, 2)]
 
     def test_method_defaults_projection_counts(self):
-        shallow = parse_config({"method": "rpo-max"}).base_spec
-        deep = parse_config({"method": "deep-rpo-mean"}).base_spec
+        (shallow,) = parse_config({"method": "rpo-max"}).specs
+        (deep,) = parse_config({"method": "deep-rpo-mean"}).specs
         assert shallow.resolved_projections == 1000
         from dataclasses import replace
 
@@ -88,7 +90,16 @@ class TestConfig:
 
     def test_methods_list(self):
         cfg = parse_config({"methods": ["rpo-max", "deep-svdd"]})
-        assert cfg.methods == ["rpo-max", "deep-svdd"]
+        assert [spec.method for spec in cfg.specs] == ["rpo-max", "deep-svdd"]
+
+    @pytest.mark.parametrize("dataset, k_modes", [({}, 2), ({"source": "c.csv"}, 0)])
+    def test_library_and_config_share_the_k_modes_default(self, tmp_path, dataset, k_modes):
+        # synthetic: two blobs; CSV: every normal class
+        dataset = {key: str(tmp_path / value) for key, value in dataset.items()}
+        (from_config,) = parse_config({"method": "rpo-max", "dataset": dataset}).specs
+        from_library = ExperimentSpec(method="rpo-max", **dataset)
+        assert from_config == from_library
+        assert from_library.resolved_k_modes == k_modes
 
     def test_method_and_methods_conflict(self):
         with pytest.raises(ConfigError):
@@ -97,7 +108,7 @@ class TestConfig:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
     def test_every_shipped_config_parses(self, path):
         cfg = parse_config(yaml.safe_load(path.read_text()), config_dir=str(path.parent))
-        assert cfg.methods
+        assert cfg.specs
 
 
 class TestGenData:
@@ -170,6 +181,30 @@ class TestBench:
         assert run_cli("bench", "-c", str(cfg_path)) == 0
         aggregate = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
         assert len(aggregate) == 3  # header + one row per method
+
+    @pytest.mark.parametrize("seeds_flag", [None, 1])
+    def test_bench_runs_the_specs_of_the_config(self, tmp_path, monkeypatch, seeds_flag):
+        seen = []
+
+        def recording(spec, **kwargs):
+            seen.append(spec)
+            return run_experiment(spec, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, seeds=[3, 1], methods=["rpo-max", "rpo-mean", "deep-svdd"],
+                     model={"n_projections": 20, "dropout": {"components_rate": 0.2}},
+                     protocol={"affine": {"mode": "constant", "alpha": 1.1}})
+        cfg = yaml.safe_load(cfg_path.read_text())
+        del cfg["method"]
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        flag = [] if seeds_flag is None else ["--seeds", str(seeds_flag)]
+        assert run_cli("bench", "-c", str(cfg_path), *flag) == 0
+        expected = load_config(cfg_path).specs
+        assert [spec.method for spec in expected] == ["rpo-max", "rpo-mean", "deep-svdd"]
+        if seeds_flag is not None:  # quick mode: the first N seeds, whatever the config lists
+            expected = [replace(spec, seeds=(0,)) for spec in expected]
+        assert seen == expected
 
     def test_seeds_quick_mode_single_row(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
@@ -381,6 +416,31 @@ class TestBench:
             errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
             assert any("model.rp_dim 40" in e and "36 features" in e for e in errors)
 
+    def test_class_pick_reads_no_normal_class_ids(self, tmp_path, caplog):
+        # classes 1-3 only: a pick of one class runs, whatever dataset.normal_class_ids says,
+        # while k_modes 0 (every normal class) still needs the normal ids to be present
+        ds = generate_multimodal(3, 4, 60, 40, seed=0, test_fraction=0.0)
+        rows = ds.class_id != 0
+        csv_path = tmp_path / "c.csv"
+        write_numbers(csv_path, ["f0", "f1", "f2", "f3", "class"],
+                      [*ds.X[rows].T, ds.class_id[rows]])
+        results = tmp_path / "out" / "results.csv"
+        written = {}
+        for name, dataset in [("default ids", {}), ("other ids", {"normal_class_ids": [2, 3]})]:
+            cfg_path = tmp_path / "c.yaml"
+            write_config(cfg_path, dataset={"source": str(csv_path), "k_modes": 1, **dataset})
+            assert run_cli("bench", "-c", str(cfg_path)) == 0
+            written[name] = results.read_bytes()
+        assert written["default ids"] == written["other ids"]
+        assert [row.split(",")[2] for row in written["default ids"].decode().splitlines()] == [
+            "k_modes", "1", "1"]
+        results.unlink()
+        write_config(cfg_path, dataset={"source": str(csv_path), "k_modes": 0})
+        assert run_cli("bench", "-c", str(cfg_path)) == 2
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("unknown class id(s) [0] not present" in e for e in errors), errors
+        assert not results.exists()
+
     def test_history_emission(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
         write_config(
@@ -421,6 +481,19 @@ class TestSweepCommand:
             {"axis": "n_projections", "values": [20, "abc"]},
             {"axis": "alpha", "values": [0.9, float("nan")]},
             {"axis": "alpha", "values": [0.9, float("inf")]},
+            # each value is read by its key's rule: no truncated count, no bool as a number
+            {"axis": "rp_dim", "values": [1, 1.5]},
+            {"axis": "rp_dim", "values": [True]},
+            {"axis": "n_projections", "values": [20, 20.7]},
+            {"axis": "n_projections", "values": [True]},
+            {"axis": "alpha", "values": [True]},
+            {"axis": "alpha", "values": [0.9, False]},
+            {"axis": "sad_ratio", "values": [True]},
+            {"axis": "sad_ratio", "values": [False]},
+            # null would read as the key's default, which names no sweep point
+            {"axis": "n_projections", "values": [20, None]},
+            {"axis": "dropout", "values": [None]},
+            {"axis": "rp_dim", "values": [None]},
         ],
     )
     def test_bad_sweep_value_exits_1_before_any_seed(self, tmp_path, monkeypatch, caplog, sweep):
@@ -428,7 +501,9 @@ class TestSweepCommand:
         # every sweep axis runs its seeds through _map_seeds
         monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, sweep=sweep)
+        # sad_ratio needs a deep-rpo method; the others run on rpo-max
+        write_config(cfg_path, sweep=sweep,
+                     method="deep-rpo-mean" if sweep["axis"] == "sad_ratio" else "rpo-max")
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
         assert ran == []
         assert any("sweep.values" in r.message for r in caplog.records if r.levelname == "ERROR")
@@ -443,6 +518,55 @@ class TestSweepCommand:
         assert ran == []
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any("'bananas'" in e for e in errors), errors
+
+    @pytest.mark.parametrize(
+        "axis, values, labels, field, spec_values",
+        [
+            ("n_projections", [10, 20.0, "30"], ["10", "20.0", "30"], "n_projections",
+             [10, 20, 30]),
+            ("rp_dim", [1, 2.0, "3"], ["1", "2.0", "3"], "rp_dim", [1, 2, 3]),
+            ("alpha", [0.8, 1, 1.0, "1.2"], ["0.8", "1", "1.0", "1.2"], "affine",
+             [AffineSpec(alpha=a) for a in (0.8, 1.0, 1.0, 1.2)]),
+            ("sad_ratio", [0, 0.1, "0.2"], ["0", "0.1", "0.2"], "sad_ratio", [0.0, 0.1, 0.2]),
+            ("dropout",
+             [{"components_rate": 0}, {"components_rate": 0.25, "projections_rate": 0.1},
+              {"projections_rate": 0.5}, {"components_rate": 0, "projections_rate": 0},
+              {"projections_rate": "0.3"}],
+             ["C=0;P=0.0", "C=0.25;P=0.1", "C=0.0;P=0.5", "C=0;P=0", "C=0.0;P=0.3"], "dropout",
+             [DropoutSpec(0.0, 0.0), DropoutSpec(0.25, 0.1), DropoutSpec(0.0, 0.5),
+              DropoutSpec(0.0, 0.0), DropoutSpec(0.0, 0.3)]),
+        ],
+    )
+    def test_labels_are_the_values_as_written(self, axis, values, labels, field, spec_values):
+        # the labels the aggregate CSV has always carried, for values written as int,
+        # float and string; a dropout rate written as a string is newly accepted
+        method = "deep-rpo-mean" if axis in ("sad_ratio", "n_projections") else "rpo-max"
+        cfg = parse_config({"method": method, "dataset": {"dim": 6},
+                            "sweep": {"axis": axis, "values": values}})
+        assert [label for label, _ in cfg.sweep] == labels
+        assert [getattr(spec, field) for _, spec in cfg.sweep] == spec_values
+        (base,) = cfg.specs
+        assert all(replace(spec, **{field: getattr(base, field)}) == base for _, spec in cfg.sweep)
+
+    def test_sweep_labels_reach_the_aggregate_csv(self, tmp_path):
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, seeds=[0], sweep={"axis": "rp_dim", "values": [1, 2.0, "3"]})
+        assert run_cli("sweep", "-c", str(cfg_path)) == 0
+        with open(tmp_path / "out" / "aggregate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[:2] for row in rows] == [["rpo-max", "1"], ["rpo-max", "2.0"], ["rpo-max", "3"]]
+
+    def test_projection_axis_on_deep_svdd(self, tmp_path, caplog):
+        # bench ignores the sweep section; sweep rejects an axis the method has no use for
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, method="deep-svdd", seeds=[0],
+                     sweep={"axis": "n_projections", "values": [10, 20]})
+        assert run_cli("bench", "-c", str(cfg_path)) == 0
+        (tmp_path / "out" / "aggregate.csv").unlink()
+        assert run_cli("sweep", "-c", str(cfg_path)) == 1
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("'n_projections' does not apply to deep-svdd" in e for e in errors), errors
+        assert not (tmp_path / "out" / "aggregate.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["bench", "sweep"])
@@ -469,7 +593,7 @@ def test_config_seed_outside_32_bits_exits_1_naming_seeds(tmp_path, monkeypatch,
     cfg_path = tmp_path / "c.yaml"
     write_config(cfg_path, seeds=[seed])
     if runs:
-        assert load_config(cfg_path).base_spec.seeds == (seed,)
+        assert [spec.seeds for spec in load_config(cfg_path).specs] == [(seed,)]
         return
     assert run_cli("bench", "-c", str(cfg_path)) == 1
     assert ran == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpo import evaluation
+from rpo.config import sweep_points
 from rpo.data import ANOMALY, NORMAL, TEST, TRAIN, VAL, AffineSpec, load_csv, plan_counts
 from rpo.encoder import AdamState, init_adam
 from rpo.errors import ConfigError, DataError, RpoError
@@ -19,7 +20,6 @@ from rpo.evaluation import (
     aggregate,
     run_experiment,
     run_single_seed,
-    spec_for_axis_value,
     sweep,
 )
 from rpo.metrics import _midranks, mean_std, roc_auc, truncate
@@ -209,7 +209,10 @@ class TestCountPlan:
         except ConfigError as exc:
             assert any(key in str(exc) for key in evaluation._COUNT_KEYS.values()), exc
             defaults = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
-            spec, accepted = types.SimpleNamespace(**{**defaults, **values}), False
+            # the unchecked spec, with the blob count its property would resolve
+            spec = types.SimpleNamespace(**{**defaults, **values},
+                                         resolved_k_modes=values["k_modes"])
+            accepted = False
         else:
             accepted = True
         try:
@@ -355,70 +358,80 @@ class TestRunExperiment:
         assert not np.array_equal(arrays_a["proj_entries"], runs["other"][1]["proj_entries"])
 
 
+def run_sweep(base, axis, values, **kwargs):
+    """Sweep ``base`` over ``values``; rows as ``(label, mean, std, n, gap_mean, gap_std)``."""
+    rows = sweep(axis, sweep_points(base, axis, values), **kwargs)
+    assert all(row[0] == base.method for row in rows)
+    return [row[1:] for row in rows]
+
+
 class TestSweep:
     def test_projection_count_axis(self):
-        rows = sweep(quick_spec(method="deep-rpo-mean", epochs=2), "n_projections", [10, 20])
-        assert [row.value for row in rows] == ["10", "20"]
-        assert all(row.n_seeds == 2 for row in rows)
+        rows = run_sweep(quick_spec(method="deep-rpo-mean", epochs=2), "n_projections", [10, 20])
+        assert [row[0] for row in rows] == ["10", "20"]
+        assert all(row[3] == 2 for row in rows)
 
     def test_alpha_axis_has_gap_column(self):
-        rows = sweep(quick_spec(), "alpha", [0.9, 1.0, 1.1])
-        gaps = {row.value: row.gap_mean for row in rows}
+        rows = run_sweep(quick_spec(), "alpha", [0.9, 1.0, 1.1])
+        gaps = {label: gap_mean for label, _, _, _, gap_mean, _ in rows}
         assert gaps["1.0"] == pytest.approx(0.0, abs=1e-15)
-        assert all(row.gap_mean is not None for row in rows)
+        assert all(gap is not None for gap in gaps.values())
 
     def test_alpha_axis_without_baseline_value(self):
-        rows = sweep(quick_spec(), "alpha", [0.8])
-        assert rows[0].gap_mean is not None
+        rows = run_sweep(quick_spec(), "alpha", [0.8])
+        assert rows[0][4] is not None
 
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigError):
-            sweep(quick_spec(), "alpha", [])
+            sweep_points(quick_spec(), "alpha", [])
 
     def test_invalid_axis_rejected(self, monkeypatch):
         ran = []
         monkeypatch.setattr(evaluation, "run_single_seed", lambda *a, **k: ran.append(a))
         with pytest.raises(ConfigError, match="unknown sweep axis 'bananas'"):
-            sweep(quick_spec(), "bananas", [1])
+            run_sweep(quick_spec(), "bananas", [1])
         assert ran == []
 
     def test_bad_value_rejected_before_any_seed_runs(self, monkeypatch):
         ran = []
         monkeypatch.setattr(evaluation, "run_single_seed", lambda *a, **k: ran.append(a))
         with pytest.raises(ConfigError, match="model.n_projections"):
-            sweep(quick_spec(), "n_projections", [10, 0])
+            run_sweep(quick_spec(), "n_projections", [10, 0])
         assert ran == []
 
     def test_axis_method_compatibility(self):
         with pytest.raises(ConfigError):
-            sweep(quick_spec(method="deep-svdd"), "n_projections", [10])
+            run_sweep(quick_spec(method="deep-svdd"), "n_projections", [10])
         with pytest.raises(ConfigError):
-            sweep(quick_spec(), "sad_ratio", [0.0, 0.1])
+            run_sweep(quick_spec(), "sad_ratio", [0.0, 0.1])
 
     def test_dropout_axis(self):
-        rows = sweep(
+        rows = run_sweep(
             quick_spec(),
             "dropout",
-            [{"components_rate": 0.1}, DropoutSpec(projections_rate=0.3)],
+            [{"components_rate": 0.1}, {"projections_rate": 0.3}],
         )
-        assert rows[0].value == "C=0.1;P=0.0"
-        assert rows[1].value == "C=0.0;P=0.3"
+        assert rows[0][0] == "C=0.1;P=0.0"
+        assert rows[1][0] == "C=0.0;P=0.3"
 
     def test_sweep_matches_direct_run(self):
         spec = quick_spec(method="deep-rpo-mean", epochs=2)
-        rows = sweep(spec, "rp_dim", [2])
+        rows = run_sweep(spec, "rp_dim", [2])
         direct = run_experiment(replace(spec, rp_dim=2))
-        assert rows[0].mean_auc == aggregate(direct)[0]
+        assert rows[0][1] == aggregate(direct)[0]
 
 
 def alpha_rows_run_per_value(base, values):
     """The alpha sweep as separate experiments: one per value, and one at alpha = 1.0 for the gap."""
-    baseline = run_experiment(spec_for_axis_value(base, "alpha", 1.0))
+    def alpha_spec(value):
+        return replace(base, affine=AffineSpec(mode="constant", alpha=value))
+
+    baseline = run_experiment(alpha_spec(1.0))
     rows = []
     for value in values:
-        results = run_experiment(spec_for_axis_value(base, "alpha", value))
+        results = run_experiment(alpha_spec(value))
         gaps = [r.test_auc - b.test_auc for r, b in zip(results, baseline)]
-        rows.append((str(value), *aggregate(results), *mean_std(gaps)))
+        rows.append((str(value), *aggregate(results), len(results), *mean_std(gaps)))
     return rows
 
 
@@ -436,9 +449,8 @@ class TestAlphaSweepFitsOnce:
     )
     def test_equals_an_experiment_per_value(self, method, values, workers):
         base = quick_spec(method=method, epochs=2)
-        rows = sweep(base, "alpha", values, workers=workers)
-        got = [(r.value, r.mean_auc, r.std_auc, r.gap_mean, r.gap_std) for r in rows]
-        assert got == alpha_rows_run_per_value(base, values)
+        rows = run_sweep(base, "alpha", values, workers=workers)
+        assert rows == alpha_rows_run_per_value(base, values)
 
     def test_trains_each_seed_once(self, monkeypatch):
         trained = []
@@ -450,7 +462,7 @@ class TestAlphaSweepFitsOnce:
         monkeypatch.setattr(evaluation, "train", counting_train)
         base = quick_spec(method="deep-rpo-mean", epochs=2, seeds=(0, 1, 2))
         logged = []
-        rows = sweep(base, "alpha", [0.8, 0.9, 1.1, 1.2], progress=logged.append)
+        rows = run_sweep(base, "alpha", [0.8, 0.9, 1.1, 1.2], progress=logged.append)
         assert len(rows) == 4
         assert trained == [sub_seed(seed, "train") for seed in base.seeds]
         # one log line per fitted seed, carrying its unperturbed test AUC
@@ -461,4 +473,4 @@ class TestAlphaSweepFitsOnce:
         base = quick_spec(method="deep-rpo-mean", epochs=2)
         perturbed = replace(base, affine=AffineSpec(mode="uniform_range", low=0.2, high=3.0))
         assert aggregate(run_experiment(perturbed)) != aggregate(run_experiment(base))
-        assert sweep(perturbed, "alpha", [0.9, 1.0]) == sweep(base, "alpha", [0.9, 1.0])
+        assert run_sweep(perturbed, "alpha", [0.9, 1.0]) == run_sweep(base, "alpha", [0.9, 1.0])
