@@ -215,9 +215,11 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
     _reject_unknown(raw, "")
 
     specs = [ExperimentSpec(method=m, **spec_kwargs) for m in methods]
-    values = run_kwargs.pop("sweep", [])
+    values = run_kwargs.pop("sweep", None)
     if run_kwargs.get("sweep_axis") is not None:  # a sweep runs the first method
-        run_kwargs["sweep"] = sweep_points(specs[0], run_kwargs["sweep_axis"], values)
+        run_kwargs["sweep"] = sweep_points(specs[0], run_kwargs["sweep_axis"], values or [])
+    elif values is not None:
+        raise ConfigError("sweep.axis is missing: sweep.values names no axis to sweep")
     return RunConfig(specs=specs, **run_kwargs)
 
 

@@ -146,6 +146,8 @@ class ExperimentSpec:
             except datamod.CountError as exc:
                 key = _COUNT_KEYS[exc.count]
                 raise ConfigError(f"{key} {getattr(self, key.split('.')[1])}: {exc.args[1]}")
+        elif self.resolved_k_modes < 0:  # a CSV source's 0 picks every normal class
+            raise ConfigError(f"dataset.k_modes must be >= 0 for a CSV source, got {self.k_modes}")
         if self.rp_dim < 1:
             raise ConfigError(f"model.rp_dim must be >= 1, got {self.rp_dim}")
         if self.n_projections is not None and self.n_projections < 1:

@@ -24,12 +24,17 @@ and the gradient of that full objective (data term plus ``lam * W``). The
 optimizer has no decay term of its own, so the penalty is applied exactly
 once.
 
-The latent gradient of the one-dimensional objective equals the einsum
-form ``einsum("npm,pdm->nd", dT, entries)`` bit for bit. The robust
-Mahalanobis objective (m > 1) takes its distances through the whitened
-maps of ``scoring.whiten`` (``E'_p = E_p L_p`` with ``inv_cov_p = L_p
-L_p^T``): a distance is the norm of the whitened residual ``r'_p = z E'_p
-- med'_p``, and its gradient ``E'_p r'_p / D_p``. The latent gradient is
+The latent gradient of the one-dimensional objective is one BLAS product
+of the sign matrix ``sign(T - med)``, scaled by ``dLoss/dD / mad``, with
+the maps. It sums over the projections in the BLAS's order, not in the
+einsum form's (``einsum("npm,pdm->nd", dT, entries)``), so the two agree to
+a relative 1e-12 per weight matrix. Under the max estimator a row has one
+term, so its gradient keeps the einsum form's bits.
+
+The robust Mahalanobis objective (m > 1) takes its distances through the
+whitened maps of ``scoring.whiten`` (``E'_p = E_p L_p`` with ``inv_cov_p =
+L_p L_p^T``): a distance is the norm of the whitened residual ``r'_p = z
+E'_p - med'_p``, and its gradient ``E'_p r'_p / D_p``. The latent gradient is
 then one matrix product of the residuals, each weighted by ``dLoss/dD /
 D``, with the maps. It sums in another order than the einsum form through
 ``inv_cov``, so the two agree to a relative 1e-12 per weight matrix, not
@@ -133,6 +138,27 @@ def svdd_loss(model: SvddModel, batch: np.ndarray) -> tuple[float, list[np.ndarr
     return loss, grads
 
 
+def _sign_gradient(T1, med, mad, dD, E, one_dD):
+    """dLoss/dZ at m = 1: ``sign(T1 - med) * dD / mad`` times the maps ``E``.
+
+    One sign pass over the (n, p) rows and one BLAS product. For the finite
+    rows that reach here, the comparison difference is ``np.sign(T1 - med)``
+    (+0.0 at a tie); it is taken in int8 and cast, faster than in float64.
+    With ``one_dD`` (an unflagged mean) ``dD`` holds one value, and ``dD /
+    mad`` is folded into the (p, d) maps: every entry of the sign matrix is
+    then exactly +-1 or 0, so each term is the einsum form's rounded product
+    and only the order of the sum over p differs. ``dD`` per row or per
+    entry scales the sign matrix instead; the BLAS's FMA then adds each
+    product ``dD / mad * E`` unrounded.
+    """
+    S = np.subtract(T1 > med, T1 < med, dtype=np.int8).astype(np.float64)
+    if one_dD:
+        return S @ (E * (dD[0, 0] / mad)[:, np.newaxis])
+    S *= dD
+    S /= mad
+    return S @ E
+
+
 def deep_rpo_loss(
     model: DeepRpoModel,
     batch: np.ndarray,
@@ -176,7 +202,8 @@ def deep_rpo_loss(
     # dLoss/dscore_i, with the SAD inversion applied where flagged
     contrib = scores.copy()
     dscore = np.full(n, 1.0 / n)
-    if flags is not None and np.any(flags):
+    flagged = flags is not None and bool(np.any(flags))
+    if flagged:
         clamped = np.maximum(scores[flags], EPS_FLOOR)
         contrib[flags] = 1.0 / clamped
         inv_grad = np.where(scores[flags] > EPS_FLOOR, -1.0 / clamped**2, 0.0)
@@ -195,16 +222,8 @@ def deep_rpo_loss(
 
     # dLoss/dZ through dLoss/dT, statistics held constant
     if U.m == 1:
-        # dT = sign(T - med) * dD / mad, built in one C-ordered (p, n)
-        # buffer: einsum sums it over p in the order of the (n, p) form, bit
-        # for bit, in half the time. For the finite residuals that reach
-        # here, the comparison difference is np.sign's value (+0.0 at either
-        # zero) at half np.sign's cost.
-        dTt = np.subtract(T[:, :, 0].T, stats.med[:, np.newaxis], order="C")
-        np.subtract(dTt > 0.0, dTt < 0.0, out=dTt, dtype=np.float64)
-        dTt *= dD.T
-        dTt /= stats.mad[:, np.newaxis]
-        dZ = np.ascontiguousarray(np.einsum("pn,pd->dn", dTt, U.entries[:, :, 0]).T)
+        one_dD = model.estimator == "mean" and not flagged
+        dZ = _sign_gradient(T[:, :, 0], stats.med, stats.mad, dD, U.entries[:, :, 0], one_dD)
     else:
         # dD/dx = E'_p r'_p / D: the residuals, weighted by dLoss/dD / D in
         # place, in one product with the maps

@@ -293,6 +293,10 @@ class TestBench:
             # round(0.004 * 100) = 0 normals of a synthetic mode go to test
             ({"dataset": {"n_per_mode": 100}, "protocol": {"test_fraction": 0.004}},
              "protocol.test_fraction"),
+            # a CSV source picks k_modes classes, 0 taking every normal class
+            ({"dataset": {"source": "data.csv", "k_modes": -1}}, "dataset.k_modes"),
+            # bench runs no sweep, but a values list with no axis is still a config error
+            ({"sweep": {"values": [1, 2]}}, "sweep.axis"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, tmp_path, caplog, overrides, named):
@@ -473,6 +477,18 @@ class TestSweepCommand:
         cfg_path = tmp_path / "c.yaml"
         write_config(cfg_path)
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
+
+    def test_values_without_axis_exits_1_naming_it(self, tmp_path, monkeypatch, caplog):
+        ran = []
+        monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, sweep={"values": [0.9, 1.0]})
+        assert run_cli("sweep", "-c", str(cfg_path)) == 1
+        assert ran == []
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        # not the message of a config with no sweep section, which names sweep.axis too
+        assert any("sweep.axis is missing" in e for e in errors), errors
+        assert not (tmp_path / "out" / "aggregate.csv").exists()
 
     @pytest.mark.parametrize(
         "sweep",

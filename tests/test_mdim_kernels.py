@@ -6,8 +6,9 @@ code, kept verbatim (the earlier fit split into ``oracle_cov`` and
 
 Bit for bit: the medians of ``fit_rpo_projected`` equal ``np.median`` by
 ``tobytes()``, and its inverse covariances equal the earlier ridge, inverse
-and symmetrization applied to its own covariance. The m = 1 gradient of
-``deep_rpo_loss`` is held to the same bytes.
+and symmetrization applied to its own covariance. The m = 1 loss of
+``deep_rpo_loss`` is held to the same bytes, and so is its gradient under
+the max estimator, whose latent gradient has one term per row.
 
 The oracles' own sums follow the memory layout of their operands: on an
 F-ordered ``T`` the distance einsum reduces in another order. The program
@@ -48,6 +49,12 @@ oracle's gradient on the other rows, and on that row
 ``sum_p dD_p E'_p r'_p / D_p`` with ``|r'_p| / D_p = 1``. A whole m = 3
 run must keep its train losses within the same bound and its AUCs and best
 epoch exactly.
+
+The m = 1 gradient of ``deep_rpo_loss`` is one BLAS product of the sign
+matrix with the maps, where the oracle takes an einsum; it sums over the
+projections in the BLAS's order, and is held to the same ``GRADIENT_RTOL``.
+Dropping the 1/MAD scale or taking the sign of ``T`` in place of ``T - med``
+breaks that bound by far.
 """
 
 import sys
@@ -507,7 +514,7 @@ def test_undoubled_pairs_break_distance_tolerance_by_far(shape):
     expected = oracle_distances(T, stats)
     assert mdim_deviation(D**2, expected**2, whitened_scale(X, U, stats)) > 1e-3
 
-# the gradient contract: bit for bit at m = 1, GRADIENT_RTOL at m > 1
+# the gradient contract: GRADIENT_RTOL at every m, the loss bit for bit at m = 1
 
 GRADIENT_RTOL = 1e-12
 
@@ -701,17 +708,64 @@ def test_mdim_gradient_within_tolerance_of_einsum_oracle(
     assert np.max(np.abs(dZ[5])) > 0.0
 
 
+def _assert_m1_gradient(instance):
+    """The loss by bytes, each weight gradient within GRADIENT_RTOL, and by bytes under max."""
+    model, batch, flags, stats = instance
+    loss, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    o_loss, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    assert np.float64(loss).tobytes() == np.float64(o_loss).tobytes()
+    assert_within_gradient_tolerance(grads, o_grads)
+    if model.estimator == "max":
+        for g, o in zip(grads, o_grads, strict=True):
+            assert _bytes_equal(g, o)
+
+
 @pytest.mark.parametrize("given_stats", [False, True], ids=["batch-stats", "D0-row"])
 @pytest.mark.parametrize("estimator", ["mean", "max"])
 @pytest.mark.parametrize("p", [500, 1000])
 @pytest.mark.parametrize("n", [128, 28, 540])
 def test_m1_gradient_equals_einsum_oracle(n, p, estimator, given_stats):
-    model, batch, flags, stats = gradient_instance(1, n, p, estimator, True, given_stats)
-    loss, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
-    o_loss, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
-    assert np.float64(loss).tobytes() == np.float64(o_loss).tobytes()
-    for g, o in zip(grads, o_grads, strict=True):
-        assert _bytes_equal(g, o)
+    """Loss bit for bit; gradient within GRADIENT_RTOL, bit for bit under max.
+
+    The sign matrix times the maps sums over p in the BLAS's order. A max
+    row has one nonzero term, so its sum has nothing to reorder.
+    """
+    _assert_m1_gradient(gradient_instance(1, n, p, estimator, True, given_stats))
+
+
+@pytest.mark.parametrize("given_stats", [False, True], ids=["batch-stats", "D0-row"])
+@pytest.mark.parametrize("estimator", ["mean", "max"])
+@pytest.mark.parametrize("p", [500, 1000])
+@pytest.mark.parametrize("n", [128, 28, 540])
+def test_m1_unflagged_gradient_within_tolerance_of_einsum_oracle(n, p, estimator, given_stats):
+    """No flagged row: the mean's dD / mad is folded into the maps before the product."""
+    _assert_m1_gradient(gradient_instance(1, n, p, estimator, False, given_stats))
+
+
+_sign_gradient = training._sign_gradient
+M1_MUTATIONS = {
+    "no-mad-scale": lambda T1, med, mad, *rest: _sign_gradient(T1, med, np.ones_like(mad), *rest),
+    "sign-of-T": lambda T1, med, mad, *rest: _sign_gradient(T1, np.zeros_like(med), mad, *rest),
+}
+
+
+@pytest.mark.parametrize("sad", [False, True], ids=["plain", "sad"])
+@pytest.mark.parametrize("estimator", ["mean", "max"])
+@pytest.mark.parametrize("mutation", list(M1_MUTATIONS))
+def test_mutated_m1_gradient_breaks_gradient_tolerance_by_far(monkeypatch, mutation, estimator,
+                                                              sad):
+    """The 1/MAD scale dropped, or the sign taken of T in place of T - med.
+
+    The batch has no zero rows, and is offset by 2 so the medians lie away
+    from 0: on ``gradient_instance``'s m = 1 batch, half zero rows, every
+    median is 0 and the sign of T is the sign of T - med.
+    """
+    model, _, flags, _ = gradient_instance(1, 128, 500, estimator, sad, False)
+    batch = np.random.default_rng(7).normal(size=(128, 6)) + 2.0
+    _, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags)
+    monkeypatch.setattr(training, "_sign_gradient", M1_MUTATIONS[mutation])
+    _, grads = deep_rpo_loss(model, batch, sad_flags=flags)
+    assert gradient_deviation(grads, o_grads) > 1e-3
 
 
 def test_wrong_transpose_breaks_gradient_tolerance_by_far(monkeypatch):
