@@ -9,6 +9,7 @@ absent, so the paper-protocol defaults live in ``ExperimentSpec`` alone.
 
 from __future__ import annotations
 
+import functools
 import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -99,6 +100,10 @@ def _coerce(value, hint, where: str):
     return str(value)
 
 
+# a parse reads the same few dataclasses' annotations many times over
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _take(cls, section: dict, where: str, keys) -> dict:
     """Pop the ``keys`` present in ``section`` as keyword arguments for ``cls``.
 
@@ -106,7 +111,7 @@ def _take(cls, section: dict, where: str, keys) -> dict:
     Absent keys are left out, so ``cls`` supplies their defaults.
     """
     keys = keys if isinstance(keys, dict) else {k: k for k in keys}
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     prefix = f"{where}." if where else ""
     return {
         name: _coerce(section.pop(key), hints[name], prefix + key)

@@ -12,6 +12,19 @@ Everything is numpy float64 on purpose: forward passes are deterministic
 and gradients are exact reverse-mode (validated against finite differences
 in the test suite), which the benchmark determinism guarantee relies on.
 Weights are persisted only as part of a scoring checkpoint (``model_io``).
+
+The weights live in one flat float64 buffer, layer after layer in C order,
+and so do Adam's two moments. ``adam_step`` then runs each of its
+elementwise operations once over the whole buffer, in place and in the
+per-layer update's order, so every weight and moment keeps the per-layer
+update's bits; ``training.train`` snapshots and restores the best epoch's
+weights with one copy of the buffer.
+
+The hidden activation is ``np.maximum(H, LEAKY_SLOPE * H)``. For
+0 < ``LEAKY_SLOPE`` < 1 it equals ``np.where(H > 0, H, LEAKY_SLOPE * H)``
+bit for bit, signed zeros, infinities and NaN included: ``LEAKY_SLOPE * H``
+lies between H and 0, and both forms return H itself where they agree on
+the branch.
 """
 
 from __future__ import annotations
@@ -33,7 +46,11 @@ class ForwardCache:
 
 
 class Encoder:
-    """Stack of bias-free dense layers with leaky-rectifier hidden units."""
+    """Stack of bias-free dense layers with leaky-rectifier hidden units.
+
+    The weights are copied into one flat float64 buffer, ``buffer``;
+    ``weights`` is a tuple of per-layer views of it.
+    """
 
     def __init__(self, weights: list[np.ndarray]):
         if not weights:
@@ -49,7 +66,26 @@ class Encoder:
                     f"layer {i} output dim {weights[i].shape[1]} != "
                     f"layer {i + 1} input dim {weights[i + 1].shape[0]}"
                 )
-        self.weights = [np.asarray(W, dtype=np.float64) for W in weights]
+        self._shapes = [W.shape for W in weights]
+        self.buffer = np.empty(sum(W.size for W in weights))
+        self._weights = self.layer_views(self.buffer)
+        for view, W in zip(self._weights, weights):
+            view[...] = W
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """Per-layer (d_in, d_out) views of ``buffer``."""
+        return self._weights
+
+    def layer_views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-layer views of a flat array laid out as ``buffer``."""
+        views = []
+        start = 0
+        for shape in self._shapes:
+            stop = start + shape[0] * shape[1]
+            views.append(flat[start:stop].reshape(shape))
+            start = stop
+        return tuple(views)
 
     @property
     def layer_dims(self) -> list[int]:
@@ -76,7 +112,7 @@ class Encoder:
         for W in self.weights[:-1]:
             H = A @ W
             preacts.append(H)
-            A = np.where(H > 0, H, LEAKY_SLOPE * H)
+            A = np.maximum(H, LEAKY_SLOPE * H)
             inputs.append(A)
         Z = A @ self.weights[-1]
         return Z, ForwardCache(inputs=inputs, preacts=preacts, n_layers=len(self.weights))
@@ -126,24 +162,39 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Adaptive-moment optimizer state: first and second moments per layer."""
+    """Adam's first and second moments, each one flat buffer laid out as the weights.
 
-    m: list
-    v: list
+    ``m`` and ``v`` are the per-layer views of ``m_buffer`` and ``v_buffer``.
+    """
+
+    m_buffer: np.ndarray
+    v_buffer: np.ndarray
+    m: tuple
+    v: tuple
     learning_rate: float
     step: int = 0
 
 
 def init_adam(enc: Encoder, learning_rate: float) -> AdamState:
+    m_buffer = np.zeros_like(enc.buffer)
+    v_buffer = np.zeros_like(enc.buffer)
     return AdamState(
-        m=[np.zeros_like(W) for W in enc.weights],
-        v=[np.zeros_like(W) for W in enc.weights],
+        m_buffer=m_buffer,
+        v_buffer=v_buffer,
+        m=enc.layer_views(m_buffer),
+        v=enc.layer_views(v_buffer),
         learning_rate=learning_rate,
     )
 
 
 def adam_step(enc: Encoder, grads: list[np.ndarray], opt: AdamState) -> None:
-    """One in-place Adam update of every weight matrix."""
+    """One in-place Adam update of every weight matrix.
+
+    The per-layer update ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g
+    g``, ``W -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``, taken
+    once over the flat buffers: each operation in the same order, so each
+    entry rounds as it did layer by layer.
+    """
     if len(grads) != len(enc.weights):
         raise ValueError("gradient list does not match encoder layers")
     for g, W in zip(grads, enc.weights):
@@ -151,9 +202,19 @@ def adam_step(enc: Encoder, grads: list[np.ndarray], opt: AdamState) -> None:
             raise ValueError(f"gradient shape {g.shape} != weight shape {W.shape}")
     opt.step += 1
     t = opt.step
-    for l, (W, g) in enumerate(zip(enc.weights, grads)):
-        opt.m[l] = ADAM_BETA1 * opt.m[l] + (1.0 - ADAM_BETA1) * g
-        opt.v[l] = ADAM_BETA2 * opt.v[l] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = opt.m[l] / (1.0 - ADAM_BETA1**t)
-        v_hat = opt.v[l] / (1.0 - ADAM_BETA2**t)
-        W -= opt.learning_rate * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    g = np.concatenate(grads, axis=None)
+    m, v = opt.m_buffer, opt.v_buffer
+    m *= ADAM_BETA1
+    term = np.multiply(g, 1.0 - ADAM_BETA1)
+    m += term
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=term)
+    term *= g
+    v += term
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t, out=g)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=term)
+    term /= denom
+    term *= opt.learning_rate
+    enc.buffer -= term

@@ -24,12 +24,18 @@ and the gradient of that full objective (data term plus ``lam * W``). The
 optimizer has no decay term of its own, so the penalty is applied exactly
 once.
 
-The latent gradient of the one-dimensional objective is one BLAS product
-of the sign matrix ``sign(T - med)``, scaled by ``dLoss/dD / mad``, with
-the maps. It sums over the projections in the BLAS's order, not in the
-einsum form's (``einsum("npm,pdm->nd", dT, entries)``), so the two agree to
-a relative 1e-12 per weight matrix. Under the max estimator a row has one
-term, so its gradient keeps the einsum form's bits.
+The one-dimensional objective takes its distances and its sign matrix
+from one residual pass over the batch's projection, which the loss owns
+(the fit sorts a copy of it): ``R = T - med`` in place, ``S = sign(R)``,
+then ``|R| / mad`` in place (``_residual_signs``). The latent gradient is
+one BLAS product of ``S``, scaled by ``dLoss/dD / mad``, with the maps
+(``_sign_gradient``). It sums over the projections in the BLAS's order,
+not in the einsum form's (``einsum("npm,pdm->nd", dT, entries)``), so the
+two agree to a relative 1e-12 per weight matrix. A zero of ``S`` may be
+-0.0 where the earlier comparison form gave +0.0; either adds nothing to
+the product's sum. Under the max estimator a row has one term, at its
+argmax, and its gradient is taken from that term alone, with the einsum
+form's bits.
 
 The robust Mahalanobis objective (m > 1) takes its distances through the
 whitened maps of ``scoring.whiten`` (``E'_p = E_p L_p`` with ``inv_cov_p =
@@ -138,22 +144,41 @@ def svdd_loss(model: SvddModel, batch: np.ndarray) -> tuple[float, list[np.ndarr
     return loss, grads
 
 
-def _sign_gradient(T1, med, mad, dD, E, one_dD):
-    """dLoss/dZ at m = 1: ``sign(T1 - med) * dD / mad`` times the maps ``E``.
+def _residual_signs(T1, med, mad):
+    """The sign matrix ``sign(T1 - med)`` and the distances ``|T1 - med| / mad``.
 
-    One sign pass over the (n, p) rows and one BLAS product. For the finite
-    rows that reach here, the comparison difference is ``np.sign(T1 - med)``
-    (+0.0 at a tie); it is taken in int8 and cast, faster than in float64.
-    With ``one_dD`` (an unflagged mean) ``dD`` holds one value, and ``dD /
-    mad`` is folded into the (p, d) maps: every entry of the sign matrix is
-    then exactly +-1 or 0, so each term is the einsum form's rounded product
-    and only the order of the sum over p differs. ``dD`` per row or per
-    entry scales the sign matrix instead; the BLAS's FMA then adds each
-    product ``dD / mad * E`` unrounded.
+    One residual pass over the (n, p) coordinates ``T1``, which it
+    overwrites: ``T1 - med`` in place, its sign into a new array, then
+    ``abs`` and the division by ``mad`` in place, so ``T1`` ends up holding
+    the distances, bit for bit those of ``projected_distances``.
     """
-    S = np.subtract(T1 > med, T1 < med, dtype=np.int8).astype(np.float64)
-    if one_dD:
-        return S @ (E * (dD[0, 0] / mad)[:, np.newaxis])
+    R = np.subtract(T1, med, out=T1)
+    S = np.sign(R)
+    np.abs(R, out=R)
+    return S, np.divide(R, mad, out=R)
+
+
+def _sign_gradient(S, mad, dD, E, hit=None):
+    """dLoss/dZ at m = 1: the sign matrix ``S`` times ``dD / mad`` times the maps ``E``.
+
+    Three forms:
+    - ``hit`` given (max): ``dD`` is dLoss/dscore, and row i's one term sits
+      at column ``hit[i]``: ``(S_ij dD_i) / mad_j``, then times ``E_j``, as
+      the dense form rounds it. The ``+ 0.0`` turns a zero term's -0.0 into
+      the +0.0 that a BLAS sum, which starts at +0.0, gives such a row.
+    - ``dD`` one value (an unflagged mean): ``dD / mad`` is folded into the
+      (p, d) maps, so each term is the einsum form's rounded product, and
+      one BLAS product sums the +-1 and 0 entries of ``S`` against them.
+    - ``dD`` per row (a flagged mean): ``S`` is scaled in place and summed
+      against ``E`` in one BLAS product, whose FMA adds each product
+      unrounded.
+    A BLAS product sums over p in its own order, not the einsum's.
+    """
+    if hit is not None:
+        term = S[np.arange(S.shape[0]), hit] * dD / mad[hit]
+        return term[:, np.newaxis] * E[hit] + 0.0
+    if np.ndim(dD) == 0:
+        return S @ (E * (dD / mad)[:, np.newaxis])
     S *= dD
     S /= mad
     return S @ E
@@ -189,14 +214,15 @@ def deep_rpo_loss(
     U = model.projections
     T = project(Z, U) if stats is None or U.m == 1 else None  # (n, p, m)
     if stats is None:
-        stats = fit_rpo_projected(T, Z, U)
-    head = stats
-    if U.m > 1:
+        stats = fit_rpo_projected(T, Z, U)  # sorts a copy, never T
+    if U.m == 1:
+        # T is this call's own: the residual pass overwrites it with the distances
+        S, D = _residual_signs(T[:, :, 0], stats.med, stats.mad)
+    else:
         # distances and gradient both read the whitened residuals, not T
         head = whiten(U, stats)
         T = whitened_residuals(Z, head)
-
-    D = projected_distances(T, head)  # (n, p)
+        D = projected_distances(T, head)  # (n, p)
     scores = reduce_distances(D, model.estimator)
 
     # dLoss/dscore_i, with the SAD inversion applied where flagged
@@ -213,18 +239,22 @@ def deep_rpo_loss(
     if not np.isfinite(loss):
         raise NumericError("non-finite outlyingness loss")
 
-    # dLoss/dD_ij; the mean's is one value per row, an (n, 1) column that broadcasts
-    if model.estimator == "mean":
-        dD = (dscore / model.projections.p)[:, np.newaxis]
-    else:
-        dD = np.zeros_like(D)
-        dD[np.arange(n), np.argmax(D, axis=1)] = dscore
-
-    # dLoss/dZ through dLoss/dT, statistics held constant
+    # dLoss/dZ through dLoss/dD and dLoss/dT, statistics held constant. The
+    # mean's dLoss/dD is one value per row, and the max's sits at each row's argmax.
     if U.m == 1:
-        one_dD = model.estimator == "mean" and not flagged
-        dZ = _sign_gradient(T[:, :, 0], stats.med, stats.mad, dD, U.entries[:, :, 0], one_dD)
+        E = U.entries[:, :, 0]
+        if model.estimator == "max":
+            dZ = _sign_gradient(S, stats.mad, dscore, E, hit=np.argmax(D, axis=1))
+        else:
+            # without a flagged row, every row shares one dLoss/dD
+            dD = (dscore / U.p)[:, np.newaxis] if flagged else dscore[0] / U.p
+            dZ = _sign_gradient(S, stats.mad, dD, E)
     else:
+        if model.estimator == "mean":
+            dD = (dscore / U.p)[:, np.newaxis]
+        else:
+            dD = np.zeros_like(D)
+            dD[np.arange(n), np.argmax(D, axis=1)] = dscore
         # dD/dx = E'_p r'_p / D: the residuals, weighted by dLoss/dD / D in
         # place, in one product with the maps
         w = np.divide(dD, D, out=np.zeros_like(D), where=D > 0.0)
@@ -311,7 +341,7 @@ def train(model: SvddModel | DeepRpoModel, data: Dataset, epochs: int, batch_siz
     history: list[EpochRecord] = []
     best_epoch = -1
     best_val_auc = -np.inf
-    best_weights = [W.copy() for W in model.encoder.weights]
+    best_weights = model.encoder.buffer.copy()
 
     n = X_train.shape[0]
     for epoch in range(1, epochs + 1):
@@ -337,9 +367,9 @@ def train(model: SvddModel | DeepRpoModel, data: Dataset, epochs: int, batch_siz
         if val_auc > best_val_auc:
             best_val_auc = val_auc
             best_epoch = epoch
-            best_weights = [W.copy() for W in model.encoder.weights]
+            best_weights = model.encoder.buffer.copy()
 
-    model.encoder.weights = best_weights
+    model.encoder.buffer[...] = best_weights
     if not history:
         best_val_auc = float("nan")
     return TrainResult(

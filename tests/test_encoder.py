@@ -110,6 +110,54 @@ class TestForward:
         assert sum(W.size for W in enc.weights) == 36 * 32 + 32 * 16 + 16 * 8
 
 
+class TestFlatBuffer:
+    """The weights are views of one flat buffer, and Adam's moments of two more."""
+
+    def test_weight_writes_reach_the_buffer(self):
+        enc = init_encoder([5, 4, 3], np.random.default_rng(2))
+        assert enc.buffer.shape == (5 * 4 + 4 * 3,)
+        assert all(np.shares_memory(W, enc.buffer) for W in enc.weights)
+        enc.weights[1][2, 0] = -0.0
+        enc.weights[0][4, 3] = 7.5
+        assert np.signbit(enc.buffer[20 + 2 * 3]) and enc.buffer[4 * 4 + 3] == 7.5
+        enc.buffer[-1] = 2.5
+        assert enc.weights[1][3, 2] == 2.5
+        assert enc.buffer.tobytes() == b"".join(W.tobytes() for W in enc.weights)
+
+    def test_encoder_copies_its_input_and_keeps_its_views(self):
+        W = np.eye(3)
+        enc = Encoder([W, np.ones((3, 2))])
+        enc.weights[0][0, 0] = 4.0
+        assert W[0, 0] == 1.0
+        with pytest.raises(AttributeError):
+            enc.weights = [np.eye(3), np.ones((3, 2))]
+
+    def test_adam_moments_are_views_of_flat_buffers(self):
+        enc = init_encoder([5, 4, 3], np.random.default_rng(4))
+        opt = init_adam(enc, learning_rate=1e-2)
+        for views, flat in ((opt.m, opt.m_buffer), (opt.v, opt.v_buffer)):
+            assert flat.shape == enc.buffer.shape
+            assert [a.shape for a in views] == [W.shape for W in enc.weights]
+            assert all(np.shares_memory(a, flat) for a in views)
+        adam_step(enc, [np.ones_like(W) for W in enc.weights], opt)
+        assert opt.m_buffer.tobytes() == b"".join(a.tobytes() for a in opt.m)
+        assert np.all(opt.v_buffer > 0.0)
+
+    def test_activation_equals_the_where_form_bit_for_bit(self):
+        # max(h, slope * h) and where(h > 0, h, slope * h), signed zeros,
+        # infinities, NaN and subnormals included
+        tiny = np.finfo(np.float64).smallest_subnormal
+        H = np.array([[1.5, -1.5, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                       -9 * tiny, 1e308, -1e308, 0.1, -0.1, -1e-320]])
+        expected = np.where(H > 0, H, LEAKY_SLOPE * H)
+        assert np.maximum(H, LEAKY_SLOPE * H).tobytes() == expected.tobytes()
+        rng = np.random.default_rng(3)
+        enc = init_encoder([4, 6, 5, 2], rng)
+        _, cache = enc.forward(rng.normal(size=(9, 4)))
+        for H, A in zip(cache.preacts, cache.inputs[1:], strict=True):
+            assert A.tobytes() == np.where(H > 0, H, LEAKY_SLOPE * H).tobytes()
+
+
 class TestBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(1)
@@ -226,6 +274,20 @@ class TestCheckpoint:
         loaded = load_model_checkpoint(path).encoder
         assert loaded.layer_dims == enc.layer_dims
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, enc.weights))
+
+    def test_round_trip_keeps_every_weight_byte(self, tmp_path):
+        enc = init_encoder([6, 5, 4, 2], np.random.default_rng(9))
+        enc.weights[0][0] = -0.0
+        enc.weights[2][1, 1] = np.finfo(np.float64).smallest_subnormal
+        path = tmp_path / "enc.npz"
+        save_model_checkpoint(
+            path, ScoringModel("deep-svdd", np.zeros(6), np.ones(6), encoder=enc, center=np.ones(2))
+        )
+        loaded = load_model_checkpoint(path).encoder
+        assert loaded.buffer.tobytes() == enc.buffer.tobytes()
+        for a, b in zip(loaded.weights, enc.weights, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert np.shares_memory(a, loaded.buffer)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"

@@ -743,9 +743,20 @@ def test_m1_unflagged_gradient_within_tolerance_of_einsum_oracle(n, p, estimator
 
 
 _sign_gradient = training._sign_gradient
+_residual_signs = training._residual_signs
+
+
+def _signs_of_T(T1, med, mad):
+    """The signs of ``T1`` itself, with the distances of ``T1 - med``."""
+    S = np.sign(T1)
+    return S, _residual_signs(T1, med, mad)[1]
+
+
+# each mutation: the seam of training it replaces, and its replacement
 M1_MUTATIONS = {
-    "no-mad-scale": lambda T1, med, mad, *rest: _sign_gradient(T1, med, np.ones_like(mad), *rest),
-    "sign-of-T": lambda T1, med, mad, *rest: _sign_gradient(T1, np.zeros_like(med), mad, *rest),
+    "no-mad-scale": ("_sign_gradient", lambda S, mad, *rest, **kwargs: _sign_gradient(
+        S, np.ones_like(mad), *rest, **kwargs)),
+    "sign-of-T": ("_residual_signs", _signs_of_T),
 }
 
 
@@ -763,9 +774,95 @@ def test_mutated_m1_gradient_breaks_gradient_tolerance_by_far(monkeypatch, mutat
     model, _, flags, _ = gradient_instance(1, 128, 500, estimator, sad, False)
     batch = np.random.default_rng(7).normal(size=(128, 6)) + 2.0
     _, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags)
-    monkeypatch.setattr(training, "_sign_gradient", M1_MUTATIONS[mutation])
+    monkeypatch.setattr(training, *M1_MUTATIONS[mutation])
     _, grads = deep_rpo_loss(model, batch, sad_flags=flags)
     assert gradient_deviation(grads, o_grads) > 1e-3
+
+
+def int8_sign_gradient(T1, med, mad, dD, E, one_dD):
+    """The m = 1 latent gradient as it was before the shared residual pass.
+
+    The sign is the comparison difference ``(T1 > med) - (T1 < med)`` in
+    int8, and ``dD`` is the dense (n, p) matrix under max, the (n, 1) column
+    under the mean; ``one_dD`` folds its one value into the maps.
+    """
+    S = np.subtract(T1 > med, T1 < med, dtype=np.int8).astype(np.float64)
+    if one_dD:
+        return S @ (E * (dD[0, 0] / mad)[:, np.newaxis])
+    S *= dD
+    S /= mad
+    return S @ E
+
+
+def tied_m1_instance(seed=0, n=128, p=500, d=8):
+    """(n, p, 1) coordinates with ties at the median, medians, MADs and maps.
+
+    The first 50 medians are +0.0, with a quarter of the rows +0.0 and a
+    quarter -0.0 there; 200 entries elsewhere equal their column's median;
+    row 7 sits at the median in every column and row 9 too, but with -0.0
+    against the +0.0 medians.
+    """
+    rng = np.random.default_rng(seed)
+    T = rng.normal(size=(n, p, 1))
+    med = rng.normal(size=p)
+    med[:50] = 0.0
+    mad = rng.uniform(0.5, 2.0, size=p)
+    T[: n // 4, :50, 0] = 0.0
+    T[n // 4 : n // 2, :50, 0] = -0.0
+    rows, cols = rng.integers(n, size=200), rng.integers(50, p, size=200)
+    T[rows, cols, 0] = med[cols]
+    T[7, :, 0] = med
+    T[9, :, 0] = med
+    T[9, :50, 0] = -0.0
+    return T, med, mad, rng.normal(size=(p, d))
+
+
+class TestSharedResidual:
+    """The m = 1 residual pass and gradient, by bytes against the int8 sign form.
+
+    ``_residual_signs`` takes the sign from ``T - med`` itself, where the
+    earlier form compared ``T`` with ``med``; the two differ at most in the
+    sign of a zero, which adds nothing to a product's sum.
+    """
+
+    def test_distances_and_signs(self):
+        T, med, mad, _ = tied_m1_instance()
+        expected = projected_distances(T, RpoStats(med=med, mad=mad, inv_cov=None))
+        signs = np.subtract(T[:, :, 0] > med, T[:, :, 0] < med, dtype=np.int8)
+        S, D = training._residual_signs(T[:, :, 0], med, mad)
+        assert _bytes_equal(D, expected)
+        assert np.shares_memory(D, T)  # the pass overwrote its input
+        assert np.array_equal(S, signs)
+        assert np.all(S[7] == 0.0) and np.all(S[9] == 0.0)
+
+    @pytest.mark.parametrize("case", ["mean-folded", "mean-flagged", "max", "max-sad"])
+    def test_gradient_equals_int8_sign_form(self, case):
+        T, med, mad, E = tied_m1_instance(seed=1)
+        n, p = T.shape[:2]
+        dscore = np.full(n, 1.0 / n)
+        if case.endswith(("flagged", "sad")):
+            # two flagged rows push away; one scores below the floor and has no gradient
+            dscore[[5, 17]] = [-3.0 / n, -0.5 / n]
+            dscore[[7, 40]] = 0.0
+        oracle_T1 = T[:, :, 0].copy()
+        S, D = training._residual_signs(T[:, :, 0], med, mad)
+        if case.startswith("max"):
+            hit = np.argmax(D, axis=1)
+            dD = np.zeros_like(D)
+            dD[np.arange(n), hit] = dscore
+            expected = int8_sign_gradient(oracle_T1, med, mad, dD, E, False)
+            dZ = training._sign_gradient(S, mad, dscore, E, hit=hit)
+            # rows 7 and 9 tie at the argmax, and row 40 of max-sad has no
+            # dLoss/dscore: their terms are zero, and their rows +0.0
+            assert hit[7] == hit[9] == 0 and S[7, 0] == S[9, 0] == 0.0
+            zero_rows = [7, 9, 40] if case == "max-sad" else [7, 9]
+            assert _bytes_equal(dZ[zero_rows], np.zeros((len(zero_rows), E.shape[1])))
+        else:
+            dD = (dscore / p)[:, np.newaxis]
+            folded = case == "mean-folded"
+            expected = int8_sign_gradient(oracle_T1, med, mad, dD, E, folded)
+            dZ = training._sign_gradient(S, mad, dscore[0] / p if folded else dD, E)
+        assert _bytes_equal(dZ, expected)
 
 
 def test_wrong_transpose_breaks_gradient_tolerance_by_far(monkeypatch):

@@ -298,6 +298,27 @@ class TestTrain:
         train(svdd, ds, epochs=3, batch_size=16, seed=2, learning_rate=1e-4)
         assert np.array_equal(svdd.center, center_before)
 
+    def test_restores_the_best_epochs_exact_bytes(self, monkeypatch):
+        # epoch 2 of 4 scores best, so the last two epochs' updates are undone
+        ds = toy_dataset(seed=6)
+        model = self._deep_rpo_model(ds, seed=6)
+        aucs = iter([0.5, 0.9, 0.7, 0.9])
+        seen = []
+
+        def recording(model, *args):
+            seen.append((model.encoder.buffer.copy(), [W.copy() for W in model.encoder.weights]))
+            return next(aucs)
+
+        monkeypatch.setattr(training, "_validation_auc", recording)
+        buffer = model.encoder.buffer
+        result = train(model, ds, epochs=4, batch_size=16, seed=2, learning_rate=1e-3)
+        assert result.best_epoch == 2
+        best, best_layers = seen[1]
+        assert seen[-1][0].tobytes() != best.tobytes()
+        assert model.encoder.buffer is buffer and buffer.tobytes() == best.tobytes()
+        for W, expected in zip(model.encoder.weights, best_layers, strict=True):
+            assert np.shares_memory(W, buffer) and W.tobytes() == expected.tobytes()
+
     def test_validation_needs_both_labels(self):
         ds = generate_multimodal(1, 4, n_per_mode=40, anomaly_n=0, seed=0)
         model = DeepRpoModel(
