@@ -18,19 +18,24 @@ its raw entries: the seed that drew them is not kept, because no score
 reads it.
 
 ``project`` is one matmul at every m. For m > 1 the maps are laid out as
-one (d, p * m) matrix, projection-major (``entries.transpose(1, 0, 2)``),
-so the product reshapes to a C-ordered (n, p, m) without a copy. BLAS sums
-over d in its own blocked order, not one product at a time in order of d
-as the earlier ``einsum("nd,pdm->npm")`` did, so the last bits differ. The
-contract is a backward-error bound: each coordinate lies within 1e-12 of
-the einsum's value, relative to the same sum over absolute values,
-``|X| @ |E|`` (``MDIM_RTOL`` in ``tests/test_mdim_kernels.py``, which keeps
-the einsum as its oracle).
+one (p * m, d) matrix, projection-major (``ProjectionSet.maps_pm``: row
+``k * m + i`` is ``E_k[:, i]``), built once per set. The product
+``maps_pm @ X.T`` is a C-ordered (p * m, n) array, the layout in which
+``scoring.fit_rpo_projected`` sorts each coordinate's n values, and
+``project`` returns its transpose as an (n, p, m) view, so the fit's sort
+blocks are contiguous rows and nothing is copied to transpose them. BLAS
+sums over d in its own blocked order, not one product at a time in order
+of d as the earlier ``einsum("nd,pdm->npm")`` did, so the last bits
+differ. The contract is a backward-error bound: each coordinate lies
+within 1e-12 of the einsum's value, relative to the same sum over absolute
+values, ``|X| @ |E|`` (``MDIM_RTOL`` in ``tests/test_mdim_kernels.py``,
+which keeps the einsum as its oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +80,14 @@ class ProjectionSet:
     def m(self) -> int:
         return self.entries.shape[2]
 
+    @cached_property
+    def maps_pm(self) -> np.ndarray:
+        """The maps as one C-ordered (p * m, d) matrix; row ``k * m + i`` is ``E_k[:, i]``."""
+        p, d, m = self.entries.shape
+        maps = np.ascontiguousarray(self.entries.transpose(0, 2, 1)).reshape(p * m, d)
+        maps.setflags(write=False)
+        return maps
+
 
 @dataclass(frozen=True)
 class DropoutSpec:
@@ -111,7 +124,11 @@ def _normalize_columns(entries: np.ndarray) -> np.ndarray:
 
 
 def project(X: np.ndarray, U: ProjectionSet) -> np.ndarray:
-    """Project rows of ``X`` (n, d) through every map: output (n, p, m)."""
+    """Project rows of ``X`` (n, d) through every map: output (n, p, m).
+
+    C-ordered at m = 1; at m > 1 the transposed view of a C-ordered
+    (p * m, n) product (see the module docstring).
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -119,9 +136,8 @@ def project(X: np.ndarray, U: ProjectionSet) -> np.ndarray:
         raise ValueError(f"X has {X.shape[1]} columns but projections expect d={U.d}")
     if U.m == 1:
         return (X @ U.entries[:, :, 0].T)[:, :, np.newaxis]
-    # one product with projection-major columns (see the module docstring)
-    maps = U.entries.transpose(1, 0, 2).reshape(U.d, U.p * U.m)
-    return (X @ maps).reshape(X.shape[0], U.p, U.m)
+    # one product with projection-major rows (see the module docstring)
+    return (U.maps_pm @ X.T).T.reshape(X.shape[0], U.p, U.m)
 
 
 def apply_dropout(U: ProjectionSet, spec: DropoutSpec, seed: int) -> ProjectionSet:

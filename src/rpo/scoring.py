@@ -76,14 +76,35 @@ would not hold for rows far from the origin: centring loses the offset's
 digits in both forms. On rows 1e3 from the origin with a spread of 1e-3
 the two differ by up to 4.5e-10 of the centred form, and 2e-22 of the
 uncentred one. The medians are still read from ``T`` and equal
-``np.median`` bit for bit; the ridge, the inverse and the symmetrization
-act on the covariance as before. The fit sorts ``MEDIAN_BLOCK_ROWS``
+``np.median`` bit for bit. The fit sorts ``MEDIAN_BLOCK_ROWS``
 coordinates (rows of the (p * m, n) layout) at a time, so a validation
 refit holds one block's sort buffer next to ``T``, not a second
-(n, p, m) array.
+(n, p, m) array; ``project``'s ``T`` is a view of that layout (see
+``projections``), so each block is a copy of contiguous rows.
+
+The inverse takes no LAPACK call. ``cholesky`` factors the ridged
+covariances ``C_p = L_p L_p^T``, vectorised over the p projections with a
+loop over the m(m+1)/2 entries, ``_lower_inverse`` inverts each factor by
+forward substitution, ``inv_cov_p = L_p^-T L_p^-1`` is one batched product,
+and it is symmetrized as ``0.5 * (A + A^T)``, so it is symmetric to the
+bit. It rounds differently from ``np.linalg.inv``: on latents within
+1e-7 to 1e-4 of a 2-D subspace the two differ by up to 1.1e-9 of the
+largest entry, though each has a backward error below 1e-14. The
+contract is a backward-error bound, per projection, in the inf-norm:
+``||C_p inv_cov_p - I|| <= 1e-12 ||C_p|| ||inv_cov_p||``
+(``inverse_deviation`` in ``tests/test_mdim_kernels.py``). A bound
+relative to ``|C_p| |inv_cov_p|`` would not hold: where ``C_p`` has an
+eigenvalue near the ridge, the two are large in complementary entries,
+and LAPACK's own inverse misses that bound entry by entry by 3.4e-12.
+``cholesky`` refuses a pivot that is not
+> 0, so a covariance that is not positive definite, or holds a NaN that
+reaches a pivot, raises ``NumericError``. That is what reference
+LAPACK's ``potrf`` refuses; numpy's OpenBLAS ``potrf`` lets a NaN pivot
+through as a NaN factor.
 
 At m > 1 a distance is taken through whitened maps. ``whiten`` factors
-each inverse covariance as ``inv_cov_p = L_p L_p^T`` (lower Cholesky) and
+each inverse covariance as ``inv_cov_p = L_p L_p^T`` (lower Cholesky, with
+the same ``cholesky``) and
 folds the factor into the map and the median once per fit: ``E'_p = E_p
 L_p`` and ``med'_p = L_p^T med_p``. The distance is then
 ``|x E'_p - med'_p|``, the same kind of work as at m = 1:
@@ -215,7 +236,9 @@ def fit_rpo_projected(T: np.ndarray, X: np.ndarray, U: ProjectionSet) -> RpoStat
         return RpoStats(med=med, mad=mad, inv_cov=None)
 
     # each row of the (p * m, n) layout sorts on its own, so sorting a block
-    # of rows at a time gives the same medians and bounds the sort buffer
+    # of rows at a time gives the same medians and bounds the sort buffer;
+    # ``project``'s T is a view of that layout, so each block is one copy
+    # of contiguous rows
     Tt = T.reshape(n, p * m).T
     med = np.empty(p * m)
     for start in range(0, p * m, MEDIAN_BLOCK_ROWS):
@@ -223,10 +246,8 @@ def fit_rpo_projected(T: np.ndarray, X: np.ndarray, U: ProjectionSet) -> RpoStat
         med[rows] = _sort_rows_median(np.array(Tt[rows], order="C"))
     med = med.reshape(p, m)
     cov = _projected_covariance(X, U) + RIDGE * np.eye(m)
-    try:
-        inv_cov = np.linalg.inv(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"projected covariance not invertible: {exc}") from exc
+    Li = _lower_inverse(cholesky(cov, "projected covariance"))
+    inv_cov = np.matmul(Li.transpose(0, 2, 1), Li)
     if not np.all(np.isfinite(inv_cov)):
         raise NumericError("projected covariance inverse is not finite")
     inv_cov = 0.5 * (inv_cov + np.transpose(inv_cov, (0, 2, 1)))
@@ -237,17 +258,55 @@ def _projected_covariance(X: np.ndarray, U: ProjectionSet) -> np.ndarray:
     """Each projection's covariance ``E_p^T S E_p``, shape (p, m, m).
 
     ``S`` is the (d, d) covariance of the rows of ``X`` (module docstring).
-    ``E_p^T S`` for every p is one BLAS product of the maps stacked m-major,
-    (p * m, d), with ``S``; its transpose is ``S E_p``, as ``S`` is symmetric.
-    (Multiplying the C-ordered ``E_p^T S`` by ``E_p`` instead raised the
-    benchmark's peak RSS by 1 MB.)
+    ``E_p^T S`` for every p is one BLAS product of the projection-major
+    (p * m, d) maps ``U.maps_pm`` with ``S``; its transpose is ``S E_p``, as
+    ``S`` is symmetric. (Multiplying the C-ordered ``E_p^T S`` by ``E_p``
+    instead raised the benchmark's peak RSS by 1 MB.)
     """
     p, d, m = U.entries.shape
     Xc = X - np.mean(X, axis=0)
     S = (Xc.T @ Xc) / max(X.shape[0] - 1, 1)
-    Et = np.ascontiguousarray(U.entries.transpose(0, 2, 1)).reshape(p * m, d)
-    ES = (Et @ S).reshape(p, m, d)
+    ES = (U.maps_pm @ S).reshape(p, m, d)
     return np.matmul(U.entries.transpose(0, 2, 1), ES.transpose(0, 2, 1))
+
+
+def cholesky(A: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factors ``L`` of a (k, m, m) stack, ``A_k = L_k L_k^T``.
+
+    Reads the lower triangle only, as ``np.linalg.cholesky`` does, and
+    takes one entry of every factor at a time: m(m+1)/2 vector operations
+    over the stack. Raises ``NumericError`` naming ``name`` when a pivot is
+    not > 0: the matrix is not positive definite, or a NaN reached it.
+    """
+    m = A.shape[-1]
+    L = np.zeros_like(A)
+    for j in range(m):
+        for i in range(j, m):
+            Lij = L[:, i, j]
+            np.copyto(Lij, A[:, i, j])
+            for t in range(j):
+                Lij -= L[:, i, t] * L[:, j, t]
+            if i > j:
+                Lij /= L[:, j, j]
+            elif not np.all(Lij > 0.0):
+                raise NumericError(f"{name} is not positive definite")
+            else:
+                np.sqrt(Lij, out=Lij)
+    return L
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """The inverse of each lower-triangular factor of a (k, m, m) stack, by forward substitution."""
+    m = L.shape[-1]
+    Li = np.zeros_like(L)
+    for j in range(m):
+        Li[:, j, j] = 1.0 / L[:, j, j]
+        for i in range(j + 1, m):
+            s = L[:, i, j] * Li[:, j, j]
+            for t in range(j + 1, i):
+                s += L[:, i, t] * Li[:, t, j]
+            Li[:, i, j] = -s / L[:, i, i]
+    return Li
 
 
 def _sort_rows_median(buf: np.ndarray) -> np.ndarray:
@@ -331,17 +390,12 @@ class Whitened(NamedTuple):
 def whiten(U: ProjectionSet, stats: RpoStats) -> Whitened:
     """Fold the Cholesky factor ``L_p`` of each ``stats.inv_cov`` into the maps of ``U``.
 
-    Raises ``NumericError`` when an inverse covariance has no factor (it is
-    not positive definite).
+    Raises ``NumericError`` when ``cholesky`` finds no factor for an
+    inverse covariance (it is not positive definite).
     """
     if stats.inv_cov is None or stats.inv_cov.shape != (U.p, U.m, U.m):
         raise ValueError(f"whitening needs (p, m, m) = {(U.p, U.m, U.m)} inverse covariances")
-    try:
-        L = np.linalg.cholesky(stats.inv_cov)
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            "projected covariance: its inverse is not positive definite"
-        ) from None
+    L = cholesky(stats.inv_cov, "projected covariance: its inverse")
     p, d, m = U.entries.shape
     maps = np.ascontiguousarray(np.matmul(U.entries, L).transpose(1, 2, 0)).reshape(d, m * p)
     med = np.matmul(stats.med[:, np.newaxis, :], L)[:, 0, :].T  # (m, p), med_p^T L_p

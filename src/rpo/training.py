@@ -42,11 +42,13 @@ whitened maps of ``scoring.whiten`` (``E'_p = E_p L_p`` with ``inv_cov_p =
 L_p L_p^T``): a distance is the norm of the whitened residual ``r'_p = z
 E'_p - med'_p``, and its gradient ``E'_p r'_p / D_p``. The latent gradient is
 then one matrix product of the residuals, each weighted by ``dLoss/dD /
-D``, with the maps. It sums in another order than the einsum form through
-``inv_cov``, so the two agree to a relative 1e-12 per weight matrix, not
-bit for bit. A row at the median has a distance of rounding size, not 0,
-and so a unit subgradient where the einsum form gives it none (see the
-README's "Numerics" section).
+D``, with the maps; under the max estimator a row's one term, at its
+argmax projection, is taken alone (``_argmax_whitened_gradient``). It
+sums in another order than the einsum form through ``inv_cov``, so the
+two agree to a relative 1e-12 per weight matrix, not bit for bit. A row
+at the median has a distance of rounding size, not 0, and so a unit
+subgradient where the einsum form gives it none (see the README's
+"Numerics" section).
 
 Semi-supervision: a train row flagged as a labeled anomaly contributes the
 inverse of its normalized distance, floored at ``scoring.EPS_FLOOR``,
@@ -184,6 +186,23 @@ def _sign_gradient(S, mad, dD, E, hit=None):
     return S @ E
 
 
+def _argmax_whitened_gradient(R, D, dscore, maps):
+    """dLoss/dZ at m > 1 under max: each row's one term, at its argmax projection.
+
+    ``R`` holds the (n, m, p) whitened residuals, ``D`` their (n, p) norms
+    and ``maps`` the (d, m * p) whitened maps. Row i's gradient is
+    ``E'_k r'_k * dscore_i / D_k`` at ``k = argmax_p D``, and 0 where that
+    distance is 0; no (n, p) array is built.
+    """
+    rows = np.arange(D.shape[0])
+    hit = np.argmax(D, axis=1)
+    top = D[rows, hit]
+    w = np.divide(dscore, top, out=np.zeros_like(top), where=top > 0.0)
+    r = R[rows, :, hit] * w[:, np.newaxis]  # (n, m)
+    E = maps.reshape(maps.shape[0], -1, D.shape[1])[:, :, hit]  # (d, m, n)
+    return np.einsum("nm,dmn->nd", r, E)
+
+
 def deep_rpo_loss(
     model: DeepRpoModel,
     batch: np.ndarray,
@@ -250,17 +269,15 @@ def deep_rpo_loss(
             dD = (dscore / U.p)[:, np.newaxis] if flagged else dscore[0] / U.p
             dZ = _sign_gradient(S, stats.mad, dD, E)
     else:
-        if model.estimator == "mean":
-            dD = (dscore / U.p)[:, np.newaxis]
-        else:
-            dD = np.zeros_like(D)
-            dD[np.arange(n), np.argmax(D, axis=1)] = dscore
-        # dD/dx = E'_p r'_p / D: the residuals, weighted by dLoss/dD / D in
-        # place, in one product with the maps
-        w = np.divide(dD, D, out=np.zeros_like(D), where=D > 0.0)
+        # dD/dx = E'_p r'_p / D: the residuals, weighted by dLoss/dD / D
         R = T.transpose(0, 2, 1)  # the C-ordered (n, m, p) residuals
-        R *= w[:, np.newaxis, :]
-        dZ = R.reshape(n, -1) @ head.maps.T
+        if model.estimator == "max":
+            dZ = _argmax_whitened_gradient(R, D, dscore, head.maps)
+        else:
+            # weighted in place, in one product with the maps
+            dD = (dscore / U.p)[:, np.newaxis]
+            R *= np.divide(dD, D, out=np.zeros_like(D), where=D > 0.0)[:, np.newaxis, :]
+            dZ = R.reshape(n, -1) @ head.maps.T
     grads = model.encoder.backward(cache, dZ)
     for g, W in zip(grads, model.encoder.weights):
         g += model.lam * W

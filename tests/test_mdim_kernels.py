@@ -5,16 +5,16 @@ code, kept verbatim (the earlier fit split into ``oracle_cov`` and
 ``oracle_fit``, and the earlier loss calling the fit with its rows and maps).
 
 Bit for bit: the medians of ``fit_rpo_projected`` equal ``np.median`` by
-``tobytes()``, and its inverse covariances equal the earlier ridge, inverse
-and symmetrization applied to its own covariance. The m = 1 loss of
+``tobytes()``, and its inverse covariances are symmetric to the bit. The
+m = 1 loss of
 ``deep_rpo_loss`` is held to the same bytes, and so is its gradient under
 the max estimator, whose latent gradient has one term per row.
 
 The oracles' own sums follow the memory layout of their operands: on an
-F-ordered ``T`` the distance einsum reduces in another order. The program
-only ever passes C-ordered projections, and the kernels copy ``T`` into a
-fixed layout first or work elementwise, so an F-ordered ``T`` must give
-the kernels' (and the oracles') result for its C-ordered copy.
+F-ordered ``T`` the distance einsum reduces in another order. The kernels
+copy ``T`` into a fixed layout first or work elementwise, so any layout of
+``T`` (``project``'s own at m > 1 is a transposed view of a C-ordered
+(p * m, n) array) must give the kernels' result for its C-ordered copy.
 
 Within a tolerance: ``project`` at m > 1 is one BLAS product, which sums
 over d in its own blocked order; the covariance in ``fit_rpo_projected`` is
@@ -34,9 +34,14 @@ in the kernel and the oracle alike
 (``test_fit_within_tolerance_on_offset_latents``). The distance scale takes
 the rows and the median, not the residual ``R``: the whitened product
 rounds relative to the rows, and a row at the median, with ``R`` = 0, gets
-a distance of rounding size. A whole deep-rpo run with the oracles patched
-in must keep its AUCs and best epoch exactly, and its losses and checkpoint
-within the same bound.
+a distance of rounding size. The inverse covariance, which the fit takes
+from a batched Cholesky and no LAPACK call, is held to its backward error
+against the kernel's covariance plus the ridge, per projection in the
+inf-norm: ``||C inv_cov - I||`` within ``MDIM_RTOL`` of ``||C|| ||inv_cov||``
+(``inverse_deviation``); ``TestBatchedCholesky`` holds that Cholesky's
+refusals to ``np.linalg.cholesky``'s. A whole deep-rpo run with the
+oracles patched in must keep its AUCs and best epoch exactly, and its
+losses and checkpoint within the same bound.
 
 The m > 1 gradient of ``deep_rpo_loss`` is one product of the weighted
 whitened residuals with the maps, where the oracle takes two einsums
@@ -70,6 +75,7 @@ from rpo import scoring, training
 from rpo.encoder import init_encoder
 from rpo.errors import NumericError
 from rpo.evaluation import ExperimentSpec, run_single_seed
+from rpo.model_io import ScoringModel
 from rpo.projections import generate_projections, project
 from rpo.scoring import (
     EPS_FLOOR,
@@ -97,17 +103,11 @@ def oracle_cov(T):
     return np.einsum("npi,npj->pij", centered, centered) / max(n - 1, 1)
 
 
-def oracle_fit(T, X=None, U=None, cov=None, ridge=RIDGE):
-    """The earlier fit; ``X`` and ``U`` are taken unread, so it stands in for the kernel.
-
-    ``cov`` replaces the einsum covariance: the kernel's covariance then
-    runs through the earlier ridge, inverse and symmetrization.
-    """
+def oracle_fit(T, X=None, U=None, ridge=RIDGE):
+    """The earlier fit; ``X`` and ``U`` are taken unread, so it stands in for the kernel."""
     n, p, m = T.shape
     med = np.median(T, axis=0)
-    if cov is None:
-        cov = oracle_cov(T)
-    cov = cov + ridge * np.eye(m)
+    cov = oracle_cov(T) + ridge * np.eye(m)
     inv_cov = np.linalg.inv(cov)
     inv_cov = 0.5 * (inv_cov + np.transpose(inv_cov, (0, 2, 1)))
     return RpoStats(med=med, mad=None, inv_cov=inv_cov)
@@ -197,13 +197,37 @@ def covariance_scale(X, U):
     return np.einsum("pdi,de,pej->pij", E, A.T @ A, E) / max(X.shape[0] - 1, 1)
 
 
+def _inf_norm(A):
+    return np.abs(A).sum(axis=2).max(axis=1)
+
+
+def inverse_deviation(inv_cov, cov):
+    """The inverses' backward error: the largest, over the projections, of
+    ``||cov_p inv_cov_p - I|| / (||cov_p|| ||inv_cov_p||)`` in the inf-norm.
+
+    Not relative to ``|cov_p| |inv_cov_p|``, entry by entry or by its
+    largest entry: where a covariance has an eigenvalue near the ridge,
+    ``|cov_p|`` and ``|inv_cov_p|`` are large in complementary entries, so
+    that product is far below the norms'. LAPACK's own inverse misses the
+    per-entry form by 3.4e-12 (``test_fit_equals_einsum_oracle[m4-n2-d4-p1000]``),
+    and this fit's inverse the largest-entry form by 5.2e-12 (on a
+    ``TestTiesAndSignedZeros`` draw of cond 8e9).
+    """
+    residual = _inf_norm(cov @ inv_cov - np.eye(cov.shape[-1]))
+    return float(np.max(residual / (_inf_norm(cov) * _inf_norm(inv_cov))))
+
+
 def assert_fit_within_tolerance(stats, T, X, U, atol=0.0):
-    """Medians and the inverse of the kernel's covariance bit for bit; that covariance within MDIM_RTOL."""
+    """Medians bit for bit; the kernel's covariance and its inverse within MDIM_RTOL.
+
+    The inverse is held to its backward error against the kernel's
+    covariance plus the ridge, and must be symmetric to the bit.
+    """
     cov = scoring._projected_covariance(X, U)
     assert_within_mdim_tolerance(cov, oracle_cov(T), covariance_scale(X, U), atol)
-    expected = oracle_fit(T, cov=cov)
-    assert _bytes_equal(stats.med, expected.med)
-    assert _bytes_equal(stats.inv_cov, expected.inv_cov)
+    assert _bytes_equal(stats.med, np.median(T, axis=0))
+    assert inverse_deviation(stats.inv_cov, cov + RIDGE * np.eye(U.m)) <= MDIM_RTOL
+    assert _bytes_equal(stats.inv_cov, stats.inv_cov.transpose(0, 2, 1))
 
 
 def assert_project_within_tolerance(T, X, U):
@@ -221,7 +245,9 @@ def test_project_equals_einsum_oracle(shape):
     X_before, E_before = X.copy(), U.entries.copy()
     T = project(X, U)
     assert_project_within_tolerance(T, X, U)
-    assert T.flags.c_contiguous
+    # a view of the C-ordered (p * m, n) layout the fit sorts
+    rows = T.reshape(T.shape[0], -1).T
+    assert rows.flags.c_contiguous and np.shares_memory(rows, T)
     assert _bytes_equal(X, X_before) and _bytes_equal(U.entries, E_before)
 
 
@@ -513,6 +539,126 @@ def test_undoubled_pairs_break_distance_tolerance_by_far(shape):
     D = _undoubled_distances(T, stats)
     expected = oracle_distances(T, stats)
     assert mdim_deviation(D**2, expected**2, whitened_scale(X, U, stats)) > 1e-3
+
+
+_LOWER_INVERSE = scoring._lower_inverse
+
+# each breaks the fit's inverse: Li Li^T for Li^T Li, or the covariance without its ridge
+INVERSE_MUTATIONS = {
+    "transposed-product": ("_lower_inverse", lambda L: _LOWER_INVERSE(L).transpose(0, 2, 1)),
+    "no-ridge": ("RIDGE", 0.0),
+}
+
+
+@pytest.mark.parametrize("shape", [(3, 128, 16, 37), (2, 540, 2, 1000), (5, 128, 8, 500)],
+                         ids=shape_id)
+@pytest.mark.parametrize("mutation", sorted(INVERSE_MUTATIONS))
+def test_mutated_inverse_breaks_inverse_tolerance_by_far(monkeypatch, shape, mutation):
+    X, U = instance(*shape)
+    T = project(X, U)
+    cov = scoring._projected_covariance(X, U) + RIDGE * np.eye(U.m)
+    assert inverse_deviation(fit_rpo_projected(T, X, U).inv_cov, cov) <= MDIM_RTOL
+    monkeypatch.setattr(scoring, *INVERSE_MUTATIONS[mutation])
+    assert inverse_deviation(fit_rpo_projected(T, X, U).inv_cov, cov) > 1e5 * MDIM_RTOL
+
+
+@st.composite
+def stacks(draw):
+    """One (1, m, m) matrix of a kind whose Cholesky refusal rounding cannot decide.
+
+    ``definite`` is ``B B^T + I`` over small integers; ``singular`` zeroes one
+    of its rows and columns, so that pivot is exactly 0; ``indefinite``
+    negates one diagonal entry, so that pivot is below 0; ``nan``, ``inf``
+    and ``-inf`` put that value at one entry, and sometimes at its mirror
+    too. A value in the upper triangle alone is never read.
+    """
+    m = draw(st.sampled_from([2, 3, 5]))
+    B = draw(arrays(np.float64, (m, m), elements=st.integers(-4, 4).map(float)))
+    A = B @ B.T + np.eye(m)
+    kind = draw(st.sampled_from(["definite", "singular", "indefinite", "nan", "inf", "-inf"]))
+    k = draw(st.integers(0, m - 1))
+    if kind == "singular":
+        A[k, :] = A[:, k] = 0.0
+    elif kind == "indefinite":
+        A[k, k] = -A[k, k]
+    elif kind != "definite":
+        i, j = k, draw(st.integers(0, m - 1))
+        A[i, j] = float(kind)
+        if draw(st.booleans()):
+            A[j, i] = float(kind)
+    return A[np.newaxis]
+
+
+def _refused(fn, *args):
+    """``fn(*args)`` raises ``NumericError``; an infinite entry may make NaN on the way."""
+    try:
+        with np.errstate(invalid="ignore"):
+            fn(*args)
+    except NumericError:
+        return True
+    return False
+
+
+def lapack_refuses(A):
+    """``np.linalg.cholesky`` refuses ``A``, or gives it a factor holding a NaN.
+
+    numpy's OpenBLAS ``potrf`` refuses a pivot <= 0 only, so a NaN pivot,
+    from a NaN entry or from ``inf - inf``, passes there as a NaN factor;
+    reference LAPACK refuses it, and so does ``scoring.cholesky``.
+    """
+    try:
+        return bool(np.any(np.isnan(np.linalg.cholesky(A))))
+    except np.linalg.LinAlgError:
+        return True
+
+
+class TestBatchedCholesky:
+    """``scoring.cholesky`` refuses exactly the stacks ``lapack_refuses``.
+
+    So do the fit (which factors its covariance plus the ridge) and
+    ``whiten`` (which factors the inverse), with ``NumericError``, and a
+    scorer, which names ``stats.inv_cov`` in a ``ValueError``.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacks())
+    def test_refuses_what_lapack_refuses(self, A):
+        refused = lapack_refuses(A)
+        assert _refused(scoring.cholesky, A, "stack") == refused
+        if not refused and np.all(np.isfinite(A)):
+            L = scoring.cholesky(A, "stack")
+            assert np.array_equal(L, np.tril(L))
+            # the symmetric matrix of A's lower triangle, the one it reads
+            read = np.tril(A) + np.tril(A, -1).transpose(0, 2, 1)
+            assert np.max(np.abs(L @ L.transpose(0, 2, 1) - read)) <= MDIM_RTOL * np.max(np.abs(A))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_fit_and_whiten_refuse_with_numeric_error(self, A):
+        m = A.shape[1]
+        U = generate_projections(m, m, 1, seed=m)
+        X = np.arange(3.0 * m).reshape(3, m)
+        stats = RpoStats(med=np.zeros((1, m)), mad=None, inv_cov=A)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scoring, "_projected_covariance", lambda X, U: A)
+            fit_refused = _refused(fit_rpo_projected, project(X, U), X, U)
+        assert fit_refused == lapack_refuses(A + RIDGE * np.eye(m))
+        assert _refused(whiten, U, stats) == lapack_refuses(A)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_scorer_names_stats_inv_cov(self, A):
+        m = A.shape[1]
+        U = generate_projections(m, m, 1, seed=m)
+        stats = RpoStats(med=np.zeros((1, m)), mad=None, inv_cov=A)
+        width = dict(scaler_mean=np.zeros(m), scaler_std=np.ones(m))
+        usable = (np.all(np.isfinite(A)) and np.array_equal(A, A.transpose(0, 2, 1))
+                  and not lapack_refuses(A))
+        if usable:
+            ScoringModel("rpo-mean", **width, projections=U, stats=stats)
+        else:
+            with pytest.raises(ValueError, match="stats.inv_cov"):
+                ScoringModel("rpo-mean", **width, projections=U, stats=stats)
 
 # the gradient contract: GRADIENT_RTOL at every m, the loss bit for bit at m = 1
 
