@@ -20,7 +20,8 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 def roc_auc(scores, labels) -> float:
     """AUC of ``scores`` against binary labels; anomalies (1) are positive.
 
-    Raises ``ValueError`` when only one class is present.
+    Labels are 0 and 1 (or ``False`` and ``True``). Raises ``ValueError``
+    naming the first other label, and when only one class is present.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -31,6 +32,9 @@ def roc_auc(scores, labels) -> float:
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores contain NaN or infinite entries")
     positive = labels == 1
+    other = ~positive & (labels != 0)
+    if np.any(other):
+        raise ValueError(f"labels must be 0 or 1, got {labels[np.argmax(other)].item()!r}")
     n_pos = int(np.count_nonzero(positive))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:

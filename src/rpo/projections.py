@@ -21,9 +21,9 @@ reads it.
 one (p * m, d) matrix, projection-major (``ProjectionSet.maps_pm``: row
 ``k * m + i`` is ``E_k[:, i]``), built once per set. The product
 ``maps_pm @ X.T`` is a C-ordered (p * m, n) array, the layout in which
-``scoring.fit_rpo_projected`` sorts each coordinate's n values, and
-``project`` returns its transpose as an (n, p, m) view, so the fit's sort
-blocks are contiguous rows and nothing is copied to transpose them. BLAS
+``scoring.fit_rpo_projected`` takes each coordinate's median over its n
+values, and ``project`` returns its transpose as an (n, p, m) view, so the
+fit takes the medians in place on contiguous rows and copies nothing. BLAS
 sums over d in its own blocked order, not one product at a time in order
 of d as the earlier ``einsum("nd,pdm->npm")`` did, so the last bits
 differ. The contract is a backward-error bound: each coordinate lies

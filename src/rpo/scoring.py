@@ -18,7 +18,10 @@ and both follow from one split point, found by a binary search of
 two entries per row from the sorted buffer and compares their deviations.
 The MAD is then the order statistic, or the mean of the two, as
 ``np.median`` takes it, so the medians and MADs equal ``np.median``'s bit for
-bit, ties, signed zeros, infinities and NaN included.
+bit, ties, signed zeros and infinities included, and are NaN wherever
+``np.median`` is NaN. A NaN's bits are not kept: the sort writes numpy's
+positive NaN, where ``np.median`` returns the input's NaN, which is
+negative when x86 arithmetic made it (``inf - inf``).
 
 Score stage: a query's per-projection normalized distance is
 ``|u^T x - med| / mad`` in the 1-D case and the robust Mahalanobis
@@ -76,11 +79,16 @@ would not hold for rows far from the origin: centring loses the offset's
 digits in both forms. On rows 1e3 from the origin with a spread of 1e-3
 the two differ by up to 4.5e-10 of the centred form, and 2e-22 of the
 uncentred one. The medians are still read from ``T`` and equal
-``np.median`` bit for bit. The fit sorts ``MEDIAN_BLOCK_ROWS``
-coordinates (rows of the (p * m, n) layout) at a time, so a validation
-refit holds one block's sort buffer next to ``T``, not a second
-(n, p, m) array; ``project``'s ``T`` is a view of that layout (see
-``projections``), so each block is a copy of contiguous rows.
+``np.median`` bit for bit (NaN wherever it is NaN). ``project``'s ``T`` is
+a view of a C-ordered (p * m, n) array (see ``projections``), whose rows
+are the coordinates, so the fit takes the medians in place on those rows
+and copies nothing: it consumes ``T``, permuting each coordinate's n values
+among themselves. A ``T`` in another layout, or sharing memory with
+``X``, is copied into that layout first. Below ``MEDIAN_SELECT_MIN_N``
+values a row the medians come from one sort of all rows
+(``_sort_rows_median``); from it up, from one ``partition`` at ``n // 2``
+(``_select_rows_median``), which is faster there though it leaves the rows
+unsorted; the m > 1 fit needs no sorted row for a MAD.
 
 The inverse takes no LAPACK call. ``cholesky`` factors the ridged
 covariances ``C_p = L_p L_p^T``, vectorised over the p projections with a
@@ -158,7 +166,7 @@ Estimator = Literal["max", "mean"]
 EPS_FLOOR = 1e-6  # lower bound of each m = 1 MAD
 RIDGE = 1e-6  # added to each m > 1 projected covariance before inverting
 SCORE_BLOCK_ROWS = 384  # rows per scoring block (see the module docstring)
-MEDIAN_BLOCK_ROWS = 256  # m > 1 coordinates the fit sorts at a time
+MEDIAN_SELECT_MIN_N = 448  # from this many values a row, m > 1 medians select, not sort
 
 
 class Method(NamedTuple):
@@ -217,8 +225,10 @@ def fit_rpo_projected(T: np.ndarray, X: np.ndarray, U: ProjectionSet) -> RpoStat
 
     The medians (and m = 1 MADs) are read from ``T``; at m > 1 each
     projection's covariance is taken from the rows ``X`` and the maps of
-    ``U`` (see the module docstring). Raises ``ValueError`` when ``X`` or
-    ``U`` does not fit ``T``.
+    ``U`` (see the module docstring). At m = 1 ``T`` is left as it was; at
+    m > 1 the fit consumes it, permuting each coordinate's values in place
+    when ``T`` is ``project``'s layout. ``X`` is never written. Raises
+    ``ValueError`` when ``X`` or ``U`` does not fit ``T``.
     """
     n, p, m = T.shape
     if (U.p, U.m) != (p, m):
@@ -235,16 +245,13 @@ def fit_rpo_projected(T: np.ndarray, X: np.ndarray, U: ProjectionSet) -> RpoStat
         mad = np.maximum(_sorted_rows_mad(buf, med), EPS_FLOOR)
         return RpoStats(med=med, mad=mad, inv_cov=None)
 
-    # each row of the (p * m, n) layout sorts on its own, so sorting a block
-    # of rows at a time gives the same medians and bounds the sort buffer;
-    # ``project``'s T is a view of that layout, so each block is one copy
-    # of contiguous rows
-    Tt = T.reshape(n, p * m).T
-    med = np.empty(p * m)
-    for start in range(0, p * m, MEDIAN_BLOCK_ROWS):
-        rows = slice(start, start + MEDIAN_BLOCK_ROWS)
-        med[rows] = _sort_rows_median(np.array(Tt[rows], order="C"))
-    med = med.reshape(p, m)
+    # the medians permute the rows of the (p * m, n) layout in place: they
+    # are T itself when T is ``project``'s view of that layout
+    rows = T.reshape(n, p * m).T
+    if not rows.flags.c_contiguous or np.may_share_memory(rows, X):
+        rows = np.array(rows, order="C")
+    median = _select_rows_median if n >= MEDIAN_SELECT_MIN_N else _sort_rows_median
+    med = median(rows).reshape(p, m)
     cov = _projected_covariance(X, U) + RIDGE * np.eye(m)
     Li = _lower_inverse(cholesky(cov, "projected covariance"))
     inv_cov = np.matmul(Li.transpose(0, 2, 1), Li)
@@ -312,10 +319,11 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 def _sort_rows_median(buf: np.ndarray) -> np.ndarray:
     """Median of each row of ``buf``, shape (rows, n); sorts ``buf`` in place.
 
-    Equals ``np.median(buf, axis=1)`` bit for bit: the ``np.mean`` of the
-    middle one or two order statistics (``np.mean`` even for one, because it
-    turns -0.0 into +0.0 as ``np.median`` does), and a row holding a NaN,
-    which sorts last, takes that NaN as its median.
+    Equals ``np.median(buf, axis=1)`` bit for bit, and is NaN wherever it
+    is NaN: the ``np.mean`` of the middle one or two order statistics
+    (``np.mean`` even for one, because it turns -0.0 into +0.0 as
+    ``np.median`` does), and a row holding a NaN, which sorts last, takes
+    that NaN as its median.
     """
     buf.sort(axis=1)
     n = buf.shape[1]
@@ -325,13 +333,40 @@ def _sort_rows_median(buf: np.ndarray) -> np.ndarray:
     return med
 
 
+def _select_rows_median(buf: np.ndarray) -> np.ndarray:
+    """Median of each row of ``buf``, shape (rows, n); partitions ``buf`` in place.
+
+    Equals ``np.median(buf, axis=1)`` bit for bit, and is NaN wherever it
+    is NaN, from one ``partition`` at ``c = n // 2``: order statistic c
+    lands at column c and the smaller ones left of it, so an even row's
+    lower middle statistic is the left part's max. The two add as
+    ``np.mean`` adds them, from +0.0, so -0.0 and -0.0 give +0.0. A NaN
+    partitions as the largest value, so a row holding one has it in the
+    right part, whose max gives it.
+    """
+    n = buf.shape[1]
+    c = n // 2
+    buf.partition(c, axis=1)
+    if n % 2:
+        med = buf[:, c] + 0.0
+    else:
+        med = np.max(buf[:, :c], axis=1)
+        med += 0.0
+        med += buf[:, c]
+        med /= 2
+    top = np.max(buf[:, c:], axis=1)
+    np.copyto(med, top, where=np.isnan(top))
+    return med
+
+
 def _sorted_rows_mad(buf: np.ndarray, med: np.ndarray) -> np.ndarray:
     """Unfloored MAD of each sorted row of ``buf`` about its median ``med``.
 
-    Equals ``np.median(np.abs(buf - med[:, None]), axis=1)`` bit for bit
-    without a second sort, and allocates nothing of ``buf``'s size (see the
-    module docstring). A row x splits at ``c = n // 2`` into two ascending
-    runs of deviations, ``a_i = med - x[c-1-i]`` and ``b_j = x[c+j] - med``;
+    Equals ``np.median(np.abs(buf - med[:, None]), axis=1)`` bit for bit,
+    and is NaN wherever it is NaN, without a second sort, and allocates
+    nothing of ``buf``'s size (see the module docstring). A row x splits at
+    ``c = n // 2`` into two ascending runs of deviations,
+    ``a_i = med - x[c-1-i]`` and ``b_j = x[c+j] - med``;
     a binary search over all rows at once finds ``i``, how many of the
     ``t = (n - 1) // 2 + 1`` smallest deviations come from ``a``. A row with
     a NaN or infinite median needs no case of its own: its NaN deviations

@@ -233,7 +233,9 @@ def deep_rpo_loss(
     U = model.projections
     T = project(Z, U) if stats is None or U.m == 1 else None  # (n, p, m)
     if stats is None:
-        stats = fit_rpo_projected(T, Z, U)  # sorts a copy, never T
+        # at m = 1 the fit sorts a copy, never T; at m > 1 it permutes T's
+        # values in place, and T is read no more: the whitened residuals replace it
+        stats = fit_rpo_projected(T, Z, U)
     if U.m == 1:
         # T is this call's own: the residual pass overwrites it with the distances
         S, D = _residual_signs(T[:, :, 0], stats.med, stats.mad)

@@ -72,6 +72,20 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc(np.arange(4.0), np.zeros(4))
 
+    @pytest.mark.parametrize("labels, named", [
+        ([0, 2, 1, 1], "2"), ([0, 0.5, 1, 1], "0.5"), ([0, 1, -1, 3], "-1"),
+        ([0, np.nan, 1, 1], "nan"),
+    ])
+    def test_label_outside_0_and_1_rejected_by_name(self, labels, named):
+        # such a label was counted as normal, and the first call scored 1.0
+        with pytest.raises(ValueError, match=rf"0 or 1, got {named}$"):
+            roc_auc([0.1, 0.2, 0.9, 0.8], labels)
+
+    def test_bool_labels_accepted(self):
+        labels = np.array([False, False, True, True])
+        assert roc_auc([0.1, 0.2, 0.9, 0.8], labels) == 1.0
+        assert roc_auc([0.9, 0.2, 0.1, 0.8], labels) == 0.25
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_pairwise_oracle(self, seed):
         rng = np.random.default_rng(seed)

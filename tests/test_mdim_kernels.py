@@ -15,6 +15,10 @@ F-ordered ``T`` the distance einsum reduces in another order. The kernels
 copy ``T`` into a fixed layout first or work elementwise, so any layout of
 ``T`` (``project``'s own at m > 1 is a transposed view of a C-ordered
 (p * m, n) array) must give the kernels' result for its C-ordered copy.
+The m > 1 fit takes its medians in place on ``project``'s layout, so it
+leaves that ``T`` permuted within each coordinate, and any other layout
+unchanged (``assert_consumed_as_documented``); a caller that reads ``T``
+again fits on a projection of its own.
 
 Within a tolerance: ``project`` at m > 1 is one BLAS product, which sums
 over d in its own blocked order; the covariance in ``fit_rpo_projected`` is
@@ -149,6 +153,30 @@ def _bytes_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def coordinate_rows(T):
+    """The (p * m, n) rows of an (n, p, m) ``T``: each coordinate's n values."""
+    return T.reshape(T.shape[0], -1).T
+
+
+def assert_permuted_within_coordinates(T, before):
+    """Each coordinate of ``T`` holds the bit patterns it held ``before``, in some order.
+
+    Sorted as integers, so +0.0 and -0.0 (and NaNs) are told apart.
+    """
+    def sorted_bits(A):
+        return np.sort(np.ascontiguousarray(coordinate_rows(A)).view(np.int64), axis=1)
+
+    assert _bytes_equal(sorted_bits(T), sorted_bits(before))
+
+
+def assert_consumed_as_documented(T, before):
+    """After an m > 1 fit: ``project``'s layout permuted within each coordinate, any other unchanged."""
+    if coordinate_rows(T).flags.c_contiguous:
+        assert_permuted_within_coordinates(T, before)
+    else:
+        assert _bytes_equal(T, before)
+
+
 # the tolerance contract of the m > 1 projection, covariance and distances
 
 MDIM_RTOL = 1e-12
@@ -260,7 +288,8 @@ def test_fit_equals_einsum_oracle(shape):
         before = layout.copy(order="K")
         stats = fit_rpo_projected(layout, X, U)
         assert_fit_within_tolerance(stats, T, X, U)
-        assert _bytes_equal(layout, before)
+        # an F-ordered T with one projection is project's layout
+        assert_consumed_as_documented(layout, before)
     assert _bytes_equal(X, X_before)
 
 
@@ -364,10 +393,11 @@ class TestTiesAndSignedZeros:
         T = project(X, U)
         before, X_before = T.copy(), X.copy()
         stats = fit_rpo_projected(T, X, U)
-        assert_fit_within_tolerance(stats, T, X, U, atol=UNDERFLOW)
+        assert_fit_within_tolerance(stats, before, X, U, atol=UNDERFLOW)
         D = whitened_distances(X, U, stats)
         assert_distances_within_tolerance(D, X, U, stats, atol=UNDERFLOW)
-        assert _bytes_equal(T, before) and _bytes_equal(X, X_before)
+        assert_permuted_within_coordinates(T, before)
+        assert _bytes_equal(X, X_before)
 
     @settings(max_examples=100, deadline=None)
     @given(rows_and_maps())
@@ -679,7 +709,9 @@ def oracle_deep_rpo_loss(
 
     The earlier loss: it reads ``project`` and ``fit_rpo_projected`` from
     ``training``, as it did there, so the oracles patched in there apply,
-    and takes its m > 1 distances from ``oracle_distances`` over ``T``.
+    and takes its m > 1 distances from ``oracle_distances`` over ``T``. It
+    fits on a projection of its own, as the m > 1 fit consumes the one it
+    is given.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] == 0:
@@ -697,7 +729,8 @@ def oracle_deep_rpo_loss(
     Z, cache = model.encoder.forward(batch)
     T = training.project(Z, model.projections)  # (n, p, m)
     if stats is None:
-        stats = training.fit_rpo_projected(T, Z, model.projections)
+        stats = training.fit_rpo_projected(
+            training.project(Z, model.projections), Z, model.projections)
 
     D = (projected_distances if stats.mad is not None else oracle_distances)(T, stats)  # (n, p)
     scores = reduce_distances(D, model.estimator)
@@ -780,7 +813,7 @@ def gradient_instance(m, n, p, estimator, sad, given_stats, seed=0):
     if given_stats:
         Z = enc.forward(batch)[0]
         T = project(Z, U)
-        fitted = fit_rpo_projected(T, Z, U)
+        fitted = fit_rpo_projected(project(Z, U), Z, U)  # consumes its T at m > 1
         med = T[5, :, 0].copy() if m == 1 else T[5].copy()
         stats = RpoStats(med=med, mad=fitted.mad, inv_cov=fitted.inv_cov)
         D = projected_distances(T, stats) if m == 1 else oracle_distances(T, stats)

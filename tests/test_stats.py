@@ -9,6 +9,14 @@ binary search over each sorted row, so ``TestBitExact`` also holds them to
 ``np.median`` byte for byte on many columns at once, at the sizes deep RPO
 refits on (its batches and its 540-row validation set), with long tied
 runs through the median, infinite entries and midpoints that overflow.
+Where ``np.median`` is NaN they are NaN, of either sign: the sort writes
+numpy's positive NaN, where ``np.median`` keeps the input's.
+
+At m > 1 the medians come from a sort below ``MEDIAN_SELECT_MIN_N``
+values a coordinate and from a selection from it up, in place on
+``project``'s layout; ``TestMedianKernels`` holds both kernels to the same
+contract on each side of that crossover, and the fit to permuting each
+coordinate's values and nothing else.
 """
 
 import numpy as np
@@ -18,8 +26,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rpo.data import Dataset
-from rpo.projections import ProjectionSet
-from rpo.scoring import EPS_FLOOR, fit_rpo, fit_rpo_projected
+from rpo.projections import ProjectionSet, generate_projections, project
+from rpo.scoring import (
+    EPS_FLOOR,
+    MEDIAN_SELECT_MIN_N,
+    _select_rows_median,
+    _sort_rows_median,
+    fit_rpo,
+    fit_rpo_projected,
+)
 
 
 def sort_oracle_median(values):
@@ -180,6 +195,13 @@ def np_median_and_mad(T):
     return med, np.maximum(np.median(np.abs(coords - med), axis=0), EPS_FLOOR)
 
 
+def assert_equal_or_both_nan(value, expected):
+    """Byte for byte where ``expected`` is a number, NaN exactly where it is NaN."""
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(value), nan)
+    assert value[~nan].tobytes() == expected[~nan].tobytes()
+
+
 def assert_fit_equals_np_median(T):
     """The m = 1 fit equals the ``np.median`` oracle byte for byte.
 
@@ -283,9 +305,114 @@ class TestBitExact:
     def test_nan_column_gives_nan_median_and_mad(self, T, data):
         n, p, _ = T.shape
         j = data.draw(st.integers(min_value=0, max_value=p - 1))
-        T[data.draw(st.integers(min_value=0, max_value=n - 1)), j, 0] = np.nan
+        nan = data.draw(st.sampled_from([np.nan, NEGATIVE_NAN]))
+        T[data.draw(st.integers(min_value=0, max_value=n - 1)), j, 0] = nan
         stats = fit(T)
         med, mad = np_median_and_mad(T)
         assert np.isnan(stats.med[j]) and np.isnan(stats.mad[j])
-        assert stats.med.tobytes() == med.tobytes()
-        assert stats.mad.tobytes() == mad.tobytes()
+        assert_equal_or_both_nan(stats.med, med)
+        assert_equal_or_both_nan(stats.mad, mad)
+
+
+# the NaN x86 arithmetic makes (inf - inf): sign bit set, 0xfff8...
+NEGATIVE_NAN = np.array([0xFFF8_0000_0000_0000], dtype=np.uint64).view(np.float64)[0]
+# row lengths for the kernels: 1 and 2, small odd and even ones, and each
+# side of the crossover
+KERNEL_SIZES = [1, 2, 3, 4, 5, MEDIAN_SELECT_MIN_N - 1, MEDIAN_SELECT_MIN_N,
+                MEDIAN_SELECT_MIN_N + 1, 540]
+KERNEL_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, 1.7e308, -1.7e308]
+
+
+@st.composite
+def kernel_rows(draw, nan=False):
+    """(rows, n) values from a few of ``KERNEL_VALUES`` and normal draws, so ties run long.
+
+    With ``nan``, some rows also hold NaNs of either sign.
+    """
+    n = draw(st.sampled_from(KERNEL_SIZES))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    pool = draw(st.lists(st.sampled_from(KERNEL_VALUES), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    A = np.where(rng.random((rows, n)) < draw(st.floats(0.0, 1.0)),
+                 rng.choice(pool, size=(rows, n)), rng.normal(size=(rows, n)))
+    if nan:
+        A[rng.random((rows, n)) < draw(st.floats(0.0, 0.05))] = np.nan
+        A[rng.random((rows, n)) < draw(st.floats(0.0, 0.05))] = NEGATIVE_NAN
+    return A
+
+
+def kernel_median(kernel, A):
+    """``kernel``'s medians of the rows of a copy of ``A``, with ``np.median``'s."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return kernel(A.copy()), np.median(A, axis=1)
+
+
+KERNELS = pytest.mark.parametrize("kernel", [_sort_rows_median, _select_rows_median])
+
+
+class TestMedianKernels:
+    @KERNELS
+    @given(A=kernel_rows())
+    def test_equal_np_median_by_bytes(self, kernel, A):
+        med, expected = kernel_median(kernel, A)
+        assert med.tobytes() == expected.tobytes()
+
+    @KERNELS
+    @given(A=kernel_rows(nan=True))
+    def test_nan_exactly_where_np_median_is_nan(self, kernel, A):
+        med, expected = kernel_median(kernel, A)
+        assert_equal_or_both_nan(med, expected)
+
+    @KERNELS
+    def test_negative_nan_median_is_nan(self, kernel):
+        # the sort gives numpy's positive NaN here, np.median the input's negative one
+        A = np.array([[1.0, NEGATIVE_NAN, 2.0], [NEGATIVE_NAN] * 3])
+        med, expected = kernel_median(kernel, A)
+        assert np.all(np.isnan(med)) and np.all(np.isnan(expected))
+
+    @KERNELS
+    def test_signed_zero_and_infinite_midpoints(self, kernel):
+        A = np.array([[-0.0, -0.0], [-0.0, 0.0], [-np.inf, np.inf], [np.inf, np.inf], [-0.0, 5.0]])
+        med, expected = kernel_median(kernel, A)
+        assert med.tobytes() == expected.tobytes()
+        assert np.signbit(med[0]) == np.signbit(expected[0]) == False  # noqa: E712
+
+    @given(st.sampled_from(KERNEL_SIZES[2:]), st.integers(min_value=2, max_value=4),
+           st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**16))
+    def test_m_above_1_fit_permutes_within_each_coordinate(self, n, m, p, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 6))
+        X[: n // 4] = rng.choice([0.0, -0.0], size=(n // 4, 6))
+        U = generate_projections(6, m, p, seed=seed)
+        T = project(X, U)
+        before, X_before = T.copy(), X.copy()
+        stats = fit_rpo_projected(T, X, U)
+        assert stats.med.tobytes() == np.median(before, axis=0).tobytes()
+        # the medians ran in place on T's rows: each holds the same bits, reordered
+        rows = T.reshape(n, -1).T
+        assert rows.flags.c_contiguous
+        sorted_bits = [np.sort(np.ascontiguousarray(A.reshape(n, -1).T).view(np.int64), axis=1)
+                       for A in (T, before)]
+        assert sorted_bits[0].tobytes() == sorted_bits[1].tobytes()
+        assert X.tobytes() == X_before.tobytes()
+
+    @given(st.sampled_from(KERNEL_SIZES), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2**16))
+    def test_m1_fit_leaves_t_unchanged(self, n, p, seed):
+        X = np.random.default_rng(seed).normal(size=(n, 6))
+        U = generate_projections(6, 1, p, seed=seed)
+        T = project(X, U)
+        before = T.copy()
+        fit_rpo_projected(T, X, U)
+        assert T.tobytes() == before.tobytes()
+
+    def test_m_above_1_fit_with_x_sharing_t_copies_first(self):
+        # X the rows of T itself: the medians must not permute them before the covariance
+        T = project(np.random.default_rng(0).normal(size=(540, 3)),
+                    generate_projections(3, 3, 1, seed=0))
+        X = T.reshape(540, 3)
+        maps = ProjectionSet(entries=np.eye(3).reshape(1, 3, 3))
+        before = T.copy()
+        stats = fit_rpo_projected(T, X, maps)
+        assert T.tobytes() == before.tobytes()
+        assert stats.med.tobytes() == np.median(before, axis=0).tobytes()
