@@ -164,25 +164,19 @@ ADAM_EPS = 1e-8
 class AdamState:
     """Adam's first and second moments, each one flat buffer laid out as the weights.
 
-    ``m`` and ``v`` are the per-layer views of ``m_buffer`` and ``v_buffer``.
+    ``Encoder.layer_views`` gives a buffer's per-layer views.
     """
 
     m_buffer: np.ndarray
     v_buffer: np.ndarray
-    m: tuple
-    v: tuple
     learning_rate: float
     step: int = 0
 
 
 def init_adam(enc: Encoder, learning_rate: float) -> AdamState:
-    m_buffer = np.zeros_like(enc.buffer)
-    v_buffer = np.zeros_like(enc.buffer)
     return AdamState(
-        m_buffer=m_buffer,
-        v_buffer=v_buffer,
-        m=enc.layer_views(m_buffer),
-        v=enc.layer_views(v_buffer),
+        m_buffer=np.zeros_like(enc.buffer),
+        v_buffer=np.zeros_like(enc.buffer),
         learning_rate=learning_rate,
     )
 

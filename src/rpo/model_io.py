@@ -5,7 +5,9 @@ standardizer fitted on the train split, the encoder weights (deep methods),
 and the score head, which is either the hypersphere center (deep-svdd) or
 the frozen projection set with its fitted statistics (projection methods).
 A scorer checks its parts when it is built, so one that exists fits its
-method and scores every finite row to a finite value.
+method. A row whose score is not finite (its features overflow the
+standardizer, the encoder or the projections) raises ``NumericError``
+naming the row, so no scorer returns a NaN or infinite score.
 
 A scorer has one loop: for each block of ``scoring.row_blocks`` (384 to
 767 rows; fewer rows are one block) it standardizes the block's rows, runs
@@ -20,14 +22,16 @@ whole-input form bit for bit; at other layer shapes a block's product may
 round differently, and the scores stay within a relative 1e-10 of it
 (README "Numerics").
 
-A checkpoint is one ``.npz`` archive of format version 2, holding only what
+A checkpoint is one ``.npz`` archive of format version 3, holding only what
 scoring reads: ``version``, ``method``, ``scaler_mean`` and ``scaler_std``;
 ``layer_dims`` and ``W0`` .. ``W{L-1}`` for an encoder; ``center`` for
 deep-svdd; otherwise ``proj_entries``, ``stats_med`` and either
-``stats_mad`` (m = 1) or ``stats_inv_cov`` (m > 1). Arrays are stored raw,
-so save/load round-trips bit-exactly. A file of another version is refused;
-rerunning the ``rpo bench`` config that wrote it writes the same model in
-this format.
+``stats_mad`` (m = 1) or ``stats_inv_chol`` (m > 1), each projection's
+inverse Cholesky factor (``scoring.RpoStats``); version 2 stored the
+inverse covariances themselves. Arrays are stored raw, so save/load
+round-trips bit-exactly. A file of another version is refused; rerunning
+the ``rpo bench`` config that wrote it writes the same model in this
+format.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .scoring import (
     whiten,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +103,9 @@ class ScoringModel:
             if d != space:
                 raise ValueError(f"the projections map {d} dimensions, not {space}")
             if (self.stats.mad is None) != (m > 1):
-                raise ValueError(f"m = {m} projections need stats.{'inv_cov' if m > 1 else 'mad'}")
+                raise ValueError(f"m = {m} projections need stats.{'inv_chol' if m > 1 else 'mad'}")
             shapes.update({"stats.med": (p,) if m == 1 else (p, m), "stats.mad": (p,),
-                           "stats.inv_cov": (p, m, m)})
+                           "stats.inv_chol": (p, m, m)})
         for name, shape in shapes.items():
             a = attrgetter(name)(self)
             if a is None:
@@ -112,16 +116,15 @@ class ScoringModel:
                 raise ValueError(f"{name} holds a non-finite value")
             if name in ("scaler_std", "stats.mad") and not np.all(a > 0):
                 raise ValueError(f"{name} must be > 0")
-            if name == "stats.inv_cov" and not np.array_equal(a, a.transpose(0, 2, 1)):
-                # the fit's 0.5 * (A + A^T) is symmetric to the bit
-                raise ValueError(f"{name} must be symmetric")
+            if name == "stats.inv_chol":
+                # so Li^T Li, the inverse covariance it stands for, is positive definite
+                if np.any(np.triu(a, 1)):
+                    raise ValueError(f"{name} must be lower triangular")
+                if not np.all(np.diagonal(a, axis1=1, axis2=2) > 0):
+                    raise ValueError(f"{name} must be > 0 on its diagonal")
         head = self.stats
-        if head is not None and head.inv_cov is not None:
-            # the scorer scores with the Cholesky factor that checks the inverse
-            try:
-                head = whiten(self.projections, head)
-            except NumericError:
-                raise ValueError("stats.inv_cov must be positive definite") from None
+        if head is not None and head.inv_chol is not None:
+            head = whiten(self.projections, head)
         object.__setattr__(self, "_head", head)
 
     @property
@@ -147,16 +150,24 @@ class ScoringModel:
         return self._score_blocks(X, standardize=True)
 
     def _score_blocks(self, X: np.ndarray, standardize: bool) -> np.ndarray:
-        """The one scoring loop: each block of rows runs the whole pipeline (module docstring)."""
+        """The one scoring loop: each block of rows runs the whole pipeline (module docstring).
+
+        Raises ``NumericError`` naming the first row whose score is not finite.
+        """
         scores = np.empty(X.shape[0])
-        for rows in row_blocks(X.shape[0]):
-            Z = (X[rows] - self.scaler_mean) / self.scaler_std if standardize else X[rows]
-            if self.encoder is not None:
-                Z, _ = self.encoder.forward(Z)
-            if self.center is not None:
-                scores[rows] = center_distances(Z, self.center)
-            else:
-                scores[rows] = score_batch(Z, self.projections, self._head, self.estimator)
+        # an overflow shows as a non-finite score, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in row_blocks(X.shape[0]):
+                Z = (X[rows] - self.scaler_mean) / self.scaler_std if standardize else X[rows]
+                if self.encoder is not None:
+                    Z, _ = self.encoder.forward(Z)
+                if self.center is not None:
+                    scores[rows] = center_distances(Z, self.center)
+                else:
+                    scores[rows] = score_batch(Z, self.projections, self._head, self.estimator)
+        if not np.all(np.isfinite(scores)):
+            i = np.flatnonzero(~np.isfinite(scores))[0]
+            raise NumericError(f"row {i} (counting from 0) scores {scores[i]}, not a finite value")
         return scores
 
 
@@ -180,7 +191,7 @@ def save_model_checkpoint(path, model: ScoringModel) -> None:
         if model.stats.mad is not None:
             payload["stats_mad"] = model.stats.mad
         else:
-            payload["stats_inv_cov"] = model.stats.inv_cov
+            payload["stats_inv_chol"] = model.stats.inv_chol
     np.savez(path, **payload)
 
 
@@ -216,7 +227,7 @@ def _unpack(data) -> ScoringModel:
     stats = None
     if "stats_med" in data:
         stats = RpoStats(
-            med=data["stats_med"], mad=data.get("stats_mad"), inv_cov=data.get("stats_inv_cov")
+            med=data["stats_med"], mad=data.get("stats_mad"), inv_chol=data.get("stats_inv_chol")
         )
     return ScoringModel(
         method=str(data["method"]),

@@ -4,8 +4,8 @@ Fit stage (training data only): for 1-D projections, store the median and
 MAD of each projection's coordinates; the MAD is clamped from below by
 ``EPS_FLOOR`` so degenerate projections cannot divide by ~0. For
 multidimensional projections, store the componentwise median and the
-inverse of the ridge-regularized sample covariance of the projected
-training points. Deep RPO refits these every batch, so the medians come
+inverse Cholesky factor of the ridge-regularized sample covariance of the
+projected training points. Deep RPO refits these every batch, so the medians come
 from one in-place sort of a C-ordered (projections, rows) buffer, and the
 MAD is selected from the same sorted rows without a second sort. On a
 sorted row x of n values with ``c = n // 2``, the deviations below the
@@ -45,9 +45,11 @@ bit: ``reduce_distances(projected_distances(project(X, U), stats), est)``
 at m = 1 and, with ``W = whiten(U, stats)``,
 ``reduce_distances(projected_distances(whitened_residuals(X, W), W), est)``
 at m > 1. Every step but the projection's matmul works row by row; OpenBLAS
-(measured with 0.3.31's x86-64 Haswell kernels) gives that matmul the same
-bits for a block of 192 * k rows as for one call over all rows, at m = 1
-and m > 1, and 384 = 2 * 192. A short block (a remainder left on its own)
+0.3.31 gives that matmul the same bits for a block of 192 * k rows as for
+one call over all rows, at m = 1 and m > 1, and 384 = 2 * 192. That was
+measured with its SkylakeX kernels, the ones it picks on an AVX-512 host;
+the block tests pass under its Haswell kernels (``OPENBLAS_CORETYPE=Haswell``)
+too. A short block (a remainder left on its own)
 takes its small-row path and changes bits, and so do blocks of 1,000,
 1,024 or 4,096 rows. On more BLAS threads the one-call matmul splits its
 rows among the threads, not as the blocks do, so no bit equality is
@@ -97,54 +99,55 @@ overflows. Rows that fail the bound (a NaN, an infinity, or values near
 the float64 maximum) keep the pass, so the medians are the same on every
 input.
 
-The inverse takes no LAPACK call. ``cholesky`` factors the ridged
-covariances ``C_p = L_p L_p^T``, vectorised over the p projections with a
-loop over the m(m+1)/2 entries, ``_lower_inverse`` inverts each factor by
-forward substitution, ``inv_cov_p = L_p^-T L_p^-1`` is one batched product,
-and it is symmetrized as ``0.5 * (A + A^T)``, so it is symmetric to the
-bit. It rounds differently from ``np.linalg.inv``: on latents within
-1e-7 to 1e-4 of a 2-D subspace the two differ by up to 1.1e-9 of the
-largest entry, though each has a backward error below 1e-14. The
-contract is a backward-error bound, per projection, in the inf-norm:
-``||C_p inv_cov_p - I|| <= 1e-12 ||C_p|| ||inv_cov_p||``
-(``inverse_deviation`` in ``tests/test_mdim_kernels.py``). A bound
-relative to ``|C_p| |inv_cov_p|`` would not hold: where ``C_p`` has an
-eigenvalue near the ridge, the two are large in complementary entries,
-and LAPACK's own inverse misses that bound entry by entry by 3.4e-12.
-``cholesky`` refuses a pivot that is not
+The whitening factor takes no LAPACK call. ``cholesky`` factors the
+ridged covariances ``C_p = L_p L_p^T``, vectorised over the p projections
+with a loop over the m(m+1)/2 entries, and ``_lower_inverse`` inverts each
+factor by forward substitution. The fit keeps ``Li_p = L_p^-1``, lower
+triangular with a positive diagonal, as ``RpoStats.inv_chol``; the inverse
+covariance it stands for, ``Li_p^T Li_p``, is never formed. The contract
+is a backward-error bound, per projection, in the inf-norm:
+``||Li_p C_p Li_p^T - I|| <= 1e-12 ||Li_p|| ||C_p|| ||Li_p^T||``
+(``factor_deviation`` in ``tests/test_mdim_kernels.py``), and the implied
+inverse keeps the bound the formed inverse was held to,
+``||C_p Li_p^T Li_p - I|| <= 1e-12 ||C_p|| ||Li_p^T Li_p||``
+(``inverse_deviation``). A bound relative to ``|C_p| |Li_p^T Li_p|``
+would not hold: where ``C_p`` has an eigenvalue near the ridge, the two
+are large in complementary entries, and LAPACK's own inverse misses that
+bound entry by entry by 3.4e-12. ``cholesky`` refuses a pivot that is not
 > 0, so a covariance that is not positive definite, or holds a NaN that
 reaches a pivot, raises ``NumericError``. That is what reference
 LAPACK's ``potrf`` refuses; numpy's OpenBLAS ``potrf`` lets a NaN pivot
 through as a NaN factor.
 
-At m > 1 a distance is taken through whitened maps. ``whiten`` factors
-each inverse covariance as ``inv_cov_p = L_p L_p^T`` (lower Cholesky, with
-the same ``cholesky``) and
-folds the factor into the map and the median once per fit: ``E'_p = E_p
-L_p`` and ``med'_p = L_p^T med_p``. The distance is then
-``|x E'_p - med'_p|``, the same kind of work as at m = 1:
+At m > 1 a distance is taken through whitened maps. ``whiten`` folds each
+factor into its map and median once per fit: ``E'_p = E_p Li_p^T`` and
+``med'_p = Li_p med_p``. The distance is then ``|x E'_p - med'_p|``,
+which is ``|Li_p (E_p^T x - med_p)|``, the Mahalanobis distance under
+``Li_p^T Li_p``; it is the same kind of work as at m = 1:
 ``whitened_residuals`` takes one BLAS product of the rows with the maps,
 laid out m-major as one (d, m * p) matrix (column ``i * p + k`` is
 ``E'_k[:, i]``), and subtracts ``med'`` in place from that fresh product;
 ``projected_distances`` adds the squares of its m planes, one (n, p)
 plane at a time. The training loss reads the same residuals again for its
-gradient. ``whiten`` is the one place that factors ``inv_cov``: a fit
-whose inverse has no factor raises ``NumericError``, and a checkpoint's
-scorer builds its whitened maps, and so checks the factor, when it is
-loaded.
+gradient. The fit's factor and a checkpoint's are folded in as they are:
+a checkpoint's scorer checks that its factor is finite, lower triangular
+and positive on the diagonal (so ``Li_p^T Li_p`` is positive definite)
+and builds its whitened maps once, when it is loaded.
 
 The whitened distance rounds differently from the plain quadratic form
-``"npi,pij,npj->np"`` over ``T - med``, which the tests keep as the
-oracle, and a row at the median gets a distance of rounding size, not 0.
-The contract is a backward-error bound: each squared distance lies within
-1e-12 of the oracle's, relative to the whitened form over absolute values,
-``sum_k (sum_i |L_ik| (|x| |E_p| + |med_p|)_i)^2`` (``MDIM_RTOL`` and
+``"npi,pij,npj->np"`` over ``T - med`` with ``Li_p^T Li_p``, which the
+tests keep as the oracle, and a row at the median gets a distance of
+rounding size, not 0. The contract is a backward-error bound: each
+squared distance lies within 1e-12 of the oracle's, relative to the
+whitened form over absolute values,
+``sum_k (sum_i |Li_ki| (|x| |E_p| + |med_p|)_i)^2`` (``MDIM_RTOL`` and
 ``whitened_scale`` in ``tests/test_mdim_kernels.py``). A bound relative
-to ``sum |R_i| |C_ij| |R_j|`` over the residuals ``R`` would not hold: it
+to ``sum |R_i| |(Li_p^T Li_p)_ij| |R_j|`` over the residuals ``R`` would
+not hold: it
 is 0 at the median, and the whitened product rounds relative to the rows,
 not to their residuals. A bound relative to the largest distance would not
-hold either: on latents within 1e-7 to 1e-4 of a 2-D subspace, where ``L``
-is large, the two forms differ by 1.2e-11 to 3.7e-11 of it.
+hold either: on latents within 1e-7 to 1e-4 of a 2-D subspace, where
+``Li`` is large, the two forms differ by 9.3e-12 to 7.2e-11 of it.
 
 This module holds every score head: the projection outlyingness above
 (``score_batch``) and the deep-svdd squared distance to a latent center
@@ -198,17 +201,19 @@ class RpoStats:
     """Per-projection robust location/spread fitted on training data.
 
     ``med`` has shape (p,) when m = 1 and (p, m) otherwise. Exactly one of
-    ``mad`` (shape (p,), already floored) and ``inv_cov`` (shape (p, m, m),
-    symmetric positive definite) is set.
+    ``mad`` (shape (p,), already floored) and ``inv_chol`` (shape (p, m, m))
+    is set. ``inv_chol[k]`` is ``Li_k = L_k^-1`` for the Cholesky factor
+    ``L_k`` of projection k's ridged covariance: lower triangular with a
+    positive diagonal, so ``Li_k^T Li_k`` is that covariance's inverse.
     """
 
     med: np.ndarray
     mad: np.ndarray | None
-    inv_cov: np.ndarray | None
+    inv_chol: np.ndarray | None
 
     def __post_init__(self):
-        if (self.mad is None) == (self.inv_cov is None):
-            raise ValueError("exactly one of mad and inv_cov must be set")
+        if (self.mad is None) == (self.inv_chol is None):
+            raise ValueError("exactly one of mad and inv_chol must be set")
 
     @property
     def p(self) -> int:
@@ -250,7 +255,7 @@ def fit_rpo_projected(T: np.ndarray, X: np.ndarray, U: ProjectionSet) -> RpoStat
         buf = np.array(T[:, :, 0].T, order="C")
         med = _sort_rows_median(buf)
         mad = np.maximum(_sorted_rows_mad(buf, med), EPS_FLOOR)
-        return RpoStats(med=med, mad=mad, inv_cov=None)
+        return RpoStats(med=med, mad=mad, inv_chol=None)
 
     # the medians permute the rows of the (p * m, n) layout in place: they
     # are T itself when T is ``project``'s view of that layout
@@ -262,13 +267,10 @@ def fit_rpo_projected(T: np.ndarray, X: np.ndarray, U: ProjectionSet) -> RpoStat
     else:
         med = _sort_rows_median(rows)
     med = med.reshape(p, m)
-    cov = _projected_covariance(X, U) + RIDGE * np.eye(m)
-    Li = _lower_inverse(cholesky(cov, "projected covariance"))
-    inv_cov = np.matmul(Li.transpose(0, 2, 1), Li)
-    if not np.all(np.isfinite(inv_cov)):
+    Li = _lower_inverse(cholesky(_projected_covariance(X, U) + RIDGE * np.eye(m)))
+    if not np.all(np.isfinite(Li)):
         raise NumericError("projected covariance inverse is not finite")
-    inv_cov = 0.5 * (inv_cov + np.transpose(inv_cov, (0, 2, 1)))
-    return RpoStats(med=med, mad=None, inv_cov=inv_cov)
+    return RpoStats(med=med, mad=None, inv_chol=Li)
 
 
 def _projects_finite(X: np.ndarray, U: ProjectionSet) -> bool:
@@ -301,13 +303,13 @@ def _projected_covariance(X: np.ndarray, U: ProjectionSet) -> np.ndarray:
     return np.matmul(U.entries.transpose(0, 2, 1), ES.transpose(0, 2, 1))
 
 
-def cholesky(A: np.ndarray, name: str) -> np.ndarray:
+def cholesky(A: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors ``L`` of a (k, m, m) stack, ``A_k = L_k L_k^T``.
 
     Reads the lower triangle only, as ``np.linalg.cholesky`` does, and
     takes one entry of every factor at a time: m(m+1)/2 vector operations
-    over the stack. Raises ``NumericError`` naming ``name`` when a pivot is
-    not > 0: the matrix is not positive definite, or a NaN reached it.
+    over the stack. Raises ``NumericError`` when a pivot is not > 0: the
+    projected covariance is not positive definite, or a NaN reached it.
     """
     m = A.shape[-1]
     L = np.zeros_like(A)
@@ -320,7 +322,7 @@ def cholesky(A: np.ndarray, name: str) -> np.ndarray:
             if i > j:
                 Lij /= L[:, j, j]
             elif not np.all(Lij > 0.0):
-                raise NumericError(f"{name} is not positive definite")
+                raise NumericError("projected covariance is not positive definite")
             else:
                 np.sqrt(Lij, out=Lij)
     return L
@@ -438,7 +440,7 @@ class Whitened(NamedTuple):
     """
 
     maps: np.ndarray  # (d, m * p), m-major: column i * p + k is E'_k[:, i]
-    med: np.ndarray  # (m, p): column k is med'_k = L_k^T med_k
+    med: np.ndarray  # (m, p): column k is med'_k = Li_k med_k
 
     @property
     def p(self) -> int:
@@ -450,17 +452,13 @@ class Whitened(NamedTuple):
 
 
 def whiten(U: ProjectionSet, stats: RpoStats) -> Whitened:
-    """Fold the Cholesky factor ``L_p`` of each ``stats.inv_cov`` into the maps of ``U``.
-
-    Raises ``NumericError`` when ``cholesky`` finds no factor for an
-    inverse covariance (it is not positive definite).
-    """
-    if stats.inv_cov is None or stats.inv_cov.shape != (U.p, U.m, U.m):
-        raise ValueError(f"whitening needs (p, m, m) = {(U.p, U.m, U.m)} inverse covariances")
-    L = cholesky(stats.inv_cov, "projected covariance: its inverse")
+    """Fold each inverse Cholesky factor ``Li_p`` of ``stats`` into the maps of ``U``."""
+    if stats.inv_chol is None or stats.inv_chol.shape != (U.p, U.m, U.m):
+        raise ValueError(f"whitening needs (p, m, m) = {(U.p, U.m, U.m)} inverse Cholesky factors")
     p, d, m = U.entries.shape
-    maps = np.ascontiguousarray(np.matmul(U.entries, L).transpose(1, 2, 0)).reshape(d, m * p)
-    med = np.matmul(stats.med[:, np.newaxis, :], L)[:, 0, :].T  # (m, p), med_p^T L_p
+    LiT = stats.inv_chol.transpose(0, 2, 1)
+    maps = np.ascontiguousarray(np.matmul(U.entries, LiT).transpose(1, 2, 0)).reshape(d, m * p)
+    med = np.matmul(stats.med[:, np.newaxis, :], LiT)[:, 0, :].T  # (m, p), (Li_p med_p)^T
     return Whitened(maps=maps, med=np.ascontiguousarray(med))
 
 

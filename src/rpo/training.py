@@ -38,16 +38,18 @@ argmax, and its gradient is taken from that term alone, with the einsum
 form's bits.
 
 The robust Mahalanobis objective (m > 1) takes its distances through the
-whitened maps of ``scoring.whiten`` (``E'_p = E_p L_p`` with ``inv_cov_p =
-L_p L_p^T``): a distance is the norm of the whitened residual ``r'_p = z
-E'_p - med'_p``, and its gradient ``E'_p r'_p / D_p``. The latent gradient is
+whitened maps of ``scoring.whiten`` (``E'_p = E_p Li_p^T``, with ``Li_p``
+the fit's inverse Cholesky factor of the ridged covariance, so the
+inverse covariance is ``Li_p^T Li_p``): a distance is the norm of the
+whitened residual ``r'_p = z E'_p - med'_p``, and its gradient
+``E'_p r'_p / D_p``. The latent gradient is
 then one matrix product of the residuals, each weighted by ``dLoss/dD /
 D``, with the maps. That weight is a plain divide with a 0 filled in where
 ``D`` is 0, which gives the bits of a divide masked to ``D > 0``: past the
 loss's finiteness check every ``D`` is finite or +inf, and >= 0. Under
 the max estimator a row's one term, at its argmax projection, is taken
 alone (``_argmax_whitened_gradient``). It
-sums in another order than the einsum form through ``inv_cov``, so the
+sums in another order than the einsum form through ``Li_p^T Li_p``, so the
 two agree to a relative 1e-12 per weight matrix, not bit for bit. A row
 at the median has a distance of rounding size, not 0, and so a unit
 subgradient where the einsum form gives it none (see the README's

@@ -740,6 +740,25 @@ class TestScore:
             assert score >= 0.0
             assert depth == pytest.approx(1.0 / (1.0 + score), rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["rpo-max", "deep-svdd", "deep-rpo-mean"])
+    def test_row_with_a_non_finite_score_exits_3_naming_it(self, tmp_path, caplog, method):
+        """Features near the float64 maximum overflow the scorer: exit 3, and no output.
+
+        Without the check, deep-svdd and deep-rpo-mean wrote NaN scores and
+        rpo-max an infinite one, and each exited 0.
+        """
+        ckpt = self._bench_with_checkpoints(tmp_path, method)
+        input_csv = tmp_path / "rows.csv"
+        input_csv.write_text("f0,f1,f2,f3,f4,f5\n1,2,3,4,5,6\n"
+                             "1.7e308,1.7e308,-1.7e308,1.7e308,1.7e308,-1.7e308\n0,0,0,0,0,0\n")
+        out_csv = tmp_path / "scores.csv"
+        assert run_cli("score", "--checkpoint", str(ckpt), "--input", str(input_csv),
+                       "--output", str(out_csv)) == 3
+        assert not out_csv.exists()
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(e.startswith("row 1 (counting from 0) scores ") and "not a finite value" in e
+                   for e in errors), errors
+
     def test_empty_input_empty_output(self, tmp_path):
         ckpt = self._bench_with_checkpoints(tmp_path)
         input_csv = tmp_path / "empty.csv"
@@ -1083,7 +1102,7 @@ def test_version_1_checkpoint_exits_2_naming_the_file(tmp_path, caplog, rpo_max_
                    "--output", str(out)) == 2
     assert not out.exists()
     errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
-    assert any(str(ckpt) in e and "version 1" in e and "reads version 2" in e
+    assert any(str(ckpt) in e and "version 1" in e and "reads version 3" in e
                for e in errors), errors
 
 
@@ -1100,19 +1119,43 @@ def deep_rpo_m3_checkpoint(tmp_path_factory):
     return tmp_path / "ckpt" / "deep-rpo-mean_seed0.npz"
 
 
-@pytest.mark.parametrize("problem", ["positive definite", "symmetric", None])
-def test_unusable_inverse_covariance_exits_2_naming_it(
+def test_version_2_checkpoint_exits_2_naming_its_version(tmp_path, caplog,
+                                                          deep_rpo_m3_checkpoint):
+    """A version-2 archive, which stored the m > 1 inverse covariances, is refused."""
+    with np.load(deep_rpo_m3_checkpoint) as archive:
+        Li = archive["stats_inv_chol"]
+    ckpt = tmp_path / "v2.npz"
+    ckpt.write_bytes(_rewritten(deep_rpo_m3_checkpoint, version=np.int64(2), stats_inv_chol=None,
+                                stats_inv_cov=Li.transpose(0, 2, 1) @ Li))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1,f2,f3,f4,f5\n1,2,3,4,5,6\n")
+    out = tmp_path / "scores.csv"
+    assert run_cli("score", "--checkpoint", str(ckpt), "--input", str(rows),
+                   "--output", str(out)) == 2
+    assert not out.exists()
+    errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert any(str(ckpt) in e and "format version 2" in e and "reads version 3" in e
+               and "rerun the rpo bench config" in e for e in errors), errors
+
+
+@pytest.mark.parametrize("problem", ["lower triangular", "zero pivot", "negative pivot", None])
+def test_unusable_inverse_factor_exits_2_naming_it(
     tmp_path, caplog, deep_rpo_m3_checkpoint, problem
 ):
-    """A negated inverse covariance would score every row 0.0; an asymmetric one is no fit's."""
+    """An entry above the diagonal is no fit's; a pivot <= 0 is no Cholesky factor's inverse.
+
+    A negated factor would score as the fit's does, as ``|-Li r| = |Li r|``.
+    """
     with np.load(deep_rpo_m3_checkpoint) as archive:
-        inv_cov = archive["stats_inv_cov"].copy()
-    if problem == "positive definite":
-        inv_cov = -inv_cov
-    elif problem == "symmetric":
-        inv_cov[0, 0, 1] = np.nextafter(inv_cov[0, 0, 1], np.inf)
+        Li = archive["stats_inv_chol"].copy()
+    if problem == "lower triangular":
+        Li[0, 0, 1] = 1e-300
+    elif problem == "zero pivot":
+        Li[0, 1, 1] = 0.0
+    elif problem == "negative pivot":
+        Li = -Li
     ckpt = tmp_path / "m3.npz"
-    ckpt.write_bytes(_rewritten(deep_rpo_m3_checkpoint, stats_inv_cov=inv_cov))
+    ckpt.write_bytes(_rewritten(deep_rpo_m3_checkpoint, stats_inv_chol=Li))
     rows = tmp_path / "rows.csv"
     rows.write_text("f0,f1,f2,f3,f4,f5\n1,2,3,4,5,6\n")
     out = tmp_path / "scores.csv"
@@ -1123,5 +1166,7 @@ def test_unusable_inverse_covariance_exits_2_naming_it(
         return
     assert code == 2
     assert not out.exists()
+    expected = ("must be lower triangular" if problem == "lower triangular"
+                else "must be > 0 on its diagonal")
     errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
-    assert any(f"checkpoint {ckpt}: stats.inv_cov must be {problem}" in e for e in errors), errors
+    assert any(f"checkpoint {ckpt}: stats.inv_chol {expected}" in e for e in errors), errors

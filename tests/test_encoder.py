@@ -135,12 +135,14 @@ class TestFlatBuffer:
     def test_adam_moments_are_views_of_flat_buffers(self):
         enc = init_encoder([5, 4, 3], np.random.default_rng(4))
         opt = init_adam(enc, learning_rate=1e-2)
-        for views, flat in ((opt.m, opt.m_buffer), (opt.v, opt.v_buffer)):
+        for flat in (opt.m_buffer, opt.v_buffer):
+            views = enc.layer_views(flat)
             assert flat.shape == enc.buffer.shape
             assert [a.shape for a in views] == [W.shape for W in enc.weights]
             assert all(np.shares_memory(a, flat) for a in views)
         adam_step(enc, [np.ones_like(W) for W in enc.weights], opt)
-        assert opt.m_buffer.tobytes() == b"".join(a.tobytes() for a in opt.m)
+        m = enc.layer_views(opt.m_buffer)
+        assert opt.m_buffer.tobytes() == b"".join(a.tobytes() for a in m)
         assert np.all(opt.v_buffer > 0.0)
 
     def test_activation_equals_the_where_form_bit_for_bit(self):
@@ -234,8 +236,9 @@ class TestAdam:
             for W, expected in zip(enc.weights, weights):
                 assert W.tobytes() == expected.tobytes()
             assert opt.step == state["t"]
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(opt.m, state["m"]))
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(opt.v, state["v"]))
+            for flat, moments in ((opt.m_buffer, state["m"]), (opt.v_buffer, state["v"])):
+                views = enc.layer_views(flat)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(views, moments, strict=True))
 
     def test_descends_convex_quadratic(self):
         rng = np.random.default_rng(5)

@@ -70,7 +70,7 @@ def test_deep_rpo_checkpoint_round_trip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(model.encoder.weights, enc.weights))
     assert np.array_equal(model.projections.entries, U.entries)
     assert np.array_equal(model.stats.med, stats.med)
-    assert np.array_equal(model.stats.inv_cov, stats.inv_cov)
+    assert np.array_equal(model.stats.inv_chol, stats.inv_chol)
     assert model.stats.mad is None
     assert np.array_equal(model.scaler_mean, mean) and np.array_equal(model.scaler_std, std)
     X = rng.normal(size=(8, 6))
@@ -108,10 +108,10 @@ def test_a_scorer_checks_its_parts_when_built():
          dict(encoder=enc, projections=U2, stats=stats2), "reads 4 features, not 6"),
         ("rpo-mean", width4, dict(projections=U1, stats=stats2), "need stats.mad"),
         ("rpo-mean", width4,
-         dict(projections=U1, stats=RpoStats(med=np.zeros(1), mad=np.ones(5), inv_cov=None)),
+         dict(projections=U1, stats=RpoStats(med=np.zeros(1), mad=np.ones(5), inv_chol=None)),
          "stats.med must have shape"),
         ("rpo-mean", width4,
-         dict(projections=U1, stats=RpoStats(med=np.zeros(5), mad=np.zeros(5), inv_cov=None)),
+         dict(projections=U1, stats=RpoStats(med=np.zeros(5), mad=np.zeros(5), inv_chol=None)),
          "stats.mad must be > 0"),
         ("deep-svdd", width4, dict(encoder=enc, center=np.full(3, np.inf)), "center holds"),
     ]
@@ -120,24 +120,27 @@ def test_a_scorer_checks_its_parts_when_built():
             ScoringModel(method, **scaler, **parts)
 
 
-def test_a_scorer_rejects_an_unusable_inverse_covariance():
-    # a negated inverse would score every row 0.0: the distance clamps
-    # negative quadratic forms to 0; the other is off symmetric by one ulp
+def test_a_scorer_rejects_an_unusable_factor():
+    # an entry above the diagonal is no fit's; a pivot of 0 makes Li^T Li
+    # singular, and a negative one is no Cholesky factor's inverse
     X = np.random.default_rng(4).normal(size=(30, 4))
     U = generate_projections(d=4, m=2, p=5, seed=0)
     stats = fit_rpo(X, U)
-    asymmetric = stats.inv_cov.copy()
-    asymmetric[0, 0, 1] = np.nextafter(asymmetric[0, 0, 1], np.inf)
     width4 = dict(scaler_mean=np.zeros(4), scaler_std=np.ones(4))
-    for problem, inv_cov in (("positive definite", -stats.inv_cov), ("symmetric", asymmetric)):
-        bad = RpoStats(med=stats.med, mad=None, inv_cov=inv_cov)
-        with pytest.raises(ValueError, match=f"stats.inv_cov must be {problem}"):
+    upper, zero, negative = (stats.inv_chol.copy() for _ in range(3))
+    upper[0, 0, 1] = np.finfo(np.float64).smallest_subnormal
+    zero[2, 1, 1] = 0.0
+    negative[4, 0, 0] = -negative[4, 0, 0]
+    for problem, inv_chol in (("lower triangular", upper), ("> 0 on its diagonal", zero),
+                              ("> 0 on its diagonal", negative)):
+        bad = RpoStats(med=stats.med, mad=None, inv_chol=inv_chol)
+        with pytest.raises(ValueError, match=f"stats.inv_chol must be {problem}"):
             ScoringModel("rpo-mean", **width4, projections=U, stats=bad)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("rows", ["normal", "offset", "duplicated", "rank-1", "two"])
-def test_every_fitted_inverse_covariance_passes(m, rows):
+def test_every_fitted_factor_passes(m, rows):
     rng = np.random.default_rng(m)
     X = rng.normal(size=(60, 6))
     if rows == "offset":

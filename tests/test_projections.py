@@ -183,9 +183,9 @@ class TestSerialization:
             assert np.array_equal(loaded.stats.med, stats.med)
             if m == 1:
                 assert np.array_equal(loaded.stats.mad, stats.mad)
-                assert loaded.stats.inv_cov is None
+                assert loaded.stats.inv_chol is None
             else:
-                assert np.array_equal(loaded.stats.inv_cov, stats.inv_cov)
+                assert np.array_equal(loaded.stats.inv_chol, stats.inv_chol)
                 assert loaded.stats.mad is None
 
     def test_bad_header_rejected(self, tmp_path):

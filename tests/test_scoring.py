@@ -102,11 +102,12 @@ class TestFit:
         U = generate_projections(d=5, m=2, p=7, seed=3)
         stats = fit_rpo(rng.normal(size=(30, 5)), U)
         assert stats.med.shape == (7, 2)
-        assert stats.inv_cov.shape == (7, 2, 2)
-        # symmetric positive definite
-        for P in stats.inv_cov:
-            assert np.allclose(P, P.T)
-            assert np.all(np.linalg.eigvalsh(P) > 0)
+        assert stats.inv_chol.shape == (7, 2, 2)
+        # lower triangular with a positive diagonal, so Li^T Li is positive definite
+        for Li in stats.inv_chol:
+            assert np.array_equal(Li, np.tril(Li))
+            assert np.all(np.diag(Li) > 0)
+            assert np.all(np.linalg.eigvalsh(Li.T @ Li) > 0)
 
     def test_empty_training_set(self):
         U = generate_projections(d=3, m=1, p=2, seed=0)
@@ -152,7 +153,7 @@ class TestScore:
         stats = fit_rpo(X, U)
         # a point projecting exactly onto every median does not exist in
         # general; build stats by hand instead
-        stats = RpoStats(med=np.zeros(6), mad=np.ones(6), inv_cov=None)
+        stats = RpoStats(med=np.zeros(6), mad=np.ones(6), inv_chol=None)
         assert score_batch(np.zeros((1, 4)), U, stats, "max")[0] == 0.0
         assert score_batch(np.zeros((1, 4)), U, stats, "mean")[0] == 0.0
 
@@ -160,7 +161,7 @@ class TestScore:
         # normalized distances {2, 4} -> max 4, mean 3
         entries = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
         U = ProjectionSet(entries=entries)
-        stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_cov=None)
+        stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_chol=None)
         x = np.array([[2.0, 4.0]])
         assert score_batch(x, U, stats, "max")[0] == 4.0
         assert score_batch(x, U, stats, "mean")[0] == 3.0
@@ -222,13 +223,13 @@ class TestScore:
 
     def test_dimension_mismatch(self):
         U = generate_projections(d=4, m=1, p=3, seed=0)
-        stats = RpoStats(med=np.zeros(3), mad=np.ones(3), inv_cov=None)
+        stats = RpoStats(med=np.zeros(3), mad=np.ones(3), inv_chol=None)
         with pytest.raises(ValueError):
             score_batch(np.zeros((1, 5)), U, stats, "max")
 
     def test_projection_count_mismatch(self):
         U = generate_projections(d=4, m=1, p=3, seed=0)
-        stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_cov=None)
+        stats = RpoStats(med=np.zeros(2), mad=np.ones(2), inv_chol=None)
         with pytest.raises(ValueError):
             score_batch(np.zeros((1, 4)), U, stats, "max")
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpo import training
+from rpo import scoring, training
 from rpo.data import generate_multimodal, split, standardize
 from rpo.encoder import Encoder, init_encoder
 from rpo.errors import EXIT_NUMERIC, NumericError, classify
@@ -290,7 +290,7 @@ class TestDistanceWeights:
         Z = enc.forward(rng.normal(size=(30, 4)))[0]
         fitted = fit_rpo_projected(project(Z, U), Z, U)
         # a median at 0: the bias-free encoder maps a zero row to distance 0 exactly
-        stats = RpoStats(med=np.zeros_like(fitted.med), mad=None, inv_cov=fitted.inv_cov)
+        stats = RpoStats(med=np.zeros_like(fitted.med), mad=None, inv_chol=fitted.inv_chol)
         batch = rng.normal(size=(8, 4))
         batch[2] = 0.0
         batch[5] = 1e200  # flagged: its distances square to inf, its contribution to 0
@@ -414,16 +414,19 @@ class TestTrain:
         assert np.all(latent_scores(model, ds.X[:3], stats) >= 0.0)
 
 
-def _negated(stats):
-    """``stats`` with every inverse covariance negated: symmetric, not positive definite."""
-    return RpoStats(med=stats.med, mad=None, inv_cov=-stats.inv_cov)
+_PROJECTED_COVARIANCE = scoring._projected_covariance
+
+
+def _negated_covariance(X, U):
+    """Every projected covariance negated: symmetric, not positive definite."""
+    return -_PROJECTED_COVARIANCE(X, U)
 
 
 class TestUnusableFactor:
-    """An m > 1 fit whose inverse covariance has no Cholesky factor fails with exit 3.
+    """An m > 1 fit whose ridged covariance has no Cholesky factor fails with exit 3.
 
-    It raises ``NumericError`` naming the projected covariance, where the
-    whitened maps would take the factor.
+    The fit's ``cholesky`` raises ``NumericError`` naming the projected
+    covariance, where the whitened maps would take its inverse factor.
     """
 
     @staticmethod
@@ -435,8 +438,7 @@ class TestUnusableFactor:
     def test_batch_fit(self, monkeypatch):
         ds = toy_dataset(seed=10)
         model = self._m3_model(ds)
-        monkeypatch.setattr(
-            training, "fit_rpo_projected", lambda T, X, U: _negated(fit_rpo_projected(T, X, U)))
+        monkeypatch.setattr(scoring, "_projected_covariance", _negated_covariance)
         with pytest.raises(NumericError, match="projected covariance") as failure:
             deep_rpo_loss(model, ds.X[:32])
         assert classify(failure.value)[1] == EXIT_NUMERIC
@@ -445,8 +447,13 @@ class TestUnusableFactor:
         # the batch fits are usable; only the validation refit is not
         ds = toy_dataset(seed=11)
         model = self._m3_model(ds, seed=11)
-        monkeypatch.setattr(
-            training, "fit_eval_stats", lambda model, X: _negated(fit_eval_stats(model, X)))
+
+        def unusable_refit(model, X):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(scoring, "_projected_covariance", _negated_covariance)
+                return fit_eval_stats(model, X)
+
+        monkeypatch.setattr(training, "fit_eval_stats", unusable_refit)
         with pytest.raises(NumericError, match="projected covariance") as failure:
             train(model, ds, epochs=1, batch_size=16, seed=0, learning_rate=1e-4)
         assert classify(failure.value)[1] == EXIT_NUMERIC
