@@ -127,6 +127,8 @@ def _take(cls, section: dict, where: str, keys) -> dict:
 
 def _parse_seeds(raw) -> tuple:
     if isinstance(raw, int) and not isinstance(raw, bool):
+        if raw < 1:
+            raise ConfigError(f"seeds must be >= 1, got {raw}")
         return tuple(range(raw))
     if isinstance(raw, (list, tuple)):
         return tuple(_as_int(s, "seeds") for s in raw)
@@ -174,7 +176,8 @@ def sweep_points(base: ExperimentSpec, axis: str, values: list) -> list:
     key = SWEEP_KEYS[axis]
     section, name = key.split(".")
     points = []
-    for value in values:
+    read_from = {}  # a spec -> the index of the first value that reads to it
+    for i, value in enumerate(values):
         try:
             if value is None:  # the key reads null as its default, which sweeps nothing
                 raise ConfigError(f"{key} must not be null")
@@ -182,6 +185,11 @@ def sweep_points(base: ExperimentSpec, axis: str, values: list) -> list:
             spec = replace(base, **_take(ExperimentSpec, {name: written}, section, [name]))
         except ConfigError as exc:
             raise ConfigError(f"sweep.values: bad {axis} value {value!r}: {exc}") from None
+        # two values that read to one spec would run, and aggregate, the same point twice
+        first = read_from.setdefault(spec, i)
+        if first != i:
+            raise ConfigError(f"sweep.values: repeated {axis} value {value!r}: "
+                              f"entry {i + 1} reads as entry {first + 1} does")
         points.append((_sweep_label(axis, value), spec))
     return points
 
@@ -201,6 +209,8 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
     methods = [str(m) for m in _as_list(methods, "methods")]
     if not methods:
         raise ConfigError("methods must be a nonempty list")
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"methods must be distinct, got {methods}")
 
     spec_kwargs = {}
     seeds = raw.pop("seeds", None)

@@ -14,11 +14,14 @@ in the test suite), which the benchmark determinism guarantee relies on.
 Weights are persisted only as part of a scoring checkpoint (``model_io``).
 
 The weights live in one flat float64 buffer, layer after layer in C order,
-and so do Adam's two moments. ``adam_step`` then runs each of its
-elementwise operations once over the whole buffer, in place and in the
-per-layer update's order, so every weight and moment keeps the per-layer
-update's bits; ``training.train`` snapshots and restores the best epoch's
-weights with one copy of the buffer.
+and so do the gradient ``backward`` returns and Adam's two moments; a
+per-layer array is only a ``layer_views`` view of such a buffer.
+``backward`` writes each layer's product ``A^T G`` into its view of the
+gradient, with the bits of the product on its own. ``adam_step`` then runs
+each of its elementwise operations once over the whole buffer, in place
+and in the per-layer update's order, so every weight and moment keeps the
+per-layer update's bits; ``training.train`` snapshots and restores the
+best epoch's weights with one copy of the buffer.
 
 The hidden activation is ``np.maximum(H, LEAKY_SLOPE * H)``. For
 0 < ``LEAKY_SLOPE`` < 1 it equals ``np.where(H > 0, H, LEAKY_SLOPE * H)``
@@ -30,6 +33,7 @@ the branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,7 +46,6 @@ class ForwardCache:
 
     inputs: list  # A_0 .. A_{L-1}, layer inputs
     preacts: list  # H_1 .. H_{L-1}, hidden pre-activations
-    n_layers: int
 
 
 class Encoder:
@@ -67,7 +70,8 @@ class Encoder:
                     f"layer {i + 1} input dim {weights[i + 1].shape[0]}"
                 )
         self._shapes = [W.shape for W in weights]
-        self.buffer = np.empty(sum(W.size for W in weights))
+        self._offsets = list(accumulate((W.size for W in weights), initial=0))
+        self.buffer = np.empty(self._offsets[-1])
         self._weights = self.layer_views(self.buffer)
         for view, W in zip(self._weights, weights):
             view[...] = W
@@ -79,13 +83,8 @@ class Encoder:
 
     def layer_views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-layer views of a flat array laid out as ``buffer``."""
-        views = []
-        start = 0
-        for shape in self._shapes:
-            stop = start + shape[0] * shape[1]
-            views.append(flat[start:stop].reshape(shape))
-            start = stop
-        return tuple(views)
+        bounds = zip(self._offsets, self._offsets[1:], self._shapes)
+        return tuple([flat[start:stop].reshape(shape) for start, stop, shape in bounds])
 
     @property
     def layer_dims(self) -> list[int]:
@@ -115,30 +114,33 @@ class Encoder:
             A = np.maximum(H, LEAKY_SLOPE * H)
             inputs.append(A)
         Z = A @ self.weights[-1]
-        return Z, ForwardCache(inputs=inputs, preacts=preacts, n_layers=len(self.weights))
+        return Z, ForwardCache(inputs=inputs, preacts=preacts)
 
-    def backward(self, cache: ForwardCache, upstream_grad: np.ndarray) -> list[np.ndarray]:
-        """Exact gradients w.r.t. every weight matrix for the cached batch.
+    def backward(self, cache: ForwardCache, upstream_grad: np.ndarray) -> np.ndarray:
+        """Exact gradient w.r.t. the weights for the cached batch, laid out as ``buffer``.
 
         ``upstream_grad`` is dLoss/dZ for the same batch the cache came from.
+        Each layer's product ``A_l^T G_l`` is written into its view of the
+        one flat gradient (``layer_views``).
         """
         if cache is None:
             raise ValueError("missing forward cache")
-        if cache.n_layers != len(self.weights):
+        if len(cache.inputs) != len(self.weights):
             raise ValueError("forward cache does not match this encoder")
         G = np.asarray(upstream_grad, dtype=np.float64)
         if G.shape != (cache.inputs[0].shape[0], self.latent_dim):
             raise ValueError(
                 f"upstream gradient shape {G.shape} does not match cached batch"
             )
-        grads: list[np.ndarray] = [None] * len(self.weights)
+        grad = np.empty_like(self.buffer)
+        views = self.layer_views(grad)
         for l in range(len(self.weights) - 1, -1, -1):
-            grads[l] = cache.inputs[l].T @ G
+            np.matmul(cache.inputs[l].T, G, out=views[l])
             if l > 0:
                 G = G @ self.weights[l].T
                 H = cache.preacts[l - 1]
                 G = G * np.where(H > 0, 1.0, LEAKY_SLOPE)
-        return grads
+        return grad
 
 
 def init_encoder(layer_dims: list[int], seed_rng: np.random.Generator) -> Encoder:
@@ -181,31 +183,27 @@ def init_adam(enc: Encoder, learning_rate: float) -> AdamState:
     )
 
 
-def adam_step(enc: Encoder, grads: list[np.ndarray], opt: AdamState) -> None:
-    """One in-place Adam update of every weight matrix.
+def adam_step(enc: Encoder, grad: np.ndarray, opt: AdamState) -> None:
+    """One in-place Adam update of the weights from a gradient laid out as ``enc.buffer``.
 
     The per-layer update ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g
     g``, ``W -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``, taken
     once over the flat buffers: each operation in the same order, so each
-    entry rounds as it did layer by layer.
+    entry rounds as it did layer by layer. ``grad`` is read, not written.
     """
-    if len(grads) != len(enc.weights):
-        raise ValueError("gradient list does not match encoder layers")
-    for g, W in zip(grads, enc.weights):
-        if g.shape != W.shape:
-            raise ValueError(f"gradient shape {g.shape} != weight shape {W.shape}")
+    if grad.shape != enc.buffer.shape:
+        raise ValueError(f"gradient shape {grad.shape} != weight buffer shape {enc.buffer.shape}")
     opt.step += 1
     t = opt.step
-    g = np.concatenate(grads, axis=None)
     m, v = opt.m_buffer, opt.v_buffer
     m *= ADAM_BETA1
-    term = np.multiply(g, 1.0 - ADAM_BETA1)
+    term = np.multiply(grad, 1.0 - ADAM_BETA1)
     m += term
     v *= ADAM_BETA2
-    np.multiply(g, 1.0 - ADAM_BETA2, out=term)
-    term *= g
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=term)
+    term *= grad
     v += term
-    denom = np.divide(v, 1.0 - ADAM_BETA2**t, out=g)
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     np.divide(m, 1.0 - ADAM_BETA1**t, out=term)

@@ -20,9 +20,10 @@ weights, so differentiating through them would make the update ill-defined.
 The finite-difference checks in the test suite freeze them the same way.
 
 Both loss functions return the full objective value, regularizer included,
-and the gradient of that full objective (data term plus ``lam * W``). The
-optimizer has no decay term of its own, so the penalty is applied exactly
-once.
+and the gradient of that full objective (data term plus ``lam * W``) as one
+flat array laid out as the encoder's weight buffer: the penalty is one
+``grad += lam * buffer``, with the bits of the per-layer sum. The optimizer
+has no decay term of its own, so the penalty is applied exactly once.
 
 The one-dimensional objective takes its distances and its sign matrix
 from one residual pass over the batch's projection, which the loss owns
@@ -128,23 +129,20 @@ def init_center(enc: Encoder, X_train: np.ndarray) -> np.ndarray:
 def _regularizer(enc: Encoder, lam: float) -> float:
     """``0.5 * lam`` times the sum over layers of ``np.sum(W * W)``, with its bits.
 
-    The buffer is squared once, and each layer's run of squares is summed
-    as one contiguous 1-D run, which is how ``np.sum`` reduces the
-    C-ordered ``W * W``: the same pairwise sums.
+    The buffer is squared once, and each layer's view of the squares is
+    summed as ``W * W`` was: the same C-ordered values, so the same
+    pairwise sums.
     """
-    squares = np.square(enc.buffer)
-    total, start = 0.0, 0
-    for W in enc.weights:
-        total += float(np.sum(squares[start : start + W.size]))
-        start += W.size
-    return 0.5 * lam * total
+    squares = enc.layer_views(np.square(enc.buffer))
+    return 0.5 * lam * sum(float(np.sum(s)) for s in squares)
 
 
-def svdd_loss(model: SvddModel, batch: np.ndarray) -> tuple[float, list[np.ndarray]]:
+def svdd_loss(model: SvddModel, batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared distance to the center plus the weight penalty.
 
     Returns the loss and the gradient of the full objective with respect to
-    every weight matrix; the center receives no gradient.
+    the weights, one flat array laid out as ``encoder.buffer``; the center
+    receives no gradient.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] == 0:
@@ -154,12 +152,11 @@ def svdd_loss(model: SvddModel, batch: np.ndarray) -> tuple[float, list[np.ndarr
     loss = float(np.mean(center_distances(Z, model.center))) + _regularizer(
         model.encoder, model.lam
     )
-    grads = model.encoder.backward(cache, (2.0 / n) * (Z - model.center))
-    for g, W in zip(grads, model.encoder.weights):
-        g += model.lam * W
+    grad = model.encoder.backward(cache, (2.0 / n) * (Z - model.center))
+    grad += model.lam * model.encoder.buffer
     if not np.isfinite(loss):
         raise NumericError("non-finite hypersphere loss")
-    return loss, grads
+    return loss, grad
 
 
 def _residual_signs(T1, med, mad):
@@ -237,13 +234,14 @@ def deep_rpo_loss(
     batch: np.ndarray,
     sad_flags: np.ndarray | None = None,
     stats: RpoStats | None = None,
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """Projection-outlyingness training objective and its weight gradient.
 
     ``sad_flags`` (bool, one per batch row) marks the labeled anomalies.
     Location/spread are fitted on the batch itself, as the paper's
     objective does, unless ``stats`` supplies them; either way they are
-    constants in the gradient.
+    constants in the gradient. The gradient is one flat array laid out as
+    ``encoder.buffer``.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] == 0:
@@ -308,10 +306,9 @@ def deep_rpo_loss(
             # weighted in place, in one product with the maps
             R *= _distance_weights((dscore / U.p)[:, np.newaxis], D)[:, np.newaxis, :]
             dZ = R.reshape(n, -1) @ head.maps.T
-    grads = model.encoder.backward(cache, dZ)
-    for g, W in zip(grads, model.encoder.weights):
-        g += model.lam * W
-    return loss, grads
+    grad = model.encoder.backward(cache, dZ)
+    grad += model.lam * model.encoder.buffer
+    return loss, grad
 
 
 @dataclass
@@ -401,11 +398,11 @@ def train(model: SvddModel | DeepRpoModel, data: Dataset, epochs: int, batch_siz
                 continue  # robust stats need >= 2 rows
             batch = X_train[idx]
             if isinstance(model, SvddModel):
-                loss, grads = svdd_loss(model, batch)
+                loss, grad = svdd_loss(model, batch)
             else:
                 flags = sad_flags[idx] if sad_enabled else None
-                loss, grads = deep_rpo_loss(model, batch, sad_flags=flags)
-            adam_step(model.encoder, grads, opt)
+                loss, grad = deep_rpo_loss(model, batch, sad_flags=flags)
+            adam_step(model.encoder, grad, opt)
             total_loss += loss * idx.size
             total_rows += idx.size
         train_loss = total_loss / max(total_rows, 1)

@@ -338,7 +338,14 @@ class TestBench:
             ({"dataset": {"k_modes": 0}}, "dataset.k_modes"),
             ({"model": {"rp_dim": 0}}, "model.rp_dim"),
             ({"protocol": {"sad_ratio": 0.1}}, "protocol.sad_ratio"),
-            ({"seeds": 0}, "seeds"),
+            ({"seeds": 0}, "seeds must be >= 1, got 0"),
+            ({"seeds": -3}, "seeds must be >= 1, got -3"),
+            # a repeated method would run twice, write one checkpoint twice and
+            # count its seeds twice in the results
+            ({"method": None, "methods": ["rpo-max", "rpo-max"]},
+             "methods must be distinct, got ['rpo-max', 'rpo-max']"),
+            ({"method": None, "methods": ["rpo-max", "deep-svdd", "rpo-max"]},
+             "methods must be distinct"),
             ({"protocol": {"affine": {"mode": "constant", "alpha": float("nan")}}},
              "protocol.affine"),
             ({"protocol": {"affine": {"mode": "constant", "alpha": float("inf")}}},
@@ -568,6 +575,11 @@ class TestSweepCommand:
             {"axis": "n_projections", "values": [20, None]},
             {"axis": "dropout", "values": [None]},
             {"axis": "rp_dim", "values": [None]},
+            # two values that read to one spec would write two identical aggregate rows
+            {"axis": "alpha", "values": [1.0, 1.0]},
+            {"axis": "n_projections", "values": [20, 30, 20.0]},
+            {"axis": "dropout", "values": [{"components_rate": 0.1},
+                                          {"components_rate": 0.1, "projections_rate": 0.0}]},
         ],
     )
     def test_bad_sweep_value_exits_1_before_any_seed(self, tmp_path, monkeypatch, caplog, sweep):
@@ -582,6 +594,24 @@ class TestSweepCommand:
         assert ran == []
         assert any("sweep.values" in r.message for r in caplog.records if r.levelname == "ERROR")
         assert not (tmp_path / "out" / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sweep, named",
+        [({"axis": "alpha", "values": [1.0, 1.0]},
+          "sweep.values: repeated alpha value 1.0: entry 2 reads as entry 1 does"),
+         ({"axis": "n_projections", "values": [20, 30, "20"]},
+          "sweep.values: repeated n_projections value '20': entry 3 reads as entry 1 does")],
+    )
+    def test_repeated_sweep_value_exits_1_naming_it(self, tmp_path, monkeypatch, caplog, sweep,
+                                                    named):
+        ran = []
+        monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, sweep=sweep, method="rpo-max")
+        assert run_cli("sweep", "-c", str(cfg_path)) == 1
+        assert ran == []
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(named in e for e in errors), errors
 
     def test_unknown_axis_exits_1_naming_it(self, tmp_path, monkeypatch, caplog):
         ran = []
@@ -599,16 +629,16 @@ class TestSweepCommand:
             ("n_projections", [10, 20.0, "30"], ["10", "20.0", "30"], "n_projections",
              [10, 20, 30]),
             ("rp_dim", [1, 2.0, "3"], ["1", "2.0", "3"], "rp_dim", [1, 2, 3]),
-            ("alpha", [0.8, 1, 1.0, "1.2"], ["0.8", "1", "1.0", "1.2"], "affine",
-             [AffineSpec(alpha=a) for a in (0.8, 1.0, 1.0, 1.2)]),
+            ("alpha", [0.8, 1, 1.1, "1.2"], ["0.8", "1", "1.1", "1.2"], "affine",
+             [AffineSpec(alpha=a) for a in (0.8, 1.0, 1.1, 1.2)]),
             ("sad_ratio", [0, 0.1, "0.2"], ["0", "0.1", "0.2"], "sad_ratio", [0.0, 0.1, 0.2]),
             ("dropout",
              [{"components_rate": 0}, {"components_rate": 0.25, "projections_rate": 0.1},
-              {"projections_rate": 0.5}, {"components_rate": 0, "projections_rate": 0},
+              {"projections_rate": 0.5}, {"components_rate": 0.5, "projections_rate": 0},
               {"projections_rate": "0.3"}],
-             ["C=0;P=0.0", "C=0.25;P=0.1", "C=0.0;P=0.5", "C=0;P=0", "C=0.0;P=0.3"], "dropout",
+             ["C=0;P=0.0", "C=0.25;P=0.1", "C=0.0;P=0.5", "C=0.5;P=0", "C=0.0;P=0.3"], "dropout",
              [DropoutSpec(0.0, 0.0), DropoutSpec(0.25, 0.1), DropoutSpec(0.0, 0.5),
-              DropoutSpec(0.0, 0.0), DropoutSpec(0.0, 0.3)]),
+              DropoutSpec(0.5, 0.0), DropoutSpec(0.0, 0.3)]),
         ],
     )
     def test_labels_are_the_values_as_written(self, axis, values, labels, field, spec_values):
@@ -883,6 +913,9 @@ class TestReport:
         "bad_row, problem",
         [("rpo-max,synthetic,2,1,-1,0.9", "expected 7 values, got 6"),
          ("rpo-max,synthetic,2,1,-1,0.9,high", "high"),
+         # the seed is read as the integer the results writer wrote
+         ("rpo-max,synthetic,2,x,-1,0.9,0.7", "'x'"),
+         ("rpo-max,synthetic,2,1.0,-1,0.9,0.7", "'1.0'"),
          ("rpo-max,synthetic,2,1,-1,0.9,nan", "non-finite value"),
          ("rpo-max,synthetic,2,1,-1,0.9,inf", "non-finite value")],
     )
@@ -894,6 +927,37 @@ class TestReport:
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any(f"{path}:4: " in e and problem in e for e in errors)
 
+    @pytest.mark.parametrize(
+        "repeat, problem",
+        [("rpo-max,synthetic,2,0,-1,0.7,0.6",
+          "repeats the row of line 2 (method rpo-max, dataset synthetic, modes 2, seed 0)"),
+         ("deep-svdd,synthetic,2,1,-1,0.9,0.8", "repeats the row of line 3"),
+         # the same seed written another way is the same seed
+         ("rpo-max,synthetic,2,00,-1,0.7,0.6", "repeats the row of line 2")],
+    )
+    def test_repeated_seed_row_exits_2_naming_the_line(self, tmp_path, caplog, capsys, repeat,
+                                                       problem):
+        """Results concatenated from two runs of one seed: not one more seed."""
+        path = tmp_path / "results.csv"
+        header = "method,dataset,k_modes,seed,best_epoch,val_auc,test_auc"
+        path.write_text(f"{header}\nrpo-max,synthetic,2,0,-1,0.9,0.8\n"
+                        f"deep-svdd,synthetic,2,1,-1,0.9,0.8\n{repeat}\n")
+        assert run_cli("report", "--results", str(path)) == 2
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(f"{path}:4: " in e and problem in e for e in errors), errors
+        assert capsys.readouterr().out == ""
+
+    def test_rows_differing_in_one_key_column_each_count(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text("method,dataset,k_modes,seed,best_epoch,val_auc,test_auc\n"
+                        "rpo-max,synthetic,2,0,-1,0.9,0.8\nrpo-max,synthetic,2,1,-1,0.9,0.6\n"
+                        "rpo-max,synthetic,3,0,-1,0.9,0.5\nrpo-max,other.csv,2,0,-1,0.9,0.5\n"
+                        "rpo-mean,synthetic,2,0,-1,0.9,0.5\n")
+        assert run_cli("report", "--results", str(path)) == 0
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 4
+        seeds = sorted(row.split()[3] for row in rows)
+        assert seeds == ["1", "1", "1", "2"]
 
     def test_bench_results_round_trip_through_report_when_source_holds_a_comma(self, tmp_path, capsys):
         data_dir = tmp_path / "data,v1"
@@ -992,8 +1056,11 @@ class TestMalformedCsv:
     ):
         # past the text layer's first 8 KB chunk, with CRLF and CR line ends before it
         header, good = READER_ROWS[reader]
-        rows = [",".join(header).encode()] + [",".join(good).encode()] * 3000
-        bad = ",".join(good[:-1] + ["\udcfe1"]).encode("utf-8", "surrogateescape")
+        # report refuses a repeated seed, so its rows count the seed up
+        body = [good[:3] + [str(i)] + good[4:] if reader == "report" else good
+                for i in range(3001)]
+        rows = [",".join(header).encode()] + [",".join(row).encode() for row in body[:-1]]
+        bad = ",".join(body[-1][:-1] + ["\udcfe1"]).encode("utf-8", "surrogateescape")
         path = tmp_path / "big.csv"
         path.write_bytes(b"\r\n".join(rows) + b"\r\r" + bad + b"\n")
         assert path.stat().st_size > 3 * 8192

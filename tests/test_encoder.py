@@ -33,20 +33,18 @@ def naive_forward(weights, slope, X):
 
 
 def fd_gradients(enc, loss_fn, step=1e-6):
-    """Central finite differences of loss_fn() over every weight entry."""
-    grads = []
-    for W in enc.weights:
-        g = np.zeros_like(W)
-        for idx in np.ndindex(W.shape):
-            original = W[idx]
-            W[idx] = original + step
-            up = loss_fn()
-            W[idx] = original - step
-            down = loss_fn()
-            W[idx] = original
-            g[idx] = (up - down) / (2 * step)
-        grads.append(g)
-    return grads
+    """Central finite differences of loss_fn() over every weight entry, laid out as ``buffer``."""
+    W = enc.buffer
+    g = np.zeros_like(W)
+    for i in range(W.size):
+        original = W[i]
+        W[i] = original + step
+        up = loss_fn()
+        W[i] = original - step
+        down = loss_fn()
+        W[i] = original
+        g[i] = (up - down) / (2 * step)
+    return g
 
 
 def oracle_adam_step(weights, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -65,9 +63,8 @@ def oracle_adam_step(weights, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8
         W -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * W)
 
 
-def relative_error(analytic, numeric):
-    a = np.concatenate([g.ravel() for g in analytic])
-    b = np.concatenate([g.ravel() for g in numeric])
+def relative_error(a, b):
+    """Relative 2-norm error of two flat gradients."""
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
 
 
@@ -140,7 +137,7 @@ class TestFlatBuffer:
             assert flat.shape == enc.buffer.shape
             assert [a.shape for a in views] == [W.shape for W in enc.weights]
             assert all(np.shares_memory(a, flat) for a in views)
-        adam_step(enc, [np.ones_like(W) for W in enc.weights], opt)
+        adam_step(enc, np.ones_like(enc.buffer), opt)
         m = enc.layer_views(opt.m_buffer)
         assert opt.m_buffer.tobytes() == b"".join(a.tobytes() for a in m)
         assert np.all(opt.v_buffer > 0.0)
@@ -166,8 +163,9 @@ class TestBackward:
         enc = init_encoder([4, 3, 2], rng)
         X = rng.normal(size=(5, 4))
         _, cache = enc.forward(X)
-        grads = enc.backward(cache, np.zeros((5, 2)))
-        assert all(np.all(g == 0.0) for g in grads)
+        grad = enc.backward(cache, np.zeros((5, 2)))
+        assert grad.shape == enc.buffer.shape
+        assert np.all(grad == 0.0)
 
     def test_linear_least_squares_closed_form(self):
         rng = np.random.default_rng(2)
@@ -177,9 +175,9 @@ class TestBackward:
         Y = rng.normal(size=(10, 2))
         Z, cache = enc.forward(X)
         n = X.shape[0]
-        grads = enc.backward(cache, 2.0 * (Z - Y) / n)
+        grad, = enc.layer_views(enc.backward(cache, 2.0 * (Z - Y) / n))
         closed_form = 2.0 * X.T @ (X @ W - Y) / n
-        assert np.allclose(grads[0], closed_form, atol=1e-12)
+        assert np.allclose(grad, closed_form, atol=1e-12)
 
     @pytest.mark.parametrize("dims", [[3, 2], [4, 3, 2], [3, 4, 3, 2]])
     def test_matches_finite_differences(self, dims):
@@ -203,12 +201,66 @@ class TestBackward:
             enc.backward(None, np.zeros((1, 2)))
 
 
+class TestFlatGradient:
+    """``backward`` returns one gradient laid out as ``buffer``; ``adam_step`` reads it."""
+
+    DIMS = [[3, 2], [1, 1], [7, 5, 3], [4, 9, 1, 6], [13, 11, 7, 5, 2], [36, 32, 16, 8]]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_layer_views_hold_the_per_layer_products_by_bytes(self, dims):
+        rng = np.random.default_rng(len(dims) * 100 + sum(dims))
+        enc = init_encoder(dims, rng)
+        for n in (1, 5, 33):
+            Z, cache = enc.forward(rng.normal(size=(n, dims[0])))
+            upstream = rng.normal(size=Z.shape)
+            grad = enc.backward(cache, upstream)
+            assert grad.shape == enc.buffer.shape and grad.dtype == np.float64
+            assert not np.shares_memory(grad, enc.buffer)
+            # each layer's product on its own: A_l^T G_l, with G_l backpropagated
+            G, expected = upstream, [None] * len(enc.weights)
+            for l in range(len(enc.weights) - 1, -1, -1):
+                expected[l] = cache.inputs[l].T @ G
+                if l > 0:
+                    G = (G @ enc.weights[l].T) * np.where(cache.preacts[l - 1] > 0, 1.0, LEAKY_SLOPE)
+            views = enc.layer_views(grad)
+            assert [a.shape for a in views] == [W.shape for W in enc.weights]
+            for a, b in zip(views, expected, strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_adam_step_on_the_flat_gradient_equals_the_per_layer_oracle(self, dims):
+        rng = np.random.default_rng(len(dims) * 200 + sum(dims))
+        enc = init_encoder(dims, rng)
+        weights = [W.copy() for W in enc.weights]
+        opt = init_adam(enc, learning_rate=3e-3)
+        state = {"m": [np.zeros_like(W) for W in weights],
+                 "v": [np.zeros_like(W) for W in weights], "t": 0}
+        for _ in range(4):
+            Z, cache = enc.forward(rng.normal(size=(6, dims[0])))
+            grad = enc.backward(cache, rng.normal(size=Z.shape))
+            before = grad.copy()
+            adam_step(enc, grad, opt)
+            assert grad.tobytes() == before.tobytes()
+            oracle_adam_step(weights, enc.layer_views(grad), state, lr=3e-3)
+            for W, expected in zip(enc.weights, weights, strict=True):
+                assert W.tobytes() == expected.tobytes()
+            for flat, moments in ((opt.m_buffer, state["m"]), (opt.v_buffer, state["v"])):
+                for a, b in zip(enc.layer_views(flat), moments, strict=True):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_backward_refuses_a_cache_of_another_depth(self):
+        rng = np.random.default_rng(11)
+        _, cache = init_encoder([4, 3, 2], rng).forward(rng.normal(size=(5, 4)))
+        with pytest.raises(ValueError, match="does not match this encoder"):
+            init_encoder([4, 2], rng).backward(cache, np.zeros((5, 2)))
+
+
 class TestAdam:
     def test_zero_grads_no_decay_keeps_weights(self):
         enc = init_encoder([3, 2], np.random.default_rng(3))
         before = [W.copy() for W in enc.weights]
         opt = init_adam(enc, learning_rate=1e-4)
-        adam_step(enc, [np.zeros_like(W) for W in enc.weights], opt)
+        adam_step(enc, np.zeros_like(enc.buffer), opt)
         assert all(np.array_equal(a, b) for a, b in zip(before, enc.weights))
 
     @pytest.mark.parametrize("grads", ["random", "zero", "mixed"])
@@ -225,13 +277,16 @@ class TestAdam:
         state = {"m": [np.zeros_like(W) for W in weights],
                  "v": [np.zeros_like(W) for W in weights], "t": 0}
         for step in range(6):
-            if grads == "zero" or (grads == "mixed" and step % 2):
-                g = [np.zeros_like(W) for W in weights]
-            else:
-                g = [rng.normal(size=W.shape) for W in weights]
+            grad = np.empty_like(enc.buffer)
+            g = enc.layer_views(grad)
+            for view, W in zip(g, weights, strict=True):
+                if grads == "zero" or (grads == "mixed" and step % 2):
+                    view[...] = 0.0
+                else:
+                    view[...] = rng.normal(size=W.shape)
             if grads == "mixed":
                 g[0][0, 0] = -0.0
-            adam_step(enc, g, opt)
+            adam_step(enc, grad, opt)
             oracle_adam_step(weights, g, state, lr=1e-2)
             for W, expected in zip(enc.weights, weights):
                 assert W.tobytes() == expected.tobytes()
@@ -254,15 +309,17 @@ class TestAdam:
         initial = loss()
         for _ in range(20):
             Z, cache = enc.forward(X)
-            grads = enc.backward(cache, 2.0 * (Z - Y) / X.shape[0])
-            adam_step(enc, grads, opt)
+            grad = enc.backward(cache, 2.0 * (Z - Y) / X.shape[0])
+            adam_step(enc, grad, opt)
         assert loss() < initial
 
     def test_shape_mismatch(self):
         enc = init_encoder([3, 2], np.random.default_rng(6))
         opt = init_adam(enc, learning_rate=1e-4)
-        with pytest.raises(ValueError):
-            adam_step(enc, [np.zeros((2, 2))], opt)
+        with pytest.raises(ValueError, match="gradient shape"):
+            adam_step(enc, np.zeros(4), opt)
+        with pytest.raises(ValueError, match="gradient shape"):
+            adam_step(enc, np.zeros((3, 2)), opt)
 
 
 class TestCheckpoint:

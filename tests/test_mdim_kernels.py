@@ -784,7 +784,7 @@ def oracle_deep_rpo_loss(
     batch: np.ndarray,
     sad_flags: np.ndarray | None = None,
     stats: RpoStats | None = None,
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """Projection-outlyingness training objective and its weight gradient.
 
     ``sad_flags`` (bool, one per batch row) marks the labeled anomalies.
@@ -851,25 +851,29 @@ def oracle_deep_rpo_loss(
         dT[D == 0.0] = 0.0
 
     dZ = np.einsum("npm,pdm->nd", dT, model.projections.entries)
-    grads = model.encoder.backward(cache, dZ)
-    for g, W in zip(grads, model.encoder.weights):
+    grad = model.encoder.backward(cache, dZ)
+    for g, W in zip(model.encoder.layer_views(grad), model.encoder.weights, strict=True):
         g += model.lam * W
-    return loss, grads
+    return loss, grad
 
 
-def gradient_deviation(grads, oracle_grads):
-    """Largest per-layer max |g - oracle| / max |oracle| over the weight matrices."""
+def gradient_deviation(enc, grad, oracle_grad):
+    """Largest per-layer max |g - oracle| / max |oracle| over the weight matrices.
+
+    ``grad`` and ``oracle_grad`` are flat gradients laid out as ``enc.buffer``;
+    each weight matrix is one of ``enc.layer_views``.
+    """
+    assert grad.shape == oracle_grad.shape == enc.buffer.shape
     worst = 0.0
-    for g, o in zip(grads, oracle_grads, strict=True):
-        assert g.shape == o.shape
+    for g, o in zip(enc.layer_views(grad), enc.layer_views(oracle_grad), strict=True):
         scale = np.max(np.abs(o))
         err = np.max(np.abs(g - o))
         worst = max(worst, err / scale if scale > 0 else (0.0 if err == 0 else np.inf))
     return worst
 
 
-def assert_within_gradient_tolerance(grads, oracle_grads):
-    assert gradient_deviation(grads, oracle_grads) <= GRADIENT_RTOL
+def assert_within_gradient_tolerance(enc, grad, oracle_grad):
+    assert gradient_deviation(enc, grad, oracle_grad) <= GRADIENT_RTOL
 
 
 def gradient_instance(m, n, p, estimator, sad, given_stats, seed=0):
@@ -916,8 +920,8 @@ def _with_latent_gradient(monkeypatch, loss_fn, model, *args, **kwargs):
 
     with monkeypatch.context() as patch:
         patch.setattr(model.encoder, "backward", recording)
-        loss, grads = loss_fn(model, *args, **kwargs)
-    return loss, grads, seen[0]
+        loss, grad = loss_fn(model, *args, **kwargs)
+    return loss, grad, seen[0]
 
 
 @pytest.mark.parametrize("given_stats", [False, True], ids=["batch-stats", "D0-row"])
@@ -935,13 +939,13 @@ def test_mdim_gradient_within_tolerance_of_einsum_oracle(
     scores below ``EPS_FLOOR``, so it has no gradient in either.
     """
     model, batch, flags, stats = gradient_instance(m, 128, 200, estimator, sad, given_stats)
-    loss, grads, dZ = _with_latent_gradient(
+    loss, grad, dZ = _with_latent_gradient(
         monkeypatch, deep_rpo_loss, model, batch, sad_flags=flags, stats=stats)
-    o_loss, o_grads, o_dZ = _with_latent_gradient(
+    o_loss, o_grad, o_dZ = _with_latent_gradient(
         monkeypatch, oracle_deep_rpo_loss, model, batch, sad_flags=flags, stats=stats)
     assert abs(loss - o_loss) <= GRADIENT_RTOL * abs(o_loss)
     if not given_stats:
-        assert_within_gradient_tolerance(grads, o_grads)
+        assert_within_gradient_tolerance(model.encoder, grad, o_grad)
         return
     # row 5 at the median: its distances are of rounding size, not 0
     U = model.projections
@@ -974,12 +978,13 @@ def test_mdim_gradient_within_tolerance_of_einsum_oracle(
 def _assert_m1_gradient(instance):
     """The loss by bytes, each weight gradient within GRADIENT_RTOL, and by bytes under max."""
     model, batch, flags, stats = instance
-    loss, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
-    o_loss, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    loss, grad = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    o_loss, o_grad = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
     assert np.float64(loss).tobytes() == np.float64(o_loss).tobytes()
-    assert_within_gradient_tolerance(grads, o_grads)
+    assert_within_gradient_tolerance(model.encoder, grad, o_grad)
     if model.estimator == "max":
-        for g, o in zip(grads, o_grads, strict=True):
+        views = model.encoder.layer_views
+        for g, o in zip(views(grad), views(o_grad), strict=True):
             assert _bytes_equal(g, o)
 
 
@@ -1036,10 +1041,10 @@ def test_mutated_m1_gradient_breaks_gradient_tolerance_by_far(monkeypatch, mutat
     """
     model, _, flags, _ = gradient_instance(1, 128, 500, estimator, sad, False)
     batch = np.random.default_rng(7).normal(size=(128, 6)) + 2.0
-    _, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags)
+    _, o_grad = oracle_deep_rpo_loss(model, batch, sad_flags=flags)
     monkeypatch.setattr(training, *M1_MUTATIONS[mutation])
-    _, grads = deep_rpo_loss(model, batch, sad_flags=flags)
-    assert gradient_deviation(grads, o_grads) > 1e-3
+    _, grad = deep_rpo_loss(model, batch, sad_flags=flags)
+    assert gradient_deviation(model.encoder, grad, o_grad) > 1e-3
 
 
 def int8_sign_gradient(T1, med, mad, dD, E, one_dD):
@@ -1133,9 +1138,9 @@ def test_wrong_transpose_breaks_gradient_tolerance_by_far(monkeypatch):
     monkeypatch.setattr(
         training, "whiten", lambda U, stats: _mutated_whiten(U, stats, "transposed-factor"))
     model, batch, flags, stats = gradient_instance(3, 128, 200, "mean", True, False)
-    _, grads = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
-    _, o_grads = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
-    assert gradient_deviation(grads, o_grads) > 1e-3
+    _, grad = deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    _, o_grad = oracle_deep_rpo_loss(model, batch, sad_flags=flags, stats=stats)
+    assert gradient_deviation(model.encoder, grad, o_grad) > 1e-3
 
 
 @pytest.mark.parametrize("rp_dim", [1, 3])
