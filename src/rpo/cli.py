@@ -52,8 +52,9 @@ def cmd_gen_data(args) -> int:
 
 def _log_seed(result) -> None:
     logger.info(
-        "seed %d: best_epoch=%d val_auc=%.4f test_auc=%.4f (%.1fs)",
+        "seed %d: normal_classes=%s best_epoch=%d val_auc=%.4f test_auc=%.4f (%.1fs)",
         result.seed,
+        list(result.chosen_classes),
         result.best_epoch,
         result.val_auc,
         result.test_auc,

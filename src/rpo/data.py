@@ -7,11 +7,13 @@ anomaly rows into the train split while keeping their label for audit,
 and training code simply treats every train row as nominal unless its
 ``sad_flag`` is set.
 
-The benchmark pipeline is: build (generate or load) -> split -> standardize
--> optional contaminate/inject_sad_labels -> train -> optional affine
-perturbation of the held-out rows. Standardization is a separate step
-rather than part of loading because it must use train-only statistics,
-which exist only after splitting.
+The benchmark pipeline is: build -> split -> standardize -> optional
+contaminate/inject_sad_labels -> train -> optional affine perturbation of
+the held-out rows. A synthetic source is built by ``generate_multimodal``;
+a CSV source is read by ``read_classes`` and labeled by ``label_classes``,
+whatever chose its normal classes (``load_csv`` does both). Standardization
+is a separate step rather than part of loading because it must use
+train-only statistics, which exist only after splitting.
 """
 
 from __future__ import annotations
@@ -377,14 +379,12 @@ def _class_value(path, line_no: int, value: str) -> float:
     return cid
 
 
-def load_csv(path, label_column: str, normal_class_ids) -> Dataset:
-    """Read a feature CSV with an integer class column; features stay raw.
+def read_classes(path, label_column: str) -> tuple[np.ndarray, np.ndarray]:
+    """A feature CSV's raw features and its integer ``label_column`` class ids.
 
-    Rows whose class id belongs to ``normal_class_ids`` are labeled normal
-    and start in train; every other row is an anomaly and starts in test.
-    Standardize after splitting, not here.
+    The file needs a data row and the label column, and every class must
+    be an integer within int64; the first one that is not names its line.
     """
-    normal_ids = set(int(c) for c in normal_class_ids)
     X, classes = read_features(path, label_column)
     if classes is None:
         raise DataError(f"label column {label_column!r} missing from {path}")
@@ -395,30 +395,30 @@ def load_csv(path, label_column: str, normal_class_ids) -> Dataset:
         # the row loop keeps each class as written and its line, to name the first bad one
         _, fields, line_nos = _read_rows(path, label_column)
         classes = np.array([_class_value(path, n, v) for v, n in zip(fields, line_nos)])
-    class_id = classes.astype(np.int64)
+    return X, classes.astype(np.int64)
+
+
+def label_classes(X: np.ndarray, class_id: np.ndarray, normal_class_ids, path) -> Dataset:
+    """The rows of ``read_classes(path, ...)`` labeled by their normal classes.
+
+    Rows whose class id belongs to ``normal_class_ids`` are normal and start
+    in train; every other row is an anomaly and starts in test, and no row
+    is SAD-flagged. An id missing from ``class_id`` fails naming ``path``.
+    The dataset shares ``X`` and ``class_id``, and features stay raw:
+    standardize after splitting, not here.
+    """
+    normal_ids = set(int(c) for c in normal_class_ids)
     missing = normal_ids - set(class_id.tolist())
     if missing:
         raise DataError(f"unknown class id(s) {sorted(missing)} not present in {path}")
     label = np.where(np.isin(class_id, sorted(normal_ids)), NORMAL, ANOMALY)
-    split = np.where(label == NORMAL, TRAIN, TEST).astype("U5")
+    split = np.where(label == NORMAL, TRAIN, TEST)
     return _dataset(X, class_id, label, split, np.zeros(len(X), dtype=bool))
 
 
-def relabel_by_normal_classes(data: Dataset, picked_class_ids) -> Dataset:
-    """Redefine normality as the picked classes and reset splits/flags."""
-    picked = np.asarray(sorted(int(c) for c in picked_class_ids), dtype=np.int64)
-    if picked.size == 0:
-        raise ValueError("picked_class_ids must be nonempty")
-    label = np.where(np.isin(data.class_id, picked), NORMAL, ANOMALY).astype(np.int8)
-    if not np.any(label == NORMAL):
-        raise DataError(f"no rows belong to picked classes {picked.tolist()}")
-    split = np.where(label == NORMAL, TRAIN, TEST).astype("U5")
-    return replace(
-        data,
-        label=label,
-        split=split,
-        sad_flag=np.zeros(data.n, dtype=bool),
-    )
+def load_csv(path, label_column: str, normal_class_ids) -> Dataset:
+    """``read_classes`` then ``label_classes``: a feature CSV labeled by its normal classes."""
+    return label_classes(*read_classes(path, label_column), normal_class_ids, path)
 
 
 class CountError(DataError):

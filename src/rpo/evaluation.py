@@ -11,11 +11,16 @@ A seed runs in two stages. Fit: assemble dataset -> split -> standardize
 (deep methods) keep the checkpoint from the best validation-AUC epoch ->
 val AUC. Evaluate: apply any post-training affine perturbation to the
 held-out rows -> test AUC. The perturbation changes nothing the fit reads.
+
+A CSV source is parsed once per version of the file in each process, and
+each seed labels that parse by its normal classes: the seed's class pick
+(``dataset.k_modes`` > 0) or ``dataset.normal_class_ids``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -198,9 +203,27 @@ class SeedResult:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
+def _load_source(path: str, label_column: str) -> tuple[np.ndarray, np.ndarray]:
+    """``data.read_classes`` of the CSV at ``path``, parsed once per version of the file.
+
+    The parse is cached on the path, the label column and the file's
+    identity from ``os.stat``, so a file rewritten in place is read again.
+    Every dataset built from a parse shares its arrays, which are read-only.
+    """
+    try:
+        st = os.stat(path)
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    return _parse_source(path, label_column, (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns))
+
+
 @lru_cache(maxsize=4)
-def _load_source(path: str, label_column: str, normal_class_ids: tuple) -> Dataset:
-    return datamod.load_csv(path, label_column=label_column, normal_class_ids=normal_class_ids)
+def _parse_source(path: str, label_column: str, version: tuple):
+    """``version``, the file's identity, is part of the cache key only."""
+    arrays = datamod.read_classes(path, label_column)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _assemble_dataset(
@@ -219,20 +242,17 @@ def _assemble_dataset(
         chosen = tuple(range(k_modes))
         ds = datamod.split(raw, spec.val_fraction, sub_seed(seed, "split"))
     else:
-        # a class pick relabels by the classes it picks, so it reads no normal class ids
-        normal_ids = () if k_modes > 0 else tuple(spec.normal_class_ids)
-        raw = _load_source(str(spec.source), spec.label_column, normal_ids)
-        if k_modes > 0:
-            classes = np.unique(raw.class_id)
+        X, class_id = _load_source(str(spec.source), spec.label_column)
+        normal_ids = spec.normal_class_ids
+        if k_modes > 0:  # a class pick reads no dataset.normal_class_ids
+            classes = np.unique(class_id)
             if k_modes > classes.size:
                 raise DataError(
                     f"k_modes={k_modes} exceeds the {classes.size} classes in {spec.source}"
                 )
-            picked = sub_rng(seed, "classpick").choice(classes, size=k_modes, replace=False)
-            chosen = tuple(sorted(int(c) for c in picked))
-            raw = datamod.relabel_by_normal_classes(raw, chosen)
-        else:
-            chosen = tuple(sorted(int(c) for c in np.unique(raw.class_id[raw.label == 0])))
+            normal_ids = sub_rng(seed, "classpick").choice(classes, size=k_modes, replace=False)
+        chosen = tuple(sorted(set(int(c) for c in normal_ids)))
+        raw = datamod.label_classes(X, class_id, chosen, spec.source)
         ds = datamod.split(
             raw, spec.val_fraction, sub_seed(seed, "split"), test_fraction=spec.test_fraction
         )

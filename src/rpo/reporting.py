@@ -46,24 +46,24 @@ def write_history_csv(path, history) -> None:
 
 def render_report(results_path) -> str:
     """Aggregate a results CSV into the truncated-percentage table."""
-    by_method: dict[tuple[str, str, str], list[float]] = defaultdict(list)
-    seen: dict[tuple[str, str, str, int], int] = {}  # (method, dataset, modes, seed) -> line
+    by_method: dict[tuple[str, str, int], list[float]] = defaultdict(list)
+    seen: dict[tuple[str, str, int, int], int] = {}  # (method, dataset, modes, seed) -> line
     rows = csv_rows(results_path)
     if next(rows) != RESULTS_HEADER:
         raise DataError(f"unexpected results header in {results_path}")
     for line_no, row in rows:
-        try:
-            seed, test_auc = int(row[3]), float(row[6])
+        try:  # the integers the results writer wrote, so 02 is the same count as 2
+            k_modes, seed, test_auc = int(row[2]), int(row[3]), float(row[6])
         except ValueError as exc:
             raise DataError(f"{results_path}:{line_no}: {exc}") from exc
         if not math.isfinite(test_auc):
             raise DataError(f"{results_path}:{line_no}: non-finite value")
         # a repeated seed would count as one more seed, and its AUC twice
-        first = seen.setdefault((row[0], row[1], row[2], seed), line_no)
+        first = seen.setdefault((row[0], row[1], k_modes, seed), line_no)
         if first != line_no:
             raise DataError(f"{results_path}:{line_no}: repeats the row of line {first} (method "
-                            f"{row[0]}, dataset {row[1]}, modes {row[2]}, seed {seed})")
-        by_method[(row[0], row[1], row[2])].append(test_auc)
+                            f"{row[0]}, dataset {row[1]}, modes {k_modes}, seed {seed})")
+        by_method[(row[0], row[1], k_modes)].append(test_auc)
     if not by_method:
         raise DataError(f"no result rows in {results_path}")
     width = max(24, *(len(dataset) for _, dataset, _ in by_method))  # a CSV source is its path

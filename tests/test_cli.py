@@ -1,5 +1,6 @@
 import csv
 import io
+import logging
 import pathlib
 import zipfile
 from dataclasses import replace
@@ -11,7 +12,7 @@ import yaml
 from rpo import cli, evaluation
 from rpo.cli import build_parser, main
 from rpo.config import load_config, parse_config
-from rpo.data import AffineSpec, generate_multimodal, load_csv, write_numbers
+from rpo.data import AffineSpec, generate_multimodal, load_csv, save_csv, write_numbers
 from rpo.errors import ConfigError, DataError, NumericError
 from rpo.evaluation import ExperimentSpec, run_experiment
 from rpo.model_io import load_model_checkpoint
@@ -510,6 +511,22 @@ class TestBench:
         assert any("unknown class id(s) [0] not present" in e for e in errors), errors
         assert not results.exists()
 
+    def test_seed_log_names_the_normal_classes(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="rpo")
+        ds = generate_multimodal(3, 4, 60, 40, seed=0, test_fraction=0.0)
+        csv_path = tmp_path / "c.csv"
+        save_csv(ds, csv_path)
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, seeds=[0, 1, 2], dataset={"source": str(csv_path), "k_modes": 2})
+        assert run_cli("bench", "-c", str(cfg_path)) == 0
+        (spec,) = load_config(cfg_path).specs
+        picks = [evaluation._assemble_dataset(spec, seed)[1] for seed in spec.seeds]
+        assert len(set(picks)) > 1  # the seeds pick different classes, so the line must say
+        logged = [r.getMessage().split(" best_epoch=")[0] for r in caplog.records
+                  if r.getMessage().startswith("seed ")]
+        assert logged == [f"seed {seed}: normal_classes={list(pick)}"
+                          for seed, pick in zip(spec.seeds, picks)]
+
     def test_history_emission(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
         write_config(
@@ -917,7 +934,10 @@ class TestReport:
          ("rpo-max,synthetic,2,x,-1,0.9,0.7", "'x'"),
          ("rpo-max,synthetic,2,1.0,-1,0.9,0.7", "'1.0'"),
          ("rpo-max,synthetic,2,1,-1,0.9,nan", "non-finite value"),
-         ("rpo-max,synthetic,2,1,-1,0.9,inf", "non-finite value")],
+         ("rpo-max,synthetic,2,1,-1,0.9,inf", "non-finite value"),
+         # so is the mode count
+         ("rpo-max,synthetic,two,1,-1,0.9,0.7", "'two'"),
+         ("rpo-max,synthetic,1.5,1,-1,0.9,0.7", "'1.5'")],
     )
     def test_bad_row_exits_2_naming_the_line(self, tmp_path, caplog, bad_row, problem):
         path = tmp_path / "results.csv"
@@ -933,7 +953,10 @@ class TestReport:
           "repeats the row of line 2 (method rpo-max, dataset synthetic, modes 2, seed 0)"),
          ("deep-svdd,synthetic,2,1,-1,0.9,0.8", "repeats the row of line 3"),
          # the same seed written another way is the same seed
-         ("rpo-max,synthetic,2,00,-1,0.7,0.6", "repeats the row of line 2")],
+         ("rpo-max,synthetic,2,00,-1,0.7,0.6", "repeats the row of line 2"),
+         # and the same mode count written another way the same dataset
+         ("rpo-max,synthetic,02,0,-1,0.7,0.6",
+          "repeats the row of line 2 (method rpo-max, dataset synthetic, modes 2, seed 0)")],
     )
     def test_repeated_seed_row_exits_2_naming_the_line(self, tmp_path, caplog, capsys, repeat,
                                                        problem):
@@ -958,6 +981,14 @@ class TestReport:
         assert len(rows) == 4
         seeds = sorted(row.split()[3] for row in rows)
         assert seeds == ["1", "1", "1", "2"]
+
+    def test_mode_counts_written_two_ways_are_one_dataset(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        path.write_text("method,dataset,k_modes,seed,best_epoch,val_auc,test_auc\n"
+                        "rpo-max,synthetic,2,0,-1,0.9,0.8\nrpo-max,synthetic,02,1,-1,0.9,0.6\n")
+        assert run_cli("report", "--results", str(path)) == 0
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[2:4] for row in rows] == [["2", "2"]]
 
     def test_bench_results_round_trip_through_report_when_source_holds_a_comma(self, tmp_path, capsys):
         data_dir = tmp_path / "data,v1"

@@ -20,9 +20,9 @@ from rpo.data import (
     contaminate,
     generate_multimodal,
     inject_sad_labels,
+    label_classes,
     load_csv,
     read_features,
-    relabel_by_normal_classes,
     save_csv,
     split,
     standardize,
@@ -469,8 +469,9 @@ class TestCsvRoundTrip:
     def test_missing_normal_class(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,class\n1.0,0\n2.0,1\n")
-        with pytest.raises(DataError, match="unknown class id"):
-            load_csv(path, "class", (7,))
+        with pytest.raises(DataError) as info:
+            load_csv(path, "class", (7, 1, 5))
+        assert str(info.value) == f"unknown class id(s) [5, 7] not present in {path}"
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -660,7 +661,8 @@ class TestWriteNumbers:
 class TestRelabel:
     def test_picked_classes_become_normal(self):
         ds = generate_multimodal(3, 4, 30, 20, seed=18)
-        out = relabel_by_normal_classes(ds, [1, 2])
+        out = label_classes(ds.X, ds.class_id, [1, 2], "blobs.csv")
         assert np.all((out.label == NORMAL) == np.isin(out.class_id, [1, 2]))
         assert np.all(out.split[out.label == NORMAL] == TRAIN)
         assert np.all(out.split[out.label == ANOMALY] == TEST)
+        assert not out.sad_flag.any()

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import os
 import types
 from dataclasses import replace
 
@@ -8,9 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpo import data as datamod
 from rpo import evaluation
 from rpo.config import sweep_points
-from rpo.data import ANOMALY, NORMAL, TEST, TRAIN, VAL, AffineSpec, load_csv, plan_counts
+from rpo.data import (
+    ANOMALY,
+    NORMAL,
+    TEST,
+    TRAIN,
+    VAL,
+    AffineSpec,
+    generate_multimodal,
+    label_classes,
+    load_csv,
+    plan_counts,
+    read_classes,
+    save_csv,
+)
 from rpo.encoder import AdamState, init_adam
 from rpo.errors import ConfigError, DataError, RpoError
 from rpo.evaluation import (
@@ -205,6 +220,8 @@ def quick_spec(**overrides):
         (SvddModel, ("lam",)),
         (DeepRpoModel, ("lam", "estimator")),
         (load_csv, ("label_column", "normal_class_ids")),
+        (read_classes, ("label_column",)),
+        (label_classes, ("normal_class_ids",)),
     ],
 )
 def test_protocol_values_default_only_in_the_spec(func, params):
@@ -351,6 +368,40 @@ class TestRunExperiment:
         for r in results:
             assert len(r.chosen_classes) == 2
             assert all(c in (0, 1, 2, 3) for c in r.chosen_classes)
+
+    @pytest.mark.parametrize("rewrite", ["more rows", "same size"])
+    def test_csv_rewritten_in_place_is_read_again(self, tmp_path, rewrite):
+        """A seed run after the file at its source path changes reads the new rows."""
+        path = tmp_path / "data.csv"
+        save_csv(generate_multimodal(2, 4, 60, 40, seed=0, test_fraction=0.0), path)
+        spec = quick_spec(source=str(path), k_modes=0, normal_class_ids=(0, 1), seeds=(0, 1))
+        assert _assemble_dataset(spec, 0)[0].n == 160
+        before = os.stat(path)
+        if rewrite == "more rows":
+            save_csv(generate_multimodal(2, 4, 70, 40, seed=1, test_fraction=0.0), path)
+        else:  # the same bytes, rows reversed: only the modification time tells them apart
+            header, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+            # a filesystem with coarse timestamps could give the rewrite the old time
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+        now = load_csv(path, "class", (0, 1))
+        ds, _, mean, std = _assemble_dataset(spec, 1)
+        assert np.array_equal(ds.class_id, now.class_id)
+        assert np.array_equal(ds.X, (now.X - mean) / std)
+
+    def test_fixed_normals_and_class_pick_share_one_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        save_csv(generate_multimodal(3, 4, 60, 40, seed=0, test_fraction=0.0), path)
+        parses = []
+        read_features = datamod.read_features
+        monkeypatch.setattr(datamod, "read_features",
+                            lambda *args: parses.append(args) or read_features(*args))
+        fixed = quick_spec(source=str(path), k_modes=0, normal_class_ids=(0, 2))
+        _assemble_dataset(replace(fixed, k_modes=2), 0)
+        ds, chosen, _, _ = _assemble_dataset(fixed, 0)
+        assert chosen == (0, 2)
+        assert np.array_equal(ds.label == NORMAL, np.isin(ds.class_id, [0, 2]))
+        assert parses == [(str(path), "class")]
 
     def test_affine_leaves_training_untouched(self):
         base = run_experiment(quick_spec(method="deep-rpo-mean", seeds=(0,)))

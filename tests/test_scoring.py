@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import statistics
@@ -458,6 +459,37 @@ class TestInvariances:
         U, X, queries = self._instance(10)
         stats = fit_rpo(X, U)
         assert np.all(score_batch(queries, U, stats, "mean") >= 0.0)
+
+
+class TestGaussianLimits:
+    """Both estimators against their limits as p grows, on N(0, I) train rows.
+
+    Every 1-D MAD then tends to Phi^-1(3/4), so ``max`` tends to the
+    Stahel-Donoho outlyingness ||x|| / Phi^-1(3/4), and ``mean`` to
+    ||x|| E|u_1| / Phi^-1(3/4), the mean of |u . x| over uniform directions
+    u, with E|u_1| = Gamma(d/2) / (sqrt(pi) Gamma((d+1)/2)). ``max`` closes
+    in on its limit slowly, since a finite set of directions misses the
+    maximizing one; ``mean`` is a Monte Carlo average, so its error falls
+    as 1 / sqrt(p). The band on ``mean``'s error times sqrt(p) was chosen on
+    seeds 0-4 (0.43-0.72) and holds on seeds 1000-1004 (0.43-0.67).
+    """
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mean_closes_in_on_its_limit_faster_than_max(self, seed):
+        d = 16
+        rng = np.random.default_rng(seed)
+        X_train, queries = rng.standard_normal((2000, d)), 1.5 * rng.standard_normal((500, d))
+        q = statistics.NormalDist().inv_cdf(0.75)
+        e_u1 = math.gamma(d / 2) / (math.sqrt(math.pi) * math.gamma((d + 1) / 2))
+        radius = np.linalg.norm(queries, axis=1)
+        for p in (30, 300, 3000):
+            U = generate_projections(d=d, m=1, p=p, seed=seed)
+            stats = fit_rpo(X_train, U)
+            max_error, mean_error = (
+                np.median(np.abs(score_batch(queries, U, stats, est) / limit - 1.0))
+                for est, limit in (("max", radius / q), ("mean", radius * e_u1 / q)))
+            assert mean_error < max_error, p
+            assert 0.25 < mean_error * math.sqrt(p) < 1.0, (p, mean_error)
 
 
 class TestDepth:
