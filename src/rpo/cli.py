@@ -118,7 +118,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_model_checkpoint(args.checkpoint)
-    X, _ = datamod.read_features(args.input, datamod.LABEL_COLUMN)
+    X, _ = datamod.read_features(args.input)
     scores = model.score_rows(X)
     _ensure_parent(args.output)
     datamod.write_numbers(args.output, ["score", "depth"], [scores, depth(scores)])

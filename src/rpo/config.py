@@ -137,8 +137,7 @@ def _parse_seeds(raw) -> tuple:
 
 # The ExperimentSpec fields each YAML section sets.
 SPEC_SECTIONS = {
-    "dataset": ("source", "label_column", "normal_class_ids", "k_modes", "dim",
-                "n_per_mode", "anomaly_n"),
+    "dataset": ("source", "normal_class_ids", "k_modes", "dim", "n_per_mode", "anomaly_n"),
     "model": ("n_projections", "rp_dim", "latent_dim", "hidden_dims", "dropout"),
     "training": ("epochs", "batch_size", "learning_rate", "weight_decay"),
     "protocol": ("val_fraction", "test_fraction", "contamination", "sad_ratio",

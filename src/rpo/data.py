@@ -11,9 +11,10 @@ The benchmark pipeline is: build -> split -> standardize -> optional
 contaminate/inject_sad_labels -> train -> optional affine perturbation of
 the held-out rows. A synthetic source is built by ``generate_multimodal``;
 a CSV source is read by ``read_classes`` and labeled by ``label_classes``,
-whatever chose its normal classes (``load_csv`` does both). Standardization
-is a separate step rather than part of loading because it must use
-train-only statistics, which exist only after splitting.
+whatever chose its normal classes. Every CSV names its class column
+``LABEL_COLUMN``. Standardization is a separate step rather than part of
+loading because it must use train-only statistics, which exist only after
+splitting.
 """
 
 from __future__ import annotations
@@ -280,15 +281,15 @@ def csv_rows(path):
             yield line_no, row
 
 
-def _read_rows(path, label_column: str):
+def _read_rows(path):
     """The row loop: ``float()`` on each feature, naming the line of the first bad one.
 
-    Returns the feature matrix, the ``label_column`` field of each row as a
+    Returns the feature matrix, the ``LABEL_COLUMN`` field of each row as a
     string (None if the header has no such column) and each row's line.
     """
     rows = csv_rows(path)
     header = next(rows)
-    drop = header.index(label_column) if label_column in header else None
+    drop = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
     features, labels, line_nos = [], [], []
     for line_no, row in rows:
         if drop is not None:
@@ -342,10 +343,10 @@ def _number(field: str) -> float:
         return np.nan
 
 
-def read_features(path, label_column: str):
-    """Feature matrix and the ``label_column`` values (None if absent).
+def read_features(path):
+    """Feature matrix and the ``LABEL_COLUMN`` values (None if absent).
 
-    Every column except ``label_column`` must hold a finite number; the
+    Every column except ``LABEL_COLUMN`` must hold a finite number; the
     first value that does not names its line. A label reads as a float, or
     as NaN where it is not a number. Values parse exactly as ``float()``
     parses them: numpy's C reader reads the file, and a file it declines is
@@ -354,13 +355,13 @@ def read_features(path, label_column: str):
     line.
     """
     with _csv_reader(path) as (fh, _, header):
-        drop = header.index(label_column) if label_column in header else None
+        drop = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
         table = _load_table(fh, len(header))
     if table is not None:
         X = table if drop is None else np.delete(table, drop, axis=1)
         if np.isfinite(X).all():
             return X, (None if drop is None else table[:, drop])
-    X, labels, _ = _read_rows(path, label_column)
+    X, labels, _ = _read_rows(path)
     return X, (None if labels is None else np.array([_number(v) for v in labels]))
 
 
@@ -379,27 +380,27 @@ def _class_value(path, line_no: int, value: str) -> float:
     return cid
 
 
-def read_classes(path, label_column: str) -> tuple[np.ndarray, np.ndarray]:
-    """A feature CSV's raw features and its integer ``label_column`` class ids.
+def read_classes(path) -> tuple[np.ndarray, np.ndarray]:
+    """A feature CSV's raw features and its integer ``LABEL_COLUMN`` class ids.
 
     The file needs a data row and the label column, and every class must
     be an integer within int64; the first one that is not names its line.
     """
-    X, classes = read_features(path, label_column)
+    X, classes = read_features(path)
     if classes is None:
-        raise DataError(f"label column {label_column!r} missing from {path}")
+        raise DataError(f"label column {LABEL_COLUMN!r} missing from {path}")
     if not len(X):
         raise DataError(f"no data rows in {path}")
     integral = (classes == np.trunc(classes)) & (-_INT64_END <= classes) & (classes < _INT64_END)
     if not integral.all():
         # the row loop keeps each class as written and its line, to name the first bad one
-        _, fields, line_nos = _read_rows(path, label_column)
+        _, fields, line_nos = _read_rows(path)
         classes = np.array([_class_value(path, n, v) for v, n in zip(fields, line_nos)])
     return X, classes.astype(np.int64)
 
 
 def label_classes(X: np.ndarray, class_id: np.ndarray, normal_class_ids, path) -> Dataset:
-    """The rows of ``read_classes(path, ...)`` labeled by their normal classes.
+    """The rows of ``read_classes(path)`` labeled by their normal classes.
 
     Rows whose class id belongs to ``normal_class_ids`` are normal and start
     in train; every other row is an anomaly and starts in test, and no row
@@ -414,11 +415,6 @@ def label_classes(X: np.ndarray, class_id: np.ndarray, normal_class_ids, path) -
     label = np.where(np.isin(class_id, sorted(normal_ids)), NORMAL, ANOMALY)
     split = np.where(label == NORMAL, TRAIN, TEST)
     return _dataset(X, class_id, label, split, np.zeros(len(X), dtype=bool))
-
-
-def load_csv(path, label_column: str, normal_class_ids) -> Dataset:
-    """``read_classes`` then ``label_classes``: a feature CSV labeled by its normal classes."""
-    return label_classes(*read_classes(path, label_column), normal_class_ids, path)
 
 
 class CountError(DataError):

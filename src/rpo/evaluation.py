@@ -60,7 +60,6 @@ class ExperimentSpec:
 
     method: str = "deep-rpo-mean"  # a key of scoring.METHODS
     source: str = SYNTHETIC  # SYNTHETIC or a dataset CSV path
-    label_column: str = datamod.LABEL_COLUMN
     normal_class_ids: tuple = (0,)
     k_modes: int | None = None  # synthetic blobs (2); CSV classes picked per seed (0: all normals)
     dim: int = 16
@@ -203,24 +202,26 @@ class SeedResult:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def _load_source(path: str, label_column: str) -> tuple[np.ndarray, np.ndarray]:
+def _load_source(path: str) -> tuple[np.ndarray, np.ndarray]:
     """``data.read_classes`` of the CSV at ``path``, parsed once per version of the file.
 
-    The parse is cached on the path, the label column and the file's
-    identity from ``os.stat``, so a file rewritten in place is read again.
-    Every dataset built from a parse shares its arrays, which are read-only.
+    The parse is cached on the path and the file's identity from
+    ``os.stat``, so a file rewritten in place is read again. Only the last
+    parse is kept: a run reads one source, and an older version's arrays
+    would only hold memory. Every dataset built from a parse shares its
+    arrays, which are read-only.
     """
     try:
         st = os.stat(path)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    return _parse_source(path, label_column, (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns))
+    return _parse_source(path, (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns))
 
 
-@lru_cache(maxsize=4)
-def _parse_source(path: str, label_column: str, version: tuple):
+@lru_cache(maxsize=1)
+def _parse_source(path: str, version: tuple):
     """``version``, the file's identity, is part of the cache key only."""
-    arrays = datamod.read_classes(path, label_column)
+    arrays = datamod.read_classes(path)
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
@@ -242,7 +243,7 @@ def _assemble_dataset(
         chosen = tuple(range(k_modes))
         ds = datamod.split(raw, spec.val_fraction, sub_seed(seed, "split"))
     else:
-        X, class_id = _load_source(str(spec.source), spec.label_column)
+        X, class_id = _load_source(str(spec.source))
         normal_ids = spec.normal_class_ids
         if k_modes > 0:  # a class pick reads no dataset.normal_class_ids
             classes = np.unique(class_id)

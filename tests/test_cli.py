@@ -12,7 +12,14 @@ import yaml
 from rpo import cli, evaluation
 from rpo.cli import build_parser, main
 from rpo.config import load_config, parse_config
-from rpo.data import AffineSpec, generate_multimodal, load_csv, save_csv, write_numbers
+from rpo.data import (
+    AffineSpec,
+    generate_multimodal,
+    label_classes,
+    read_classes,
+    save_csv,
+    write_numbers,
+)
 from rpo.errors import ConfigError, DataError, NumericError
 from rpo.evaluation import ExperimentSpec, run_experiment
 from rpo.model_io import load_model_checkpoint
@@ -179,7 +186,8 @@ class TestGenData:
         )
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == ["data.csv"]
-        loaded = load_csv(out / "data.csv", "class", (0, 1, 2))
+        path = out / "data.csv"
+        loaded = label_classes(*read_classes(path), (0, 1, 2), path)
         expected = generate_multimodal(3, 16, 40, 30, seed=7)
         assert np.array_equal(loaded.X, expected.X)
         assert np.array_equal(loaded.class_id, expected.class_id)
@@ -309,6 +317,7 @@ class TestBench:
             # removed keys: a once-valid value is now an unknown key
             ({"training": {"eps_floor": 1.0e-6}}, "training.eps_floor"),
             ({"training": {"stats_mode": "batch"}}, "training.stats_mode"),
+            ({"dataset": {"label_column": "class"}}, "dataset.label_column"),
             ({"model": {"dropout": {"components_rate": 0.1, "seed": 5}}}, "model.dropout.seed"),
             ({"protocol": {"affine": {"mode": "uniform_range", "seed": 5}}},
              "protocol.affine.seed"),
@@ -1025,7 +1034,7 @@ MALFORMED = {
 
 # each reader's header and one good row; the last column is one the reader parses
 READER_ROWS = {
-    "load_csv": (["f0", "class", "f1"], ["1.0", "0", "2.0"]),
+    "read_classes": (["f0", "class", "f1"], ["1.0", "0", "2.0"]),
     "score": (["f0", "f1", "f2", "class", "f3", "f4", "f5"], ["1", "2", "3", "0", "4", "5", "6"]),
     "report": (
         ["method", "dataset", "k_modes", "seed", "best_epoch", "val_auc", "test_auc"],
@@ -1066,9 +1075,9 @@ class TestMalformedCsv:
             where = f"{path}:4: "
             problem = problem.format(n=len(header), m=len(bad))
         out = tmp_path / "out.txt"
-        if reader == "load_csv":
+        if reader == "read_classes":
             with pytest.raises(DataError) as info:
-                load_csv(path, "class", (0,))
+                read_classes(path)
             errors = [str(info.value)]
         else:
             argv = (["score", "--checkpoint", str(rpo_max_checkpoint), "--input", str(path),
@@ -1096,9 +1105,9 @@ class TestMalformedCsv:
         path.write_bytes(b"\r\n".join(rows) + b"\r\r" + bad + b"\n")
         assert path.stat().st_size > 3 * 8192
         where = f"{path}:3003: "
-        if reader == "load_csv":
+        if reader == "read_classes":
             with pytest.raises(DataError) as info:
-                load_csv(path, "class", (0,))
+                read_classes(path)
             errors = [str(info.value)]
         else:
             out = tmp_path / "out.txt"

@@ -21,7 +21,7 @@ from rpo.data import (
     generate_multimodal,
     inject_sad_labels,
     label_classes,
-    load_csv,
+    read_classes,
     read_features,
     save_csv,
     split,
@@ -425,7 +425,7 @@ class TestCsvRoundTrip:
         ds = generate_multimodal(2, 4, 30, 20, seed=17)
         data_path = tmp_path / "data.csv"
         save_csv(ds, data_path)
-        loaded = load_csv(data_path, label_column="class", normal_class_ids=(0, 1))
+        loaded = label_classes(*read_classes(data_path), (0, 1), data_path)
         assert np.array_equal(loaded.X, ds.X)
         assert np.array_equal(loaded.class_id, ds.class_id)
         assert np.array_equal(loaded.label, ds.label)
@@ -434,56 +434,56 @@ class TestCsvRoundTrip:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(DataError):
-            load_csv(path, "class", (0,))
+            read_classes(path)
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("f0,f1,class\n")
         with pytest.raises(DataError, match="no data rows"):
-            load_csv(path, "class", (0,))
+            read_classes(path)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,class\n1.0,2.0,0\n1.0,oops,0\n")
         with pytest.raises(DataError, match="bad.csv:3"):
-            load_csv(path, "class", (0,))
+            read_classes(path)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_class_reports_line(self, tmp_path, value):
         path = tmp_path / "bad.csv"
         path.write_text(f"f0,f1,class\n1.0,2.0,0\n1.0,2.0,{value}\n")
         with pytest.raises(DataError, match="bad.csv:3: "):
-            load_csv(path, "class", (0,))
+            read_classes(path)
 
     def test_fractional_class_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,class\n1.0,0\n2.0,0\n3.0,0.7\n4.0,1\n")
         with pytest.raises(DataError, match="bad.csv:4: class '0.7' is not an integer"):
-            load_csv(path, "class", (0,))
+            read_classes(path)
 
     def test_integral_float_class_accepted(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,class\n1.0,0.0\n2.0,1.0\n3.0,-0\n")
-        assert load_csv(path, "class", (0,)).class_id.tolist() == [0, 1, 0]
+        assert read_classes(path)[1].tolist() == [0, 1, 0]
 
     def test_missing_normal_class(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,class\n1.0,0\n2.0,1\n")
         with pytest.raises(DataError) as info:
-            load_csv(path, "class", (7, 1, 5))
+            label_classes(*read_classes(path), (7, 1, 5), path)
         assert str(info.value) == f"unknown class id(s) [5, 7] not present in {path}"
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1\n1.0,2.0\n")
         with pytest.raises(DataError, match="label column"):
-            load_csv(path, "class", (0,))
+            read_classes(path)
 
     def test_bad_value_after_quoted_newline_names_its_line(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text('f0,f1\n"1.0\n",2\n3,x\n')
         with pytest.raises(DataError) as info:
-            read_features(path, "class")
+            read_features(path)
         assert str(info.value) == f"{path}:4: could not convert string to float: 'x'"
 
     def test_class_beyond_int64_reports_line(self, tmp_path):
@@ -491,7 +491,7 @@ class TestCsvRoundTrip:
         lines = ["f0,class"] + [f"{i}.5,{i % 2}" for i in range(59)] + ["59.5,1e300"]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError) as info:
-            load_csv(path, "class", (0,))
+            read_classes(path)
         assert str(info.value) == f"{path}:61: class '1e300' is out of range"
 
     @pytest.mark.parametrize("value, ok", [("-9223372036854775808", True),
@@ -502,10 +502,10 @@ class TestCsvRoundTrip:
         path = tmp_path / "d.csv"
         path.write_text(f"f0,class\n1.0,0\n2.0,{value}\n")
         if ok:
-            assert load_csv(path, "class", (0,)).class_id.tolist() == [0, int(float(value))]
+            assert read_classes(path)[1].tolist() == [0, int(float(value))]
         else:
             with pytest.raises(DataError, match=f"d.csv:3: class '{value}' is out of range"):
-                load_csv(path, "class", (0,))
+                read_classes(path)
 
 
 def _float_or_nan(text):
@@ -556,13 +556,13 @@ class TestReadFeatures:
     def _agree(path):
         """read_features and the row loop give the same bytes or the same error."""
         try:
-            X_ref, fields, _ = datamod._read_rows(path, "class")
+            X_ref, fields, _ = datamod._read_rows(path)
         except DataError as exc:
             with pytest.raises(DataError) as info:
-                read_features(path, "class")
+                read_features(path)
             assert str(info.value) == str(exc)
             return str(exc)
-        X, labels = read_features(path, "class")
+        X, labels = read_features(path)
         assert X.dtype == np.float64 and X.flags.c_contiguous
         assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
         if fields is None:
@@ -615,7 +615,7 @@ class TestReadFeatures:
             raise AssertionError("row loop ran on a file numpy's C reader parses")
 
         monkeypatch.setattr(datamod, "_read_rows", row_loop)
-        X, labels = read_features(path, "class")
+        X, labels = read_features(path)
         assert X.tobytes() == ds.X.tobytes()
         assert labels.tolist() == ds.class_id.tolist()
 

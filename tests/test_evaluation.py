@@ -21,7 +21,6 @@ from rpo.data import (
     AffineSpec,
     generate_multimodal,
     label_classes,
-    load_csv,
     plan_counts,
     read_classes,
     save_csv,
@@ -219,8 +218,6 @@ def quick_spec(**overrides):
         (AdamState, ("learning_rate",)),
         (SvddModel, ("lam",)),
         (DeepRpoModel, ("lam", "estimator")),
-        (load_csv, ("label_column", "normal_class_ids")),
-        (read_classes, ("label_column",)),
         (label_classes, ("normal_class_ids",)),
     ],
 )
@@ -384,10 +381,21 @@ class TestRunExperiment:
             path.write_text("\n".join([header, *rows[::-1]]) + "\n")
             # a filesystem with coarse timestamps could give the rewrite the old time
             os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
-        now = load_csv(path, "class", (0, 1))
+        now = label_classes(*read_classes(path), (0, 1), path)
         ds, _, mean, std = _assemble_dataset(spec, 1)
         assert np.array_equal(ds.class_id, now.class_id)
         assert np.array_equal(ds.X, (now.X - mean) / std)
+
+    def test_a_rewritten_csv_keeps_only_its_last_parse(self, tmp_path):
+        path = tmp_path / "data.csv"
+        spec = quick_spec(source=str(path), k_modes=0, normal_class_ids=(0, 1))
+        evaluation._parse_source.cache_clear()
+        for version in range(3):
+            save_csv(generate_multimodal(2, 4, 60 + version, 40, seed=version,
+                                         test_fraction=0.0), path)
+            assert _assemble_dataset(spec, 0)[0].n == 2 * (60 + version) + 40
+        info = evaluation._parse_source.cache_info()
+        assert (info.misses, info.currsize) == (3, 1)
 
     def test_fixed_normals_and_class_pick_share_one_parse(self, tmp_path, monkeypatch):
         path = tmp_path / "data.csv"
@@ -401,7 +409,7 @@ class TestRunExperiment:
         ds, chosen, _, _ = _assemble_dataset(fixed, 0)
         assert chosen == (0, 2)
         assert np.array_equal(ds.label == NORMAL, np.isin(ds.class_id, [0, 2]))
-        assert parses == [(str(path), "class")]
+        assert parses == [(str(path),)]
 
     def test_affine_leaves_training_untouched(self):
         base = run_experiment(quick_spec(method="deep-rpo-mean", seeds=(0,)))
