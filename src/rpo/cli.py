@@ -70,8 +70,8 @@ def _count_flag(value: int, flag: str) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    workers = _count_flag(args.workers, "--workers") or cfg.workers
+    workers = _count_flag(args.workers, "--workers")
+    cfg = load_config(args.config, "bench")
     specs = cfg.specs
     if _count_flag(args.seeds, "--seeds"):  # quick mode: first N seeds regardless of config
         specs = [replace(spec, seeds=tuple(range(args.seeds))) for spec in specs]
@@ -80,9 +80,8 @@ def cmd_bench(args) -> int:
     entries = []
     for spec in specs:
         logger.info("running %s on %s (%d seeds)", spec.method, spec.source, len(spec.seeds))
-        results = run_experiment(
-            spec, workers=workers, checkpoint_dir=cfg.checkpoint_dir, progress=_log_seed
-        )
+        results = run_experiment(spec, workers=workers or cfg.workers,
+                                 checkpoint_dir=cfg.checkpoint_dir, progress=_log_seed)
         entries.append((spec, results))
     _ensure_parent(cfg.results_path)
     _ensure_parent(cfg.aggregate_path)
@@ -103,13 +102,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    workers = _count_flag(args.workers, "--workers")
+    cfg = load_config(args.config, "sweep")
     if cfg.sweep_axis is None:
         raise ConfigError("config has no sweep section (sweep.axis, sweep.values)")
-    workers = _count_flag(args.workers, "--workers") or cfg.workers
     if len(cfg.specs) > 1:
         raise ConfigError("sweep runs a single method; give 'method', not 'methods'")
-    rows = sweep(cfg.sweep_axis, cfg.sweep, workers=workers, progress=_log_seed)
+    rows = sweep(cfg.sweep_axis, cfg.sweep, workers=workers or cfg.workers, progress=_log_seed)
     _ensure_parent(cfg.aggregate_path)
     write_aggregate_csv(cfg.aggregate_path, rows)
     logger.info("wrote %s", cfg.aggregate_path)

@@ -1,8 +1,10 @@
 """Benchmark run configuration: sectioned YAML with strict key validation.
 
-Unknown keys and keys given twice are rejected with their
-section-qualified name, and every referenced path is checked before any
-work starts so a bad config never leaves partial outputs behind. Each key
+Unknown keys, keys given twice and keys the running command does not read
+(``COMMAND_KEYS``) are rejected with their section-qualified name, and
+every referenced path is checked before any work starts so a bad config
+never leaves partial outputs behind. A text key must be a YAML string; an
+optional one may be null, which leaves it unset. Each key
 sets one dataclass field, whose annotation gives the key's type and whose
 default applies when the key is absent, so the paper-protocol defaults
 live in ``ExperimentSpec`` alone. The file is parsed by libyaml (PyYAML's
@@ -102,7 +104,9 @@ def _coerce(value, hint, where: str):
             raise ConfigError(f"{where}: {exc}") from None
         _reject_unknown(value, where)
         return spec
-    return str(value)
+    if not isinstance(value, str):  # str() would read null as a file named None
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 # a parse reads the same few dataclasses' annotations many times over
@@ -150,6 +154,9 @@ RUN_SECTIONS = {
                "checkpoint_dir": "checkpoint_dir", "history_dir": "history_dir"},
     "sweep": {"axis": "sweep_axis", "values": "sweep"},
 }
+# The output and sweep keys only one command reads; the other command refuses them.
+COMMAND_KEYS = {"output.results": "bench", "output.checkpoint_dir": "bench",
+                "output.history_dir": "bench", "sweep.axis": "sweep", "sweep.values": "sweep"}
 # The key whose rule reads each sweep axis's values; alpha is a constant affine's.
 SWEEP_KEYS = {"n_projections": "model.n_projections", "rp_dim": "model.rp_dim",
               "dropout": "model.dropout", "alpha": "protocol.affine",
@@ -193,8 +200,12 @@ def sweep_points(base: ExperimentSpec, axis: str, values: list) -> list:
     return points
 
 
-def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
-    """Build a validated RunConfig from a parsed YAML mapping."""
+def parse_config(raw: dict, config_dir: str = ".", command: str | None = None) -> RunConfig:
+    """Build a validated RunConfig from a parsed YAML mapping.
+
+    With ``command`` (``"bench"`` or ``"sweep"``) a key of ``COMMAND_KEYS``
+    that only the other command reads is refused before its section is read.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     raw = dict(raw)
@@ -229,6 +240,9 @@ def parse_config(raw: dict, config_dir: str = ".") -> RunConfig:
 
     for name in ("output", "sweep"):
         section = _section(raw, name)
+        for key in (f"{name}.{k}" for k in section):
+            if command and COMMAND_KEYS.get(key, command) != command:
+                raise ConfigError(f"{key} is read by rpo {COMMAND_KEYS[key]}, not rpo {command}")
         run_kwargs.update(_take(RunConfig, section, name, RUN_SECTIONS[name]))
         _reject_unknown(section, name)
     _reject_unknown(raw, "")
@@ -282,8 +296,11 @@ def _strict_loader(base: type) -> type:
     return StrictLoader
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a YAML config file; checks the dataset path exists."""
+def load_config(path, command: str | None = None) -> RunConfig:
+    """Parse and validate a YAML config file; checks the dataset path exists.
+
+    ``command`` is passed on to ``parse_config``.
+    """
     loader = _strict_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -294,7 +311,7 @@ def load_config(path) -> RunConfig:
         raise not_utf8(path, ConfigError) from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
-    cfg = parse_config(raw or {}, config_dir=os.path.dirname(os.path.abspath(path)))
+    cfg = parse_config(raw or {}, os.path.dirname(os.path.abspath(path)), command)
     source = cfg.specs[0].source
     if source != SYNTHETIC and not os.path.exists(source):
         raise DataError(f"dataset file not found: {source}")

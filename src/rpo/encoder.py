@@ -23,11 +23,15 @@ and in the per-layer update's order, so every weight and moment keeps the
 per-layer update's bits; ``training.train`` snapshots and restores the
 best epoch's weights with one copy of the buffer.
 
-The hidden activation is ``np.maximum(H, LEAKY_SLOPE * H)``. For
-0 < ``LEAKY_SLOPE`` < 1 it equals ``np.where(H > 0, H, LEAKY_SLOPE * H)``
-bit for bit, signed zeros, infinities and NaN included: ``LEAKY_SLOPE * H``
-lies between H and 0, and both forms return H itself where they agree on
-the branch.
+The hidden activation is ``np.maximum(H, LEAKY_SLOPE * H)``, applied in
+place over the pre-activation H, so ``forward`` keeps one array per layer:
+its cache is the list of layer inputs ``[X, A_1, ..., A_{L-1}]``. For
+0 < ``LEAKY_SLOPE`` < 1 the activation equals ``np.where(H > 0, H,
+LEAKY_SLOPE * H)`` bit for bit, signed zeros, infinities and NaN included:
+``LEAKY_SLOPE * H`` lies between H and 0, and both forms return H itself
+where they agree on the branch. For the same reason ``A > 0`` holds exactly
+where ``H > 0`` does, so ``backward`` takes each layer's slope mask from
+its output A.
 """
 
 from __future__ import annotations
@@ -38,14 +42,6 @@ from itertools import accumulate
 import numpy as np
 
 LEAKY_SLOPE = 0.1  # the hidden activation is max(h, LEAKY_SLOPE * h)
-
-
-@dataclass
-class ForwardCache:
-    """Intermediates of one forward pass, consumed by ``backward``."""
-
-    inputs: list  # A_0 .. A_{L-1}, layer inputs
-    preacts: list  # H_1 .. H_{L-1}, hidden pre-activations
 
 
 class Encoder:
@@ -98,48 +94,47 @@ class Encoder:
     def latent_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def forward(self, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-        """Encode rows of ``X``; returns latents and the backward cache."""
+    def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Encode rows of ``X``; returns latents and the backward cache.
+
+        The cache is the list of layer inputs ``[X, A_1, ..., A_{L-1}]``;
+        each hidden activation overwrites its pre-activation in place.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected input shape (n, {self.input_dim}), got {X.shape}"
             )
-        inputs = [X]
-        preacts = []
-        A = X
+        cache = [X]
         for W in self.weights[:-1]:
-            H = A @ W
-            preacts.append(H)
-            A = np.maximum(H, LEAKY_SLOPE * H)
-            inputs.append(A)
-        Z = A @ self.weights[-1]
-        return Z, ForwardCache(inputs=inputs, preacts=preacts)
+            H = cache[-1] @ W
+            np.maximum(H, LEAKY_SLOPE * H, out=H)
+            cache.append(H)
+        return cache[-1] @ self.weights[-1], cache
 
-    def backward(self, cache: ForwardCache, upstream_grad: np.ndarray) -> np.ndarray:
+    def backward(self, cache: list[np.ndarray], upstream_grad: np.ndarray) -> np.ndarray:
         """Exact gradient w.r.t. the weights for the cached batch, laid out as ``buffer``.
 
         ``upstream_grad`` is dLoss/dZ for the same batch the cache came from.
         Each layer's product ``A_l^T G_l`` is written into its view of the
-        one flat gradient (``layer_views``).
+        one flat gradient (``layer_views``). The slope mask of hidden layer
+        l is read from its output, ``cache[l] > 0``, which holds where its
+        pre-activation is > 0 (module docstring).
         """
-        if cache is None:
-            raise ValueError("missing forward cache")
-        if len(cache.inputs) != len(self.weights):
-            raise ValueError("forward cache does not match this encoder")
+        if cache is None or len(cache) != len(self.weights):
+            raise ValueError("the forward cache is missing or does not match this encoder")
         G = np.asarray(upstream_grad, dtype=np.float64)
-        if G.shape != (cache.inputs[0].shape[0], self.latent_dim):
+        if G.shape != (cache[0].shape[0], self.latent_dim):
             raise ValueError(
                 f"upstream gradient shape {G.shape} does not match cached batch"
             )
         grad = np.empty_like(self.buffer)
         views = self.layer_views(grad)
         for l in range(len(self.weights) - 1, -1, -1):
-            np.matmul(cache.inputs[l].T, G, out=views[l])
+            np.matmul(cache[l].T, G, out=views[l])
             if l > 0:
                 G = G @ self.weights[l].T
-                H = cache.preacts[l - 1]
-                G = G * np.where(H > 0, 1.0, LEAKY_SLOPE)
+                G *= np.where(cache[l] > 0, 1.0, LEAKY_SLOPE)
         return grad
 
 

@@ -24,7 +24,8 @@ round differently, and the scores stay within a relative 1e-10 of it
 
 A checkpoint is one ``.npz`` archive of format version 3, holding only what
 scoring reads: ``version``, ``method``, ``scaler_mean`` and ``scaler_std``;
-``layer_dims`` and ``W0`` .. ``W{L-1}`` for an encoder; ``center`` for
+``layer_dims`` and ``W0`` .. ``W{L-1}`` for an encoder (a file whose
+``layer_dims`` disagree with its weights' shapes is refused); ``center`` for
 deep-svdd; otherwise ``proj_entries``, ``stats_med`` and either
 ``stats_mad`` (m = 1) or ``stats_inv_chol`` (m > 1), each projection's
 inverse Cholesky factor (``scoring.RpoStats``); version 2 stored the
@@ -223,6 +224,8 @@ def _unpack(data) -> ScoringModel:
     if "layer_dims" in data:
         dims = data["layer_dims"].tolist()
         encoder = Encoder([data[f"W{l}"] for l in range(len(dims) - 1)])
+        if encoder.layer_dims != dims:
+            raise ValueError(f"layer_dims {dims} do not match the weights' {encoder.layer_dims}")
     entries = data.get("proj_entries")
     stats = None
     if "stats_med" in data:

@@ -63,6 +63,15 @@ def write_config(path, **overrides):
     return cfg
 
 
+def write_sweep_config(path, **overrides):
+    """``write_config`` without ``output.results``, which ``rpo sweep`` refuses, unless given."""
+    cfg = write_config(path, **overrides)
+    if "results" not in overrides.get("output", {}):
+        del cfg["output"]["results"]
+    path.write_text(yaml.safe_dump(cfg))
+    return cfg
+
+
 class TestConfig:
     def test_unknown_key_rejected_with_name(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -370,8 +379,8 @@ class TestBench:
              "protocol.test_fraction"),
             # a CSV source picks k_modes classes, 0 taking every normal class
             ({"dataset": {"source": "data.csv", "k_modes": -1}}, "dataset.k_modes"),
-            # bench runs no sweep, but a values list with no axis is still a config error
-            ({"sweep": {"values": [1, 2]}}, "sweep.axis"),
+            # bench runs no sweep, so it refuses the sweep section before reading its values
+            ({"sweep": {"values": [1, 2]}}, "sweep.values is read by rpo sweep, not rpo bench"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, tmp_path, caplog, overrides, named):
@@ -558,7 +567,7 @@ class TestBench:
 class TestSweepCommand:
     def test_sweep_writes_aggregate(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, sweep={"axis": "alpha", "values": [0.9, 1.0, 1.1]})
+        write_sweep_config(cfg_path, sweep={"axis": "alpha", "values": [0.9, 1.0, 1.1]})
         assert run_cli("sweep", "-c", str(cfg_path)) == 0
         lines = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
         assert lines[0] == "method,axis_value,mean_auc,std_auc,n_seeds,gap_mean,gap_std"
@@ -573,7 +582,7 @@ class TestSweepCommand:
         ran = []
         monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, sweep={"values": [0.9, 1.0]})
+        write_sweep_config(cfg_path, sweep={"values": [0.9, 1.0]})
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
         assert ran == []
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
@@ -614,8 +623,8 @@ class TestSweepCommand:
         monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
         cfg_path = tmp_path / "c.yaml"
         # sad_ratio needs a deep-rpo method; the others run on rpo-max
-        write_config(cfg_path, sweep=sweep,
-                     method="deep-rpo-mean" if sweep["axis"] == "sad_ratio" else "rpo-max")
+        write_sweep_config(cfg_path, sweep=sweep,
+                           method="deep-rpo-mean" if sweep["axis"] == "sad_ratio" else "rpo-max")
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
         assert ran == []
         assert any("sweep.values" in r.message for r in caplog.records if r.levelname == "ERROR")
@@ -633,7 +642,7 @@ class TestSweepCommand:
         ran = []
         monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, sweep=sweep, method="rpo-max")
+        write_sweep_config(cfg_path, sweep=sweep, method="rpo-max")
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
         assert ran == []
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
@@ -643,7 +652,7 @@ class TestSweepCommand:
         ran = []
         monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, sweep={"axis": "bananas", "values": [1]})
+        write_sweep_config(cfg_path, sweep={"axis": "bananas", "values": [1]})
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
         assert ran == []
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
@@ -680,23 +689,110 @@ class TestSweepCommand:
 
     def test_sweep_labels_reach_the_aggregate_csv(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, seeds=[0], sweep={"axis": "rp_dim", "values": [1, 2.0, "3"]})
+        write_sweep_config(cfg_path, seeds=[0], sweep={"axis": "rp_dim", "values": [1, 2.0, "3"]})
         assert run_cli("sweep", "-c", str(cfg_path)) == 0
         with open(tmp_path / "out" / "aggregate.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [row[:2] for row in rows] == [["rpo-max", "1"], ["rpo-max", "2.0"], ["rpo-max", "3"]]
 
     def test_projection_axis_on_deep_svdd(self, tmp_path, caplog):
-        # bench ignores the sweep section; sweep rejects an axis the method has no use for
+        # sweep rejects an axis the method has no use for
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, method="deep-svdd", seeds=[0],
-                     sweep={"axis": "n_projections", "values": [10, 20]})
-        assert run_cli("bench", "-c", str(cfg_path)) == 0
-        (tmp_path / "out" / "aggregate.csv").unlink()
+        write_sweep_config(cfg_path, method="deep-svdd", seeds=[0],
+                           sweep={"axis": "n_projections", "values": [10, 20]})
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any("'n_projections' does not apply to deep-svdd" in e for e in errors), errors
         assert not (tmp_path / "out" / "aggregate.csv").exists()
+
+
+class TestCommandKeys:
+    """Each command refuses the output and sweep keys only the other one reads."""
+
+    @pytest.mark.parametrize("output", [{}, {"checkpoint_dir": "ckpt", "history_dir": "hist"}])
+    def test_bench_refuses_the_sweep_section(self, tmp_path, monkeypatch, caplog, output):
+        ran = []
+        monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+        cfg_path = tmp_path / "c.yaml"
+        output = {key: str(tmp_path / "out" / value) for key, value in output.items()}
+        write_config(cfg_path, sweep={"axis": "alpha", "values": [0.9, 1.1]}, output=output)
+        assert run_cli("bench", "-c", str(cfg_path)) == 1
+        assert ran == []
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("sweep.axis is read by rpo sweep, not rpo bench" in e for e in errors), errors
+        assert not (tmp_path / "out").exists()
+
+    def test_bench_on_the_shipped_sweep_config_writes_nothing(self, tmp_path, monkeypatch,
+                                                              caplog):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("bench", "-c", str(CONFIGS / "affine_sweep.yaml")) == 1
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("read by rpo sweep" in e for e in errors), errors
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["results", "checkpoint_dir", "history_dir"])
+    def test_sweep_refuses_the_bench_outputs(self, tmp_path, monkeypatch, caplog, key):
+        ran = []
+        monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+        cfg_path = tmp_path / "c.yaml"
+        write_sweep_config(cfg_path, sweep={"axis": "alpha", "values": [0.9, 1.1]},
+                           output={key: str(tmp_path / "out" / key)})
+        assert run_cli("sweep", "-c", str(cfg_path)) == 1
+        assert ran == []
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(f"output.{key} is read by rpo bench, not rpo sweep" in e
+                   for e in errors), errors
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, path", [("bench", "synthetic.yaml"),
+                                               ("sweep", "affine_sweep.yaml")])
+    def test_each_command_reads_its_shipped_config(self, command, path):
+        assert load_config(CONFIGS / path, command) == load_config(CONFIGS / path)
+
+    def test_a_library_parse_reads_every_key(self):
+        cfg = parse_config({"method": "rpo-max", "output": {"checkpoint_dir": "c"},
+                            "sweep": {"axis": "alpha", "values": [0.9]}})
+        assert cfg.checkpoint_dir == "c" and cfg.sweep_axis == "alpha"
+
+
+TEXT_KEYS = [
+    ({"dataset": {"source": ["a", "b"]}}, "dataset.source", ["a", "b"]),
+    ({"dataset": {"source": None}}, "dataset.source", None),
+    ({"dataset": {"source": {"a": 1}}}, "dataset.source", {"a": 1}),
+    ({"dataset": {"source": True}}, "dataset.source", True),
+    ({"dataset": {"source": 7}}, "dataset.source", 7),
+    ({"output": {"results": None}}, "output.results", None),
+    ({"output": {"aggregate": None}}, "output.aggregate", None),
+    ({"output": {"results": False}}, "output.results", False),
+    ({"output": {"aggregate": 1.5}}, "output.aggregate", 1.5),
+    ({"output": {"checkpoint_dir": ["c"]}}, "output.checkpoint_dir", ["c"]),
+    ({"output": {"history_dir": 3}}, "output.history_dir", 3),
+    ({"sweep": {"axis": ["alpha"], "values": [0.9]}}, "sweep.axis", ["alpha"]),
+    ({"protocol": {"affine": {"mode": None}}}, "protocol.affine.mode", None),
+    ({"protocol": {"affine": {"mode": 1}}}, "protocol.affine.mode", 1),
+]
+
+
+@pytest.mark.parametrize("overrides, key, value", TEXT_KEYS,
+                         ids=[f"{key}={value!r}" for _, key, value in TEXT_KEYS])
+def test_a_text_key_that_is_no_string_exits_1_naming_it(tmp_path, monkeypatch, caplog,
+                                                        overrides, key, value):
+    # str() read null as a file named None, and a list as a file named "['a', 'b']"
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "c.yaml"
+    command = "sweep" if key.startswith("sweep.") else "bench"
+    (write_sweep_config if command == "sweep" else write_config)(cfg_path, seeds=[0], **overrides)
+    assert run_cli(command, "-c", str(cfg_path)) == 1
+    errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert any(f"{key} must be a string, got {value!r}" in e for e in errors), errors
+    assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
+
+
+def test_an_optional_text_key_may_be_null():
+    cfg = parse_config({"method": "rpo-max", "output": {"checkpoint_dir": None,
+                                                        "history_dir": None},
+                        "sweep": {"axis": None}})
+    assert (cfg.checkpoint_dir, cfg.history_dir, cfg.sweep_axis) == (None, None, None)
 
 
 @pytest.mark.parametrize("command", ["bench", "sweep"])
@@ -1243,6 +1339,30 @@ def test_version_2_checkpoint_exits_2_naming_its_version(tmp_path, caplog,
     errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
     assert any(str(ckpt) in e and "format version 2" in e and "reads version 3" in e
                and "rerun the rpo bench config" in e for e in errors), errors
+
+
+@pytest.mark.parametrize("layer_dims", [[99, 7, 3, 5], [6, 32, 16, 9], [6, 32, 16, 8]])
+def test_layer_dims_that_disagree_with_the_weights_exit_2_naming_them(
+    tmp_path, caplog, deep_rpo_m3_checkpoint, layer_dims
+):
+    """The weights are [6, 32, 16, 8]; a file that says otherwise is refused."""
+    ckpt = tmp_path / "dims.npz"
+    ckpt.write_bytes(_rewritten(deep_rpo_m3_checkpoint, layer_dims=np.array(layer_dims)))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1,f2,f3,f4,f5\n1,2,3,4,5,6\n")
+    out = tmp_path / "scores.csv"
+    code = run_cli("score", "--checkpoint", str(ckpt), "--input", str(rows),
+                   "--output", str(out))
+    if layer_dims == [6, 32, 16, 8]:  # the checkpoint as the fit wrote it
+        assert code == 0 and out.exists()
+        return
+    assert code == 2
+    assert not out.exists()
+    errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert any(f"checkpoint {ckpt}: layer_dims {layer_dims} do not match the weights' "
+               "[6, 32, 16, 8]" in e for e in errors), errors
+    with pytest.raises(DataError, match="layer_dims"):
+        load_model_checkpoint(ckpt)
 
 
 @pytest.mark.parametrize("problem", ["lower triangular", "zero pivot", "negative pivot", None])

@@ -153,8 +153,47 @@ class TestFlatBuffer:
         rng = np.random.default_rng(3)
         enc = init_encoder([4, 6, 5, 2], rng)
         _, cache = enc.forward(rng.normal(size=(9, 4)))
-        for H, A in zip(cache.preacts, cache.inputs[1:], strict=True):
-            assert A.tobytes() == np.where(H > 0, H, LEAKY_SLOPE * H).tobytes()
+        for l in range(1, len(cache)):
+            H = cache[l - 1] @ enc.weights[l - 1]
+            assert cache[l].tobytes() == np.where(H > 0, H, LEAKY_SLOPE * H).tobytes()
+
+
+class TestListCache:
+    """``forward`` keeps one array per layer; ``backward`` takes each slope from it."""
+
+    @pytest.mark.parametrize("dims", [[3, 2], [4, 3, 2], [36, 32, 16, 8]])
+    def test_the_cache_holds_one_input_per_layer(self, dims):
+        rng = np.random.default_rng(sum(dims) + 7)
+        enc = init_encoder(dims, rng)
+        X = rng.normal(size=(5, dims[0]))
+        _, cache = enc.forward(X)
+        assert type(cache) is list and len(cache) == len(enc.weights)
+        assert cache[0] is X
+        assert [A.shape for A in cache] == [(5, d) for d in dims[:-1]]
+
+    def test_backward_equals_the_preactivation_form_on_edge_values(self):
+        # the slope mask read from A, the activation of H, against the one read from
+        # H itself, on the values where a mask could tell them apart. A matrix
+        # product cannot give -0.0 (its sum starts at +0.0), so the cache is the
+        # list a forward pass over these pre-activations would leave.
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = [0.0, -0.0, tiny, -tiny, -9 * tiny, np.inf, -np.inf, np.nan, 1.5, -1.5]
+        H = np.array([edges, edges[::-1]]).T
+        rng = np.random.default_rng(12)
+        enc = Encoder([np.eye(2), rng.normal(size=(2, 3))])
+        X = rng.normal(size=(len(edges), 2))
+        upstream = rng.normal(size=(len(edges), 3))
+        A = np.where(H > 0, H, LEAKY_SLOPE * H)
+        with np.errstate(invalid="ignore"):
+            grad = enc.backward([X, A.copy()], upstream)
+            G = (upstream @ enc.weights[1].T) * np.where(H > 0, 1.0, LEAKY_SLOPE)
+            expected = [X.T @ G, A.T @ upstream]
+        for a, b in zip(enc.layer_views(grad), expected, strict=True):
+            assert a.tobytes() == b.tobytes()
+        # a 1 x 1 identity first layer gives every edge value but -0.0 from a forward pass
+        column = np.delete(H[:, :1], 1, axis=0)
+        _, cache = Encoder([np.eye(1), np.ones((1, 1))]).forward(column)
+        assert cache[1].tobytes() == np.delete(A[:, :1], 1, axis=0).tobytes()
 
 
 class TestBackward:
@@ -219,9 +258,10 @@ class TestFlatGradient:
             # each layer's product on its own: A_l^T G_l, with G_l backpropagated
             G, expected = upstream, [None] * len(enc.weights)
             for l in range(len(enc.weights) - 1, -1, -1):
-                expected[l] = cache.inputs[l].T @ G
+                expected[l] = cache[l].T @ G
                 if l > 0:
-                    G = (G @ enc.weights[l].T) * np.where(cache.preacts[l - 1] > 0, 1.0, LEAKY_SLOPE)
+                    H = cache[l - 1] @ enc.weights[l - 1]
+                    G = (G @ enc.weights[l].T) * np.where(H > 0, 1.0, LEAKY_SLOPE)
             views = enc.layer_views(grad)
             assert [a.shape for a in views] == [W.shape for W in enc.weights]
             for a, b in zip(views, expected, strict=True):
