@@ -3,9 +3,10 @@
 
 The ODDS distribution ships X (6435 x 36) and binary y (1 = outlier). The
 emitted CSV has feature columns f0..f35 and the class column,
-``rpo.data.LABEL_COLUMN``, with 0 for inliers and 1 for outliers, as
-configs/satellite.yaml reads it. Each value is written as its repr, by
-``rpo.data.write_numbers``, so the package must be installed
+``rpo.data.LABEL_COLUMN``, with 0 for inliers and -1 for outliers, as
+configs/satellite.yaml reads it: a negative class id is never a normal
+class, so no class pick can name the outliers. Each value is written as
+its repr, by ``rpo.data.write_numbers``, so the package must be installed
 (``pip install -e .``) or on ``PYTHONPATH``.
 
 Usage: python scripts/convert_satellite_mat.py satellite.mat data/satellite.csv
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
     X, y = np.asarray(payload["X"], dtype=float), payload["y"].ravel().astype(int)
     os.makedirs(os.path.dirname(os.path.abspath(args.csv_path)), exist_ok=True)
     header = [f"f{i}" for i in range(X.shape[1])] + [LABEL_COLUMN]
-    write_numbers(args.csv_path, header, [*X.T, y])
+    write_numbers(args.csv_path, header, [*X.T, -y])  # outliers (y = 1) are class -1
     print(f"wrote {args.csv_path}: {X.shape[0]} rows, {X.shape[1]} features, "
           f"{int(y.sum())} outliers")
     return 0

@@ -11,7 +11,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 
 from . import data as datamod
 from .config import load_config
@@ -62,25 +61,22 @@ def _log_seed(result) -> None:
     )
 
 
-def _count_flag(value: int, flag: str) -> int:
-    """A count given on the command line; 0 means unset, so the config's count applies."""
-    if value < 0:
-        raise ConfigError(f"{flag} must be >= 0, got {value}")
+def _worker_count(text: str) -> int:
+    """The ``--workers`` value: a process count, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def cmd_bench(args) -> int:
-    workers = _count_flag(args.workers, "--workers")
     cfg = load_config(args.config, "bench")
-    specs = cfg.specs
-    if _count_flag(args.seeds, "--seeds"):  # quick mode: first N seeds regardless of config
-        specs = [replace(spec, seeds=tuple(range(args.seeds))) for spec in specs]
     if cfg.checkpoint_dir:
         os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     entries = []
-    for spec in specs:
+    for spec in cfg.specs:
         logger.info("running %s on %s (%d seeds)", spec.method, spec.source, len(spec.seeds))
-        results = run_experiment(spec, workers=workers or cfg.workers,
+        results = run_experiment(spec, workers=args.workers,
                                  checkpoint_dir=cfg.checkpoint_dir, progress=_log_seed)
         entries.append((spec, results))
     _ensure_parent(cfg.results_path)
@@ -102,13 +98,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    workers = _count_flag(args.workers, "--workers")
     cfg = load_config(args.config, "sweep")
-    if cfg.sweep_axis is None:
-        raise ConfigError("config has no sweep section (sweep.axis, sweep.values)")
-    if len(cfg.specs) > 1:
-        raise ConfigError("sweep runs a single method; give 'method', not 'methods'")
-    rows = sweep(cfg.sweep_axis, cfg.sweep, workers=workers or cfg.workers, progress=_log_seed)
+    rows = sweep(cfg.sweep_axis, cfg.sweep, workers=args.workers, progress=_log_seed)
     _ensure_parent(cfg.aggregate_path)
     write_aggregate_csv(cfg.aggregate_path, rows)
     logger.info("wrote %s", cfg.aggregate_path)
@@ -139,12 +130,12 @@ def cmd_report(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
+        logger.error("%s", message)
         raise SystemExit(EXIT_USAGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rpo", description="Random projection outlyingness benchmark CLI")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
@@ -158,13 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark config (results + aggregate CSVs)")
     p.add_argument("-c", "--config", required=True)
-    p.add_argument("--workers", type=int, default=0, help="override config worker count")
-    p.add_argument("--seeds", type=int, default=0, help="quick mode: run only the first N seeds")
+    p.add_argument("--workers", type=_worker_count, default=1, help="processes that run the seeds")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="run the config's sweep axis")
     p.add_argument("-c", "--config", required=True)
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=_worker_count, default=1, help="processes that run the seeds")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("score", help="score a CSV of feature rows with a checkpoint")
@@ -181,13 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
+    # before the parse, whose usage errors are logged
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except HANDLED as exc:

@@ -3,8 +3,8 @@
 Unknown keys, keys given twice and keys the running command does not read
 (``COMMAND_KEYS``) are rejected with their section-qualified name, and
 every referenced path is checked before any work starts so a bad config
-never leaves partial outputs behind. A text key must be a YAML string; an
-optional one may be null, which leaves it unset. Each key
+never leaves partial outputs behind. A text key must be a nonempty YAML
+string; an optional one may be null, which leaves it unset. Each key
 sets one dataclass field, whose annotation gives the key's type and whose
 default applies when the key is absent, so the paper-protocol defaults
 live in ``ExperimentSpec`` alone. The file is parsed by libyaml (PyYAML's
@@ -26,6 +26,7 @@ from .data import not_utf8
 from .errors import ConfigError, DataError
 from .evaluation import SYNTHETIC, ExperimentSpec
 from .projections import DropoutSpec
+from .scoring import METHODS
 
 
 @dataclass
@@ -35,7 +36,6 @@ class RunConfig:
     aggregate_path: str = "out/aggregate.csv"
     checkpoint_dir: str | None = None
     history_dir: str | None = None
-    workers: int = 1
     sweep_axis: str | None = None
     sweep: list = field(default_factory=list)  # a (label, spec) pair per sweep.values entry
 
@@ -106,6 +106,8 @@ def _coerce(value, hint, where: str):
         return spec
     if not isinstance(value, str):  # str() would read null as a file named None
         raise ConfigError(f"{where} must be a string, got {value!r}")
+    if not value:  # "" names no file, and as a source it would read as the config's directory
+        raise ConfigError(f"{where} must be a nonempty string")
     return value
 
 
@@ -121,9 +123,8 @@ def _take(cls, section: dict, where: str, keys) -> dict:
     """
     keys = keys if isinstance(keys, dict) else {k: k for k in keys}
     hints = _type_hints(cls)
-    prefix = f"{where}." if where else ""
     return {
-        name: _coerce(section.pop(key), hints[name], prefix + key)
+        name: _coerce(section.pop(key), hints[name], f"{where}.{key}")
         for key, name in keys.items()
         if key in section
     }
@@ -147,9 +148,8 @@ SPEC_SECTIONS = {
     "protocol": ("val_fraction", "test_fraction", "contamination", "sad_ratio",
                  "sad_classes", "affine"),
 }
-# The RunConfig fields the top level and the output and sweep sections set.
+# The RunConfig fields the output and sweep sections set.
 RUN_SECTIONS = {
-    "": {"workers": "workers"},
     "output": {"results": "results_path", "aggregate": "aggregate_path",
                "checkpoint_dir": "checkpoint_dir", "history_dir": "history_dir"},
     "sweep": {"axis": "sweep_axis", "values": "sweep"},
@@ -177,6 +177,8 @@ def sweep_points(base: ExperimentSpec, axis: str, values: list) -> list:
         raise ConfigError(
             f"sweep.axis: unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_KEYS)}"
         )
+    if axis in ("n_projections", "rp_dim", "dropout") and METHODS[base.method].center:
+        raise ConfigError(f"sweep.axis: axis {axis!r} does not apply to {base.method}")
     if not values:
         raise ConfigError("sweep.values must be a nonempty list")
     key = SWEEP_KEYS[axis]
@@ -204,7 +206,9 @@ def parse_config(raw: dict, config_dir: str = ".", command: str | None = None) -
     """Build a validated RunConfig from a parsed YAML mapping.
 
     With ``command`` (``"bench"`` or ``"sweep"``) a key of ``COMMAND_KEYS``
-    that only the other command reads is refused before its section is read.
+    that only the other command reads is refused before its section is read,
+    and ``"sweep"`` also refuses a config without ``sweep.axis`` or with
+    more than one method.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -221,14 +225,13 @@ def parse_config(raw: dict, config_dir: str = ".", command: str | None = None) -
         raise ConfigError("methods must be a nonempty list")
     if len(set(methods)) != len(methods):
         raise ConfigError(f"methods must be distinct, got {methods}")
+    if command == "sweep" and len(methods) > 1:
+        raise ConfigError(f"methods: rpo sweep runs one method, got {methods}")
 
     spec_kwargs = {}
     seeds = raw.pop("seeds", None)
     if seeds is not None:
         spec_kwargs["seeds"] = _parse_seeds(seeds)
-    run_kwargs = _take(RunConfig, raw, "", RUN_SECTIONS[""])
-    if run_kwargs.get("workers", 1) < 1:
-        raise ConfigError(f"workers must be >= 1, got {run_kwargs['workers']}")
 
     for name, keys in SPEC_SECTIONS.items():
         section = _section(raw, name)
@@ -238,6 +241,7 @@ def parse_config(raw: dict, config_dir: str = ".", command: str | None = None) -
     if source != SYNTHETIC and not os.path.isabs(source):
         spec_kwargs["source"] = os.path.normpath(os.path.join(config_dir, source))
 
+    run_kwargs = {}
     for name in ("output", "sweep"):
         section = _section(raw, name)
         for key in (f"{name}.{k}" for k in section):
@@ -253,6 +257,8 @@ def parse_config(raw: dict, config_dir: str = ".", command: str | None = None) -
         run_kwargs["sweep"] = sweep_points(specs[0], run_kwargs["sweep_axis"], values or [])
     elif values is not None:
         raise ConfigError("sweep.axis is missing: sweep.values names no axis to sweep")
+    elif command == "sweep":
+        raise ConfigError("sweep.axis is not set: rpo sweep needs a sweep section")
     return RunConfig(specs=specs, **run_kwargs)
 
 

@@ -12,9 +12,11 @@ contaminate/inject_sad_labels -> train -> optional affine perturbation of
 the held-out rows. A synthetic source is built by ``generate_multimodal``;
 a CSV source is read by ``read_classes`` and labeled by ``label_classes``,
 whatever chose its normal classes. Every CSV names its class column
-``LABEL_COLUMN``. Standardization is a separate step rather than part of
-loading because it must use train-only statistics, which exist only after
-splitting.
+``LABEL_COLUMN``. A negative class id marks rows that are never normal:
+``generate_multimodal`` gives its anomalies class -1, and no class pick or
+``dataset.normal_class_ids`` names a negative id. Standardization is a
+separate step rather than part of loading because it must use train-only
+statistics, which exist only after splitting.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def generate_multimodal(k_modes: int, d: int, n_per_mode: int, anomaly_n: int, s
     """Gaussian-blob normality plus box anomalies kept clear of every blob.
 
     Normal rows get class ids 0..k-1 and are pre-partitioned into train and
-    test; anomalies get class id k and start in the test split. Every
-    anomaly is verified to lie at least 3 sigma from every blob mean.
+    test; anomalies get class id -1, which no class pick draws, and start
+    in the test split. Every anomaly is verified to lie at least 3 sigma
+    from every blob mean.
     """
     if k_modes < 1 or d < 1 or n_per_mode < 1 or anomaly_n < 0:
         raise ValueError(
@@ -210,12 +213,12 @@ def generate_multimodal(k_modes: int, d: int, n_per_mode: int, anomaly_n: int, s
     if accepted < anomaly_n:
         raise DataError("could not sample anomalies outside every blob core")
     X_parts.append(anomalies)
-    class_parts.append(np.full(anomaly_n, k_modes))
+    class_parts.append(np.full(anomaly_n, -1))
     split_parts.append(np.full(anomaly_n, TEST, dtype="U5"))
 
     X = np.vstack(X_parts)
     class_id = np.concatenate(class_parts)
-    label = np.where(class_id < k_modes, NORMAL, ANOMALY)
+    label = np.where(class_id >= 0, NORMAL, ANOMALY)
     split = np.concatenate(split_parts)
     return _dataset(X, class_id, label, split, np.zeros(len(X), dtype=bool))
 

@@ -14,7 +14,8 @@ held-out rows -> test AUC. The perturbation changes nothing the fit reads.
 
 A CSV source is parsed once per version of the file in each process, and
 each seed labels that parse by its normal classes: the seed's class pick
-(``dataset.k_modes`` > 0) or ``dataset.normal_class_ids``.
+(``dataset.k_modes`` > 0), drawn from the class ids >= 0, or
+``dataset.normal_class_ids``.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ class ExperimentSpec:
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if not self.normal_class_ids:
             raise ConfigError("dataset.normal_class_ids must be nonempty")
+        if min(self.normal_class_ids) < 0:  # a negative class id marks anomalies
+            raise ConfigError(f"dataset.normal_class_ids must be >= 0, "
+                              f"got {list(self.normal_class_ids)}")
         if not 0.0 <= self.sad_ratio < 0.5:
             raise ConfigError(f"protocol.sad_ratio must lie in [0, 0.5), got {self.sad_ratio}")
         parts = METHODS[self.method]
@@ -246,11 +250,10 @@ def _assemble_dataset(
         X, class_id = _load_source(str(spec.source))
         normal_ids = spec.normal_class_ids
         if k_modes > 0:  # a class pick reads no dataset.normal_class_ids
-            classes = np.unique(class_id)
+            classes = np.unique(class_id[class_id >= 0])  # a negative id is never normal
             if k_modes > classes.size:
-                raise DataError(
-                    f"k_modes={k_modes} exceeds the {classes.size} classes in {spec.source}"
-                )
+                raise DataError(f"k_modes={k_modes} exceeds the {classes.size} classes "
+                                f"with an id >= 0 in {spec.source}")
             normal_ids = sub_rng(seed, "classpick").choice(classes, size=k_modes, replace=False)
         chosen = tuple(sorted(set(int(c) for c in normal_ids)))
         raw = datamod.label_classes(X, class_id, chosen, spec.source)
@@ -409,15 +412,12 @@ def sweep(axis: str, points: list, workers: int = 1, progress=None) -> list[tupl
     """Run each ``(label, spec)`` point of a sweep along ``axis``; one aggregate row per point.
 
     The points differ from each other in ``axis`` alone (``config.sweep_points``
-    makes them). The alpha axis changes nothing the fit reads, so it fits each
-    seed once and evaluates it under every point's affine, then unperturbed:
-    the baseline of the per-seed mean/std AUC gap. The other axes run once
-    per point.
+    makes them, and refuses an axis their method has no use for). The alpha
+    axis changes nothing the fit reads, so it fits each seed once and
+    evaluates it under every point's affine, then unperturbed: the baseline
+    of the per-seed mean/std AUC gap. The other axes run once per point.
     """
     specs = [spec for _, spec in points]
-    if axis in ("n_projections", "rp_dim", "dropout") and METHODS[specs[0].method].center:
-        raise ConfigError(f"axis {axis!r} does not apply to {specs[0].method}")
-
     baseline = None
     if axis == "alpha":
         run_seed = partial(_evaluate_affines, specs[0], [spec.affine for spec in specs])

@@ -201,6 +201,28 @@ class TestGenData:
         assert np.array_equal(loaded.X, expected.X)
         assert np.array_equal(loaded.class_id, expected.class_id)
         assert np.array_equal(loaded.label, expected.label)
+        # the anomalies are class -1, which no class pick draws
+        assert np.array_equal(loaded.class_id[loaded.label == 1], np.full(30, -1))
+
+    def test_no_class_pick_names_the_anomalies(self, tmp_path):
+        # with the anomalies as class 4, a 2-class pick gave seed 0 [0, 4]: a test AUC of 0.627
+        out = tmp_path / "ds"
+        assert run_cli("gen-data", "--modes", "4", "--dim", "2", "--n-per-mode", "20",
+                       "--anomalies", "10", "--out-dir", str(out)) == 0
+        spec = ExperimentSpec(method="rpo-max", source=str(out / "data.csv"), k_modes=2)
+        picks = {evaluation._assemble_dataset(spec, seed)[1] for seed in range(100)}
+        assert all(len(pick) == 2 and set(pick) <= {0, 1, 2, 3} for pick in picks), picks
+        assert len(picks) == 6  # every pair of the four modes
+
+    def test_a_pick_beyond_the_normal_classes_names_their_count(self, tmp_path, caplog):
+        out = tmp_path / "ds"
+        assert run_cli("gen-data", "--modes", "2", "--dim", "2", "--n-per-mode", "20",
+                       "--anomalies", "10", "--out-dir", str(out)) == 0
+        cfg_path = tmp_path / "c.yaml"
+        write_config(cfg_path, dataset={"source": str(out / "data.csv"), "k_modes": 3})
+        assert run_cli("bench", "-c", str(cfg_path)) == 2
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("k_modes=3 exceeds the 2 classes with an id >= 0" in e for e in errors), errors
 
     def test_identical_files_on_rerun(self, tmp_path):
         args = ["gen-data", "--modes", "2", "--dim", "4", "--seed", "3",
@@ -258,8 +280,7 @@ class TestBench:
         aggregate = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
         assert len(aggregate) == 3  # header + one row per method
 
-    @pytest.mark.parametrize("seeds_flag", [None, 1])
-    def test_bench_runs_the_specs_of_the_config(self, tmp_path, monkeypatch, seeds_flag):
+    def test_bench_runs_the_specs_of_the_config(self, tmp_path, monkeypatch):
         seen = []
 
         def recording(spec, **kwargs):
@@ -274,20 +295,10 @@ class TestBench:
         cfg = yaml.safe_load(cfg_path.read_text())
         del cfg["method"]
         cfg_path.write_text(yaml.safe_dump(cfg))
-        flag = [] if seeds_flag is None else ["--seeds", str(seeds_flag)]
-        assert run_cli("bench", "-c", str(cfg_path), *flag) == 0
+        assert run_cli("bench", "-c", str(cfg_path)) == 0
         expected = load_config(cfg_path).specs
         assert [spec.method for spec in expected] == ["rpo-max", "rpo-mean", "deep-svdd"]
-        if seeds_flag is not None:  # quick mode: the first N seeds, whatever the config lists
-            expected = [replace(spec, seeds=(0,)) for spec in expected]
         assert seen == expected
-
-    def test_seeds_quick_mode_single_row(self, tmp_path):
-        cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, seeds=[0, 1, 2, 3])
-        assert run_cli("bench", "-c", str(cfg_path), "--seeds", "1") == 0
-        results = (tmp_path / "out" / "results.csv").read_text().splitlines()
-        assert len(results) == 2  # header + one seed
 
     def test_inputs_never_mutated(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
@@ -350,6 +361,8 @@ class TestBench:
             ({"training": {"epochs": 2.7}}, "training.epochs"),
             ({"model": {"n_projections": True}}, "model.n_projections"),
             ({"dataset": {"normal_class_ids": [0.5]}}, "dataset.normal_class_ids"),
+            # a negative class id marks anomalies, which are never normal
+            ({"dataset": {"normal_class_ids": [0, -1]}}, "dataset.normal_class_ids"),
             ({"method": "deep-rpo-mean", "training": {"learning_rate": True}},
              "training.learning_rate"),
             ({"method": "bogus"}, "method"),
@@ -505,8 +518,9 @@ class TestBench:
             assert any("model.rp_dim 40" in e and "36 features" in e for e in errors)
 
     def test_class_pick_reads_no_normal_class_ids(self, tmp_path, caplog):
-        # classes 1-3 only: a pick of one class runs, whatever dataset.normal_class_ids says,
-        # while k_modes 0 (every normal class) still needs the normal ids to be present
+        # classes 1, 2 and the anomalies' -1 only: a pick of one class runs, whatever
+        # dataset.normal_class_ids says, while k_modes 0 (every normal class) still needs
+        # the normal ids to be present
         ds = generate_multimodal(3, 4, 60, 40, seed=0, test_fraction=0.0)
         rows = ds.class_id != 0
         csv_path = tmp_path / "c.csv"
@@ -573,10 +587,16 @@ class TestSweepCommand:
         assert lines[0] == "method,axis_value,mean_auc,std_auc,n_seeds,gap_mean,gap_std"
         assert len(lines) == 4
 
-    def test_sweep_without_section(self, tmp_path):
+    def test_sweep_without_section(self, tmp_path, monkeypatch, caplog):
+        ran = []
+        monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path)
+        write_sweep_config(cfg_path)
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
+        assert ran == []
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("sweep.axis is not set" in e for e in errors), errors
+        assert not (tmp_path / "out").exists()
 
     def test_values_without_axis_exits_1_naming_it(self, tmp_path, monkeypatch, caplog):
         ran = []
@@ -696,14 +716,20 @@ class TestSweepCommand:
         assert [row[:2] for row in rows] == [["rpo-max", "1"], ["rpo-max", "2.0"], ["rpo-max", "3"]]
 
     def test_projection_axis_on_deep_svdd(self, tmp_path, caplog):
-        # sweep rejects an axis the method has no use for
-        cfg_path = tmp_path / "c.yaml"
-        write_sweep_config(cfg_path, method="deep-svdd", seeds=[0],
-                           sweep={"axis": "n_projections", "values": [10, 20]})
-        assert run_cli("sweep", "-c", str(cfg_path)) == 1
-        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
-        assert any("'n_projections' does not apply to deep-svdd" in e for e in errors), errors
-        assert not (tmp_path / "out" / "aggregate.csv").exists()
+        # the config refuses an axis the method has no use for, as it is read
+        for axis, values in [("n_projections", [10, 20]), ("rp_dim", [1, 2]),
+                             ("dropout", [{"components_rate": 0.1}])]:
+            raw = {"method": "deep-svdd", "seeds": [0], "sweep": {"axis": axis, "values": values}}
+            named = f"sweep.axis: axis {axis!r} does not apply to deep-svdd"
+            with pytest.raises(ConfigError, match=named):
+                parse_config(raw, command="sweep")
+            cfg_path = tmp_path / "c.yaml"
+            write_sweep_config(cfg_path, **raw)
+            caplog.clear()
+            assert run_cli("sweep", "-c", str(cfg_path)) == 1
+            errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+            assert any(named in e for e in errors), errors
+            assert not (tmp_path / "out" / "aggregate.csv").exists()
 
 
 class TestCommandKeys:
@@ -788,6 +814,36 @@ def test_a_text_key_that_is_no_string_exits_1_naming_it(tmp_path, monkeypatch, c
     assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
 
 
+EMPTY_TEXT_KEYS = [
+    ({"dataset": {"source": ""}}, "dataset.source"),
+    ({"output": {"results": ""}}, "output.results"),
+    ({"output": {"aggregate": ""}}, "output.aggregate"),
+    ({"output": {"checkpoint_dir": ""}}, "output.checkpoint_dir"),
+    ({"output": {"history_dir": ""}}, "output.history_dir"),
+    ({"sweep": {"axis": "", "values": [0.9]}}, "sweep.axis"),
+    ({"protocol": {"affine": {"mode": ""}}}, "protocol.affine.mode"),
+]
+
+
+@pytest.mark.parametrize("overrides, key", EMPTY_TEXT_KEYS,
+                         ids=[key for _, key in EMPTY_TEXT_KEYS])
+def test_an_empty_text_key_exits_1_before_any_seed(tmp_path, monkeypatch, caplog, overrides,
+                                                   key):
+    # output.results "" ran every seed, then failed to open ''; dataset.source ""
+    # read as the config's own directory and failed inside seed 0
+    ran = []
+    monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "c.yaml"
+    command = "sweep" if key.startswith("sweep.") else "bench"
+    (write_sweep_config if command == "sweep" else write_config)(cfg_path, seeds=[0], **overrides)
+    assert run_cli(command, "-c", str(cfg_path)) == 1
+    assert ran == []
+    errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert any(f"{key} must be a nonempty string" in e for e in errors), errors
+    assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
+
+
 def test_an_optional_text_key_may_be_null():
     cfg = parse_config({"method": "rpo-max", "output": {"checkpoint_dir": None,
                                                         "history_dir": None},
@@ -805,6 +861,44 @@ def test_negative_workers_exits_1_naming_the_flag(tmp_path, monkeypatch, caplog,
     assert ran == []
     assert any("--workers" in r.message for r in caplog.records if r.levelname == "ERROR")
     assert not (tmp_path / "out").exists()
+
+
+ALPHA_SWEEP = {"sweep": {"axis": "alpha", "values": [0.9, 1.1]}}
+
+
+REFUSED = {
+    # removed options: -v changed nothing, and bench --seeds N ran seeds 0..N-1
+    # whatever the config listed
+    "-v": (["-v", "bench"], {}, "unrecognized arguments: -v"),
+    "bench --seeds": (["bench", "--seeds", "1"], {}, "unrecognized arguments: --seeds 1"),
+    # --workers is the one spelling of the process count, and 0 no longer means "unset"
+    "bench --workers 0": (["bench", "--workers", "0"], {},
+                          "argument --workers: must be >= 1, got 0"),
+    "sweep --workers 0": (["sweep", "--workers", "0"], ALPHA_SWEEP,
+                          "argument --workers: must be >= 1, got 0"),
+    "bench workers key": (["bench"], {"workers": 2}, "unknown config key: workers"),
+    "sweep workers key": (["sweep"], {"workers": 2, **ALPHA_SWEEP},
+                          "unknown config key: workers"),
+    # a sweep runs one method, and the config says so as it is read
+    "sweep of two methods": (
+        ["sweep"], {"method": None, "methods": ["rpo-max", "rpo-mean"], **ALPHA_SWEEP},
+        "methods: rpo sweep runs one method, got ['rpo-max', 'rpo-mean']"),
+}
+
+
+@pytest.mark.parametrize("argv, overrides, named", REFUSED.values(), ids=REFUSED)
+def test_refused_option_exits_1_naming_it(tmp_path, monkeypatch, caplog, argv, overrides,
+                                          named):
+    ran = []
+    monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "c.yaml"
+    (write_sweep_config if "sweep" in argv else write_config)(cfg_path, **overrides)
+    assert run_cli(*argv, "-c", str(cfg_path)) == 1
+    assert ran == []
+    errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert any(named in e for e in errors), errors
+    assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
 
 
 # sub_rng keeps a seed's low 32 bits: 2**32 would rerun seed 0 and -1 seed 2**32 - 1
@@ -843,17 +937,6 @@ def test_gen_data_seed_outside_32_bits_exits_1_naming_the_flag(tmp_path, caplog,
     assert (out / "data.csv").exists() == runs
     if not runs:
         assert any("--seed" in r.message for r in caplog.records if r.levelname == "ERROR")
-
-
-def test_negative_seeds_exits_1_naming_the_flag(tmp_path, monkeypatch, caplog):
-    ran = []
-    monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
-    cfg_path = tmp_path / "c.yaml"
-    write_config(cfg_path)
-    assert run_cli("bench", "-c", str(cfg_path), "--seeds", "-3") == 1
-    assert ran == []
-    assert any("--seeds" in r.message for r in caplog.records if r.levelname == "ERROR")
-    assert not (tmp_path / "out").exists()
 
 
 class TestScore:

@@ -2,7 +2,7 @@
 
 A fake ``scipy.io`` hands the script its X and y, so the CSV bytes are
 checked against the per-row loop the script used before it wrote through
-``data.write_numbers``.
+``data.write_numbers``, with each outlier's class written as -1.
 """
 
 import importlib.util
@@ -22,8 +22,11 @@ _spec.loader.exec_module(convert)
 
 
 def per_row_loop_bytes(X, y) -> bytes:
-    """The script's former writer: a header, then each row's values by ``repr(float(v))``."""
-    y = y.ravel().astype(int)
+    """The script's former writer: a header, then each row's values by ``repr(float(v))``.
+
+    Its class column held y itself; an outlier (y = 1) is now class -1.
+    """
+    y = -y.ravel().astype(int)
     lines = [",".join(f"f{i}" for i in range(X.shape[1])) + ",class"]
     lines += [",".join(repr(float(v)) for v in row) + f",{label}" for row, label in zip(X, y)]
     return ("\n".join(lines) + "\n").encode()

@@ -113,7 +113,7 @@ def _generate_one_candidate_at_a_time(k_modes, d, n_per_mode, anomaly_n, seed):
         raise DataError("could not sample anomalies outside every blob core")
     if anomaly_n:
         X_parts.append(anomalies)
-        class_parts.append(np.full(anomaly_n, k_modes))
+        class_parts.append(np.full(anomaly_n, -1))  # the anomaly class, never a normal one
         split_parts.append(np.full(anomaly_n, TEST, dtype="U5"))
     return np.vstack(X_parts), np.concatenate(class_parts), np.concatenate(split_parts)
 

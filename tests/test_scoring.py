@@ -491,6 +491,35 @@ class TestGaussianLimits:
             assert mean_error < max_error, p
             assert 0.25 < mean_error * math.sqrt(p) < 1.0, (p, mean_error)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_whitened_estimators_close_in_on_their_limits(self, m, seed):
+        """At m > 1 each projection's covariance tends to E_p^T E_p, so a query's
+        whitened distance is the norm of x projected onto a uniform random m-dimensional
+        subspace: ``max`` tends to ||x||, and ``mean`` to ||x|| times that norm's mean
+        over unit x, Gamma(d/2) Gamma((m+1)/2) / (Gamma((d+1)/2) Gamma(m/2)), which is
+        E|u_1| at m = 1. No consistency factor applies, and the ridge is negligible.
+        The band on ``mean``'s error times sqrt(p) was chosen on seeds 0-4 (m = 2:
+        0.29-0.64, m = 3: 0.22-0.58) and holds on seeds 1000-1004 (0.29-0.55, 0.23-0.55).
+        """
+        d = 16
+        rng = np.random.default_rng(seed)
+        X_train, queries = rng.standard_normal((2000, d)), 1.5 * rng.standard_normal((500, d))
+        shrink = math.gamma(d / 2) * math.gamma((m + 1) / 2) / (
+            math.gamma((d + 1) / 2) * math.gamma(m / 2))
+        radius = np.linalg.norm(queries, axis=1)
+        max_errors = []
+        for p in (30, 300, 3000):
+            U = generate_projections(d=d, m=m, p=p, seed=seed)
+            stats = fit_rpo(X_train, U)
+            max_error, mean_error = (
+                np.median(np.abs(score_batch(queries, U, stats, est) / limit - 1.0))
+                for est, limit in (("max", radius), ("mean", radius * shrink)))
+            assert mean_error < max_error, p
+            assert 0.15 < mean_error * math.sqrt(p) < 1.0, (p, mean_error)
+            max_errors.append(max_error)
+        assert max_errors == sorted(max_errors, reverse=True), max_errors  # max closes in too
+
 
 class TestDepth:
     @pytest.mark.parametrize("o,expected", [(0.0, 1.0), (1.0, 0.5), (3.0, 0.25)])
