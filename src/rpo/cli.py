@@ -2,7 +2,9 @@
 
 Subcommands: gen-data, bench, sweep, score, report. Logs go to stderr;
 data products go to files (report prints its table to stdout). Exit codes:
-0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+0 success, 1 usage/config error, 2 data error, 3 numeric failure. Every
+numeric flag is range-checked as the command line is parsed, so a bad
+value prints the usage and logs ``argument --<flag>: ...`` before any work.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 
 from . import data as datamod
 from .config import load_config
-from .errors import EXIT_USAGE, HANDLED, ConfigError, classify
+from .errors import EXIT_USAGE, HANDLED, classify
 from .evaluation import ExperimentSpec, aggregate_row, run_experiment, sweep
 from .model_io import load_model_checkpoint
 from .reporting import render_report, write_aggregate_csv, write_history_csv, write_results_csv
@@ -32,13 +34,6 @@ def _ensure_parent(path: str) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    for flag, value, low in (("--modes", args.modes, 1), ("--dim", args.dim, 1),
-                             ("--n-per-mode", args.n_per_mode, 1),
-                             ("--anomalies", args.anomalies, 0)):
-        if value < low:
-            raise ConfigError(f"{flag} must be >= {low}, got {value}")
-    if not 0 <= args.seed < SEED_END:
-        raise ConfigError(f"--seed must lie in [0, 2**32), got {args.seed}")
     ds = datamod.generate_multimodal(
         args.modes, args.dim, args.n_per_mode, args.anomalies, seed=args.seed
     )
@@ -59,14 +54,6 @@ def _log_seed(result) -> None:
         result.test_auc,
         result.wall_time,
     )
-
-
-def _worker_count(text: str) -> int:
-    """The ``--workers`` value: a process count, at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def cmd_bench(args) -> int:
@@ -127,6 +114,19 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _integer(low: int, end: int | None = None):
+    """An argparse type: an integer at least ``low``, and below ``end`` if given."""
+
+    def integer(text: str) -> int:  # argparse names it: "invalid integer value: 'x'"
+        value = int(text)
+        if value < low or (end is not None and value >= end):
+            span = f">= {low}" if end is None else f"in [{low}, {end})"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return integer
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -139,22 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    p.add_argument("--modes", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-per-mode", type=int, default=ExperimentSpec.n_per_mode)
-    p.add_argument("--anomalies", type=int, default=ExperimentSpec.anomaly_n)
+    p.add_argument("--modes", type=_integer(1), required=True)
+    p.add_argument("--dim", type=_integer(1), required=True)
+    p.add_argument("--seed", type=_integer(0, SEED_END), default=0)
+    p.add_argument("--n-per-mode", type=_integer(1), default=ExperimentSpec.n_per_mode)
+    p.add_argument("--anomalies", type=_integer(0), default=ExperimentSpec.anomaly_n)
     p.add_argument("--out-dir", default="out/dataset")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("bench", help="run a benchmark config (results + aggregate CSVs)")
     p.add_argument("-c", "--config", required=True)
-    p.add_argument("--workers", type=_worker_count, default=1, help="processes that run the seeds")
+    p.add_argument("--workers", type=_integer(1), default=1, help="processes that run the seeds")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="run the config's sweep axis")
     p.add_argument("-c", "--config", required=True)
-    p.add_argument("--workers", type=_worker_count, default=1, help="processes that run the seeds")
+    p.add_argument("--workers", type=_integer(1), default=1, help="processes that run the seeds")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("score", help="score a CSV of feature rows with a checkpoint")

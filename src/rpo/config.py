@@ -208,18 +208,16 @@ def parse_config(raw: dict, config_dir: str = ".", command: str | None = None) -
     With ``command`` (``"bench"`` or ``"sweep"``) a key of ``COMMAND_KEYS``
     that only the other command reads is refused before its section is read,
     and ``"sweep"`` also refuses a config without ``sweep.axis`` or with
-    more than one method.
+    more than one method. A sweep refuses a config that also sets the key
+    its axis sweeps (``SWEEP_KEYS``), which every point would overwrite.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     raw = dict(raw)
 
     methods = raw.pop("methods", None)
-    single = raw.pop("method", None)
     if methods is None:
-        methods = [single or ExperimentSpec.method]  # class attribute = field default
-    elif single is not None:
-        raise ConfigError("give either 'method' or 'methods', not both")
+        methods = [ExperimentSpec.method]  # class attribute = field default
     methods = [str(m) for m in _as_list(methods, "methods")]
     if not methods:
         raise ConfigError("methods must be a nonempty list")
@@ -253,8 +251,12 @@ def parse_config(raw: dict, config_dir: str = ".", command: str | None = None) -
 
     specs = [ExperimentSpec(method=m, **spec_kwargs) for m in methods]
     values = run_kwargs.pop("sweep", None)
-    if run_kwargs.get("sweep_axis") is not None:  # a sweep runs the first method
-        run_kwargs["sweep"] = sweep_points(specs[0], run_kwargs["sweep_axis"], values or [])
+    axis = run_kwargs.get("sweep_axis")
+    if axis is not None:  # a sweep runs the first method
+        run_kwargs["sweep"] = sweep_points(specs[0], axis, values or [])
+        key = SWEEP_KEYS[axis]
+        if spec_kwargs.get(key.split(".")[1]) is not None:  # each point would overwrite it
+            raise ConfigError(f"sweep.axis: axis {axis!r} sweeps {key}, which the config also sets")
     elif values is not None:
         raise ConfigError("sweep.axis is missing: sweep.values names no axis to sweep")
     elif command == "sweep":

@@ -227,11 +227,13 @@ def generate_multimodal(k_modes: int, d: int, n_per_mode: int, anomaly_n: int, s
 def _csv_reader(path):
     """The file opened as UTF-8, a ``csv.reader`` over it, and the header.
 
-    An empty file or a blank first line fails as line 1, and a byte that is
-    not UTF-8, read here or in the caller's block, fails naming its line.
+    A leading byte-order mark is dropped, so it never joins the first
+    column's name. An empty file or a blank first line fails as line 1, and
+    a byte that is not UTF-8, read here or in the caller's block, fails
+    naming its line.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:

@@ -259,7 +259,7 @@ def test_criterion_8_sad_monotonicity():
 
 def test_criterion_9_bench_determinism(tmp_path):
     cfg = {
-        "method": "deep-rpo-mean",
+        "methods": ["deep-rpo-mean"],
         "seeds": [0, 1],
         "dataset": {"k_modes": 2, "dim": 8, "n_per_mode": 80, "anomaly_n": 80},
         "model": {"n_projections": 50},

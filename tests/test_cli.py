@@ -38,7 +38,7 @@ def run_cli(*argv):
 
 def write_config(path, **overrides):
     cfg = {
-        "method": "rpo-max",
+        "methods": ["rpo-max"],
         "seeds": [0, 1],
         "dataset": {
             "source": "synthetic",
@@ -81,19 +81,19 @@ class TestConfig:
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="gpu"):
-            parse_config({"method": "rpo-max", "gpu": True})
+            parse_config({"methods": ["rpo-max"], "gpu": True})
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="unknown method"):
-            parse_config({"method": "isolation-forest"})
+            parse_config({"methods": ["isolation-forest"]})
 
     def test_seeds_int_shorthand(self):
-        cfg = parse_config({"method": "rpo-max", "seeds": 3})
+        cfg = parse_config({"methods": ["rpo-max"], "seeds": 3})
         assert [spec.seeds for spec in cfg.specs] == [(0, 1, 2)]
 
     def test_method_defaults_projection_counts(self):
-        (shallow,) = parse_config({"method": "rpo-max"}).specs
-        (deep,) = parse_config({"method": "deep-rpo-mean"}).specs
+        (shallow,) = parse_config({"methods": ["rpo-max"]}).specs
+        (deep,) = parse_config({"methods": ["deep-rpo-mean"]}).specs
         assert shallow.resolved_projections == 1000
         from dataclasses import replace
 
@@ -113,14 +113,17 @@ class TestConfig:
     def test_library_and_config_share_the_k_modes_default(self, tmp_path, dataset, k_modes):
         # synthetic: two blobs; CSV: every normal class
         dataset = {key: str(tmp_path / value) for key, value in dataset.items()}
-        (from_config,) = parse_config({"method": "rpo-max", "dataset": dataset}).specs
+        (from_config,) = parse_config({"methods": ["rpo-max"], "dataset": dataset}).specs
         from_library = ExperimentSpec(method="rpo-max", **dataset)
         assert from_config == from_library
         assert from_library.resolved_k_modes == k_modes
 
-    def test_method_and_methods_conflict(self):
-        with pytest.raises(ConfigError):
-            parse_config({"method": "rpo-max", "methods": ["rpo-max"]})
+    def test_methods_is_the_one_method_key(self):
+        # "method:" was a second spelling of a one-method list
+        with pytest.raises(ConfigError, match="unknown config key: method$"):
+            parse_config({"method": "rpo-max"})
+        (spec,) = parse_config({}).specs
+        assert spec.method == ExperimentSpec.method
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
     def test_every_shipped_config_parses(self, path):
@@ -151,10 +154,10 @@ class TestConfigFile:
 
     @LOADERS
     @pytest.mark.parametrize("where, text, named", [
-        ("top", "seeds: 5\n", ":19: duplicate config key: seeds"),
-        ("training", "  epochs: 3\n", ":19: duplicate config key: training.epochs"),
+        ("top", "seeds: 5\n", ":20: duplicate config key: seeds"),
+        ("training", "  epochs: 3\n", ":20: duplicate config key: training.epochs"),
         ("model", "  dropout: {components_rate: 0.1, components_rate: 0.2}\n",
-         ":9: duplicate config key: model.dropout.components_rate"),
+         ":10: duplicate config key: model.dropout.components_rate"),
     ], ids=["top", "training", "model"])
     def test_duplicate_key_exits_1_naming_it(self, tmp_path, monkeypatch, caplog, libyaml,
                                              where, text, named):
@@ -232,9 +235,18 @@ class TestGenData:
         assert run_cli(*args, "--out-dir", str(b)) == 0
         assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
 
-    def test_zero_modes_usage_error(self, tmp_path):
-        code = run_cli("gen-data", "--modes", "0", "--dim", "4", "--out-dir", str(tmp_path))
-        assert code == 1
+    @pytest.mark.parametrize("flag, value", [("--modes", "0"), ("--dim", "x"),
+                                             ("--n-per-mode", "0"), ("--anomalies", "-1"),
+                                             ("--seed", "4294967296")])
+    def test_bad_flag_value_exits_1_naming_the_flag(self, tmp_path, caplog, flag, value):
+        # argparse checks each count as it parses, so the message names the flag
+        flags = {"--modes": "2", "--dim": "2", "--n-per-mode": "20", "--anomalies": "5",
+                 flag: value}
+        argv = [text for pair in flags.items() for text in pair]
+        assert run_cli("gen-data", *argv, "--out-dir", str(tmp_path / "ds")) == 1
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(e.startswith(f"argument {flag}: ") for e in errors), errors
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_flag_usage_error(self):
         assert run_cli("gen-data", "--dim", "4") == 1
@@ -258,7 +270,7 @@ class TestBench:
 
     def test_bench_rerun_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, method="deep-rpo-mean", training={"epochs": 2})
+        write_config(cfg_path, methods=["deep-rpo-mean"], training={"epochs": 2})
         assert run_cli("bench", "-c", str(cfg_path)) == 0
         first = (tmp_path / "out" / "results.csv").read_bytes()
         first_agg = (tmp_path / "out" / "aggregate.csv").read_bytes()
@@ -268,14 +280,7 @@ class TestBench:
 
     def test_multi_method_comparison(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
-        write_config(
-            cfg_path,
-            methods=["rpo-max", "deep-svdd"],
-            seeds=[0],
-        )
-        cfg = yaml.safe_load(cfg_path.read_text())
-        del cfg["method"]
-        cfg_path.write_text(yaml.safe_dump(cfg))
+        write_config(cfg_path, methods=["rpo-max", "deep-svdd"], seeds=[0])
         assert run_cli("bench", "-c", str(cfg_path)) == 0
         aggregate = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
         assert len(aggregate) == 3  # header + one row per method
@@ -292,9 +297,6 @@ class TestBench:
         write_config(cfg_path, seeds=[3, 1], methods=["rpo-max", "rpo-mean", "deep-svdd"],
                      model={"n_projections": 20, "dropout": {"components_rate": 0.2}},
                      protocol={"affine": {"mode": "constant", "alpha": 1.1}})
-        cfg = yaml.safe_load(cfg_path.read_text())
-        del cfg["method"]
-        cfg_path.write_text(yaml.safe_dump(cfg))
         assert run_cli("bench", "-c", str(cfg_path)) == 0
         expected = load_config(cfg_path).specs
         assert [spec.method for spec in expected] == ["rpo-max", "rpo-mean", "deep-svdd"]
@@ -328,8 +330,8 @@ class TestBench:
             ({"model": {"hidden_dims": 8}}, "model.hidden_dims"),
             ({"dataset": {"normal_class_ids": 1}}, "dataset.normal_class_ids"),
             ({"dataset": {"normal_class_ids": []}}, "dataset.normal_class_ids"),
-            ({"method": None, "methods": []}, "methods"),
-            ({"method": None, "methods": "rpo-max"}, "methods"),
+            ({"methods": []}, "methods"),
+            ({"methods": "rpo-max"}, "methods"),
             ({"training": {"batch_size": 0}}, "training.batch_size"),
             ({"model": {"n_projections": 0}}, "model.n_projections"),
             ({"protocol": {"contamination": 1.5}}, "protocol.contamination"),
@@ -341,19 +343,19 @@ class TestBench:
             ({"model": {"dropout": {"components_rate": 0.1, "seed": 5}}}, "model.dropout.seed"),
             ({"protocol": {"affine": {"mode": "uniform_range", "seed": 5}}},
              "protocol.affine.seed"),
-            ({"method": "deep-rpo-mean", "protocol": {"sad_ratio": 0.7}}, "protocol.sad_ratio"),
-            ({"method": "deep-rpo-mean", "protocol": {"sad_ratio": -0.1}}, "protocol.sad_ratio"),
-            ({"method": "deep-rpo-mean", "protocol": {"sad_ratio": 0.1, "sad_classes": 0}},
+            ({"methods": ["deep-rpo-mean"], "protocol": {"sad_ratio": 0.7}}, "protocol.sad_ratio"),
+            ({"methods": ["deep-rpo-mean"], "protocol": {"sad_ratio": -0.1}}, "protocol.sad_ratio"),
+            ({"methods": ["deep-rpo-mean"], "protocol": {"sad_ratio": 0.1, "sad_classes": 0}},
              "protocol.sad_classes"),
-            ({"method": "deep-rpo-mean", "model": {"hidden_dims": [0]}}, "model.hidden_dims"),
-            ({"method": "deep-svdd", "model": {"latent_dim": 0}}, "model.latent_dim"),
+            ({"methods": ["deep-rpo-mean"], "model": {"hidden_dims": [0]}}, "model.hidden_dims"),
+            ({"methods": ["deep-svdd"], "model": {"latent_dim": 0}}, "model.latent_dim"),
             ({"dataset": {"n_per_mode": 0}}, "dataset.n_per_mode"),
             ({"dataset": {"anomaly_n": -1}}, "dataset.anomaly_n"),
             # every source starts its normals in train: 0 leaves no normal test row
             ({"protocol": {"test_fraction": 0.0}}, "protocol.test_fraction"),
-            ({"method": "deep-rpo-mean", "training": {"learning_rate": -1.0}},
+            ({"methods": ["deep-rpo-mean"], "training": {"learning_rate": -1.0}},
              "training.learning_rate"),
-            ({"method": "deep-rpo-mean", "training": {"weight_decay": -1.0}},
+            ({"methods": ["deep-rpo-mean"], "training": {"weight_decay": -1.0}},
              "training.weight_decay"),
             ({"seeds": [1.5]}, "seeds"),
             ({"seeds": [0, 0]}, "seeds"),
@@ -363,10 +365,10 @@ class TestBench:
             ({"dataset": {"normal_class_ids": [0.5]}}, "dataset.normal_class_ids"),
             # a negative class id marks anomalies, which are never normal
             ({"dataset": {"normal_class_ids": [0, -1]}}, "dataset.normal_class_ids"),
-            ({"method": "deep-rpo-mean", "training": {"learning_rate": True}},
+            ({"methods": ["deep-rpo-mean"], "training": {"learning_rate": True}},
              "training.learning_rate"),
-            ({"method": "bogus"}, "method"),
-            ({"method": "deep-svdd", "training": {"epochs": 0}}, "training.epochs"),
+            ({"methods": ["bogus"]}, "method"),
+            ({"methods": ["deep-svdd"], "training": {"epochs": 0}}, "training.epochs"),
             ({"dataset": {"k_modes": 0}}, "dataset.k_modes"),
             ({"model": {"rp_dim": 0}}, "model.rp_dim"),
             ({"protocol": {"sad_ratio": 0.1}}, "protocol.sad_ratio"),
@@ -374,9 +376,9 @@ class TestBench:
             ({"seeds": -3}, "seeds must be >= 1, got -3"),
             # a repeated method would run twice, write one checkpoint twice and
             # count its seeds twice in the results
-            ({"method": None, "methods": ["rpo-max", "rpo-max"]},
+            ({"methods": ["rpo-max", "rpo-max"]},
              "methods must be distinct, got ['rpo-max', 'rpo-max']"),
-            ({"method": None, "methods": ["rpo-max", "deep-svdd", "rpo-max"]},
+            ({"methods": ["rpo-max", "deep-svdd", "rpo-max"]},
              "methods must be distinct"),
             ({"protocol": {"affine": {"mode": "constant", "alpha": float("nan")}}},
              "protocol.affine"),
@@ -416,23 +418,23 @@ class TestBench:
             ({"n_per_mode": 500, "anomaly_n": 76}, None),
             # 1 mode of 8 rows: 2 to test, then round(0.95 * 6) = 6 of the 6 train
             # normals to validation, leaving no row to standardize on
-            ({"k_modes": 1, "n_per_mode": 8, "anomaly_n": 20, "method": "rpo-max",
+            ({"k_modes": 1, "n_per_mode": 8, "anomaly_n": 20, "methods": ["rpo-max"],
               "protocol": {"val_fraction": 0.95}}, "protocol.val_fraction"),
             # round(0.8 * 6) = 5 to validation leaves 1 train row: a shallow fit
             # runs on it, training needs 2
-            ({"k_modes": 1, "n_per_mode": 8, "anomaly_n": 20, "method": "rpo-max",
+            ({"k_modes": 1, "n_per_mode": 8, "anomaly_n": 20, "methods": ["rpo-max"],
               "protocol": {"val_fraction": 0.8}}, None),
             ({"k_modes": 1, "n_per_mode": 8, "anomaly_n": 20,
               "protocol": {"val_fraction": 0.8}}, "protocol.val_fraction"),
         ],
     )
     def test_synthetic_split_that_cannot_run_exits_1(self, tmp_path, caplog, dataset, named):
-        # a case's "method" and "protocol" entries set those sections; the rest is the dataset's
+        # a case's "methods" and "protocol" entries set those keys; the rest is the dataset's
         dataset = dict(dataset)
-        method = dataset.pop("method", "deep-rpo-mean")
+        methods = dataset.pop("methods", ["deep-rpo-mean"])
         protocol = dataset.pop("protocol", {})
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, method=method, seeds=[0], dataset={"dim": 4, **dataset},
+        write_config(cfg_path, methods=methods, seeds=[0], dataset={"dim": 4, **dataset},
                      model={"n_projections": 8}, protocol=protocol,
                      training={"epochs": 1, "batch_size": 32})
         code = run_cli("bench", "-c", str(cfg_path))
@@ -462,7 +464,7 @@ class TestBench:
     def test_synthetic_anomaly_pool_too_small_exits_1(self, tmp_path, caplog, protocol,
                                                       anomaly_n, named):
         cfg_path = tmp_path / "c.yaml"
-        write_config(cfg_path, method="deep-rpo-mean", seeds=[0],
+        write_config(cfg_path, methods=["deep-rpo-mean"], seeds=[0],
                      dataset={"dim": 4, "n_per_mode": 80, "anomaly_n": anomaly_n},
                      model={"n_projections": 8}, protocol=protocol,
                      training={"epochs": 1, "batch_size": 32})
@@ -563,7 +565,7 @@ class TestBench:
         cfg_path = tmp_path / "c.yaml"
         write_config(
             cfg_path,
-            method="deep-rpo-mean",
+            methods=["deep-rpo-mean"],
             seeds=[0],
             output={
                 "results": str(tmp_path / "out" / "results.csv"),
@@ -644,7 +646,7 @@ class TestSweepCommand:
         cfg_path = tmp_path / "c.yaml"
         # sad_ratio needs a deep-rpo method; the others run on rpo-max
         write_sweep_config(cfg_path, sweep=sweep,
-                           method="deep-rpo-mean" if sweep["axis"] == "sad_ratio" else "rpo-max")
+                           methods=["deep-rpo-mean" if sweep["axis"] == "sad_ratio" else "rpo-max"])
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
         assert ran == []
         assert any("sweep.values" in r.message for r in caplog.records if r.levelname == "ERROR")
@@ -662,11 +664,38 @@ class TestSweepCommand:
         ran = []
         monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
         cfg_path = tmp_path / "c.yaml"
-        write_sweep_config(cfg_path, sweep=sweep, method="rpo-max")
+        write_sweep_config(cfg_path, sweep=sweep, methods=["rpo-max"])
         assert run_cli("sweep", "-c", str(cfg_path)) == 1
         assert ran == []
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any(named in e for e in errors), errors
+
+    @pytest.mark.parametrize(
+        "overrides, axis, values, key",
+        [({"model": {"rp_dim": 2}}, "rp_dim", [1, 3], "model.rp_dim"),
+         # write_config sets model.n_projections
+         ({}, "n_projections", [20, 30], "model.n_projections"),
+         ({"model": {"dropout": {"components_rate": 0.2}}}, "dropout",
+          [{"components_rate": 0.1}], "model.dropout"),
+         ({"protocol": {"affine": {"mode": "uniform_range", "low": 0.1, "high": 5.0}}},
+          "alpha", [0.9, 1.1], "protocol.affine"),
+         ({"methods": ["deep-rpo-mean"], "protocol": {"sad_ratio": 0.05}}, "sad_ratio",
+          [0.0, 0.1], "protocol.sad_ratio")],
+        ids=["rp_dim", "n_projections", "dropout", "alpha", "sad_ratio"],
+    )
+    def test_a_key_the_axis_sweeps_exits_1_naming_both(self, tmp_path, monkeypatch, caplog,
+                                                       overrides, axis, values, key):
+        # each sweep point overwrote the key: rp_dim 2 ran points 1 and 3, exiting 0
+        ran = []
+        monkeypatch.setattr(evaluation, "_map_seeds", lambda *a, **k: ran.append(a))
+        cfg_path = tmp_path / "c.yaml"
+        write_sweep_config(cfg_path, sweep={"axis": axis, "values": values}, **overrides)
+        assert run_cli("sweep", "-c", str(cfg_path)) == 1
+        assert ran == []
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        named = f"sweep.axis: axis {axis!r} sweeps {key}, which the config also sets"
+        assert any(named in e for e in errors), errors
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_axis_exits_1_naming_it(self, tmp_path, monkeypatch, caplog):
         ran = []
@@ -700,7 +729,7 @@ class TestSweepCommand:
         # the labels the aggregate CSV has always carried, for values written as int,
         # float and string; a dropout rate written as a string is newly accepted
         method = "deep-rpo-mean" if axis in ("sad_ratio", "n_projections") else "rpo-max"
-        cfg = parse_config({"method": method, "dataset": {"dim": 6},
+        cfg = parse_config({"methods": [method], "dataset": {"dim": 6},
                             "sweep": {"axis": axis, "values": values}})
         assert [label for label, _ in cfg.sweep] == labels
         assert [getattr(spec, field) for _, spec in cfg.sweep] == spec_values
@@ -719,7 +748,8 @@ class TestSweepCommand:
         # the config refuses an axis the method has no use for, as it is read
         for axis, values in [("n_projections", [10, 20]), ("rp_dim", [1, 2]),
                              ("dropout", [{"components_rate": 0.1}])]:
-            raw = {"method": "deep-svdd", "seeds": [0], "sweep": {"axis": axis, "values": values}}
+            raw = {"methods": ["deep-svdd"], "seeds": [0],
+                   "sweep": {"axis": axis, "values": values}}
             named = f"sweep.axis: axis {axis!r} does not apply to deep-svdd"
             with pytest.raises(ConfigError, match=named):
                 parse_config(raw, command="sweep")
@@ -776,7 +806,7 @@ class TestCommandKeys:
         assert load_config(CONFIGS / path, command) == load_config(CONFIGS / path)
 
     def test_a_library_parse_reads_every_key(self):
-        cfg = parse_config({"method": "rpo-max", "output": {"checkpoint_dir": "c"},
+        cfg = parse_config({"methods": ["rpo-max"], "output": {"checkpoint_dir": "c"},
                             "sweep": {"axis": "alpha", "values": [0.9]}})
         assert cfg.checkpoint_dir == "c" and cfg.sweep_axis == "alpha"
 
@@ -845,7 +875,7 @@ def test_an_empty_text_key_exits_1_before_any_seed(tmp_path, monkeypatch, caplog
 
 
 def test_an_optional_text_key_may_be_null():
-    cfg = parse_config({"method": "rpo-max", "output": {"checkpoint_dir": None,
+    cfg = parse_config({"methods": ["rpo-max"], "output": {"checkpoint_dir": None,
                                                         "history_dir": None},
                         "sweep": {"axis": None}})
     assert (cfg.checkpoint_dir, cfg.history_dir, cfg.sweep_axis) == (None, None, None)
@@ -879,9 +909,17 @@ REFUSED = {
     "bench workers key": (["bench"], {"workers": 2}, "unknown config key: workers"),
     "sweep workers key": (["sweep"], {"workers": 2, **ALPHA_SWEEP},
                           "unknown config key: workers"),
+    # argparse names the type function of a value it cannot convert, which read
+    # "invalid _worker_count value: 'abc'"
+    "bench --workers abc": (["bench", "--workers", "abc"], {},
+                            "argument --workers: invalid integer value: 'abc'"),
+    # methods is the one spelling of the method list
+    "bench method key": (["bench"], {"method": "rpo-max"}, "unknown config key: method"),
+    "sweep method key": (["sweep"], {"method": "rpo-max", **ALPHA_SWEEP},
+                         "unknown config key: method"),
     # a sweep runs one method, and the config says so as it is read
     "sweep of two methods": (
-        ["sweep"], {"method": None, "methods": ["rpo-max", "rpo-mean"], **ALPHA_SWEEP},
+        ["sweep"], {"methods": ["rpo-max", "rpo-mean"], **ALPHA_SWEEP},
         "methods: rpo sweep runs one method, got ['rpo-max', 'rpo-mean']"),
 }
 
@@ -944,7 +982,7 @@ class TestScore:
         cfg_path = tmp_path / "c.yaml"
         write_config(
             cfg_path,
-            method=method,
+            methods=[method],
             seeds=[0],
             output={
                 "results": str(tmp_path / "out" / "results.csv"),
@@ -993,6 +1031,21 @@ class TestScore:
         errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any(e.startswith("row 1 (counting from 0) scores ") and "not a finite value" in e
                    for e in errors), errors
+
+    def test_a_byte_order_mark_scores_as_the_plain_file(self, tmp_path):
+        # the mark made the first column "\ufeffclass", a seventh feature: exit 2
+        ckpt = self._bench_with_checkpoints(tmp_path)
+        text = "class,f0,f1,f2,f3,f4,f5\n0,1,2,3,4,5,6\n1,0.5,-1,2,0,3,1\n"
+        outputs = []
+        for name, encoding in [("plain", "utf-8"), ("bom", "utf-8-sig")]:
+            input_csv = tmp_path / f"{name}.csv"
+            input_csv.write_text(text, encoding=encoding)
+            out_csv = tmp_path / f"{name}-scores.csv"
+            assert run_cli("score", "--checkpoint", str(ckpt), "--input", str(input_csv),
+                           "--output", str(out_csv)) == 0
+            outputs.append(out_csv.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 3
 
     def test_empty_input_empty_output(self, tmp_path):
         ckpt = self._bench_with_checkpoints(tmp_path)
@@ -1396,7 +1449,7 @@ def test_version_1_checkpoint_exits_2_naming_the_file(tmp_path, caplog, rpo_max_
 def deep_rpo_m3_checkpoint(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("ckpt-m3")
     cfg_path = tmp_path / "c.yaml"
-    write_config(cfg_path, method="deep-rpo-mean", seeds=[0], model={"rp_dim": 3}, output={
+    write_config(cfg_path, methods=["deep-rpo-mean"], seeds=[0], model={"rp_dim": 3}, output={
         "results": str(tmp_path / "out" / "results.csv"),
         "aggregate": str(tmp_path / "out" / "aggregate.csv"),
         "checkpoint_dir": str(tmp_path / "ckpt"),

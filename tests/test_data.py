@@ -461,6 +461,17 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="bad.csv:4: class '0.7' is not an integer"):
             read_classes(path)
 
+    @pytest.mark.parametrize("spelling, value", [("2.0", 2.0), ("2_0", 20.0)])
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, spelling, value):
+        # "2_0" is read by the row loop, "2.0" by numpy's reader; the mark once
+        # made the header's first name "\ufeffclass", so the class column went missing
+        path = tmp_path / "bom.csv"
+        path.write_text(f"class,f0,f1\n0,1.0,{spelling}\n1,3.0,4.0\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfclass,")
+        X, classes = read_classes(path)
+        assert X.tolist() == [[1.0, value], [3.0, 4.0]]
+        assert classes.tolist() == [0, 1]
+
     def test_integral_float_class_accepted(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,class\n1.0,0.0\n2.0,1.0\n3.0,-0\n")
